@@ -14,7 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .data_tables import DataTables, default_tables
 from .telephony import TELEPHONY_KINDS, TelephonyPolicy, filter_outgoing
@@ -85,7 +85,7 @@ class UiElement:
         return bx <= x < bx + w and by <= y < by + h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementKey:
     """Identity of a UI element as seen by the grey-box explorer.
 
@@ -120,17 +120,57 @@ class UiState:
     elements: tuple[UiElement, ...]
 
 
+class Screen:
+    """One UI state with every element's key computed once.
+
+    ``first_index`` maps each key to the first element that carries it.
+    That is the shadowing rule: a later element with the same (partial)
+    key can never be an event's target.
+    """
+
+    __slots__ = ("state", "keys", "first_index", "_bounds")
+
+    def __init__(self, activity: str, state: UiState):
+        self.state = state
+        self.keys = tuple(identify_element(activity, el) for el in state.elements)
+        self.first_index: dict[ElementKey, int] = {}
+        for i, key in enumerate(self.keys):
+            self.first_index.setdefault(key, i)
+        self._bounds = tuple(el.bounds for el in state.elements)
+
+    def entries(self) -> Iterator[tuple[ElementKey, UiElement]]:
+        """The unshadowed elements with their keys, in screen order."""
+        elements = self.state.elements
+        return ((key, elements[i]) for key, i in self.first_index.items())
+
+    def hit(self, x: int, y: int) -> Optional[ElementKey]:
+        """Key of the first element containing (x, y), or None."""
+        for i, (x0, y0, w, h) in enumerate(self._bounds):
+            if x0 <= x < x0 + w and y0 <= y < y0 + h:
+                return self.keys[i]
+        return None
+
+
+def _first_wins(pairs) -> dict:
+    # A dict that, like a linear scan, resolves a repeated key to its first value.
+    return dict(reversed(list(pairs)))
+
+
 @dataclass(frozen=True)
 class Activity:
     name: str
     initial_state: str
     states: tuple[UiState, ...]
+    _states: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_states", _first_wins((st.id, st) for st in self.states))
 
     def state(self, state_id: str) -> UiState:
-        for st in self.states:
-            if st.id == state_id:
-                return st
-        raise KeyError(state_id)
+        try:
+            return self._states[state_id]
+        except (KeyError, TypeError):
+            raise KeyError(state_id) from None
 
 
 @dataclass(frozen=True)
@@ -301,23 +341,58 @@ class AppModel:
     declared_receivers: tuple[str, ...]
     dynamic_receivers: tuple[tuple[str, str, str], ...]  # (activity, state, action)
     alphabet: tuple[str, ...]
+    # Lookup tables built once per model by __post_init__; events, the
+    # oracle and the explorer only read them.
+    block_index: dict[str, BasicBlock] = field(init=False, repr=False, compare=False)
+    _activities: dict[str, Activity] = field(init=False, repr=False, compare=False)
+    _screens: dict[tuple[str, str], Screen] = field(init=False, repr=False, compare=False)
+    _ui_transitions: dict[tuple[str, str, int, str], tuple[Transition, ...]] = field(
+        init=False, repr=False, compare=False)
+    _receiver_transitions: dict[tuple[str, str], tuple[Transition, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        activities = _first_wins((a.name, a) for a in self.activities)
+        # Transitions grouped by what they match, each group then a tuple.
+        ui: dict[tuple[str, str, int, str], Sequence[Transition]] = {}
+        rx: dict[tuple[str, str], Sequence[Transition]] = {}
+        for t in self.transitions:
+            if isinstance(t.source, UiSource):
+                key = (t.source.activity, t.source.state, t.source.element_index, t.action)
+                ui.setdefault(key, []).append(t)
+            else:
+                rx.setdefault((t.source.trigger, t.source.action), []).append(t)
+        for groups in (ui, rx):
+            for k, v in groups.items():
+                groups[k] = tuple(v)
+        tables = {
+            "block_index": {b.id: b for b in self.blocks},
+            "_activities": activities,
+            "_screens": {(name, sid): Screen(name, st)
+                         for name, act in activities.items()
+                         for sid, st in act._states.items()},
+            "_ui_transitions": ui,
+            "_receiver_transitions": rx,
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     def activity(self, name: str) -> Activity:
-        for act in self.activities:
-            if act.name == name:
-                return act
-        raise KeyError(name)
+        try:
+            return self._activities[name]
+        except (KeyError, TypeError):
+            raise KeyError(name) from None
+
+    def screen(self, activity: str, state_id: str) -> Screen:
+        """The indexed UI state; KeyError names the unknown activity or state."""
+        try:
+            return self._screens[activity, state_id]
+        except (KeyError, TypeError):
+            self.activity(activity).state(state_id)  # raises KeyError naming the unknown part
+            raise
 
     def ui_state(self, activity: str, state_id: str) -> UiState:
-        return self.activity(activity).state(state_id)
-
-    @property
-    def block_index(self) -> dict[str, BasicBlock]:
-        idx = getattr(self, "_block_index", None)
-        if idx is None:
-            idx = {b.id: b for b in self.blocks}
-            object.__setattr__(self, "_block_index", idx)
-        return idx
+        return self.screen(activity, state_id).state
 
     def receiver_actions(self) -> frozenset[str]:
         """All intent actions the app can ever be registered for."""
@@ -330,29 +405,6 @@ class AppModel:
                 if eff.kind == "register_receiver":
                     actions.add(eff.action)
         return frozenset(actions)
-
-    def _ui_transitions(self) -> dict[tuple[str, str, int, str], tuple[Transition, ...]]:
-        idx = getattr(self, "_ui_idx", None)
-        if idx is None:
-            idx = {}
-            for t in self.transitions:
-                if isinstance(t.source, UiSource):
-                    key = (t.source.activity, t.source.state, t.source.element_index, t.action)
-                    idx.setdefault(key, []).append(t)
-            idx = {k: tuple(v) for k, v in idx.items()}
-            object.__setattr__(self, "_ui_idx", idx)
-        return idx
-
-    def _receiver_transitions(self) -> dict[tuple[str, str], tuple[Transition, ...]]:
-        idx = getattr(self, "_rx_idx", None)
-        if idx is None:
-            idx = {}
-            for t in self.transitions:
-                if isinstance(t.source, ReceiverSource):
-                    idx.setdefault((t.source.trigger, t.source.action), []).append(t)
-            idx = {k: tuple(v) for k, v in idx.items()}
-            object.__setattr__(self, "_rx_idx", idx)
-        return idx
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +503,8 @@ def dump_hierarchy(device: DeviceState, app: AppModel) -> tuple[UiElement, ...]:
 
 
 def _resolve_target(app: AppModel, ctx: AppContext, key: ElementKey) -> Optional[int]:
-    # First element whose computed key equals the event key; identical
-    # partial keys shadow later elements (documented false positive).
-    elements = app.ui_state(ctx.activity, ctx.state).elements
-    for i, el in enumerate(elements):
-        if identify_element(ctx.activity, el) == key:
-            return i
-    return None
+    # First element whose key equals the event key (see Screen.first_index).
+    return app.screen(ctx.activity, ctx.state).first_index.get(key)
 
 
 def _live_receiver(app: AppModel, ctx: AppContext, action: str) -> bool:
@@ -497,7 +544,7 @@ def _match_transition(app, ctx, event, tables) -> Optional[Transition]:
         idx = _resolve_target(app, ctx, event.target)
         if idx is None:
             return None
-        candidates = app._ui_transitions().get((ctx.activity, ctx.state, idx, event.kind), ())
+        candidates = app._ui_transitions.get((ctx.activity, ctx.state, idx, event.kind), ())
         for t in candidates:
             if t.match is None or t.match.accepts(event.value, tables):
                 return t
@@ -520,7 +567,7 @@ def _match_transition(app, ctx, event, tables) -> Optional[Transition]:
 
 
 def _receiver_transition(app, ctx, trigger, action) -> Optional[Transition]:
-    for t in app._receiver_transitions().get((trigger, action), ()):
+    for t in app._receiver_transitions.get((trigger, action), ()):
         anchor = t.source.anchor
         if anchor is None or anchor == (ctx.activity, ctx.state):
             return t
@@ -608,12 +655,7 @@ def _candidate_events(app: AppModel, device: DeviceState, universe: EventUnivers
                       own_number: str) -> list[Event]:
     ctx = device.context(app.package)
     events: list[Event] = []
-    seen_keys: set[ElementKey] = set()
-    for el in app.ui_state(ctx.activity, ctx.state).elements:
-        key = identify_element(ctx.activity, el)
-        if key in seen_keys:
-            continue  # shadowed by an earlier identical key
-        seen_keys.add(key)
+    for key, el in app.screen(ctx.activity, ctx.state).entries():
         for action in el.actions:
             if action == "set_text":
                 events.extend(Event.set_text(key, v) for v in universe.text_values)
@@ -695,7 +737,7 @@ def _load_element(raw: dict, where: str) -> UiElement:
         raise ModelValidationError(f"{where}: textfield must list set_text")
     if kind == "checkbox" and "toggle" not in actions:
         raise ModelValidationError(f"{where}: checkbox must list toggle")
-    return UiElement(
+    element = UiElement(
         kind=kind,
         id_string=raw.get("id_string", raw.get("id")),
         content_description=raw.get("content_description", raw.get("description")),
@@ -704,6 +746,10 @@ def _load_element(raw: dict, where: str) -> UiElement:
         bounds=bounds,  # type: ignore[arg-type]
         actions=actions,
     )
+    for attr in ("id_string", "content_description", "text", "hint"):
+        if not isinstance(getattr(element, attr), (str, type(None))):
+            raise ModelValidationError(f"{where}: {attr} must be a string")
+    return element
 
 
 def _load_side_effect(raw: dict, where: str) -> SideEffect:
@@ -901,9 +947,7 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
         transitions.append(Transition(i, source_obj, action_name, match, to,
                                       tblocks, effects, bool(traw.get("crash", False))))
 
-    _check_determinism(transitions, source)
-
-    return AppModel(
+    app = AppModel(
         package=package,
         main_activity=main_activity,
         own_number=own_number,
@@ -914,20 +958,14 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
         dynamic_receivers=tuple(dynamic),
         alphabet=tuple(doc.get("alphabet", ())),
     )
+    _check_determinism(app, source)
+    return app
 
 
-def _check_determinism(transitions: list[Transition], source: str) -> None:
-    # At most one transition may match any concrete (state, event) pair.
-    ui_groups: dict[tuple, list[Transition]] = {}
-    rx_groups: dict[tuple, list[Transition]] = {}
-    for t in transitions:
-        if isinstance(t.source, UiSource):
-            key = (t.source.activity, t.source.state, t.source.element_index, t.action)
-            ui_groups.setdefault(key, []).append(t)
-        else:
-            rx_groups.setdefault((t.source.trigger, t.source.action), []).append(t)
-
-    for key, group in ui_groups.items():
+def _check_determinism(app: AppModel, source: str) -> None:
+    # At most one transition may match any concrete (state, event) pair;
+    # the model's transition tables group the candidates.
+    for key, group in app._ui_transitions.items():
         if len(group) == 1:
             continue
         # multiple transitions are only allowed as equals-matches on
@@ -944,7 +982,7 @@ def _check_determinism(transitions: list[Transition], source: str) -> None:
                 f"{source}: duplicate equals values for {key} (machine must be deterministic)"
             )
 
-    for key, group in rx_groups.items():
+    for key, group in app._receiver_transitions.items():
         anchors = [t.source.anchor for t in group]
         if anchors.count(None) > 1 or (None in anchors and len(group) > 1):
             raise ModelValidationError(

@@ -21,6 +21,7 @@ from .app_model import (
     DeviceState,
     ElementKey,
     Event,
+    Screen,
     Settings,
     UiElement,
     dump_hierarchy,
@@ -42,6 +43,7 @@ __all__ = [
     "Whitelist",
     "categorize_textfield",
     "cleanup",
+    "dump_hierarchy",
     "explore",
     "generate_fill_value",
     "identify_element",
@@ -128,19 +130,10 @@ class ExplorationConfig:
 # Exploration
 # ---------------------------------------------------------------------------
 
-def _plan(activity: str, elements: tuple[UiElement, ...],
-          visited: set) -> list[tuple[ElementKey, str, UiElement]]:
+def _plan(screen: Screen, visited: set) -> list[tuple[ElementKey, str, UiElement]]:
     """Unvisited (key, action) pairs for one screen, fills scheduled first."""
-    entries = []
-    seen_keys: set[ElementKey] = set()
-    for el in elements:
-        key = identify_element(activity, el)
-        if key in seen_keys:
-            continue  # identical partial key: later element is shadowed
-        seen_keys.add(key)
-        for action in el.actions:
-            if (key, action) not in visited:
-                entries.append((key, action, el))
+    entries = [(key, action, el) for key, el in screen.entries()
+               for action in el.actions if (key, action) not in visited]
     first = [e for e in entries if e[1] in ("set_text", "toggle")]
     rest = [e for e in entries if e[1] not in ("set_text", "toggle")]
     return first + rest
@@ -155,7 +148,7 @@ class _Explorer:
         self.tables = tables
         self.rng = Xoshiro256StarStar(derive_seed(config.seed, "smart-fill"))
         self.budget = config.max_events
-        self.seen_screens: dict[tuple[str, str], tuple[UiElement, ...]] = {}
+        self.seen_screens: dict[tuple[str, str], Screen] = {}
 
     @property
     def session(self) -> Session:
@@ -173,19 +166,16 @@ class _Explorer:
         return Event.set_text(key, generate_fill_value(category, self.tables, self.rng))
 
     def _pending_anywhere(self) -> bool:
-        return any(
-            _plan(screen[0], elements, self.session.visited)
-            for screen, elements in self.seen_screens.items()
-        )
+        return any(_plan(screen, self.session.visited)
+                   for screen in self.seen_screens.values())
 
     def drain_ui(self) -> None:
         """Process screens until no unvisited pair is discoverable."""
         idle_switch = False
         while self.budget > 0 and not self.session.crashed:
             screen = self.runner.current_screen()
-            elements = dump_hierarchy(self.runner.device, self.app)
-            self.seen_screens[screen] = elements
-            plan = _plan(screen[0], elements, self.session.visited)
+            shown = self.seen_screens[screen] = self.app.screen(*screen)
+            plan = _plan(shown, self.session.visited)
             if not plan:
                 if not self._pending_anywhere():
                     return

@@ -125,18 +125,20 @@ def load_corpus_dir(path: str | Path) -> list[tuple[str, AppModel]]:
     return entries
 
 
-def _make_guard(config: ExperimentConfig) -> NetGuard:
-    return NetGuard(default_signatures(), default_reputation(),
+def _make_guard(config: ExperimentConfig, signatures: SignatureDb,
+                reputation: ReputationProvider) -> NetGuard:
+    return NetGuard(signatures, reputation,
                     threshold=config.reputation_threshold,
                     identities=DEFAULT_IDENTITIES)
 
 
-def _run_one(app: AppModel, method: str, config: ExperimentConfig):
+def _run_one(app: AppModel, method: str, config: ExperimentConfig,
+             signatures: SignatureDb, reputation: ReputationProvider):
     seed_app = derive_seed(config.seed, app.package)
     monkey_config = MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
                                  throttle_ms=config.monkey_throttle_ms,
                                  package=app.package)
-    guard = _make_guard(config)
+    guard = _make_guard(config, signatures, reputation)
     device = install_app(baseline_device(), app)
 
     if method == "monkey":
@@ -166,12 +168,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     workers only change scheduling, and results merge in corpus order.
     """
     corpus = load_corpus_dir(config.corpus)
+    # Read once per run; every session still gets a NetGuard (and capture
+    # log) of its own.
+    signatures, reputation = default_signatures(), default_reputation()
 
     jobs = [(method, name, app) for method in config.methods for name, app in corpus]
 
     def work(job):
         method, name, app = job
-        return _run_one(app, method, config)
+        return _run_one(app, method, config, signatures, reputation)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .app_model import (
-    AppModel,
-    DeviceState,
-    Event,
-    identify_element,
-    run_event_chain,
-)
+from .app_model import AppModel, DeviceState, Event, run_event_chain
 from .rng import Xoshiro256StarStar
 from .session import Session, SessionRunner
 from .telephony import TelephonyPolicy
@@ -29,6 +23,11 @@ SYSTEM_KEYS = ("home", "back", "volume_up", "volume_down", "call", "endcall")
 
 TEXT_MIN_LEN = 1
 TEXT_MAX_LEN = 8
+
+# Taps that hit no element carry nothing but their kind, so one shared
+# (immutable) event per kind serves them all; set_text misses keep their
+# own, since each carries its typed value.
+_MISSES = {kind: Event(kind) for kind in NAV_KINDS if kind != "set_text"}
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,12 @@ def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
     target = None
     if not device.crashed:
         ctx = device.context(app.package)
-        for el in app.ui_state(ctx.activity, ctx.state).elements:
-            if el.contains(x, y):
-                target = identify_element(ctx.activity, el)
-                break
+        target = app.screen(ctx.activity, ctx.state).hit(x, y)
     if kind == "set_text":
         value = rng.alnum(TEXT_MIN_LEN + rng.randrange(TEXT_MAX_LEN - TEXT_MIN_LEN + 1))
         return Event.set_text(target, value)
+    if target is None:
+        return _MISSES[kind]
     return Event(kind, target=target)
 
 

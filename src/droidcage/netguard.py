@@ -250,6 +250,8 @@ def parse_request(raw: bytes, declared_protocol: str = "http"):
             n = int(length)
         except ValueError:
             raise RequestParseError(f"bad Content-Length: {length!r}") from None
+        if n < 0:
+            raise RequestParseError(f"negative Content-Length: {length!r}")
         if len(rest) < n:
             raise RequestParseError(f"truncated body: expected {n} bytes, got {len(rest)}")
         content = rest[:n]
@@ -259,18 +261,20 @@ def parse_request(raw: bytes, declared_protocol: str = "http"):
 
 
 def _split_target(target: str, headers, protocol: str) -> tuple[str, str, str]:
-    default_port = "443" if protocol == "https" else "80"
     if target.startswith("http://") or target.startswith("https://"):
         rest = target.split("://", 1)[1]
         authority, slash, tail = rest.partition("/")
         path = slash + tail if slash else "/"
-        host, _, port = authority.partition(":")
-        return host, port or default_port, path
-    host_header = next((v for n, v in headers if n.lower() == "host"), None)
-    if host_header is None:
-        raise RequestParseError("no Host header and no absolute request target")
-    host, _, port = host_header.partition(":")
-    return host, port or default_port, target
+    else:
+        authority = next((v for n, v in headers if n.lower() == "host"), None)
+        if authority is None:
+            raise RequestParseError("no Host header and no absolute request target")
+        path = target
+    host, _, port = authority.partition(":")
+    port = port or ("443" if protocol == "https" else "80")
+    if not port.isdigit():  # the HttpTransaction invariant, as a parse error
+        raise RequestParseError(f"bad port: {port!r}")
+    return host, port, path
 
 
 # ---------------------------------------------------------------------------

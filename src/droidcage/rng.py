@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence, TypeVar
 
 MASK64 = (1 << 64) - 1
+_SPAN = MASK64 + 1
 
 _ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
@@ -27,8 +28,9 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield (z ^ (z >> 31)) & MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
+# Outputs generated per refill. Draws consume the buffer in order, so the
+# stream is the same for any batch size; only the state runs ahead.
+_BATCH = 64
 
 
 class Xoshiro256StarStar:
@@ -36,36 +38,54 @@ class Xoshiro256StarStar:
 
     This is the reference construction: four splitmix64 outputs make up
     the initial 256-bit state, so any implementation of the same pair of
-    algorithms produces identical streams for the same seed.
+    algorithms produces identical streams for the same seed. Outputs are
+    generated ``_BATCH`` at a time and handed out in order.
     """
+
+    __slots__ = ("_state", "_buf")
 
     def __init__(self, seed: int):
         sm = splitmix64_stream(seed)
-        self._s = [next(sm), next(sm), next(sm), next(sm)]
+        self._state = (next(sm), next(sm), next(sm), next(sm))
+        self._buf: list[int] = []
+
+    def _refill(self) -> list[int]:
+        s0, s1, s2, s3 = self._state
+        mask = MASK64
+        out = []
+        append = out.append
+        for _ in range(_BATCH):
+            x = (s1 * 5) & mask
+            append((((x << 7) | (x >> 57)) * 9) & mask)  # rotl(x, 7) * 9
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
+        self._state = (s0, s1, s2, s3)
+        out.reverse()  # consumed with pop(), from the end
+        self._buf = out
+        return out
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
-        t = (s1 << 17) & MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        return (self._buf or self._refill()).pop()
 
     def randrange(self, n: int) -> int:
-        """Unbiased draw from [0, n) via rejection sampling."""
+        """Unbiased draw from [0, n) via rejection sampling.
+
+        A draw ``v`` is kept when it lies below the largest multiple of
+        ``n`` that fits in 2**64, i.e. when ``v - v % n + n <= 2**64``;
+        that needs no per-bound limit.
+        """
         if n <= 0:
             raise ValueError("randrange bound must be positive")
-        span = MASK64 + 1
-        limit = span - (span % n)
         while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
+            v = (self._buf or self._refill()).pop()
+            r = v % n
+            if v - r + n <= _SPAN:
+                return r
 
     def choice(self, seq: Sequence[T]) -> T:
         if not seq:
@@ -77,7 +97,8 @@ class Xoshiro256StarStar:
         return self.randrange(100)
 
     def alnum(self, length: int) -> str:
-        return "".join(self.choice(_ALNUM) for _ in range(length))
+        randrange = self.randrange
+        return "".join([_ALNUM[randrange(62)] for _ in range(length)])
 
 
 def derive_seed(seed: int, label: str) -> int:

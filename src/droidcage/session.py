@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .app_model import (
+    UI_ACTIONS,
     AppModel,
     DeviceState,
     ElementKey,
@@ -75,6 +76,14 @@ class SessionRunner:
 
     def step(self, event: Event) -> StepResult:
         """Apply one engine-issued event (plus telephony loopback)."""
+        device = self.device
+        if event.target is None and event.kind in UI_ACTIONS and not device.crashed \
+                and self.app.package in device.contexts:
+            # A UI event aimed at no element matches no transition: the
+            # chain would return this very result and absorb nothing.
+            self.session.events.append(event)
+            self.session.device = device
+            return StepResult(device, (), (), False, False)
         self.device, steps = run_event_chain(
             self.device, self.app, event, self.policy, self.tables
         )

@@ -107,6 +107,14 @@ def test_zero_size_element_rejected(tmp_path):
         load_app_model(write_model(tmp_path, doc))
 
 
+@pytest.mark.parametrize("attr", ["id", "content_description", "text", "hint"])
+def test_non_string_element_label_rejected(tmp_path, attr):
+    doc = _minimal_doc()
+    doc["activities"][0]["states"][0]["elements"][0][attr] = ["b"]
+    with pytest.raises(ModelValidationError, match="must be a string"):
+        load_app_model(write_model(tmp_path, doc))
+
+
 def test_ambiguous_transitions_rejected(tmp_path):
     doc = _minimal_doc()
     doc["transitions"].append(dict(doc["transitions"][0]))

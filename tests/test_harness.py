@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -13,7 +14,13 @@ from droidcage.harness import (
     load_corpus_dir,
     parse_results_csv,
     run_experiment,
+    write_outputs,
 )
+
+# SHA-256 of the output directory of `droidcage run` on the default 20-app
+# corpus of seed 0. A change that alters any output byte must say why and
+# update it.
+GOLDEN_SEED0_DIGEST = "4392224e1d9fe48cf3ad5e5a5909b98c44b97372eb7dd3338d96ad030ee16a8d"
 
 PAPER_TABLE = ResultsTable((
     AggregateRow("monkey", 32.93, 35.05, 36.32, 16.0),
@@ -127,3 +134,21 @@ def test_corpus_loader_orders_by_name(small_corpus):
     entries = load_corpus_dir(small_corpus)
     names = [n for n, _ in entries]
     assert names == sorted(names)
+
+
+def _digest_dir(root):
+    """SHA-256 over each file's relative path, length and bytes, in path order."""
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            data = p.read_bytes()
+            h.update(p.relative_to(root).as_posix().encode() + b"\0")
+            h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+def test_seed0_outputs_are_byte_identical_to_golden(tmp_path):
+    write_corpus(tmp_path / "corpus", 0)
+    config = ExperimentConfig(corpus=tmp_path / "corpus", seed=0)
+    write_outputs(run_experiment(config), tmp_path / "out", config.formats)
+    assert _digest_dir(tmp_path / "out") == GOLDEN_SEED0_DIGEST

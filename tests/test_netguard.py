@@ -99,6 +99,21 @@ def test_truncated_body_is_parse_error():
         parse_request(b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nabc")
 
 
+def test_non_numeric_host_header_port_is_parse_error():
+    with pytest.raises(RequestParseError):
+        parse_request(b"GET / HTTP/1.1\r\nHost: a:xx\r\n\r\n")
+
+
+def test_non_numeric_absolute_target_port_is_parse_error():
+    with pytest.raises(RequestParseError):
+        parse_request(b"GET http://a:xx/p HTTP/1.1\r\n\r\n")
+
+
+def test_negative_content_length_is_parse_error():
+    with pytest.raises(RequestParseError):
+        parse_request(b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: -3\r\n\r\nabcdef")
+
+
 def test_transaction_invariants():
     with pytest.raises(ValueError):
         HttpTransaction("GET", "ftp", "h", "80", "/", "HTTP/1.1")
@@ -349,6 +364,18 @@ def test_pipeline_drops_and_logs_malformed():
     assert guard.capture_log == []
     assert len(guard.malformed_log) == 1
     assert base64.b64decode(guard.malformed_log[0]) == b"not-http at all"
+
+
+@pytest.mark.parametrize("raw", [
+    b"GET / HTTP/1.1\r\nHost: a:xx\r\n\r\n",
+    b"GET http://a:xx/p HTTP/1.1\r\n\r\n",
+    b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: -3\r\n\r\nabcdef",
+])
+def test_pipeline_logs_bad_port_and_length_as_malformed(raw):
+    guard = _guard()
+    assert guard.handle(raw).disposition == "malformed"
+    assert guard.capture_log == []
+    assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
 
 
 def test_pipeline_blocks_ftp_without_logging():

@@ -1,4 +1,48 @@
+import pytest
+
 from droidcage.rng import Xoshiro256StarStar, derive_seed, splitmix64_stream
+
+MASK64 = (1 << 64) - 1
+ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+
+
+class ReferenceXoshiro:
+    """Straight-line xoshiro256**, one output per call, no buffering."""
+
+    def __init__(self, seed):
+        sm = splitmix64_stream(seed)
+        self.s = [next(sm), next(sm), next(sm), next(sm)]
+
+    @staticmethod
+    def rotl(x, k):
+        return ((x << k) | (x >> (64 - k))) & MASK64
+
+    def next_u64(self):
+        s0, s1, s2, s3 = self.s
+        result = (self.rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = self.rotl(s3, 45)
+        self.s = [s0, s1, s2, s3]
+        return result
+
+    def randrange(self, n):
+        span = MASK64 + 1
+        limit = span - (span % n)
+        while True:
+            v = self.next_u64()
+            if v < limit:
+                return v % n
+
+
+SEEDS = (0, 1, 42, 2**64 - 1)
+# 2**63 + 1 rejects almost half of all draws; the others are the bounds the
+# monkey and the fill generator use.
+BOUNDS = (1, 100, 1080, 1920, 2**63 + 1, 2**64)
 
 
 def test_splitmix64_reference_vectors_seed_zero():
@@ -45,3 +89,42 @@ def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(0, "a") == derive_seed(0, "a")
     assert derive_seed(0, "a") != derive_seed(0, "b")
     assert derive_seed(0, "a") != derive_seed(1, "a")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_next_u64_matches_reference_across_batches(seed):
+    ref, rng = ReferenceXoshiro(seed), Xoshiro256StarStar(seed)
+    assert [rng.next_u64() for _ in range(1000)] == [ref.next_u64() for _ in range(1000)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_randrange_matches_reference_including_rejections(seed):
+    ref, rng = ReferenceXoshiro(seed), Xoshiro256StarStar(seed)
+    bounds = [BOUNDS[i % len(BOUNDS)] for i in range(1200)]
+    assert [rng.randrange(n) for n in bounds] == [ref.randrange(n) for n in bounds]
+    # the streams stay in step after rejections
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_rejection_path_is_exercised():
+    ref = ReferenceXoshiro(42)
+    limit = 2**64 - 2**64 % (2**63 + 1)
+    assert any(ref.next_u64() >= limit for _ in range(200))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_calls_match_reference(seed):
+    ref, rng = ReferenceXoshiro(seed), Xoshiro256StarStar(seed)
+    seq = ("click", "long_click", "scroll", "set_text")
+    for i in range(300):
+        length = i % 13
+        assert rng.choice(seq) == seq[ref.randrange(len(seq))]
+        assert rng.alnum(length) == "".join(ALNUM[ref.randrange(62)] for _ in range(length))
+        assert rng.percent() == ref.randrange(100)
+        assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_randrange_rejects_non_positive_bounds(bound):
+    with pytest.raises(ValueError):
+        Xoshiro256StarStar(0).randrange(bound)

@@ -1,0 +1,153 @@
+"""The per-screen element index: one shadowing rule for every consumer,
+unchanged lookup errors, and models built without the loader."""
+
+import pytest
+
+from droidcage.app_model import (
+    Activity,
+    AppModel,
+    BasicBlock,
+    ElementKey,
+    Event,
+    EventUniverse,
+    Transition,
+    UiElement,
+    UiSource,
+    UiState,
+    _candidate_events,
+    _resolve_target,
+    apply_event,
+    model_from_dict,
+    reachable_blocks,
+)
+from droidcage.explorer import _plan
+from droidcage.monkey import MonkeyConfig, _generate_one
+
+from conftest import device_for
+
+OK_KEY = ElementKey("partial_text", None, "OK")
+
+
+def _shadow_doc():
+    # Two "OK" buttons with neither ID nor description: both key to the
+    # partial text, so the second one is shadowed by the first.
+    return {
+        "package": "com.t.shadow", "main_activity": "Main", "own_number": "5550000",
+        "alphabet": [],
+        "activities": [{"name": "Main", "initial_state": "home", "states": [
+            {"id": "home", "elements": [
+                {"kind": "button", "text": "OK", "bounds": [0, 0, 100, 100],
+                 "actions": ["click"]},
+                {"kind": "button", "text": "OK", "bounds": [500, 500, 100, 100],
+                 "actions": ["click", "long_click"]},
+            ]},
+        ]}],
+        "blocks": [{"id": "first", "class": "c.Main", "method": "a"},
+                   {"id": "second", "class": "c.Main", "method": "b"}],
+        "receivers": {"declared": [], "dynamic": []},
+        "transitions": [
+            {"from": {"activity": "Main", "state": "home", "element": 0},
+             "trigger": {"action": "click"}, "to": None, "blocks": ["first"]},
+            {"from": {"activity": "Main", "state": "home", "element": 1},
+             "trigger": {"action": "click"}, "to": None, "blocks": ["second"]},
+        ],
+    }
+
+
+class _ScriptedRng:
+    """Stands in for the generator: hands out the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def randrange(self, n):
+        return self.draws.pop(0)
+
+    def percent(self):
+        return self.randrange(100)
+
+    def choice(self, seq):
+        return seq[self.randrange(len(seq))]
+
+
+@pytest.fixture
+def shadow():
+    return model_from_dict(_shadow_doc())
+
+
+def test_screen_keys_and_first_index(shadow):
+    screen = shadow.screen("Main", "home")
+    assert screen.keys == (OK_KEY, OK_KEY)
+    assert screen.first_index == {OK_KEY: 0}
+    assert [el.bounds for _, el in screen.entries()] == [(0, 0, 100, 100)]
+
+
+def test_monkey_hit_on_shadowed_element_resolves_to_first(shadow):
+    device = device_for(shadow)
+    # no system keys, kind "click", tap inside the second button only
+    event = _generate_one(_ScriptedRng(50, 0, 550, 550), MonkeyConfig(), shadow, device)
+    assert event == Event.click(OK_KEY)
+    ctx = device.context(shadow.package)
+    assert _resolve_target(shadow, ctx, event.target) == 0
+    assert apply_event(device, shadow, event).executed_blocks == ("first",)
+
+
+def test_monkey_tap_on_nothing_has_no_target(shadow):
+    event = _generate_one(_ScriptedRng(50, 0, 300, 300), MonkeyConfig(), shadow,
+                          device_for(shadow))
+    assert event == Event("click")
+
+
+def test_oracle_and_explorer_plan_skip_the_shadowed_element(shadow):
+    device = device_for(shadow)
+    universe = EventUniverse.for_app(shadow)
+    ui = [e for e in _candidate_events(shadow, device, universe, shadow.own_number) if e.is_ui]
+    assert ui == [Event.click(OK_KEY)]  # the second button's long_click is unreachable
+    plan = _plan(shadow.screen("Main", "home"), set())
+    assert [(key, action, el.bounds) for key, action, el in plan] == [
+        (OK_KEY, "click", (0, 0, 100, 100))]
+    assert reachable_blocks(shadow) == {"first"}
+
+
+def test_unknown_names_raise_key_error(shadow):
+    with pytest.raises(KeyError) as e:
+        shadow.activity("Nope")
+    assert e.value.args == ("Nope",)
+    with pytest.raises(KeyError) as e:
+        shadow.activity("Main").state("nope")
+    assert e.value.args == ("nope",)
+    with pytest.raises(KeyError) as e:
+        shadow.ui_state("Main", "nope")
+    assert e.value.args == ("nope",)
+    with pytest.raises(KeyError) as e:
+        shadow.ui_state("Nope", "home")
+    assert e.value.args == ("Nope",)
+    with pytest.raises(KeyError):
+        shadow.activity("Main").state(["unhashable"])
+
+
+def test_directly_constructed_model_has_working_lookups():
+    button = UiElement("button", id_string="go", bounds=(0, 0, 50, 50), actions=("click",))
+    home, done = UiState("home", (button,)), UiState("done", ())
+    app = AppModel(
+        package="com.t.direct", main_activity="Main", own_number="5550000",
+        activities=(Activity("Main", "home", (home, done)),),
+        transitions=(Transition(0, UiSource("Main", "home", 0), "click", None,
+                                ("Main", "done"), ("b1",), ()),),
+        blocks=(BasicBlock("b1", "c.Main", "go"),),
+        declared_receivers=(), dynamic_receivers=(), alphabet=(),
+    )
+    assert app.activity("Main").state("done") is done
+    assert app.ui_state("Main", "home") is home
+    assert app.block_index == {"b1": app.blocks[0]}
+    key = ElementKey("strong_id", "Main", "go")
+    assert app.screen("Main", "home").hit(10, 10) == key
+    result = apply_event(device_for(app), app, Event.click(key))
+    assert result.executed_blocks == ("b1",)
+    assert result.device.context(app.package).state == "done"
+    assert reachable_blocks(app) == {"b1"}
+
+
+def test_models_compare_equal_regardless_of_their_index():
+    assert model_from_dict(_shadow_doc()) == model_from_dict(_shadow_doc())
+    assert hash(model_from_dict(_shadow_doc())) == hash(model_from_dict(_shadow_doc()))

@@ -1,6 +1,10 @@
+import pytest
+
 from droidcage.app_model import (
     SMS_RECEIVED_ACTION,
     Event,
+    SessionCrashedError,
+    apply_event,
     identify_element,
     install_app,
     model_from_dict,
@@ -126,3 +130,27 @@ def test_trace_accumulates_only_target_pid_calls():
     runner.step(Event.click(btn))
     signatures = [e.signature for e in runner.session.trace.events]
     assert signatures == ["void c.Main.send", "sendto"]
+
+
+@pytest.mark.parametrize("event", [
+    Event("click"), Event("long_click"), Event("scroll"), Event("toggle"),
+    Event.set_text(None, "abc"),
+])
+def test_ui_event_on_nothing_steps_like_apply_event(event):
+    app, runner = _runner(_self_sms_doc())
+    device = runner.device
+    assert runner.step(event) == apply_event(device, app, event)
+    assert runner.device is device
+    assert runner.session.events == [event]
+    assert runner.session.executed_blocks == set()
+    assert runner.session.effects == [] and runner.session.trace.events == []
+
+
+def test_ui_event_on_nothing_still_fails_on_crashed_device(crash_first):
+    device = install_app(baseline_device(), crash_first)
+    runner = SessionRunner(crash_first, device)
+    runner.step(Event.click(identify_element("Main", crash_first.ui_state("Main", "home").elements[0])))
+    assert runner.session.crashed and runner.device.crashed
+    with pytest.raises(SessionCrashedError):
+        runner.step(Event("click"))
+    assert len(runner.session.events) == 1
