@@ -30,6 +30,9 @@ PHONE_STATE_ACTION = "android.intent.action.PHONE_STATE"
 # Body used when the platform sends the probe SMS to the device itself.
 SMS_PROBE_BODY = "probe"
 
+# Most telephony loopback events one event's chain may apply.
+LOOPBACK_LIMIT = 8
+
 
 class ModelParseError(ValueError):
     """The app-model file is not syntactically valid."""
@@ -79,10 +82,6 @@ class UiElement:
     @property
     def height(self) -> int:
         return self.bounds[3]
-
-    def contains(self, x: int, y: int) -> bool:
-        bx, by, w, h = self.bounds
-        return bx <= x < bx + w and by <= y < by + h
 
 
 @dataclass(frozen=True, slots=True)
@@ -600,8 +599,8 @@ def loopback_event(effect: SideEffect) -> Event:
 
 
 def run_event_chain(device: DeviceState, app: AppModel, event: Event,
-                    policy: TelephonyPolicy, tables: DataTables | None = None,
-                    loopback_limit: int = 8) -> tuple[DeviceState, list[tuple[Event, StepResult]]]:
+                    policy: TelephonyPolicy, tables: DataTables | None = None
+                    ) -> tuple[DeviceState, list[tuple[Event, StepResult]]]:
     """Apply an event plus any telephony loopback events it triggers.
 
     Outgoing calls/SMS delivered to the device's own number loop back as
@@ -610,7 +609,7 @@ def run_event_chain(device: DeviceState, app: AppModel, event: Event,
     """
     steps: list[tuple[Event, StepResult]] = []
     queue = deque([event])
-    while queue and len(steps) <= loopback_limit:
+    while queue and len(steps) <= LOOPBACK_LIMIT:
         ev = queue.popleft()
         result = apply_event(device, app, ev, tables)
         steps.append((ev, result))
@@ -635,17 +634,14 @@ class EventUniverse:
     broadcast_actions: tuple[str, ...]
     include_sms: bool
     include_call: bool
-    sms_body: str = SMS_PROBE_BODY
-    include_app_switch: bool = True
 
     @classmethod
-    def for_app(cls, app: AppModel, broadcast_list: Iterable[str] | None = None) -> "EventUniverse":
-        if broadcast_list is None:
-            broadcast_list = default_tables().broadcast_events
+    def for_app(cls, app: AppModel) -> "EventUniverse":
         actions = app.receiver_actions()
         return cls(
             text_values=tuple(app.alphabet),
-            broadcast_actions=tuple(a for a in broadcast_list if a in actions),
+            broadcast_actions=tuple(a for a in default_tables().table("broadcast")
+                                    if a in actions),
             include_sms=SMS_RECEIVED_ACTION in actions,
             include_call=PHONE_STATE_ACTION in actions,
         )
@@ -663,11 +659,10 @@ def _candidate_events(app: AppModel, device: DeviceState, universe: EventUnivers
                 events.append(Event(action, target=key))
     events.extend(Event.broadcast(a) for a in universe.broadcast_actions)
     if universe.include_sms:
-        events.append(Event.incoming_sms(own_number, universe.sms_body))
+        events.append(Event.incoming_sms(own_number, SMS_PROBE_BODY))
     if universe.include_call:
         events.append(Event.incoming_call(own_number))
-    if universe.include_app_switch:
-        events.append(Event.app_switch())
+    events.append(Event.app_switch())
     return events
 
 
@@ -714,14 +709,21 @@ def reachable_blocks(app: AppModel, universe: EventUniverse | None = None, *,
 # Loader
 # ---------------------------------------------------------------------------
 
+def _object(raw, where: str, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ModelValidationError(
+            f"{where}: {what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _req(obj: dict, key: str, where: str):
-    if key not in obj:
+    if not isinstance(obj, dict) or key not in obj:
         raise ModelValidationError(f"{where}: missing field {key!r}")
     return obj[key]
 
 
 def _load_element(raw: dict, where: str) -> UiElement:
-    kind = raw.get("kind", "generic")
+    kind = _object(raw, where, "element").get("kind", "generic")
     if kind not in ELEMENT_KINDS:
         raise ModelValidationError(f"{where}: unknown element kind {kind!r}")
     bounds = tuple(_req(raw, "bounds", where))
@@ -753,7 +755,7 @@ def _load_element(raw: dict, where: str) -> UiElement:
 
 
 def _load_side_effect(raw: dict, where: str) -> SideEffect:
-    kind = _req(raw, "kind", where)
+    kind = _req(_object(raw, where, "side effect"), "kind", where)
     if kind == "network_request":
         data = raw.get("data", "").encode("utf-8")
         return SideEffect.network_request(data, raw.get("protocol", "http"), raw.get("server"))
@@ -799,7 +801,7 @@ _MATCH_CATEGORIES = (
 def _load_match(raw: dict | None, where: str) -> Optional[TextMatch]:
     if raw is None:
         return None
-    kind = _req(raw, "kind", where)
+    kind = _req(_object(raw, where, "match"), "kind", where)
     if kind not in _MATCH_KINDS:
         raise ModelValidationError(f"{where}: unknown match kind {kind!r}")
     if kind == "equals":
@@ -872,7 +874,7 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
         raise ModelValidationError(f"{source}: block ids must be unique")
     known_blocks = set(block_ids)
 
-    receivers_raw = doc.get("receivers", {})
+    receivers_raw = _object(doc.get("receivers", {}), source, "receivers")
     declared = tuple(receivers_raw.get("declared", ()))
     dynamic = []
     for draw in receivers_raw.get("dynamic", ()):
@@ -889,8 +891,8 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
     transitions = []
     for i, traw in enumerate(_req(doc, "transitions", source)):
         where = f"{source}:transition[{i}]"
-        frm = _req(traw, "from", where)
-        trigger = traw.get("trigger", {})
+        frm = _object(_req(traw, "from", where), where, "from")
+        trigger = _object(traw.get("trigger", {}), where, "trigger")
         match = _load_match(trigger.get("match"), where)
         if "receiver" in frm:
             action = frm["receiver"]
@@ -927,7 +929,7 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
         to_raw = traw.get("to")
         to = None
         if to_raw is not None:
-            tact = _req(to_raw, "activity", where)
+            tact = _req(_object(to_raw, where, "to"), "activity", where)
             tst = _req(to_raw, "state", where)
             if tact not in act_by_name:
                 raise ModelValidationError(f"{where}: unknown target activity {tact!r}")

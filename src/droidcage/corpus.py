@@ -188,8 +188,8 @@ def _doc_plain(pkg, seq, rng):
 def _doc_textgate(pkg, seq, rng):
     category = _GATE_CATEGORIES[seq % len(_GATE_CATEGORIES)]
     tables = default_tables()
-    sample = (tables.first_names[0] + "." + tables.last_names[0]).lower() + "@gmail.com" \
-        if category == "email" else tables.table(category)[0]
+    sample = (tables.table("first_name")[0] + "." + tables.table("last_name")[0]).lower() \
+        + "@gmail.com" if category == "email" else tables.table(category)[0]
     doc = _base_doc(pkg, seq)
     doc["alphabet"] = [sample, "filler"]
     blocks = _Blocks(pkg)

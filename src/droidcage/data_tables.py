@@ -2,14 +2,16 @@
 
 Tables are newline-delimited text files. The packaged defaults ship with
 the library; a directory with the same file names can be loaded instead.
-The same tables back the model-side ``matches-category`` gate predicate,
-so a value produced by the fill generator always satisfies the gate of
-the matching category.
+A :class:`DataTables` is one map from category (the keys of
+``TABLE_FILES``) to that file's values in file order, read through
+``table(category)``. The same tables back the model-side
+``matches-category`` gate predicate, so a value produced by the fill
+generator always satisfies the gate of the matching category.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -35,34 +37,13 @@ class DataTableError(ValueError):
 
 @dataclass(frozen=True)
 class DataTables:
-    first_names: tuple[str, ...]
-    last_names: tuple[str, ...]
-    ibans: tuple[str, ...]
-    broadcast_events: tuple[str, ...]
-    email_providers: tuple[str, ...]
-    countries: tuple[str, ...]
-    cities: tuple[str, ...]
-    street_addresses: tuple[str, ...]
-    phone_numbers: tuple[str, ...]
-    pin_codes: tuple[str, ...]
-    passwords: tuple[str, ...]
-    _sets: dict = field(default_factory=dict, repr=False, compare=False)
+    tables: dict[str, tuple[str, ...]]
 
     def table(self, category: str) -> tuple[str, ...]:
-        attr = {
-            "first_name": "first_names",
-            "last_name": "last_names",
-            "iban": "ibans",
-            "country": "countries",
-            "city": "cities",
-            "street_address": "street_addresses",
-            "phone_number": "phone_numbers",
-            "pin_code": "pin_codes",
-            "password": "passwords",
-        }.get(category)
-        if attr is None:
-            raise KeyError(f"no table for category {category!r}")
-        return getattr(self, attr)
+        try:
+            return self.tables[category]
+        except KeyError:
+            raise KeyError(f"no table for category {category!r}") from None
 
     def matches(self, category: str, value: str) -> bool:
         """Whether ``value`` looks like a member of ``category``.
@@ -75,13 +56,10 @@ class DataTables:
             if "@" not in value:
                 return False
             local, _, domain = value.partition("@")
-            return "." in local and domain in self.email_providers
+            return "." in local and domain in self.tables["email_provider"]
         if category == "uncategorized":
             return value != ""
-        key = (category,)
-        if key not in self._sets:
-            self._sets[key] = frozenset(self.table(category))
-        return value in self._sets[key]
+        return value in self.table(category)
 
 
 def _read_lines(text: str, name: str) -> tuple[str, ...]:
@@ -100,23 +78,7 @@ def load_tables(directory: str | Path) -> DataTables:
         if not path.is_file():
             raise DataTableError(f"missing data table file: {path}")
         loaded[key] = _read_lines(path.read_text(encoding="utf-8"), fname)
-    return _build(loaded)
-
-
-def _build(loaded: dict[str, tuple[str, ...]]) -> DataTables:
-    return DataTables(
-        first_names=loaded["first_name"],
-        last_names=loaded["last_name"],
-        ibans=loaded["iban"],
-        broadcast_events=loaded["broadcast"],
-        email_providers=loaded["email_provider"],
-        countries=loaded["country"],
-        cities=loaded["city"],
-        street_addresses=loaded["street_address"],
-        phone_numbers=loaded["phone_number"],
-        pin_codes=loaded["pin_code"],
-        passwords=loaded["password"],
-    )
+    return DataTables(loaded)
 
 
 @lru_cache(maxsize=1)
@@ -126,4 +88,4 @@ def default_tables() -> DataTables:
     for key, fname in TABLE_FILES.items():
         text = resources.files("droidcage.data").joinpath(fname).read_text(encoding="utf-8")
         loaded[key] = _read_lines(text, fname)
-    return _build(loaded)
+    return DataTables(loaded)

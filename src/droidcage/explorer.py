@@ -32,7 +32,6 @@ from .data_tables import DataTables, default_tables
 from .monkey import MonkeyConfig, run_monkey
 from .rng import Xoshiro256StarStar, derive_seed
 from .session import Session, SessionRunner
-from .telephony import TelephonyPolicy
 
 __all__ = [
     "ElementKey",
@@ -105,9 +104,9 @@ def generate_fill_value(category: TextfieldCategory, tables: DataTables,
     if category == TextfieldCategory.UNCATEGORIZED:
         return rng.alnum(UNCATEGORIZED_FILL_LENGTH)
     if category == TextfieldCategory.EMAIL:
-        first = rng.choice(tables.first_names)
-        last = rng.choice(tables.last_names)
-        provider = rng.choice(tables.email_providers)
+        first = rng.choice(tables.table("first_name"))
+        last = rng.choice(tables.table("last_name"))
+        provider = rng.choice(tables.table("email_provider"))
         return f"{first}.{last}@{provider}".lower()
     return rng.choice(tables.table(category.value))
 
@@ -118,8 +117,6 @@ class ExplorationConfig:
     max_events: int = 2000
     run_monkey_first: bool = False
     monkey_config: Optional[MonkeyConfig] = None
-    broadcast_list: Optional[tuple[str, ...]] = None  # None: packaged table
-    own_number: Optional[str] = None                  # None: the app model's
 
     def __post_init__(self):
         if self.max_events < 1:
@@ -208,11 +205,8 @@ class _Explorer:
         receivers are live. Only events the app can actually receive are
         sent, which keeps trivial sessions short.
         """
-        own = self.config.own_number or self.app.own_number
-        broadcast_list = self.config.broadcast_list
-        if broadcast_list is None:
-            broadcast_list = self.tables.broadcast_events
-        for action in broadcast_list:
+        own = self.app.own_number
+        for action in self.tables.table("broadcast"):
             if self.budget <= 0 or self.session.crashed:
                 return
             if action in self._live_receivers():
@@ -234,11 +228,9 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
     sweep over anything the injections unlocked.
     """
     tables = tables or default_tables()
-    own = config.own_number or app.own_number
     if app.package not in device.contexts:
         device = install_app(device, app)
-    runner = SessionRunner(app, device, policy=TelephonyPolicy(own),
-                           netguard=netguard, tables=tables)
+    runner = SessionRunner(app, device, netguard=netguard, tables=tables)
     if device.crashed:
         runner.session.crashed = True
         return runner.session

@@ -84,11 +84,9 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHODS
     seed: int = 0
     monkey_events: int = 500
-    monkey_throttle_ms: int = 50
     max_events: int = 2000
     reputation_threshold: int = 60
     workers: int = 1
-    include_crashed: bool = True
     formats: tuple[str, ...] = ("human", "csv")
 
     def __post_init__(self):
@@ -136,7 +134,6 @@ def _run_one(app: AppModel, method: str, config: ExperimentConfig,
              signatures: SignatureDb, reputation: ReputationProvider):
     seed_app = derive_seed(config.seed, app.package)
     monkey_config = MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
-                                 throttle_ms=config.monkey_throttle_ms,
                                  package=app.package)
     guard = _make_guard(config, signatures, reputation)
     device = install_app(baseline_device(), app)
@@ -196,8 +193,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         capture_parts.append(guard.capture_text())
     result.capture_log = "".join(capture_parts)
     for method in config.methods:
-        rows.append(aggregate(by_method[method], method,
-                              include_crashed=config.include_crashed))
+        rows.append(aggregate(by_method[method], method))
     result.table = ResultsTable(tuple(rows))
     return result
 

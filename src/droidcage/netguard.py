@@ -26,6 +26,10 @@ PUBLIC_ROOT = "public-web-root"
 DEFAULT_CUSTOM_ROOT = "cage-custom-root"
 DEFAULT_REPUTATION_THRESHOLD = 60
 
+# An HTTP token (RFC 9110): what a header name, and so a capture-log tag, may be.
+_TOKEN = r"[A-Za-z0-9!#$%&'*+.^_`|~-]+"
+_TOKEN_RE = re.compile(_TOKEN)
+
 
 class RequestParseError(ValueError):
     """Raw request bytes do not form a valid HTTP/1.x request."""
@@ -207,15 +211,13 @@ def intercept_tls(keystore: Keystore, server: ServerIdentity,
 # Request parsing
 # ---------------------------------------------------------------------------
 
-def parse_request(raw: bytes, declared_protocol: str = "http"):
+def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
     """Parse raw HTTP/1.x request bytes into a transaction.
 
-    Protocols the pipeline cannot parse (POP/IMAP/FTP) return a block
-    verdict instead. Malformed HTTP raises :class:`RequestParseError`.
+    Malformed HTTP and any protocol but http/https (``NetGuard.handle``
+    blocks POP/IMAP/FTP before parsing) raise :class:`RequestParseError`.
     """
     protocol = declared_protocol.lower()
-    if protocol in BLOCKED_PROTOCOLS:
-        return Verdict.block()
     if protocol not in ("http", "https"):
         raise RequestParseError(f"unknown protocol {declared_protocol!r}")
 
@@ -237,21 +239,17 @@ def parse_request(raw: bytes, declared_protocol: str = "http"):
         if not line.strip():
             continue
         name, colon, value = line.partition(b":")
-        if not colon or not name.strip():
+        name = name.decode("latin-1").strip()
+        if not colon or not _TOKEN_RE.fullmatch(name):
             raise RequestParseError(f"bad header line: {line!r}")
-        headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+        headers.append((name, value.decode("latin-1").strip()))
 
     host, port, path = _split_target(target, headers, protocol)
 
     content = b""
     length = next((v for n, v in headers if n.lower() == "content-length"), None)
     if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise RequestParseError(f"bad Content-Length: {length!r}") from None
-        if n < 0:
-            raise RequestParseError(f"negative Content-Length: {length!r}")
+        n = _decimal(length, "Content-Length")
         if len(rest) < n:
             raise RequestParseError(f"truncated body: expected {n} bytes, got {len(rest)}")
         content = rest[:n]
@@ -272,9 +270,20 @@ def _split_target(target: str, headers, protocol: str) -> tuple[str, str, str]:
         path = target
     host, _, port = authority.partition(":")
     port = port or ("443" if protocol == "https" else "80")
-    if not port.isdigit():  # the HttpTransaction invariant, as a parse error
+    if _decimal(port, "port") > 65535:
         raise RequestParseError(f"bad port: {port!r}")
     return host, port, path
+
+
+def _decimal(text: str, what: str) -> int:
+    # ASCII digits only: int() alone also takes signs, spaces, "_" and
+    # other scripts' digits.
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise RequestParseError(f"bad {what}: {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,43 +380,37 @@ def write_log_entry(tx: HttpTransaction) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TAG_RE = re.compile(
-    r"<([A-Za-z0-9!#$%&'*+.^_`|~-]+)>\s*([A-Za-z0-9+/=\s]*?)\s*</\1>"
-    r"|<content\s*/>"
-)
+# A record is read tag by tag, so a header named like a record tag
+# (``header``, ``content``) is just one more field.
+_OPEN_RE = re.compile(r"\s*<header>")
+_FIELD_RE = re.compile(r"\s*<(" + _TOKEN + r")>\s*([A-Za-z0-9+/=\s]*?)\s*</\1>")
+_END_RE = re.compile(
+    r"\s*</header>\s*(?:<content>\s*([A-Za-z0-9+/=\s]*?)\s*</content>|<content\s*/>)")
 
 
-def parse_log_entry(text: str) -> HttpTransaction:
-    """Decode one capture record back into the exact transaction."""
-    head_match = re.search(r"<header>(.*?)</header>", text, re.DOTALL)
-    if head_match is None:
-        raise LogDecodeError("no <header> element")
+def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
+    """Decode the record starting at ``pos``; also return where it ends."""
+    m = _OPEN_RE.match(text, pos)
+    if m is None:
+        raise LogDecodeError(f"no <header> element at offset {pos}")
     tags = []
-    for m in _TAG_RE.finditer(head_match.group(1)):
-        if m.group(1) is None:
-            raise LogDecodeError("unexpected self-closing tag inside header")
-        tags.append((m.group(1), _debase64(m.group(2))))
-    if len(tags) < len(FIELD_TAGS):
-        raise LogDecodeError("header record too short")
-    names = [t[0] for t in tags[: len(FIELD_TAGS)]]
-    if tuple(names) != FIELD_TAGS:
-        raise LogDecodeError(f"unexpected field tags {names}")
+    while (field := _FIELD_RE.match(text, m.end())) is not None:
+        tags.append((field.group(1), _debase64(field.group(2))))
+        m = field
+    end = _END_RE.match(text, m.end())
+    if end is None:
+        raise LogDecodeError(f"no </header> and <content> element at offset {m.end()}")
+    names = tuple(name for name, _ in tags[: len(FIELD_TAGS)])
+    if names != FIELD_TAGS:
+        raise LogDecodeError(f"unexpected field tags {list(names)}")
     fields = {name: value.decode("utf-8") for name, value in tags[: len(FIELD_TAGS)]}
     headers = tuple((name, value.decode("utf-8")) for name, value in tags[len(FIELD_TAGS):])
-
-    tail = text[head_match.end():]
-    content = b""
-    cm = re.search(r"<content>\s*([A-Za-z0-9+/=\s]*?)\s*</content>", tail)
-    if cm is not None:
-        content = _debase64(cm.group(1))
-    elif re.search(r"<content\s*/>", tail) is None:
-        raise LogDecodeError("no <content> element")
-
+    content = b"" if end.group(1) is None else _debase64(end.group(1))
     return HttpTransaction(
         method=fields["method"], scheme=fields["scheme"], host=fields["host"],
         port=fields["port"], path=fields["path"], http_version=fields["http_version"],
         headers=headers, content=content,
-    )
+    ), end.end()
 
 
 def _debase64(text: str) -> bytes:
@@ -419,8 +422,20 @@ def _debase64(text: str) -> bytes:
 
 
 def parse_capture_log(text: str) -> list[HttpTransaction]:
-    chunks = text.split("<header>")
-    return [parse_log_entry("<header>" + chunk) for chunk in chunks[1:]]
+    """Decode every record of a capture log, in order."""
+    records, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
+        tx, pos = _read_entry(text, pos)
+        records.append(tx)
+    return records
+
+
+def parse_log_entry(text: str) -> HttpTransaction:
+    """Decode one capture record back into the exact transaction."""
+    tx, end = _read_entry(text, 0)
+    if text[end:].strip():
+        raise LogDecodeError(f"data after the record at offset {end}")
+    return tx
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +512,11 @@ class NetGuard:
                 return GuardOutcome("tls_rejected", tls=tls)
 
         try:
-            parsed = parse_request(raw, protocol)
+            tx = parse_request(raw, protocol)
         except RequestParseError:
             self.malformed_log.append(_b64(raw))
             return GuardOutcome("malformed", tls=tls)
-        if isinstance(parsed, Verdict):
-            self.routing_log.append((parsed.kind, "none"))
-            return GuardOutcome("blocked_protocol", verdict=parsed, tls=tls)
 
-        tx = parsed
         self.capture_log.append(write_log_entry(tx))
         verdict = decide(tx, self.signatures, self.reputation, self.threshold)
         if verdict.kind == "forward":

@@ -30,6 +30,9 @@ from .trace import TraceConfig, TraceLog, record
 # different pid simulate noise from other processes.
 TARGET_PID = 4242
 
+# All three compiler optimizations off: every call of the target pid is visible.
+TRACE_CONFIG = TraceConfig(target_pid=TARGET_PID)
+
 
 @dataclass(frozen=True)
 class ObservedEffect:
@@ -62,16 +65,12 @@ class SessionRunner:
     """Applies events for one session, absorbing all platform plumbing."""
 
     def __init__(self, app: AppModel, device: DeviceState, *,
-                 policy: TelephonyPolicy | None = None,
-                 netguard=None,
-                 trace_config: TraceConfig | None = None,
-                 tables: DataTables | None = None):
+                 netguard=None, tables: DataTables | None = None):
         self.app = app
         self.device = device
         self.session = Session(device=device)
-        self.policy = policy or TelephonyPolicy(own_number=app.own_number)
+        self.policy = TelephonyPolicy(own_number=app.own_number)
         self.netguard = netguard
-        self.trace_config = trace_config or TraceConfig(target_pid=TARGET_PID)
         self.tables = tables or default_tables()
 
     def step(self, event: Event) -> StepResult:
@@ -95,7 +94,7 @@ class SessionRunner:
 
     def _absorb(self, result: StepResult) -> None:
         self.session.executed_blocks.update(result.executed_blocks)
-        self.session.trace.extend(record(result, self.trace_config))
+        self.session.trace.extend(record(result, TRACE_CONFIG))
         for eff in result.side_effects:
             self.session.effects.append(self._dispose(eff))
         if result.crashed:

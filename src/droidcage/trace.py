@@ -47,9 +47,6 @@ class TraceLog:
     def extend(self, events: list[TraceEvent]) -> None:
         self.events.extend(events)
 
-    def java_calls(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == "java_call"]
-
     def to_text(self) -> str:
         """One call per line, java and system calls alike."""
         lines = []

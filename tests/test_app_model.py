@@ -13,6 +13,7 @@ from droidcage.app_model import (
     dump_hierarchy,
     identify_element,
     load_app_model,
+    model_from_dict,
     reachable_blocks,
 )
 
@@ -113,6 +114,28 @@ def test_non_string_element_label_rejected(tmp_path, attr):
     doc["activities"][0]["states"][0]["elements"][0][attr] = ["b"]
     with pytest.raises(ModelValidationError, match="must be a string"):
         load_app_model(write_model(tmp_path, doc))
+
+
+@pytest.mark.parametrize("part, path", [
+    ("from", ("transitions", 0, "from")),
+    ("trigger", ("transitions", 0, "trigger")),
+    ("to", ("transitions", 0, "to")),
+    ("match", ("transitions", 0, "trigger", "match")),
+    ("element", ("activities", 0, "states", 0, "elements", 0)),
+    ("side effect", ("transitions", 0, "side_effects", 0)),
+])
+@pytest.mark.parametrize("value", ["click", 3, ["click"]])
+def test_non_object_part_is_validation_error(part, path, value):
+    doc = _minimal_doc()
+    doc["transitions"][0]["side_effects"] = [{"kind": "system_call", "name": "open"}]
+    model_from_dict(doc)
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    with pytest.raises(ModelValidationError, match=f"{part} must be a JSON object"):
+        model_from_dict(doc)
 
 
 def test_ambiguous_transitions_rejected(tmp_path):

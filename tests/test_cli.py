@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from droidcage.cli import main
@@ -81,3 +83,14 @@ def test_decode_log_round_trip(corpus_dir, tmp_path, capsys):
     code = main(["decode-log", "--log", str(out / "capture.log"), "--verify"])
     assert code == 0
     assert "round-trip ok" in capsys.readouterr().out
+
+
+def test_explore_rejects_string_trigger_without_traceback(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "one_button.app").read_text(encoding="utf-8"))
+    doc["transitions"][0]["trigger"] = "click"
+    app = tmp_path / "bad.app"
+    app.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["explore", "--app", str(app)]) == 1
+    err = capsys.readouterr().err
+    assert "trigger must be a JSON object" in err
+    assert "Traceback" not in err

@@ -10,18 +10,18 @@ from droidcage.data_tables import (
 
 def test_first_names_head_matches_shipped_sample():
     tables = default_tables()
-    assert tables.first_names[:10] == (
+    assert tables.table("first_name")[:10] == (
         "Aaren", "Aarika", "Abagael", "Abagail", "Abbe",
         "Abbey", "Abbi", "Abbie", "Abby", "Abbye",
     )
 
 
 def test_iban_head_matches_shipped_sample():
-    assert default_tables().ibans[0] == "AL94283405797977629281563659"
+    assert default_tables().table("iban")[0] == "AL94283405797977629281563659"
 
 
 def test_broadcast_table_contents():
-    events = default_tables().broadcast_events
+    events = default_tables().table("broadcast")
     assert events[0] == "android.intent.action.BOOT_COMPLETED"
     assert "android.net.conn.CONNECTIVITY_CHANGE" in events
     assert "android.intent.action.GTALK_CONNECTED" in events
@@ -30,10 +30,8 @@ def test_broadcast_table_contents():
 
 def test_all_tables_non_empty():
     tables = default_tables()
-    for attr in ("first_names", "last_names", "ibans", "broadcast_events",
-                 "email_providers", "countries", "cities", "street_addresses",
-                 "phone_numbers", "pin_codes", "passwords"):
-        assert getattr(tables, attr), attr
+    for category in TABLE_FILES:
+        assert tables.table(category), category
 
 
 def test_load_tables_from_directory(tmp_path):
@@ -42,8 +40,8 @@ def test_load_tables_from_directory(tmp_path):
     for fname in TABLE_FILES.values():
         (tmp_path / fname).write_text("one\ntwo\n", encoding="utf-8")
     loaded = load_tables(tmp_path)
-    assert loaded.first_names == ("one", "two")
-    assert src.first_names != loaded.first_names
+    assert loaded.table("first_name") == ("one", "two")
+    assert src.table("first_name") != loaded.table("first_name")
 
 
 def test_missing_table_file_is_an_error(tmp_path):

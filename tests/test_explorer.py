@@ -118,7 +118,7 @@ def test_fill_email_shape():
     local, _, domain = value.partition("@")
     first, _, last = local.partition(".")
     assert first and last
-    assert domain in TABLES.email_providers
+    assert domain in TABLES.table("email_provider")
     assert value == value.lower()
 
 

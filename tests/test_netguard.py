@@ -16,7 +16,6 @@ from droidcage.netguard import (
     ServerIdentity,
     Signature,
     SignatureDb,
-    Verdict,
     decide,
     intercept_tls,
     parse_capture_log,
@@ -77,16 +76,20 @@ def test_parse_without_content_length_has_empty_body():
 
 
 def test_ftp_is_blocked_protocol():
-    verdict = parse_request(b"USER anonymous\r\n", "ftp")
-    assert isinstance(verdict, Verdict)
-    assert verdict.kind == "block"
-    assert verdict.reason == "unsupported_protocol"
+    outcome = NetGuard().handle(b"USER anonymous\r\n", "ftp")
+    assert outcome.disposition == "blocked_protocol"
+    assert outcome.verdict.kind == "block"
+    assert outcome.verdict.reason == "unsupported_protocol"
+    with pytest.raises(RequestParseError):
+        parse_request(b"USER anonymous\r\n", "ftp")
 
 
 @pytest.mark.parametrize("protocol", ["pop", "pop3", "imap", "ftp"])
 def test_all_unparseable_protocols_blocked(protocol):
-    result = parse_request(b"whatever", protocol)
-    assert isinstance(result, Verdict) and result.kind == "block"
+    outcome = NetGuard().handle(b"whatever", protocol)
+    assert outcome.disposition == "blocked_protocol" and outcome.verdict.kind == "block"
+    with pytest.raises(RequestParseError):
+        parse_request(b"whatever", protocol)
 
 
 def test_missing_version_is_parse_error():
@@ -376,6 +379,56 @@ def test_pipeline_logs_bad_port_and_length_as_malformed(raw):
     assert guard.handle(raw).disposition == "malformed"
     assert guard.capture_log == []
     assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
+
+
+@pytest.mark.parametrize("raw", [
+    b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 1_0\r\n\r\n0123456789",
+    b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: +3\r\n\r\nabc",
+    b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n",
+    "GET / HTTP/1.1\r\nHost: a:\xb2\r\n\r\n".encode("latin-1"),
+    "GET http://a:\xb2/p HTTP/1.1\r\n\r\n".encode("latin-1"),
+    b"GET / HTTP/1.1\r\nHost: a:99999999\r\n\r\n",
+    b"GET / HTTP/1.1\r\nHost: a:65536\r\n\r\n",
+    b"GET / HTTP/1.1\r\nHost: a\r\nX Y<z: v\r\n\r\n",
+])
+def test_pipeline_logs_loose_numbers_and_non_token_names_as_malformed(raw):
+    with pytest.raises(RequestParseError):
+        parse_request(raw)
+    guard = _guard()
+    assert guard.handle(raw).disposition == "malformed"
+    assert guard.capture_log == []
+
+
+def test_parse_accepts_the_highest_port():
+    assert parse_request(_raw(port=65535)).port == "65535"
+
+
+@pytest.mark.parametrize("name", ["header", "content", "method"])
+def test_header_named_like_a_log_tag_round_trips(name):
+    guard = _guard()
+    guard.handle(_raw(path="/one"))
+    outcome = guard.handle(_raw(path="/two", headers=((name, "v"),)))
+    guard.handle(_raw(path="/three"))
+    decoded = parse_capture_log(guard.capture_text())
+    assert decoded[1] == outcome.transaction
+    assert [tx.path for tx in decoded] == ["/one", "/two", "/three"]
+
+
+_header_names = st.one_of(st.sampled_from([b"header", b"content", b"Host", b"X Y<z", b"a:b"]),
+                          st.binary(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_header_names, st.binary(max_size=40)), max_size=4))
+def test_handled_requests_round_trip_through_the_capture_log(headers):
+    raw = b"GET /p HTTP/1.1\r\nHost: h.example\r\n"
+    raw += b"".join(name + b": " + value + b"\r\n" for name, value in headers) + b"\r\n"
+    guard = _guard()
+    outcome = guard.handle(raw)
+    if outcome.disposition == "malformed":
+        return
+    assert outcome.disposition == "handled"
+    assert parse_capture_log(guard.capture_text()) == [outcome.transaction]
 
 
 def test_pipeline_blocks_ftp_without_logging():
