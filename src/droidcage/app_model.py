@@ -716,6 +716,15 @@ def _object(raw, where: str, what: str) -> dict:
     return raw
 
 
+_NUMBER = frozenset({int, float})
+_STRING = frozenset({str})
+
+
+def _is_array(raw, types: frozenset) -> bool:
+    """Whether ``raw`` is a JSON array (list or tuple) of values of ``types``."""
+    return isinstance(raw, (list, tuple)) and types.issuperset(map(type, raw))
+
+
 def _req(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ModelValidationError(f"{where}: missing field {key!r}")
@@ -726,9 +735,10 @@ def _load_element(raw: dict, where: str) -> UiElement:
     kind = _object(raw, where, "element").get("kind", "generic")
     if kind not in ELEMENT_KINDS:
         raise ModelValidationError(f"{where}: unknown element kind {kind!r}")
-    bounds = tuple(_req(raw, "bounds", where))
-    if len(bounds) != 4:
+    bounds = _req(raw, "bounds", where)
+    if not _is_array(bounds, _NUMBER) or len(bounds) != 4:
         raise ModelValidationError(f"{where}: bounds must be [x, y, width, height]")
+    bounds = tuple(bounds)
     if bounds[2] <= 0 or bounds[3] <= 0:
         raise ModelValidationError(f"{where}: element width/height must be positive")
     actions = tuple(raw.get("actions", ()))
@@ -757,7 +767,10 @@ def _load_element(raw: dict, where: str) -> UiElement:
 def _load_side_effect(raw: dict, where: str) -> SideEffect:
     kind = _req(_object(raw, where, "side effect"), "kind", where)
     if kind == "network_request":
-        data = raw.get("data", "").encode("utf-8")
+        data = raw.get("data", "")
+        if not isinstance(data, str):
+            raise ModelValidationError(f"{where}: network_request data must be a string")
+        data = data.encode("utf-8")
         return SideEffect.network_request(data, raw.get("protocol", "http"), raw.get("server"))
     if kind == "outgoing_call":
         return SideEffect.outgoing_call(_req(raw, "number", where))
@@ -867,8 +880,10 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
 
     blocks = []
     for braw in _req(doc, "blocks", source):
-        blocks.append(BasicBlock(_req(braw, "id", source), _req(braw, "class", source),
-                                 _req(braw, "method", source)))
+        bid = _req(braw, "id", source)
+        if type(bid) is not str:
+            raise ModelValidationError(f"{source}: block id {bid!r} must be a string")
+        blocks.append(BasicBlock(bid, _req(braw, "class", source), _req(braw, "method", source)))
     block_ids = [b.id for b in blocks]
     if len(set(block_ids)) != len(block_ids):
         raise ModelValidationError(f"{source}: block ids must be unique")
@@ -939,16 +954,22 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
                 raise ModelValidationError(f"{where}: unknown target state {tst!r}") from None
             to = (tact, tst)
 
-        tblocks = tuple(traw.get("blocks", ()))
+        tblocks = traw.get("blocks", ())
+        if not isinstance(tblocks, (list, tuple)):
+            raise ModelValidationError(f"{where}: blocks must be an array of block ids")
         for bid in tblocks:
-            if bid not in known_blocks:
+            if type(bid) is not str or bid not in known_blocks:
                 raise ModelValidationError(f"{where}: unknown block {bid!r}")
+        tblocks = tuple(tblocks)
         effects = tuple(
             _load_side_effect(e, where) for e in traw.get("side_effects", ())
         )
         transitions.append(Transition(i, source_obj, action_name, match, to,
                                       tblocks, effects, bool(traw.get("crash", False))))
 
+    alphabet = doc.get("alphabet", ())
+    if not _is_array(alphabet, _STRING):
+        raise ModelValidationError(f"{source}: alphabet must be an array of strings")
     app = AppModel(
         package=package,
         main_activity=main_activity,
@@ -958,7 +979,7 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
         blocks=tuple(blocks),
         declared_receivers=declared,
         dynamic_receivers=tuple(dynamic),
-        alphabet=tuple(doc.get("alphabet", ())),
+        alphabet=tuple(alphabet),
     )
     _check_determinism(app, source)
     return app

@@ -220,18 +220,24 @@ class _Explorer:
 
 
 def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
-            netguard=None, tables: DataTables | None = None) -> Session:
+            netguard=None, tables: DataTables | None = None,
+            runner: SessionRunner | None = None) -> Session:
     """Run one grey-box exploration session.
 
     Optional random-event phase first, then systematic passes (dump,
     identify, fill, trigger), then receiver injection, then a final
     sweep over anything the injections unlocked.
+
+    When an existing runner is passed, its session is continued from the
+    runner's device (``device``, ``netguard`` and ``tables`` are then the
+    runner's own); otherwise a fresh runner is created over ``device``.
     """
-    tables = tables or default_tables()
-    if app.package not in device.contexts:
-        device = install_app(device, app)
-    runner = SessionRunner(app, device, netguard=netguard, tables=tables)
-    if device.crashed:
+    if runner is None:
+        if app.package not in device.contexts:
+            device = install_app(device, app)
+        runner = SessionRunner(app, device, netguard=netguard,
+                               tables=tables or default_tables())
+    if runner.device.crashed:
         runner.session.crashed = True
         return runner.session
 
@@ -242,7 +248,7 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
         if runner.session.crashed:
             return runner.session
 
-    engine = _Explorer(app, config, runner, tables)
+    engine = _Explorer(app, config, runner, runner.tables)
     engine.drain_ui()
     if not engine.session.crashed and engine.budget > 0:
         engine.inject()

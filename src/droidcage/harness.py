@@ -5,6 +5,10 @@ executed with the full platform wired in (tracing, telephony policy,
 network pipeline), coverage is measured, and the environment is cleaned
 and verified. All three methods share one per-app seed so the random
 sub-stream inside the combined engine equals the standalone random run.
+That is also why, when a run includes both monkey and smart_monkey, each
+smart_monkey session starts from a copy of the app's finished monkey
+session and its NetGuard, and only the explorer runs on top of it: the
+monkey phase would replay exactly the same events.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -131,24 +136,34 @@ def _make_guard(config: ExperimentConfig, signatures: SignatureDb,
 
 
 def _run_one(app: AppModel, method: str, config: ExperimentConfig,
-             signatures: SignatureDb, reputation: ReputationProvider):
+             signatures: SignatureDb, reputation: ReputationProvider,
+             start: tuple[Session, NetGuard] | None = None):
+    """One (method, app) session: run, measure, clean up.
+
+    ``start`` is the app's finished monkey session and its guard; a
+    smart_monkey job given it continues from copies of both instead of
+    running the monkey phase again.
+    """
     seed_app = derive_seed(config.seed, app.package)
     monkey_config = MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
                                  package=app.package)
-    guard = _make_guard(config, signatures, reputation)
-    device = install_app(baseline_device(), app)
+    if start is None:
+        guard = _make_guard(config, signatures, reputation)
+        runner = SessionRunner(app, install_app(baseline_device(), app), netguard=guard)
+    else:
+        session, guard = start[0].copy(), start[1].copy()
+        runner = SessionRunner(app, session.device, netguard=guard, session=session)
 
     if method == "monkey":
-        runner = SessionRunner(app, device, netguard=guard)
-        session = run_monkey(app, device, monkey_config, runner=runner)
+        session = run_monkey(app, runner.device, monkey_config, runner=runner)
     else:
         explore_config = ExplorationConfig(
             seed=seed_app,
             max_events=config.max_events,
-            run_monkey_first=(method == "smart_monkey"),
+            run_monkey_first=(method == "smart_monkey" and start is None),
             monkey_config=monkey_config,
         )
-        session = explore(app, explore_config, device, netguard=guard)
+        session = explore(app, explore_config, runner.device, runner=runner)
 
     report = measure(session, app)
     cleaned = cleanup(session.device, DEFAULT_WHITELIST, DEFAULT_BASELINE)
@@ -163,29 +178,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Fully deterministic for a fixed seed: per-app seeds derive from the
     package name (so results are independent of corpus order), parallel
     workers only change scheduling, and results merge in corpus order.
+
+    Jobs run in two waves. When both monkey and smart_monkey are asked
+    for, the second wave holds the smart_monkey jobs: each starts from a
+    copy of its app's finished monkey session (from the first wave) and
+    runs only the explorer, since its monkey phase would replay the very
+    same events. Everything else runs in the first wave, including
+    smart_monkey on its own, which then runs its monkey phase itself.
     """
     corpus = load_corpus_dir(config.corpus)
     # Read once per run; every session still gets a NetGuard (and capture
     # log) of its own.
     signatures, reputation = default_signatures(), default_reputation()
 
-    jobs = [(method, name, app) for method in config.methods for name, app in corpus]
+    jobs = [(method, i) for method in config.methods for i in range(len(corpus))]
+    chained = "monkey" in config.methods and "smart_monkey" in config.methods
+    first = [job for job in jobs if not chained or job[0] != "smart_monkey"]
+    second = [("smart_monkey", i) for i in range(len(corpus))] if chained else []
 
-    def work(job):
-        method, name, app = job
-        return _run_one(app, method, config, signatures, reputation)
+    def work(job, start=None):
+        method, i = job
+        # Through the module attribute, so a wrapper of _run_one sees every job.
+        return _run_one(corpus[i][1], method, config, signatures, reputation, start)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(work, jobs))
-    else:
-        outcomes = [work(j) for j in jobs]
+    outcomes = {}
+    parallel = config.workers > 1
+    with ThreadPoolExecutor(max_workers=config.workers) if parallel else nullcontext() as pool:
+        run_all = pool.map if parallel else map
+        outcomes.update(zip(first, run_all(work, first)))
+        starts = [outcomes[("monkey", i)][1:] for _, i in second]
+        outcomes.update(zip(second, run_all(work, second, starts)))
 
     result = ExperimentResult(table=ResultsTable(()))
     rows = []
     capture_parts = []
     by_method: dict[str, list[CoverageReport]] = {m: [] for m in config.methods}
-    for (method, name, app), (report, session, guard) in zip(jobs, outcomes):
+    for method, i in jobs:
+        app = corpus[i][1]
+        report, session, guard = outcomes[(method, i)]
         by_method[method].append(report)
         result.per_app.append((method, report))
         result.sessions[(method, app.package)] = session

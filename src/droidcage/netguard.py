@@ -12,6 +12,7 @@ default loopback) live transport.
 from __future__ import annotations
 
 import base64
+import copy
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -403,14 +404,18 @@ def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
     names = tuple(name for name, _ in tags[: len(FIELD_TAGS)])
     if names != FIELD_TAGS:
         raise LogDecodeError(f"unexpected field tags {list(names)}")
-    fields = {name: value.decode("utf-8") for name, value in tags[: len(FIELD_TAGS)]}
-    headers = tuple((name, value.decode("utf-8")) for name, value in tags[len(FIELD_TAGS):])
     content = b"" if end.group(1) is None else _debase64(end.group(1))
-    return HttpTransaction(
-        method=fields["method"], scheme=fields["scheme"], host=fields["host"],
-        port=fields["port"], path=fields["path"], http_version=fields["http_version"],
-        headers=headers, content=content,
-    ), end.end()
+    try:
+        fields = {name: value.decode("utf-8") for name, value in tags[: len(FIELD_TAGS)]}
+        headers = tuple((name, value.decode("utf-8")) for name, value in tags[len(FIELD_TAGS):])
+        tx = HttpTransaction(
+            method=fields["method"], scheme=fields["scheme"], host=fields["host"],
+            port=fields["port"], path=fields["path"], http_version=fields["http_version"],
+            headers=headers, content=content,
+        )
+    except ValueError as e:  # a value that is not UTF-8, or one HttpTransaction rejects
+        raise LogDecodeError(f"bad record at offset {pos}: {e}") from e
+    return tx, end.end()
 
 
 def _debase64(text: str) -> bytes:
@@ -448,6 +453,11 @@ class LoopbackTransport:
     def __init__(self):
         self.sent: list[HttpTransaction] = []
 
+    def copy(self) -> "LoopbackTransport":
+        dup = LoopbackTransport()
+        dup.sent = list(self.sent)
+        return dup
+
     def send(self, tx: HttpTransaction) -> bytes:
         self.sent.append(tx)
         body = b"forwarded\n"
@@ -484,6 +494,20 @@ class NetGuard:
         self.capture_log: list[str] = []
         self.malformed_log: list[str] = []
         self.routing_log: list[tuple[str, str]] = []
+
+    def copy(self) -> "NetGuard":
+        """A guard that continues from this one's logs without changing them.
+
+        The logs and the transport's record are duplicated; the read-only
+        inputs (signatures, reputation, keystore, identities) are shared.
+        The transport must have a ``copy`` method.
+        """
+        dup = copy.copy(self)
+        dup.transport = self.transport.copy()
+        dup.capture_log = list(self.capture_log)
+        dup.malformed_log = list(self.malformed_log)
+        dup.routing_log = list(self.routing_log)
+        return dup
 
     def capture_text(self) -> str:
         return "".join(self.capture_log)

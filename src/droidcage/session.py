@@ -54,6 +54,21 @@ class Session:
     crashed: bool = False
     device: Optional[DeviceState] = None  # device as the session left it
 
+    def copy(self) -> "Session":
+        """A session that continues from this one without changing it.
+
+        Every container is duplicated; its elements (events, trace events,
+        observed effects, the device) are never mutated after creation, so
+        they are shared.
+        """
+        return Session(events=list(self.events),
+                       executed_blocks=set(self.executed_blocks),
+                       trace=TraceLog(list(self.trace.events)),
+                       effects=list(self.effects),
+                       visited=set(self.visited),
+                       crashed=self.crashed,
+                       device=self.device)
+
     def telephony_deliveries(self) -> list[SideEffect]:
         return [o.effect for o in self.effects if o.tag == "telephony_delivered"]
 
@@ -62,13 +77,18 @@ class Session:
 
 
 class SessionRunner:
-    """Applies events for one session, absorbing all platform plumbing."""
+    """Applies events for one session, absorbing all platform plumbing.
+
+    A ``session`` passed in is continued (its device must be ``device``);
+    otherwise the runner starts an empty one.
+    """
 
     def __init__(self, app: AppModel, device: DeviceState, *,
-                 netguard=None, tables: DataTables | None = None):
+                 netguard=None, tables: DataTables | None = None,
+                 session: Session | None = None):
         self.app = app
         self.device = device
-        self.session = Session(device=device)
+        self.session = session if session is not None else Session(device=device)
         self.policy = TelephonyPolicy(own_number=app.own_number)
         self.netguard = netguard
         self.tables = tables or default_tables()

@@ -53,3 +53,29 @@ def write_model(tmp_path: Path, doc: dict, name: str = "model.app") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# Wrongly typed values, as (path into login_gate.app, value, message the
+# loader must raise ModelValidationError with).
+WRONGLY_TYPED_EDITS = [
+    (("activities", 0, "states", 0, "elements", 0, "bounds"), 5, "bounds must be"),
+    (("activities", 0, "states", 0, "elements", 0, "bounds"), ["40", 200, 1000, 120],
+     "bounds must be"),
+    (("alphabet",), 5, "alphabet must be"),
+    (("alphabet",), ["alpha", 5], "alphabet must be"),
+    (("transitions", 7, "side_effects", 1, "data"), 5, "data must be a string"),
+    (("transitions", 0, "blocks"), [["b1"]], "unknown block"),
+    (("transitions", 0, "blocks"), 5, "blocks must be"),
+    (("blocks", 0, "id"), ["b1"], "must be a string"),
+]
+
+
+def edited_login_gate(path: tuple, value) -> dict:
+    """The login_gate.app document with the value at ``path`` replaced."""
+    doc = json.loads((FIXTURES / "login_gate.app").read_text(encoding="utf-8"))
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    return doc

@@ -17,7 +17,7 @@ from droidcage.app_model import (
     reachable_blocks,
 )
 
-from conftest import device_for, write_model
+from conftest import WRONGLY_TYPED_EDITS, device_for, edited_login_gate, write_model
 
 
 def _minimal_doc(**overrides):
@@ -136,6 +136,12 @@ def test_non_object_part_is_validation_error(part, path, value):
     holder[last] = value
     with pytest.raises(ModelValidationError, match=f"{part} must be a JSON object"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, message", WRONGLY_TYPED_EDITS)
+def test_wrongly_typed_value_is_validation_error(path, value, message):
+    with pytest.raises(ModelValidationError, match=message):
+        model_from_dict(edited_login_gate(path, value))
 
 
 def test_ambiguous_transitions_rejected(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from droidcage.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, WRONGLY_TYPED_EDITS, edited_login_gate
 
 
 @pytest.fixture(scope="module")
@@ -93,4 +93,15 @@ def test_explore_rejects_string_trigger_without_traceback(tmp_path, capsys):
     assert main(["explore", "--app", str(app)]) == 1
     err = capsys.readouterr().err
     assert "trigger must be a JSON object" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, message", WRONGLY_TYPED_EDITS)
+def test_explore_rejects_wrongly_typed_value_without_traceback(tmp_path, capsys, path, value,
+                                                               message):
+    app = tmp_path / "bad.app"
+    app.write_text(json.dumps(edited_login_gate(path, value)), encoding="utf-8")
+    assert main(["explore", "--app", str(app)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err

@@ -130,6 +130,77 @@ def test_monkey_substream_shared_with_combined(small_corpus):
         assert session_m.executed_blocks <= session_sm.executed_blocks
 
 
+@pytest.fixture(scope="module")
+def corpus20(tmp_path_factory):
+    d = tmp_path_factory.mktemp("corpus20")
+    write_corpus(d, seed=0)
+    return d
+
+
+@pytest.fixture(scope="module")
+def three_methods(corpus20):
+    return run_experiment(ExperimentConfig(corpus=corpus20))
+
+
+@pytest.fixture(scope="module")
+def one_method_runs(corpus20):
+    return {m: run_experiment(ExperimentConfig(corpus=corpus20, methods=(m,)))
+            for m in ("monkey", "smart", "smart_monkey")}
+
+
+def _rows(result, method):
+    return [report for m, report in result.per_app if m == method]
+
+
+def _traces(result, method):
+    return {key: text for key, text in result.traces.items() if key[0] == method}
+
+
+def test_smart_monkey_alone_equals_smart_monkey_after_monkey(three_methods, one_method_runs):
+    alone = one_method_runs["smart_monkey"]
+    assert _rows(alone, "smart_monkey") == _rows(three_methods, "smart_monkey")
+    assert alone.table.rows[0] == three_methods.table.rows[2]
+    assert _traces(alone, "smart_monkey") == _traces(three_methods, "smart_monkey")
+    assert alone.capture_log
+
+
+def test_capture_log_is_each_method_alone_in_order(three_methods, one_method_runs):
+    # Also shows that the smart_monkey jobs append nothing to the logs of
+    # the monkey guards they start from.
+    parts = [one_method_runs[m].capture_log for m in ("monkey", "smart", "smart_monkey")]
+    assert three_methods.capture_log == "".join(parts)
+
+
+def test_workers_do_not_change_three_method_results(corpus20, three_methods):
+    parallel = run_experiment(ExperimentConfig(corpus=corpus20, workers=2))
+    assert parallel.table == three_methods.table
+    assert parallel.per_app == three_methods.per_app
+    assert parallel.traces == three_methods.traces
+    assert parallel.capture_log == three_methods.capture_log
+
+
+def test_smart_monkey_leaves_the_monkey_session_unchanged(three_methods, one_method_runs):
+    alone = one_method_runs["monkey"]
+    for (method, package), session in alone.sessions.items():
+        shared = three_methods.sessions[(method, package)]
+        assert shared.events == session.events
+        assert shared.trace.to_text() == session.trace.to_text()
+        assert shared.effects == session.effects
+        assert shared == session
+    assert _rows(alone, "monkey") == _rows(three_methods, "monkey")
+
+
+def test_crasher_smart_monkey_session_is_its_monkey_session(three_methods):
+    package = "com.corpus.crasher17"
+    monkey = three_methods.sessions[("monkey", package)]
+    smart_monkey = three_methods.sessions[("smart_monkey", package)]
+    assert monkey.crashed
+    assert smart_monkey == monkey
+    assert smart_monkey is not monkey
+    crashed = {m: r.crashed for m, r in three_methods.per_app if r.package == package}
+    assert crashed == {"monkey": True, "smart": True, "smart_monkey": True}
+
+
 def test_corpus_loader_orders_by_name(small_corpus):
     entries = load_corpus_dir(small_corpus)
     names = [n for n, _ in entries]

@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidcage.netguard import (
+    BLOCKED_PROTOCOLS,
     DEFAULT_CUSTOM_ROOT,
     PUBLIC_ROOT,
+    GuardOutcome,
     HttpTransaction,
     Keystore,
+    LogDecodeError,
     LoopbackTransport,
     NetGuard,
     ReputationProvider,
@@ -323,6 +326,20 @@ def test_capture_log_multi_entry_parse():
     assert parse_capture_log(text) == txs
 
 
+@pytest.mark.parametrize("tag, value", [("host", b"\xff\xfe"), ("port", b"x")],
+                         ids=["non_utf8_host", "non_numeric_port"])
+def test_capture_record_with_a_bad_field_value_is_a_log_decode_error(tag, value):
+    tx = parse_request(_raw(host="h.example", port=80))
+    entry = write_log_entry(tx)
+    field = f"<{tag}>{base64.b64encode(getattr(tx, tag).encode()).decode()}</{tag}>"
+    assert field in entry
+    bad = entry.replace(field, f"<{tag}>{base64.b64encode(value).decode()}</{tag}>")
+    with pytest.raises(LogDecodeError):
+        parse_log_entry(bad)
+    with pytest.raises(LogDecodeError):
+        parse_capture_log(entry + bad)
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -460,3 +477,25 @@ def test_non_pinned_https_is_intercepted_and_logged():
     decoded = parse_capture_log(guard.capture_text())
     assert decoded[0].host == "cfg.adsmogo.com"
     assert decoded[0].scheme == "https"
+
+
+_request_starts = st.sampled_from([
+    b"GET / HTTP/1.1\r\nHost: a\r\n",
+    b"POST http://h.example:80/p HTTP/1.0\r\nContent-Length: 5\r\n\r\n",
+    b"GET /",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=200),
+                     st.builds(bytes.__add__, _request_starts, st.binary(max_size=100))),
+       protocol=st.one_of(st.sampled_from(("http", "https", "HTTPS") + BLOCKED_PROTOCOLS),
+                          st.text(max_size=8)),
+       server=st.sampled_from([None, "secure.bank.example", "cfg.adsmogo.com"]))
+def test_handle_returns_an_outcome_for_any_bytes_and_protocol(raw, protocol, server):
+    guard = _guard(identities={"secure.bank.example":
+                               ServerIdentity("secure.bank.example",
+                                              "bank-embedded-root", pinned=True)})
+    outcome = guard.handle(raw, protocol, server)
+    assert isinstance(outcome, GuardOutcome)
+    assert outcome.disposition in ("handled", "blocked_protocol", "malformed", "tls_rejected")
