@@ -720,6 +720,13 @@ _NUMBER = frozenset({int, float})
 _STRING = frozenset({str})
 
 
+def _array(raw, where: str, what: str) -> list | tuple:
+    if not isinstance(raw, (list, tuple)):
+        raise ModelValidationError(
+            f"{where}: {what} must be a JSON array, got {type(raw).__name__}")
+    return raw
+
+
 def _is_array(raw, types: frozenset) -> bool:
     """Whether ``raw`` is a JSON array (list or tuple) of values of ``types``."""
     return isinstance(raw, (list, tuple)) and types.issuperset(map(type, raw))
@@ -729,6 +736,15 @@ def _req(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ModelValidationError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _name(obj: dict, key: str, where: str) -> str:
+    """A required field that must be a string: names, ids and signatures
+    are hashed, compared and joined with other text."""
+    value = _req(obj, key, where)
+    if type(value) is not str:
+        raise ModelValidationError(f"{where}: {key} must be a string, got {type(value).__name__}")
+    return value
 
 
 def _load_element(raw: dict, where: str) -> UiElement:
@@ -741,7 +757,7 @@ def _load_element(raw: dict, where: str) -> UiElement:
     bounds = tuple(bounds)
     if bounds[2] <= 0 or bounds[3] <= 0:
         raise ModelValidationError(f"{where}: element width/height must be positive")
-    actions = tuple(raw.get("actions", ()))
+    actions = tuple(_array(raw.get("actions", ()), where, "actions"))
     for a in actions:
         if a not in UI_ACTIONS:
             raise ModelValidationError(f"{where}: unknown action {a!r}")
@@ -770,17 +786,19 @@ def _load_side_effect(raw: dict, where: str) -> SideEffect:
         data = raw.get("data", "")
         if not isinstance(data, str):
             raise ModelValidationError(f"{where}: network_request data must be a string")
-        data = data.encode("utf-8")
-        return SideEffect.network_request(data, raw.get("protocol", "http"), raw.get("server"))
+        protocol = raw.get("protocol", "http")
+        if type(protocol) is not str:
+            raise ModelValidationError(f"{where}: network_request protocol must be a string")
+        return SideEffect.network_request(data.encode("utf-8"), protocol, raw.get("server"))
     if kind == "outgoing_call":
         return SideEffect.outgoing_call(_req(raw, "number", where))
     if kind == "outgoing_sms":
         return SideEffect.outgoing_sms(_req(raw, "number", where), raw.get("body", ""))
     if kind == "java_call":
-        sig = _req(raw, "signature", where)
+        sig = _name(raw, "signature", where)
         if not sig:
             raise ModelValidationError(f"{where}: java_call signature must be non-empty")
-        origin = tuple(raw.get("origin", ("app_code",)))
+        origin = tuple(_array(raw.get("origin", ("app_code",)), where, "origin"))
         for flag in origin:
             if flag not in ORIGIN_FLAGS:
                 raise ModelValidationError(f"{where}: unknown origin flag {flag!r}")
@@ -835,39 +853,42 @@ def load_app_model(path: str | Path) -> AppModel:
     for structurally invalid models.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ModelParseError(f"{path.name}: line {e.lineno} col {e.colno}: {e.msg}") from e
+    except (UnicodeDecodeError, RecursionError) as e:  # not UTF-8, or nested too deeply
+        raise ModelParseError(f"{path.name}: {e}") from e
     if not isinstance(doc, dict):
         raise ModelParseError(f"{path.name}: top level must be an object")
     return model_from_dict(doc, source=path.name)
 
 
 def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
-    package = _req(doc, "package", source)
+    package = _name(doc, "package", source)
     main_activity = _req(doc, "main_activity", source)
     own_number = _req(doc, "own_number", source)
     if not own_number:
         raise ModelValidationError(f"{source}: own_number must be non-empty")
 
     activities = []
-    for araw in _req(doc, "activities", source):
-        aname = _req(araw, "name", source)
+    for araw in _array(_req(doc, "activities", source), source, "activities"):
+        aname = _name(araw, "name", source)
+        awhere = f"{source}:{aname}"
         states = []
-        for sraw in _req(araw, "states", f"{source}:{aname}"):
-            sid = _req(sraw, "id", f"{source}:{aname}")
+        for sraw in _array(_req(araw, "states", awhere), awhere, "states"):
+            sid = _name(sraw, "id", awhere)
+            where = f"{awhere}/{sid}"
             elements = tuple(
-                _load_element(e, f"{source}:{aname}/{sid}") for e in sraw.get("elements", ())
+                _load_element(e, where) for e in _array(sraw.get("elements", ()), where, "elements")
             )
             states.append(UiState(sid, elements))
         ids = [s.id for s in states]
         if len(set(ids)) != len(ids):
-            raise ModelValidationError(f"{source}:{aname}: state ids must be unique")
-        initial = _req(araw, "initial_state", f"{source}:{aname}")
+            raise ModelValidationError(f"{awhere}: state ids must be unique")
+        initial = _req(araw, "initial_state", awhere)
         if initial not in ids:
-            raise ModelValidationError(f"{source}:{aname}: initial_state {initial!r} not found")
+            raise ModelValidationError(f"{awhere}: initial_state {initial!r} not found")
         activities.append(Activity(aname, initial, tuple(states)))
     if not activities:
         raise ModelValidationError(f"{source}: at least one activity required")
@@ -879,38 +900,40 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
     act_by_name = {a.name: a for a in activities}
 
     blocks = []
-    for braw in _req(doc, "blocks", source):
+    for braw in _array(_req(doc, "blocks", source), source, "blocks"):
         bid = _req(braw, "id", source)
         if type(bid) is not str:
             raise ModelValidationError(f"{source}: block id {bid!r} must be a string")
-        blocks.append(BasicBlock(bid, _req(braw, "class", source), _req(braw, "method", source)))
+        blocks.append(BasicBlock(bid, _name(braw, "class", source), _name(braw, "method", source)))
     block_ids = [b.id for b in blocks]
     if len(set(block_ids)) != len(block_ids):
         raise ModelValidationError(f"{source}: block ids must be unique")
     known_blocks = set(block_ids)
 
     receivers_raw = _object(doc.get("receivers", {}), source, "receivers")
-    declared = tuple(receivers_raw.get("declared", ()))
+    declared = receivers_raw.get("declared", ())
+    if not _is_array(declared, _STRING):
+        raise ModelValidationError(f"{source}: receivers.declared must be an array of strings")
     dynamic = []
-    for draw in receivers_raw.get("dynamic", ()):
-        act = _req(draw, "activity", f"{source}:receivers")
-        st = _req(draw, "state", f"{source}:receivers")
+    for draw in _array(receivers_raw.get("dynamic", ()), source, "receivers.dynamic"):
+        act = _name(draw, "activity", f"{source}:receivers")
+        st = _name(draw, "state", f"{source}:receivers")
         if act not in act_by_name:
             raise ModelValidationError(f"{source}: dynamic receiver references unknown activity {act!r}")
         try:
             act_by_name[act].state(st)
         except KeyError:
             raise ModelValidationError(f"{source}: dynamic receiver references unknown state {st!r}") from None
-        dynamic.append((act, st, _req(draw, "action", f"{source}:receivers")))
+        dynamic.append((act, st, _name(draw, "action", f"{source}:receivers")))
 
     transitions = []
-    for i, traw in enumerate(_req(doc, "transitions", source)):
+    for i, traw in enumerate(_array(_req(doc, "transitions", source), source, "transitions")):
         where = f"{source}:transition[{i}]"
         frm = _object(_req(traw, "from", where), where, "from")
         trigger = _object(traw.get("trigger", {}), where, "trigger")
         match = _load_match(trigger.get("match"), where)
         if "receiver" in frm:
-            action = frm["receiver"]
+            action = _name(frm, "receiver", where)
             if action == SMS_RECEIVED_ACTION:
                 tkind = "incoming_sms"
             elif action == PHONE_STATE_ACTION:
@@ -919,14 +942,14 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
                 tkind = "broadcast"
             anchor = None
             if "activity" in frm:
-                anchor = (frm["activity"], _req(frm, "state", where))
+                anchor = (_name(frm, "activity", where), _name(frm, "state", where))
             if match is not None:
                 raise ModelValidationError(f"{where}: text match is only valid on set_text")
             source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(action, tkind, anchor)
             action_name = tkind
         else:
-            act = _req(frm, "activity", where)
-            st = _req(frm, "state", where)
+            act = _name(frm, "activity", where)
+            st = _name(frm, "state", where)
             if act not in act_by_name:
                 raise ModelValidationError(f"{where}: unknown activity {act!r}")
             try:
@@ -944,8 +967,8 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
         to_raw = traw.get("to")
         to = None
         if to_raw is not None:
-            tact = _req(_object(to_raw, where, "to"), "activity", where)
-            tst = _req(to_raw, "state", where)
+            tact = _name(_object(to_raw, where, "to"), "activity", where)
+            tst = _name(to_raw, "state", where)
             if tact not in act_by_name:
                 raise ModelValidationError(f"{where}: unknown target activity {tact!r}")
             try:
@@ -962,7 +985,8 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
                 raise ModelValidationError(f"{where}: unknown block {bid!r}")
         tblocks = tuple(tblocks)
         effects = tuple(
-            _load_side_effect(e, where) for e in traw.get("side_effects", ())
+            _load_side_effect(e, where)
+            for e in _array(traw.get("side_effects", ()), where, "side_effects")
         )
         transitions.append(Transition(i, source_obj, action_name, match, to,
                                       tblocks, effects, bool(traw.get("crash", False))))
@@ -977,7 +1001,7 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
         activities=tuple(activities),
         transitions=tuple(transitions),
         blocks=tuple(blocks),
-        declared_receivers=declared,
+        declared_receivers=tuple(declared),
         dynamic_receivers=tuple(dynamic),
         alphabet=tuple(alphabet),
     )

@@ -7,11 +7,19 @@ base64-tagged capture records, known-malicious payloads are stripped,
 well-reputed destinations are diverted to a consistent services
 simulator, and only the remainder is forwarded to the (pluggable, by
 default loopback) live transport.
+
+A capture record is ``<header>``, the six fields of ``FIELD_TAGS`` and then
+one element per request header, each ``<name>base64</name>``, then
+``</header>`` and ``<content>base64</content>`` (or ``<content />``).
+``write_log_entry`` writes one element per line; the reader also takes any
+whitespace before and between elements, inside a base64 value, and
+between ``content`` and ``/>``, but none inside a tag.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
 import hashlib
 import re
@@ -359,71 +367,59 @@ def simulate_response(tx: HttpTransaction) -> bytes:
 def _b64(data) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return base64.b64encode(data).decode("ascii")
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def write_log_entry(tx: HttpTransaction) -> str:
     """Tagged capture record with every field value base64-encoded."""
-    lines = ["<header>"]
-    lines.append(f"  <method>{_b64(tx.method)}</method>")
-    lines.append(f"  <scheme>{_b64(tx.scheme)}</scheme>")
-    lines.append(f"  <host>{_b64(tx.host)}</host>")
-    lines.append(f"  <port>{_b64(tx.port)}</port>")
-    lines.append(f"  <path>{_b64(tx.path)}</path>")
-    lines.append(f"  <http_version>{_b64(tx.http_version)}</http_version>")
-    for name, value in tx.headers:
-        lines.append(f"  <{name}>{_b64(value)}</{name}>")
-    lines.append("</header>")
-    if tx.content:
-        lines.append(f"<content>{_b64(tx.content)}</content>")
-    else:
-        lines.append("<content />")
-    return "\n".join(lines) + "\n"
+    headers = "".join(f"  <{name}>{_b64(value)}</{name}>\n" for name, value in tx.headers)
+    content = f"<content>{_b64(tx.content)}</content>" if tx.content else "<content />"
+    return (f"<header>\n"
+            f"  <method>{_b64(tx.method)}</method>\n"
+            f"  <scheme>{_b64(tx.scheme)}</scheme>\n"
+            f"  <host>{_b64(tx.host)}</host>\n"
+            f"  <port>{_b64(tx.port)}</port>\n"
+            f"  <path>{_b64(tx.path)}</path>\n"
+            f"  <http_version>{_b64(tx.http_version)}</http_version>\n"
+            f"{headers}</header>\n{content}\n")
 
 
-# A record is read tag by tag, so a header named like a record tag
-# (``header``, ``content``) is just one more field.
-_OPEN_RE = re.compile(r"\s*<header>")
-_FIELD_RE = re.compile(r"\s*<(" + _TOKEN + r")>\s*([A-Za-z0-9+/=\s]*?)\s*</\1>")
-_END_RE = re.compile(
-    r"\s*</header>\s*(?:<content>\s*([A-Za-z0-9+/=\s]*?)\s*</content>|<content\s*/>)")
+# A record is one match: the <header> block's fields, each closed by its own
+# tag (so a header named ``header`` or ``content`` is just one more field),
+# then </header> and the content. A value cannot hold "<", so it ends at the
+# next tag and a failed match costs time linear in the text it covers.
+_VALUE = r"[A-Za-z0-9+/=\s]*"
+_HEAD = r"\s*<header>((?:\s*<(" + _TOKEN + r")>" + _VALUE + r"</\2>)*)"
+_HEAD_RE = re.compile(_HEAD)
+_RECORD_RE = re.compile(
+    _HEAD + r"\s*</header>\s*(?:<content>(" + _VALUE + r")</content>|<content\s*/>)")
+# One field of a header block with its whitespace removed (str.split() drops
+# the same str.isspace characters that \s matches).
+_FIELD_RE = re.compile(r"<(" + _TOKEN + r")>([A-Za-z0-9+/=]*)</\1>")
 
 
 def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
     """Decode the record starting at ``pos``; also return where it ends."""
-    m = _OPEN_RE.match(text, pos)
+    m = _RECORD_RE.match(text, pos)
     if m is None:
-        raise LogDecodeError(f"no <header> element at offset {pos}")
-    tags = []
-    while (field := _FIELD_RE.match(text, m.end())) is not None:
-        tags.append((field.group(1), _debase64(field.group(2))))
-        m = field
-    end = _END_RE.match(text, m.end())
-    if end is None:
-        raise LogDecodeError(f"no </header> and <content> element at offset {m.end()}")
-    names = tuple(name for name, _ in tags[: len(FIELD_TAGS)])
+        head = _HEAD_RE.match(text, pos)
+        if head is None:
+            raise LogDecodeError(f"no <header> element at offset {pos}")
+        raise LogDecodeError(f"no </header> and <content> element at offset {head.end()}")
+    tags = _FIELD_RE.findall("".join(m.group(1).split()))
+    n = len(FIELD_TAGS)
+    names = tuple(name for name, _ in tags[:n])
     if names != FIELD_TAGS:
-        raise LogDecodeError(f"unexpected field tags {list(names)}")
-    content = b"" if end.group(1) is None else _debase64(end.group(1))
+        raise LogDecodeError(f"unexpected field tags {list(names)} at offset {pos}")
     try:
-        fields = {name: value.decode("utf-8") for name, value in tags[: len(FIELD_TAGS)]}
-        headers = tuple((name, value.decode("utf-8")) for name, value in tags[len(FIELD_TAGS):])
-        tx = HttpTransaction(
-            method=fields["method"], scheme=fields["scheme"], host=fields["host"],
-            port=fields["port"], path=fields["path"], http_version=fields["http_version"],
-            headers=headers, content=content,
-        )
-    except ValueError as e:  # a value that is not UTF-8, or one HttpTransaction rejects
+        values = [base64.b64decode(value, validate=True).decode("utf-8") for _, value in tags]
+        headers = tuple(zip([name for name, _ in tags[n:]], values[n:]))
+        content = (b"" if m.group(3) is None else
+                   base64.b64decode("".join(m.group(3).split()), validate=True))
+        tx = HttpTransaction(*values[:n], headers, content)
+    except ValueError as e:  # bad base64, not UTF-8, or a value HttpTransaction rejects
         raise LogDecodeError(f"bad record at offset {pos}: {e}") from e
-    return tx, end.end()
-
-
-def _debase64(text: str) -> bytes:
-    compact = re.sub(r"\s+", "", text)
-    try:
-        return base64.b64decode(compact, validate=True)
-    except Exception as e:
-        raise LogDecodeError(f"bad base64 value: {e}") from e
+    return tx, m.end()
 
 
 def parse_capture_log(text: str) -> list[HttpTransaction]:

@@ -67,6 +67,19 @@ WRONGLY_TYPED_EDITS = [
     (("transitions", 0, "blocks"), [["b1"]], "unknown block"),
     (("transitions", 0, "blocks"), 5, "blocks must be"),
     (("blocks", 0, "id"), ["b1"], "must be a string"),
+    (("activities",), 5, "activities must be a JSON array"),
+    (("activities", 0, "states"), 5, "states must be a JSON array"),
+    (("activities", 0, "states", 0, "elements"), 5, "elements must be a JSON array"),
+    (("activities", 0, "states", 0, "elements", 0, "actions"), 5, "actions must be a JSON array"),
+    (("transitions",), 5, "transitions must be a JSON array"),
+    (("transitions", 7, "side_effects"), 5, "side_effects must be a JSON array"),
+    (("receivers", "declared"), 5, "receivers.declared must be an array"),
+    (("receivers", "dynamic"), 5, "receivers.dynamic must be a JSON array"),
+    (("transitions", 7, "side_effects", 0, "origin"), 5, "origin must be a JSON array"),
+    (("transitions", 7, "side_effects", 1, "protocol"), 5, "protocol must be a string"),
+    (("package",), 5, "package must be a string"),
+    (("blocks", 0, "class"), ["C"], "class must be a string"),
+    (("transitions", 7, "side_effects", 0, "signature"), 5, "signature must be a string"),
 ]
 
 

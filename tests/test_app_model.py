@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidcage.app_model import (
+    AppModel,
     Event,
     EventUniverse,
     ModelParseError,
@@ -17,7 +20,7 @@ from droidcage.app_model import (
     reachable_blocks,
 )
 
-from conftest import WRONGLY_TYPED_EDITS, device_for, edited_login_gate, write_model
+from conftest import FIXTURES, WRONGLY_TYPED_EDITS, device_for, edited_login_gate, write_model
 
 
 def _minimal_doc(**overrides):
@@ -142,6 +145,59 @@ def test_non_object_part_is_validation_error(part, path, value):
 def test_wrongly_typed_value_is_validation_error(path, value, message):
     with pytest.raises(ModelValidationError, match=message):
         model_from_dict(edited_login_gate(path, value))
+
+
+def _paths(node, prefix=()):
+    """The path to every value inside a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_LOGIN_GATE = json.loads((FIXTURES / "login_gate.app").read_text(encoding="utf-8"))
+_LOGIN_GATE_PATHS = tuple(_paths(_LOGIN_GATE))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def _model_or_model_error(load, arg) -> None:
+    try:
+        assert isinstance(load(arg), AppModel)
+    except (ModelParseError, ModelValidationError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_LOGIN_GATE_PATHS), _json_values)
+def test_any_value_anywhere_in_login_gate_loads_or_is_a_model_error(path, value):
+    _model_or_model_error(model_from_dict, edited_login_gate(path, value))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(_json_values, st.dictionaries(st.sampled_from(sorted(_LOGIN_GATE)),
+                                                   _json_values)))
+def test_any_json_document_loads_or_is_a_model_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "any.app"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _model_or_model_error(load_app_model, path)
+
+
+@pytest.mark.parametrize("data", [b"\xff{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not_utf8", "nested_too_deeply"])
+def test_unreadable_model_file_is_parse_error(tmp_path, data):
+    path = tmp_path / "bad.app"
+    path.write_bytes(data)
+    with pytest.raises(ModelParseError):
+        load_app_model(path)
 
 
 def test_ambiguous_transitions_rejected(tmp_path):

@@ -1,8 +1,13 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droidcage.cli import main
+from droidcage.netguard import NetGuard
 
 from conftest import FIXTURES, WRONGLY_TYPED_EDITS, edited_login_gate
 
@@ -105,3 +110,30 @@ def test_explore_rejects_wrongly_typed_value_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def _capture_log() -> bytes:
+    guard = NetGuard()
+    guard.handle(b"GET /a HTTP/1.1\r\nHost: h.example\r\nheader: x\r\n\r\n")
+    guard.handle(b"POST /b HTTP/1.1\r\nHost: h.example\r\nContent-Length: 3\r\n\r\nabc")
+    return guard.capture_text().encode("utf-8")
+
+
+_LOG = _capture_log()
+_COMMANDS = [["decode-log", "--log"], ["decode-log", "--verify", "--log"],
+             ["proxy-check", "--request"], ["proxy-check", "--protocol", "https", "--request"],
+             ["proxy-check", "--protocol", "ftp", "--request"]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(_COMMANDS),
+       data=st.one_of(st.binary(max_size=300), st.just(_LOG),
+                      st.builds(lambda at, b: _LOG[:at] + b + _LOG[at + 1:],
+                                st.integers(0, len(_LOG)), st.binary(max_size=2))))
+def test_decode_log_and_proxy_check_exit_0_or_1_on_any_file(tmp_path_factory, command, data):
+    path = tmp_path_factory.getbasetemp() / "cli_input.bin"
+    path.write_bytes(data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main([*command, str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,8 @@
 import base64
+import itertools
+import re
+import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +344,144 @@ def test_capture_record_with_a_bad_field_value_is_a_log_decode_error(tag, value)
         parse_capture_log(entry + bad)
 
 
+def _log_tx(headers=(("Connection", "Keep-Alive"),), body=b""):
+    return parse_request(_raw(method="POST" if body else "GET", path="/p?q=1",
+                              host="cfg.adsmogo.com", headers=headers, body=body))
+
+
+_BODY = bytes(range(256)) * 2
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda e: e.replace("\n  ", "\n\t \r\n"), id="re_indented"),
+    pytest.param(lambda e: "".join(e.split()), id="no_whitespace"),
+    pytest.param(lambda e: "\n\n  " + e.replace("\n", "\n\x0b\u3000"), id="unicode_whitespace"),
+    pytest.param(lambda e: re.sub(r">([A-Za-z0-9+/=]{9,})<", lambda m: ">\n    " + "\n    ".join(
+        textwrap.wrap(m.group(1), 8)) + "\n  <", e), id="base64_wrapped"),
+])
+def test_capture_record_whitespace_is_free_around_elements_and_in_values(edit):
+    for tx in (_log_tx(), _log_tx(body=_BODY)):
+        entry = write_log_entry(tx)
+        assert edit(entry) != entry
+        assert parse_log_entry(edit(entry)) == tx
+        assert parse_capture_log(edit(entry) + edit(entry)) == [tx, tx]
+
+
+@pytest.mark.parametrize("spelling", ["<content />", "<content/>", "<content  />",
+                                      "<content\n/>"])
+def test_empty_content_element_takes_any_inner_whitespace(spelling):
+    tx = _log_tx()
+    assert parse_log_entry(write_log_entry(tx).replace("<content />", spelling)) == tx
+
+
+def _swap(a, b):
+    return lambda text: text.replace(a, "\0").replace(b, a).replace("\0", b)
+
+
+_DECODE_REJECTS = {
+    "tags_out_of_order": _swap("<method>R0VU</method>", "<scheme>aHR0cA==</scheme>"),
+    "host_and_path_swapped": _swap("<host>Y2ZnLmFkc21vZ28uY29t</host>", "<path>L3A/cT0x</path>"),
+    "field_missing": lambda e: e.replace("  <port>ODA=</port>\n", ""),
+    "http_version_missing": lambda e: e.replace("  <http_version>SFRUUC8xLjE=</http_version>\n",
+                                                ""),
+    "no_close_header": lambda e: e.replace("</header>", ""),
+    "no_content": lambda e: e.replace("<content />", ""),
+    "bad_padding": lambda e: e.replace("<port>ODA=</port>", "<port>ODA</port>"),
+    "excess_padding": lambda e: e.replace("<port>ODA=</port>", "<port>ODA==</port>"),
+    "padding_inside": lambda e: e.replace("<method>R0VU</method>", "<method>R0==VU</method>"),
+    "non_base64": lambda e: e.replace("<method>R0VU</method>", "<method>R0V-</method>"),
+    "wrong_close_tag": lambda e: e.replace("</method>", "</scheme>", 1),
+    "space_in_tag": lambda e: e.replace("<method>", "< method>"),
+    "space_in_close_header": lambda e: e.replace("</header>", "</ header>"),
+    "non_token_tag": lambda e: e.replace("Connection", "Conn ection"),
+    "content_not_closed": lambda e: e.replace("<content />", "<content>eA=="),
+    "leading_garbage": lambda e: "x" + e,
+    "empty_method": lambda e: e.replace("<method>R0VU</method>", "<method></method>"),
+}
+
+
+@pytest.mark.parametrize("edit", _DECODE_REJECTS.values(), ids=_DECODE_REJECTS.keys())
+def test_malformed_capture_record_is_a_log_decode_error(edit):
+    entry = write_log_entry(_log_tx())
+    bad = edit(entry)
+    assert bad != entry
+    with pytest.raises(LogDecodeError):
+        parse_log_entry(bad)
+    with pytest.raises(LogDecodeError):
+        parse_capture_log(entry + bad + entry)
+
+
+@pytest.mark.parametrize("tail", ["x", "<header>", "<content />"])
+def test_data_after_a_single_record_is_a_log_decode_error(tail):
+    entry = write_log_entry(_log_tx())
+    assert parse_log_entry(entry + "\n \t") == _log_tx()
+    with pytest.raises(LogDecodeError):
+        parse_log_entry(entry + tail)
+    with pytest.raises(LogDecodeError):
+        parse_log_entry(entry + entry)
+
+
+@pytest.mark.parametrize("text", [
+    "<header>" + "<a>QQ==</a>\n" * 20_000,
+    "<header><method>" + "A" * 200_000 + "</x>",
+], ids=["20k_fields_no_close_header", "200kB_value_wrong_close_tag"])
+def test_hostile_capture_log_is_rejected_quickly(text):
+    t0 = time.perf_counter()
+    with pytest.raises(LogDecodeError):
+        parse_capture_log(text)
+    assert time.perf_counter() - t0 < 1.0
+
+
+_LOG_CHARS = "<>/= \n\t\x0b\u3000AQR0Vab+headrcontmsp_"
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+_LOG_TEXT = "".join(write_log_entry(tx) for tx in (
+    _log_tx(), _log_tx(headers=(("header", "x"), ("content", "")), body=b"body")))
+
+
+def _decodes_or_log_decode_error(text):
+    try:
+        records = parse_capture_log(text)
+    except LogDecodeError:
+        return
+    assert all(isinstance(tx, HttpTransaction) for tx in records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=300), st.text(alphabet=_LOG_CHARS, max_size=300)))
+def test_arbitrary_text_decodes_or_is_a_log_decode_error(text):
+    _decodes_or_log_decode_error(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_LOG_TEXT)), st.sampled_from(["insert", "delete", "replace"]),
+       st.one_of(st.sampled_from(_LOG_CHARS), st.characters()))
+def test_one_character_mutation_decodes_or_is_a_log_decode_error(at, op, char):
+    if op == "insert":
+        text = _LOG_TEXT[:at] + char + _LOG_TEXT[at:]
+    else:
+        text = _LOG_TEXT[:at] + (char if op == "replace" else "") + _LOG_TEXT[at + 1:]
+    _decodes_or_log_decode_error(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=_WHITESPACE, max_size=3), min_size=1, max_size=6),
+       st.integers(1, 9))
+def test_whitespace_reformatted_log_decodes_to_the_same_records(fills, width):
+    """Whitespace between elements, inside <content />, and every ``width``
+    characters of a base64 value."""
+    fill = itertools.cycle(fills)
+    out = []
+    for piece in re.split(r"(<[^>]*>)", _LOG_TEXT):
+        if piece.startswith("<"):
+            out.append(piece.replace(" ", next(fill)))  # only <content />
+        elif piece.isspace() or not piece:
+            out.append(next(fill))
+        else:
+            out.append("".join(piece[i:i + width] + next(fill)
+                               for i in range(0, len(piece), width)))
+    assert parse_capture_log("".join(out)) == parse_capture_log(_LOG_TEXT)
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -420,7 +562,7 @@ def test_parse_accepts_the_highest_port():
     assert parse_request(_raw(port=65535)).port == "65535"
 
 
-@pytest.mark.parametrize("name", ["header", "content", "method"])
+@pytest.mark.parametrize("name", ["header", "content", "method", "http_version"])
 def test_header_named_like_a_log_tag_round_trips(name):
     guard = _guard()
     guard.handle(_raw(path="/one"))
