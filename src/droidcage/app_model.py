@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -433,11 +433,14 @@ class DeviceState:
     crashed: bool = False
 
     def clone(self) -> "DeviceState":
+        settings = self.settings
         return DeviceState(
             contexts=dict(self.contexts),
             installed_apps=set(self.installed_apps),
             running_processes=set(self.running_processes),
-            settings=replace(self.settings),
+            # Field by field: dataclasses.replace inspects the fields on every call.
+            settings=Settings(wifi=settings.wifi, data_network=settings.data_network,
+                              sound_volume=settings.sound_volume),
             crashed=self.crashed,
         )
 

@@ -18,6 +18,7 @@ from .corpus import write_corpus
 from .coverage import measure
 from .explorer import ExplorationConfig, baseline_device, explore
 from .harness import (
+    FORMATS,
     METHODS,
     ExperimentConfig,
     ExperimentError,
@@ -51,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-events", type=int, default=2000)
     run.add_argument("--threshold", type=int, default=60)
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--formats", default="human,csv")
+    run.add_argument("--formats", default="human,csv",
+                     help="comma-separated subset of " + ",".join(FORMATS))
     run.add_argument("--out", type=Path, default=Path("results"))
 
     exp = sub.add_parser("explore", help="explore a single app model")

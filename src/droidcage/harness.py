@@ -45,6 +45,7 @@ from .netguard import (
     ReputationProvider,
     ServerIdentity,
     SignatureDb,
+    check_threshold,
     load_reputation,
     load_signature_db,
 )
@@ -52,6 +53,7 @@ from .rng import derive_seed
 from .session import Session, SessionRunner
 
 METHODS = ("monkey", "smart", "smart_monkey")
+FORMATS = ("human", "csv", "structured")
 METHOD_LABELS = {"monkey": "Monkey", "smart": "Smart", "smart_monkey": "Smart Monkey"}
 
 RESULT_COLUMNS = ("Method", "Classes average coverage", "Methods average coverage",
@@ -100,6 +102,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ExperimentError(f"unknown method {m!r}")
+        for f in self.formats:
+            if f not in FORMATS:
+                raise ExperimentError(f"unknown format {f!r}")
+        check_threshold(self.reputation_threshold)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .app_model import AppModel, DeviceState, Event, run_event_chain
+from .app_model import AppModel, DeviceState, Event, Screen, run_event_chain
 from .rng import Xoshiro256StarStar
 from .session import Session, SessionRunner
 from .telephony import TelephonyPolicy
@@ -44,12 +44,15 @@ class MonkeyConfig:
             raise ValueError("pct_syskeys must be in [0, 100]")
         if not 0 <= self.pct_appswitch <= 100:
             raise ValueError("pct_appswitch must be in [0, 100]")
+        if self.throttle_ms < 0:
+            raise ValueError("throttle_ms must be >= 0")
         if self.event_count < 1:
             raise ValueError("event_count must be >= 1")
 
 
 def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
-                  app: AppModel, device: DeviceState) -> Event:
+                  screen: Screen | None) -> Event:
+    """The next event, hit-tested against ``screen`` (None after a crash)."""
     roll = rng.percent()
     if roll < config.pct_syskeys:
         return Event.system_key(rng.choice(SYSTEM_KEYS))
@@ -59,10 +62,7 @@ def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
     kind = rng.choice(NAV_KINDS)
     x = rng.randrange(SCREEN_WIDTH)
     y = rng.randrange(SCREEN_HEIGHT)
-    target = None
-    if not device.crashed:
-        ctx = device.context(app.package)
-        target = app.screen(ctx.activity, ctx.state).hit(x, y)
+    target = None if screen is None else screen.hit(x, y)
     if kind == "set_text":
         value = rng.alnum(TEXT_MIN_LEN + rng.randrange(TEXT_MAX_LEN - TEXT_MIN_LEN + 1))
         return Event.set_text(target, value)
@@ -84,8 +84,13 @@ def generate_events(config: MonkeyConfig, app: AppModel,
     policy = TelephonyPolicy(app.own_number)
     device = device.clone()
     events = []
+    ctx = screen = None
     for _ in range(config.event_count):
-        event = _generate_one(rng, config, app, device)
+        if device.crashed:
+            screen = None
+        elif (current := device.context(app.package)) is not ctx:
+            ctx, screen = current, app.screen(current.activity, current.state)
+        event = _generate_one(rng, config, screen)
         events.append(event)
         if not device.crashed:
             device, _ = run_event_chain(device, app, event, policy)
@@ -102,13 +107,26 @@ def run_monkey(app: AppModel, device: DeviceState, config: MonkeyConfig,
     """
     if runner is None:
         runner = SessionRunner(app, device)
+    session = runner.session
     if runner.device.crashed:
-        runner.session.crashed = True
-        return runner.session
+        session.crashed = True
+        return session
     rng = Xoshiro256StarStar(config.seed)
+    ctx = screen = None
     for _ in range(config.event_count):
-        if runner.session.crashed:
+        if session.crashed:
             break
-        event = _generate_one(rng, config, app, runner.device)
-        runner.step(event)
-    return runner.session
+        # The device only crashes together with the session, so the app
+        # has a screen here; it changes only with the app's context.
+        device = runner.device
+        if (current := device.context(app.package)) is not ctx:
+            ctx, screen = current, app.screen(current.activity, current.state)
+        # Through the module attribute, so a wrapper sees every event.
+        event = _generate_one(rng, config, screen)
+        if event.target is None and event.kind in NAV_KINDS:
+            # A tap on nothing matches no transition (see SessionRunner.step).
+            session.events.append(event)
+            session.device = device
+        else:
+            runner.step(event)
+    return session

@@ -299,6 +299,13 @@ def _decimal(text: str, what: str) -> int:
 # Verdicts
 # ---------------------------------------------------------------------------
 
+def check_threshold(threshold: int) -> int:
+    """A reputation threshold, on the 0..100 scale of the scores."""
+    if not 0 <= threshold <= 100:
+        raise ValueError(f"reputation threshold must be in [0, 100], got {threshold}")
+    return threshold
+
+
 def decide(tx: HttpTransaction, sigs: SignatureDb, rep: ReputationProvider,
            threshold: int = DEFAULT_REPUTATION_THRESHOLD) -> Verdict:
     """Pipeline decision for one parsed transaction.
@@ -482,7 +489,7 @@ class NetGuard:
                  transport=None):
         self.signatures = signatures or SignatureDb()
         self.reputation = reputation or ReputationProvider()
-        self.threshold = threshold
+        self.threshold = check_threshold(threshold)
         self.keystore = keystore or Keystore(frozenset({custom_root, PUBLIC_ROOT}))
         self.custom_root = custom_root
         self.identities = dict(identities or {})

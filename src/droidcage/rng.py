@@ -7,6 +7,8 @@ the host language or its standard library.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Iterator, Sequence, TypeVar
 
 MASK64 = (1 << 64) - 1
@@ -32,6 +34,23 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
 # stream is the same for any batch size; only the state runs ahead.
 _BATCH = 64
 
+# The scrambler runs on a whole batch at once: the 64 raw values are packed
+# into one integer, 64 bits per lane, and split into even and odd lanes.
+# Each half then has 64 zero bits above every lane, so ``* 5``, ``<< 7`` and
+# ``* 9`` carry into that gap and never into the next lane, and one mask per
+# operation cuts every lane back to 64 bits at once. (array "Q" items are
+# 64-bit on every platform CPython supports.)
+_EVEN_LANES = int.from_bytes(array("Q", [MASK64, 0] * (_BATCH // 2)).tobytes(), sys.byteorder)
+_PACKED_BYTES = 8 * _BATCH
+
+
+def _scramble_lanes(v: int) -> int:
+    """``rotl(x * 5, 7) * 9 mod 2**64`` on every lane of ``v`` (gaps zero)."""
+    mask = _EVEN_LANES
+    v = (v * 5) & mask
+    v = ((v << 7) | (v >> 57)) & mask
+    return (v * 9) & mask
+
 
 class Xoshiro256StarStar:
     """xoshiro256** with its state seeded from splitmix64.
@@ -52,11 +71,10 @@ class Xoshiro256StarStar:
     def _refill(self) -> list[int]:
         s0, s1, s2, s3 = self._state
         mask = MASK64
-        out = []
-        append = out.append
+        raw = []
+        append = raw.append
         for _ in range(_BATCH):
-            x = (s1 * 5) & mask
-            append((((x << 7) | (x >> 57)) * 9) & mask)  # rotl(x, 7) * 9
+            append(s1)
             t = (s1 << 17) & mask
             s2 ^= s0
             s3 ^= s1
@@ -65,7 +83,11 @@ class Xoshiro256StarStar:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
         self._state = (s0, s1, s2, s3)
-        out.reverse()  # consumed with pop(), from the end
+        raw.reverse()  # consumed with pop(), from the end
+        packed = int.from_bytes(array("Q", raw).tobytes(), sys.byteorder)
+        packed = (_scramble_lanes(packed & _EVEN_LANES)
+                  | _scramble_lanes((packed >> 64) & _EVEN_LANES) << 64)
+        out = array("Q", packed.to_bytes(_PACKED_BYTES, sys.byteorder)).tolist()
         self._buf = out
         return out
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,14 @@ from hypothesis import strategies as st
 
 from droidcage.app_model import (
     AppModel,
+    DeviceState,
     Event,
     EventUniverse,
     ModelParseError,
     ModelValidationError,
     OracleBudgetError,
     SessionCrashedError,
+    Settings,
     apply_event,
     dump_hierarchy,
     identify_element,
@@ -229,6 +232,15 @@ def test_distinct_equals_values_are_allowed(tmp_path):
 # ---------------------------------------------------------------------------
 # Hierarchy dumps
 # ---------------------------------------------------------------------------
+
+def test_clone_copies_every_settings_field():
+    settings = Settings(wifi=False, data_network=False, sound_volume=7)
+    clone = DeviceState(settings=settings).clone()
+    assert clone.settings == settings
+    assert clone.settings is not settings
+    # clone names the fields one by one; a new field must be added there.
+    assert [f.name for f in fields(Settings)] == ["wifi", "data_network", "sound_volume"]
+
 
 def test_dump_login_state(login_gate):
     device = device_for(login_gate)

@@ -42,6 +42,34 @@ def test_run_empty_corpus_fails_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "results"
+    code = main(["run", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--formats", "human,bogus"])
+    assert code == 1
+    assert "unknown format 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--threshold", "-5"], "threshold"),
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--threshold", "101"], "threshold"),
+    (["proxy-check", "--request", "{request}", "--threshold", "-5"], "threshold"),
+    (["proxy-check", "--request", "{request}", "--threshold", "101"], "threshold"),
+    (["monkey", "--app", "{app}", "--throttle", "-1"], "throttle_ms"),
+])
+def test_out_of_range_numeric_flags_exit_1(corpus_dir, tmp_path, capsys, argv, message):
+    request = tmp_path / "req.bin"
+    request.write_bytes(b"GET / HTTP/1.1\r\nHost: x.example\r\n\r\n")
+    paths = {"corpus": corpus_dir, "out": tmp_path / "o", "request": request,
+             "app": FIXTURES / "login_gate.app"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_explore_single_app(capsys):
     code = main(["explore", "--app", str(FIXTURES / "login_gate.app"), "--seed", "0"])
     assert code == 0

@@ -5,6 +5,7 @@ from droidcage.app_model import (
     UiElement,
     apply_event,
     install_app,
+    load_app_model,
     model_from_dict,
     reachable_blocks,
 )
@@ -22,8 +23,10 @@ from droidcage.explorer import (
     generate_fill_value,
     identify_element,
 )
-from droidcage.monkey import MonkeyConfig, generate_events
+from droidcage.corpus import _ARCHETYPE_CYCLE, write_corpus
+from droidcage.monkey import MonkeyConfig, generate_events, run_monkey
 from droidcage.rng import Xoshiro256StarStar
+from droidcage.session import SessionRunner
 
 from conftest import device_for
 
@@ -281,16 +284,34 @@ def test_new_elements_on_revisited_screen_are_scheduled():
     assert len(clicks_on_a) == 1  # the shared element is not re-triggered
 
 
-def test_monkey_phase_is_prefix_of_combined_session(login_gate):
-    mc = MonkeyConfig(seed=0, event_count=40, package=login_gate.package)
-    stream = generate_events(mc, login_gate, device_for(login_gate))
+@pytest.fixture(scope="module")
+def corpus_by_archetype(tmp_path_factory):
+    """The first app of each archetype in the 20-app corpus of seed 0."""
+    apps = {}
+    for path in write_corpus(tmp_path_factory.mktemp("corpus"), 0, 20):
+        apps.setdefault(path.stem.split("_", 1)[1], load_app_model(path))
+    return apps
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+@pytest.mark.parametrize("name", ("login_gate", *sorted(set(_ARCHETYPE_CYCLE))))
+def test_monkey_phase_is_prefix_of_combined_session(request, corpus_by_archetype, name, seed):
+    app = (request.getfixturevalue(name) if name == "login_gate"
+           else corpus_by_archetype[name])
+    mc = MonkeyConfig(seed=seed, package=app.package)
+    stream = generate_events(mc, app, device_for(app))
+    device = device_for(app)
+    monkey = run_monkey(app, device, mc, runner=SessionRunner(app, device))
     combined = explore(
-        login_gate,
-        ExplorationConfig(seed=0, max_events=10_000, run_monkey_first=True,
+        app,
+        ExplorationConfig(seed=seed, max_events=10_000, run_monkey_first=True,
                           monkey_config=mc),
-        device_for(login_gate),
+        device_for(app),
     )
-    assert combined.events[:40] == stream
+    # run_monkey stops at a crash; generate_events keeps drawing.
+    assert monkey.crashed or len(monkey.events) == 500
+    assert monkey.events == stream[:len(monkey.events)]
+    assert combined.events[:len(monkey.events)] == monkey.events
 
 
 def test_crash_halts_exploration_with_partial_coverage(crash_first):

@@ -40,11 +40,31 @@ def test_nonzero_percentages_produce_those_kinds(tiny_taps):
     assert kinds.count("app_switch") > 0
 
 
+@pytest.mark.parametrize("seed", (0, 5))
+def test_run_monkey_equals_stepping_the_generated_stream(tiny_taps, login_gate, crash_first,
+                                                         seed):
+    # With system keys and app switches, which run_monkey must not take
+    # for taps on nothing.
+    for app in (tiny_taps, login_gate, crash_first):
+        config = MonkeyConfig(seed=seed, pct_syskeys=30, pct_appswitch=30,
+                              event_count=300, package=app.package)
+        device = device_for(app)
+        session = run_monkey(app, device, config, runner=SessionRunner(app, device))
+        stepped = SessionRunner(app, device)
+        for event in generate_events(config, app, device):
+            if stepped.session.crashed:
+                break
+            stepped.step(event)
+        assert session == stepped.session
+
+
 def test_percent_bounds_validated():
     with pytest.raises(ValueError):
         MonkeyConfig(pct_syskeys=101)
     with pytest.raises(ValueError):
         MonkeyConfig(event_count=0)
+    with pytest.raises(ValueError):
+        MonkeyConfig(throttle_ms=-1)
 
 
 def test_monkey_saturates_ungated_tiny_app(tiny_taps):

@@ -1,6 +1,11 @@
 import pytest
 
-from droidcage.rng import Xoshiro256StarStar, derive_seed, splitmix64_stream
+from droidcage.rng import (
+    Xoshiro256StarStar,
+    _scramble_lanes,
+    derive_seed,
+    splitmix64_stream,
+)
 
 MASK64 = (1 << 64) - 1
 ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -104,6 +109,18 @@ def test_randrange_matches_reference_including_rejections(seed):
     assert [rng.randrange(n) for n in bounds] == [ref.randrange(n) for n in bounds]
     # the streams stay in step after rejections
     assert rng.next_u64() == ref.next_u64()
+
+
+def test_lane_scrambler_keeps_carries_out_of_the_next_lane():
+    # Words whose products and rotation carry the most, side by side with
+    # neighbours that would show any spill-over.
+    words = [MASK64, 0, MASK64, 1, 2**63, 2**57 - 1, 2**64 // 5 + 1, 2**64 // 9 + 1]
+    lanes = [words[i % len(words)] for i in range(32)]
+    packed = sum(w << (128 * i) for i, w in enumerate(lanes))
+    scrambled = _scramble_lanes(packed)
+    rotl = ReferenceXoshiro.rotl
+    assert [(scrambled >> (128 * i)) & (2**128 - 1) for i in range(32)] == [
+        (rotl((w * 5) & MASK64, 7) * 9) & MASK64 for w in lanes]
 
 
 def test_rejection_path_is_exercised():

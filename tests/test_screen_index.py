@@ -85,7 +85,8 @@ def test_screen_keys_and_first_index(shadow):
 def test_monkey_hit_on_shadowed_element_resolves_to_first(shadow):
     device = device_for(shadow)
     # no system keys, kind "click", tap inside the second button only
-    event = _generate_one(_ScriptedRng(50, 0, 550, 550), MonkeyConfig(), shadow, device)
+    event = _generate_one(_ScriptedRng(50, 0, 550, 550), MonkeyConfig(),
+                          shadow.screen("Main", "home"))
     assert event == Event.click(OK_KEY)
     ctx = device.context(shadow.package)
     assert _resolve_target(shadow, ctx, event.target) == 0
@@ -93,8 +94,8 @@ def test_monkey_hit_on_shadowed_element_resolves_to_first(shadow):
 
 
 def test_monkey_tap_on_nothing_has_no_target(shadow):
-    event = _generate_one(_ScriptedRng(50, 0, 300, 300), MonkeyConfig(), shadow,
-                          device_for(shadow))
+    event = _generate_one(_ScriptedRng(50, 0, 300, 300), MonkeyConfig(),
+                          shadow.screen("Main", "home"))
     assert event == Event("click")
 
 
