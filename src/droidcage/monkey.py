@@ -107,26 +107,18 @@ def run_monkey(app: AppModel, device: DeviceState, config: MonkeyConfig,
     """
     if runner is None:
         runner = SessionRunner(app, device)
-    session = runner.session
     if runner.device.crashed:
-        session.crashed = True
-        return session
+        runner.session.crashed = True
+        return runner.session
     rng = Xoshiro256StarStar(config.seed)
     ctx = screen = None
     for _ in range(config.event_count):
-        if session.crashed:
+        if runner.session.crashed:
             break
         # The device only crashes together with the session, so the app
         # has a screen here; it changes only with the app's context.
-        device = runner.device
-        if (current := device.context(app.package)) is not ctx:
+        if (current := runner.device.context(app.package)) is not ctx:
             ctx, screen = current, app.screen(current.activity, current.state)
-        # Through the module attribute, so a wrapper sees every event.
         event = _generate_one(rng, config, screen)
-        if event.target is None and event.kind in NAV_KINDS:
-            # A tap on nothing matches no transition (see SessionRunner.step).
-            session.events.append(event)
-            session.device = device
-        else:
-            runner.step(event)
-    return session
+        runner.step(event)
+    return runner.session

@@ -38,9 +38,11 @@ _BATCH = 64
 # into one integer, 64 bits per lane, and split into even and odd lanes.
 # Each half then has 64 zero bits above every lane, so ``* 5``, ``<< 7`` and
 # ``* 9`` carry into that gap and never into the next lane, and one mask per
-# operation cuts every lane back to 64 bits at once. (array "Q" items are
-# 64-bit on every platform CPython supports.)
-_EVEN_LANES = int.from_bytes(array("Q", [MASK64, 0] * (_BATCH // 2)).tobytes(), sys.byteorder)
+# operation cuts every lane back to 64 bits at once. The mask is built from
+# lane positions, not from bytes: on a big-endian host the packing puts value
+# i in lane 63 - i, which swaps the halves but keeps both of them whole.
+# (array "Q" items are 64-bit on every platform CPython supports.)
+_EVEN_LANES = sum(MASK64 << (128 * i) for i in range(_BATCH // 2))
 _PACKED_BYTES = 8 * _BATCH
 
 
@@ -50,6 +52,12 @@ def _scramble_lanes(v: int) -> int:
     v = (v * 5) & mask
     v = ((v << 7) | (v >> 57)) & mask
     return (v * 9) & mask
+
+
+def _scramble_batch(packed: int) -> int:
+    """The scrambler on all ``_BATCH`` 64-bit lanes of ``packed``."""
+    return (_scramble_lanes(packed & _EVEN_LANES)
+            | _scramble_lanes((packed >> 64) & _EVEN_LANES) << 64)
 
 
 class Xoshiro256StarStar:
@@ -85,8 +93,7 @@ class Xoshiro256StarStar:
         self._state = (s0, s1, s2, s3)
         raw.reverse()  # consumed with pop(), from the end
         packed = int.from_bytes(array("Q", raw).tobytes(), sys.byteorder)
-        packed = (_scramble_lanes(packed & _EVEN_LANES)
-                  | _scramble_lanes((packed >> 64) & _EVEN_LANES) << 64)
+        packed = _scramble_batch(packed)
         out = array("Q", packed.to_bytes(_PACKED_BYTES, sys.byteorder)).tolist()
         self._buf = out
         return out

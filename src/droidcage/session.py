@@ -92,6 +92,7 @@ class SessionRunner:
         self.policy = TelephonyPolicy(own_number=app.own_number)
         self.netguard = netguard
         self.tables = tables or default_tables()
+        self._no_match = StepResult(device, (), (), False, False)
 
     def step(self, event: Event) -> StepResult:
         """Apply one engine-issued event (plus telephony loopback)."""
@@ -100,9 +101,14 @@ class SessionRunner:
                 and self.app.package in device.contexts:
             # A UI event aimed at no element matches no transition: the
             # chain would return this very result and absorb nothing.
+            # Most monkey taps land here, so the result is built once per
+            # device, not once per tap.
             self.session.events.append(event)
             self.session.device = device
-            return StepResult(device, (), (), False, False)
+            result = self._no_match
+            if result.device is not device:
+                result = self._no_match = StepResult(device, (), (), False, False)
+            return result
         self.device, steps = run_event_chain(
             self.device, self.app, event, self.policy, self.tables
         )

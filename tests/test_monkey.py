@@ -43,8 +43,8 @@ def test_nonzero_percentages_produce_those_kinds(tiny_taps):
 @pytest.mark.parametrize("seed", (0, 5))
 def test_run_monkey_equals_stepping_the_generated_stream(tiny_taps, login_gate, crash_first,
                                                          seed):
-    # With system keys and app switches, which run_monkey must not take
-    # for taps on nothing.
+    # With system keys and app switches, which move the app off its screen
+    # and so exercise run_monkey's cached screen.
     for app in (tiny_taps, login_gate, crash_first):
         config = MonkeyConfig(seed=seed, pct_syskeys=30, pct_appswitch=30,
                               event_count=300, package=app.package)

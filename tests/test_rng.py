@@ -1,7 +1,11 @@
+import sys
+from array import array
+
 import pytest
 
 from droidcage.rng import (
     Xoshiro256StarStar,
+    _scramble_batch,
     _scramble_lanes,
     derive_seed,
     splitmix64_stream,
@@ -121,6 +125,24 @@ def test_lane_scrambler_keeps_carries_out_of_the_next_lane():
     rotl = ReferenceXoshiro.rotl
     assert [(scrambled >> (128 * i)) & (2**128 - 1) for i in range(32)] == [
         (rotl((w * 5) & MASK64, 7) * 9) & MASK64 for w in lanes]
+
+
+@pytest.mark.parametrize("byteorder", ("little", "big"))
+def test_batch_scrambler_works_for_either_byte_order(byteorder):
+    # The refill packs a batch through native bytes, so on a big-endian
+    # host value i lands in lane 63 - i. Pack both ways on this host by
+    # swapping the items' bytes when the order is not the native one.
+    raw = [w * 0x9E3779B97F4A7C15 & MASK64 for w in range(64)]
+    raw[0], raw[63] = MASK64, 2**63  # the first and last lane carry the most
+    items = array("Q", raw)
+    if byteorder != sys.byteorder:
+        items.byteswap()
+    packed = _scramble_batch(int.from_bytes(items.tobytes(), byteorder))
+    out = array("Q", packed.to_bytes(8 * 64, byteorder))
+    if byteorder != sys.byteorder:
+        out.byteswap()
+    rotl = ReferenceXoshiro.rotl
+    assert out.tolist() == [(rotl((w * 5) & MASK64, 7) * 9) & MASK64 for w in raw]
 
 
 def test_rejection_path_is_exercised():

@@ -146,6 +146,17 @@ def test_ui_event_on_nothing_steps_like_apply_event(event):
     assert runner.session.effects == [] and runner.session.trace.events == []
 
 
+def test_ui_event_on_nothing_reports_the_device_it_left(login_gate):
+    runner = SessionRunner(login_gate, install_app(baseline_device(), login_gate))
+    runner.step(Event("click"))
+    form = login_gate.ui_state("LoginActivity", "form").elements
+    user = next(identify_element("LoginActivity", e) for e in form if e.id_string == "edit_username")
+    runner.step(Event.set_text(user, "alice"))
+    device = runner.device
+    assert runner.step(Event("click")) == apply_event(device, login_gate, Event("click"))
+    assert runner.step(Event("scroll")).device is device
+
+
 def test_ui_event_on_nothing_still_fails_on_crashed_device(crash_first):
     device = install_app(baseline_device(), crash_first)
     runner = SessionRunner(crash_first, device)
