@@ -106,6 +106,8 @@ class ExperimentConfig:
             if f not in FORMATS:
                 raise ExperimentError(f"unknown format {f!r}")
         check_threshold(self.reputation_threshold)
+        if self.workers < 1:
+            raise ExperimentError(f"workers must be at least 1, not {self.workers}")
 
 
 @dataclass(frozen=True)

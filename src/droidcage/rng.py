@@ -33,17 +33,17 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
 # Outputs generated per refill. Draws consume the buffer in order, so the
 # stream is the same for any batch size; only the state runs ahead.
 _BATCH = 64
+_RAW_BITS = 64 * _BATCH
+_PACKED_BYTES = 8 * _BATCH
 
 # The scrambler runs on a whole batch at once: the 64 raw values are packed
 # into one integer, 64 bits per lane, and split into even and odd lanes.
 # Each half then has 64 zero bits above every lane, so ``* 5``, ``<< 7`` and
 # ``* 9`` carry into that gap and never into the next lane, and one mask per
-# operation cuts every lane back to 64 bits at once. The mask is built from
-# lane positions, not from bytes: on a big-endian host the packing puts value
-# i in lane 63 - i, which swaps the halves but keeps both of them whole.
+# operation cuts every lane back to 64 bits at once. The mask also drops
+# every bit from ``_RAW_BITS`` up, so the scrambler reads only the lanes.
 # (array "Q" items are 64-bit on every platform CPython supports.)
 _EVEN_LANES = sum(MASK64 << (128 * i) for i in range(_BATCH // 2))
-_PACKED_BYTES = 8 * _BATCH
 
 
 def _scramble_lanes(v: int) -> int:
@@ -60,6 +60,95 @@ def _scramble_batch(packed: int) -> int:
             | _scramble_lanes((packed >> 64) & _EVEN_LANES) << 64)
 
 
+def _split(state: int) -> tuple[int, int, int, int]:
+    """``(s0, s1, s2, s3)`` of a state kept as ``s0 | s1 << 64 | ...``."""
+    return (state & MASK64, (state >> 64) & MASK64,
+            (state >> 128) & MASK64, state >> 192)
+
+
+def _join(words) -> int:
+    """The 256-bit state of the words ``s0, s1, s2, s3``."""
+    return sum(w << (64 * i) for i, w in enumerate(words))
+
+
+def _run_batch(s0: int, s1: int, s2: int, s3: int) -> tuple[list[int], tuple[int, ...]]:
+    """The batch's raw outputs (``s1`` before each step) and the state after.
+
+    This loop is the definition of a xoshiro256 step; the tables below are
+    built from it.
+    """
+    raw = []
+    for _ in range(_BATCH):
+        raw.append(s1)
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & MASK64  # rotl(s3, 45)
+    return raw, (s0, s1, s2, s3)
+
+
+# A refill by table lookup. The state step uses only xor, shift and rotate,
+# so it is linear over GF(2) (Blackman & Vigna, "Scrambled Linear
+# Pseudorandom Number Generators", ACM TOMS 2021): the batch's 64 raw
+# outputs and the state 64 steps on are the XOR, over the state's set bits,
+# of what each bit alone would give. Only the scrambler is non-linear, and
+# it runs once per batch on the result.
+#
+# One entry is one int: the 64 raw outputs in its low ``_RAW_BITS`` bits, in
+# the lanes ``_scramble_batch`` and the unpacking in ``_refill`` expect, and
+# the state 64 steps on above them. There is one table per state byte, of 32
+# entries: 16 for the values of the low nibble, then 16 for the high nibble.
+# A refill XORs 64 entries. The 1024 entries take about 0.58 MB and are built
+# at import, from one run of ``_run_batch`` on each of the 256 one-bit
+# states, in 11-19 ms (2 vCPUs, CPython 3.11). Tables indexed by whole bytes
+# would take half the XORs but about 4.7 MB, over a tenth of a 200-app run's
+# peak memory.
+
+
+def _build_tables(byteorder: str) -> tuple[tuple[int, ...], ...]:
+    """The 32 nibble tables for unpacking through ``byteorder`` bytes.
+
+    The lanes are placed by position, counted from bit 0. Unpacking through
+    ``byteorder`` bytes puts lane i in item i (little) or item 63 - i (big),
+    and draws pop items from the end, so the k-th raw output goes in the
+    lane that becomes item 63 - k.
+    """
+    lanes = range(_BATCH - 1, -1, -1) if byteorder == "little" else range(_BATCH)
+    shifts = [64 * lane for lane in lanes]
+    units = []
+    for bit in range(256):
+        raw, after = _run_batch(*_split(1 << bit))
+        entry = _join(after) << _RAW_BITS
+        for shift, value in zip(shifts, raw):
+            entry |= value << shift
+        units.append(entry)
+
+    def combine(first: int, nibble: int) -> int:
+        acc = 0
+        for i in range(4):
+            if nibble >> i & 1:
+                acc ^= units[first + i]
+        return acc
+
+    return tuple(tuple(combine(8 * byte + 4 * half, nibble)
+                       for half in (0, 1) for nibble in range(16))
+                 for byte in range(32))
+
+
+def _jump(state: int, tables: tuple[tuple[int, ...], ...]) -> int:
+    """The table entry of ``state``: its batch's raw lanes, the next state above."""
+    acc = 0
+    for table, b in zip(tables, state.to_bytes(32, "little")):
+        acc ^= table[b & 15] ^ table[16 | b >> 4]
+    return acc
+
+
+_TABLES = _build_tables(sys.byteorder)
+
+
 class Xoshiro256StarStar:
     """xoshiro256** with its state seeded from splitmix64.
 
@@ -73,27 +162,13 @@ class Xoshiro256StarStar:
 
     def __init__(self, seed: int):
         sm = splitmix64_stream(seed)
-        self._state = (next(sm), next(sm), next(sm), next(sm))
+        self._state = _join(next(sm) for _ in range(4))
         self._buf: list[int] = []
 
     def _refill(self) -> list[int]:
-        s0, s1, s2, s3 = self._state
-        mask = MASK64
-        raw = []
-        append = raw.append
-        for _ in range(_BATCH):
-            append(s1)
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
-        self._state = (s0, s1, s2, s3)
-        raw.reverse()  # consumed with pop(), from the end
-        packed = int.from_bytes(array("Q", raw).tobytes(), sys.byteorder)
-        packed = _scramble_batch(packed)
+        jumped = _jump(self._state, _TABLES)
+        self._state = jumped >> _RAW_BITS
+        packed = _scramble_batch(jumped)
         out = array("Q", packed.to_bytes(_PACKED_BYTES, sys.byteorder)).tolist()
         self._buf = out
         return out

@@ -57,6 +57,8 @@ def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
     (["proxy-check", "--request", "{request}", "--threshold", "-5"], "threshold"),
     (["proxy-check", "--request", "{request}", "--threshold", "101"], "threshold"),
     (["monkey", "--app", "{app}", "--throttle", "-1"], "throttle_ms"),
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--workers", "0"], "workers"),
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--workers", "-3"], "workers"),
 ])
 def test_out_of_range_numeric_flags_exit_1(corpus_dir, tmp_path, capsys, argv, message):
     request = tmp_path / "req.bin"

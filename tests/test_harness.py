@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import droidcage
 from droidcage.corpus import write_corpus
 from droidcage.coverage import AggregateRow
 from droidcage.harness import (
@@ -223,3 +228,22 @@ def test_seed0_outputs_are_byte_identical_to_golden(tmp_path):
     config = ExperimentConfig(corpus=tmp_path / "corpus", seed=0)
     write_outputs(run_experiment(config), tmp_path / "out", config.formats)
     assert _digest_dir(tmp_path / "out") == GOLDEN_SEED0_DIGEST
+
+
+def test_run_output_is_the_same_under_any_hash_seed(corpus20, tmp_path):
+    # Two interpreters with different str hashing, each building the PRNG
+    # tables at import, must write the same bytes.
+    src = str(Path(droidcage.__file__).parents[1])
+    outs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"out-{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-m", "droidcage.cli", "run", "--corpus", str(corpus20),
+                        "--seed", "0", "--out", str(out), "--formats", "human,csv,structured"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    first, second = ({p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()} for out in outs)
+    assert "results.json" in first and "capture.log" in first
+    assert first == second

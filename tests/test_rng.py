@@ -2,11 +2,17 @@ import sys
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from droidcage.rng import (
     Xoshiro256StarStar,
+    _RAW_BITS,
+    _build_tables,
+    _jump,
     _scramble_batch,
     _scramble_lanes,
+    _split,
     derive_seed,
     splitmix64_stream,
 )
@@ -143,6 +149,51 @@ def test_batch_scrambler_works_for_either_byte_order(byteorder):
         out.byteswap()
     rotl = ReferenceXoshiro.rotl
     assert out.tolist() == [(rotl((w * 5) & MASK64, 7) * 9) & MASK64 for w in raw]
+
+
+def _reference_at(state):
+    """The straight-line reference generator started from a 256-bit state."""
+    ref = ReferenceXoshiro(0)
+    ref.s = list(_split(state))
+    return ref
+
+
+def _with_examples(states):
+    def apply(test):
+        for state in states:
+            test = example(state=state)(test)
+        return test
+    return apply
+
+
+# Every one-bit state picks one unit entry per table; all ones picks the
+# last entry of both nibble sets of every table.
+@_with_examples([*(1 << bit for bit in range(256)), 2**256 - 1])
+@settings(max_examples=200, deadline=None)
+@given(state=st.integers(0, 2**256 - 1))
+def test_table_refill_matches_the_straight_line_loop(state):
+    rng, ref = Xoshiro256StarStar(0), _reference_at(state)
+    rng._state = state
+    for _ in range(3):
+        # draws pop the buffer from the end
+        assert rng._refill()[::-1] == [ref.next_u64() for _ in range(64)]
+        assert _split(rng._state) == tuple(ref.s)
+
+
+@pytest.mark.parametrize("byteorder", ("little", "big"))
+def test_table_lanes_work_for_either_byte_order(byteorder):
+    # The refill unpacks a batch through native bytes. Build the tables for
+    # either order and unpack the same way on this host, swapping the items'
+    # bytes when the order is not the native one.
+    tables = _build_tables(byteorder)
+    state = 0x0123456789ABCDEF_FEDCBA9876543210_8000000000000001_FFFFFFFFFFFFFFFF
+    ref = _reference_at(state)
+    jumped = _jump(state, tables)
+    out = array("Q", _scramble_batch(jumped).to_bytes(8 * 64, byteorder))
+    if byteorder != sys.byteorder:
+        out.byteswap()
+    assert out.tolist()[::-1] == [ref.next_u64() for _ in range(64)]
+    assert _split(jumped >> _RAW_BITS) == tuple(ref.s)
 
 
 def test_rejection_path_is_exercised():
