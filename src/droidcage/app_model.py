@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .data_tables import DataTables, default_tables
+from .gcpause import gc_paused
 from .telephony import TELEPHONY_KINDS, TelephonyPolicy, filter_outgoing
 
 UI_ACTIONS = ("click", "long_click", "scroll", "set_text", "toggle")
@@ -856,18 +857,25 @@ def load_app_model(path: str | Path) -> AppModel:
     for structurally invalid models.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ModelParseError(f"{path.name}: line {e.lineno} col {e.colno}: {e.msg}") from e
-    except (UnicodeDecodeError, RecursionError) as e:  # not UTF-8, or nested too deeply
-        raise ModelParseError(f"{path.name}: {e}") from e
-    if not isinstance(doc, dict):
-        raise ModelParseError(f"{path.name}: top level must be an object")
-    return model_from_dict(doc, source=path.name)
+    with gc_paused():
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise ModelParseError(f"{path.name}: line {e.lineno} col {e.colno}: {e.msg}") from e
+        except (UnicodeDecodeError, RecursionError) as e:  # not UTF-8, or nested too deeply
+            raise ModelParseError(f"{path.name}: {e}") from e
+        if not isinstance(doc, dict):
+            raise ModelParseError(f"{path.name}: top level must be an object")
+        return model_from_dict(doc, source=path.name)
 
 
 def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
+    """Build and validate an app model from a decoded ``.app`` document."""
+    with gc_paused():
+        return _build_model(doc, source)
+
+
+def _build_model(doc: dict, source: str) -> AppModel:
     package = _name(doc, "package", source)
     main_activity = _req(doc, "main_activity", source)
     own_number = _req(doc, "own_number", source)

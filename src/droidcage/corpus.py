@@ -476,6 +476,8 @@ _BUILDERS = {
 
 
 def build_corpus(seed: int = 0, count: int = 20) -> list[CorpusApp]:
+    if count < 1:
+        raise ValueError("count must be >= 1")
     apps = []
     for i in range(count):
         archetype = _ARCHETYPE_CYCLE[i % len(_ARCHETYPE_CYCLE)]
@@ -490,10 +492,11 @@ def build_corpus(seed: int = 0, count: int = 20) -> list[CorpusApp]:
 
 def write_corpus(directory: str | Path, seed: int = 0, count: int = 20) -> list[Path]:
     """Materialize the corpus as ``.app`` files for the CLI."""
+    apps = build_corpus(seed, count)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for app in build_corpus(seed, count):
+    for app in apps:
         path = directory / f"{app.name}.app"
         path.write_text(json.dumps(app.doc, indent=2) + "\n", encoding="utf-8")
         paths.append(path)

@@ -1,0 +1,44 @@
+"""Pausing the cyclic garbage collector around a bulk decode.
+
+CPython's cyclic collector runs whenever allocations outnumber
+deallocations by a threshold, and a full (oldest generation) collection
+traverses every tracked object in the process. Decoding a large outside
+document (an app model, a capture log) allocates hundreds of thousands of
+long-lived containers, so it sets off full collections that traverse the
+whole growing result.
+"""
+
+from __future__ import annotations
+
+import gc
+
+
+class gc_paused:
+    """Context manager: run the body with the cyclic collector disabled.
+
+    Safe for the decoders that use it (``app_model.load_app_model`` and
+    ``model_from_dict``, ``netguard.parse_capture_log``): what they build is
+    acyclic and immutable, so a collection during the decode could only
+    traverse; ``tests/test_gcpause.py`` checks that loading and then dropping
+    their results leaves nothing for ``gc.collect()``.
+
+    The pause is process-wide, since the collector's switch is, and lasts
+    one decode. Every decoder runs on the main thread: the corpus loads
+    before any worker starts. On exit, also when the body raises,
+    collection is enabled again only if it was enabled on entry, so pauses
+    nest and a caller who turned collection off keeps it off.
+
+    Exiting allocates nothing, so the collection the pause defers runs at
+    the caller's next allocation, after the decoder's own temporaries (the
+    raw JSON document, say) are freed.
+    """
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._enabled:
+            gc.enable()

@@ -44,6 +44,8 @@ class MonkeyConfig:
             raise ValueError("pct_syskeys must be in [0, 100]")
         if not 0 <= self.pct_appswitch <= 100:
             raise ValueError("pct_appswitch must be in [0, 100]")
+        if self.pct_syskeys + self.pct_appswitch > 100:
+            raise ValueError("pct_syskeys + pct_appswitch must be <= 100")
         if self.throttle_ms < 0:
             raise ValueError("throttle_ms must be >= 0")
         if self.event_count < 1:

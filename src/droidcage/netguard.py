@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .gcpause import gc_paused
+
 BLOCKED_PROTOCOLS = ("pop", "pop3", "imap", "ftp")
 
 FIELD_TAGS = ("method", "scheme", "host", "port", "path", "http_version")
@@ -432,9 +434,10 @@ def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
 def parse_capture_log(text: str) -> list[HttpTransaction]:
     """Decode every record of a capture log, in order."""
     records, pos, end = [], 0, len(text.rstrip())
-    while pos < end:
-        tx, pos = _read_entry(text, pos)
-        records.append(tx)
+    with gc_paused():
+        while pos < end:
+            tx, pos = _read_entry(text, pos)
+            records.append(tx)
     return records
 
 

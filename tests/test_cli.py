@@ -1,6 +1,8 @@
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,10 @@ def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
     (["monkey", "--app", "{app}", "--throttle", "-1"], "throttle_ms"),
     (["run", "--corpus", "{corpus}", "--out", "{out}", "--workers", "0"], "workers"),
     (["run", "--corpus", "{corpus}", "--out", "{out}", "--workers", "-3"], "workers"),
+    (["monkey", "--app", "{app}", "--pct-syskeys", "60", "--pct-appswitch", "60"],
+     "pct_syskeys + pct_appswitch must be <= 100"),
+    (["make-corpus", "--out", "{out}", "--count", "0"], "count must be >= 1"),
+    (["make-corpus", "--out", "{out}", "--count", "-1"], "count must be >= 1"),
 ])
 def test_out_of_range_numeric_flags_exit_1(corpus_dir, tmp_path, capsys, argv, message):
     request = tmp_path / "req.bin"
@@ -167,3 +173,46 @@ def test_decode_log_and_proxy_check_exit_0_or_1_on_any_file(tmp_path_factory, co
         code = main([*command, str(path)])
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
+
+
+def _quiet_main(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``main``; an exception that escapes it fails the test."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+_LOGIN_GATE_PACKAGE = "com.fixture.logingate"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-3, 3), syskeys=st.integers(-5, 105), appswitch=st.integers(-5, 105),
+       throttle=st.integers(-3, 3), events=st.integers(-3, 4),
+       package=st.sampled_from(["", _LOGIN_GATE_PACKAGE, "com.other.app"]))
+def test_monkey_flags_exit_1_exactly_when_out_of_contract(seed, syskeys, appswitch, throttle,
+                                                          events, package):
+    broken = (not 0 <= syskeys <= 100 or not 0 <= appswitch <= 100
+              or syskeys + appswitch > 100 or throttle < 0 or events < 1
+              or package not in ("", _LOGIN_GATE_PACKAGE))
+    code, out = _quiet_main(["monkey", "--app", str(FIXTURES / "login_gate.app"),
+                             "-s", str(seed), "--pct-syskeys", str(syskeys),
+                             "--pct-appswitch", str(appswitch), "--throttle", str(throttle),
+                             "-p", package, "-v", str(events)])
+    assert code == (1 if broken else 0)
+    if not broken:
+        assert f"events sent: {events}" in out
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(-3, 3), count=st.integers(-3, 3))
+def test_make_corpus_flags_exit_1_exactly_when_out_of_contract(seed, count):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "corpus"
+        code, out = _quiet_main(["make-corpus", "--out", str(out_dir), "--seed", str(seed),
+                                 "--count", str(count)])
+        if count < 1:
+            assert code == 1
+            assert not out_dir.exists()
+        else:
+            assert code == 0
+            assert len(list(out_dir.glob("*.app"))) == count

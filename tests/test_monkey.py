@@ -65,6 +65,10 @@ def test_percent_bounds_validated():
         MonkeyConfig(event_count=0)
     with pytest.raises(ValueError):
         MonkeyConfig(throttle_ms=-1)
+    # The real tool rejects event percentages that add up to more than 100.
+    with pytest.raises(ValueError, match="pct_syskeys \\+ pct_appswitch"):
+        MonkeyConfig(pct_syskeys=60, pct_appswitch=60)
+    assert MonkeyConfig(pct_syskeys=60, pct_appswitch=40).pct_appswitch == 40
 
 
 def test_monkey_saturates_ungated_tiny_app(tiny_taps):
