@@ -14,6 +14,12 @@ one element per request header, each ``<name>base64</name>``, then
 ``write_log_entry`` writes one element per line; the reader also takes any
 whitespace before and between elements, inside a base64 value, and
 between ``content`` and ``/>``, but none inside a tag.
+
+``parse_request`` takes a request with at most one ``Host`` header and at
+most one ``Content-Length`` header, and none with a ``Transfer-Encoding``
+header: each of those frames the request ambiguously (RFC 9112 3.2, 6.1,
+6.3), so it is malformed. Signatures are matched against the body bytes and
+against the path's latin-1 bytes, the bytes it was parsed from.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ class Verdict:
 
     @classmethod
     def forward(cls):
-        return cls("forward")
+        return _FORWARD
 
     @classmethod
     def strip_and_redirect(cls, signature_id: str):
@@ -90,11 +96,17 @@ class Verdict:
 
     @classmethod
     def redirect_sim(cls):
-        return cls("redirect_sim", reason="good_reputation")
+        return _REDIRECT_SIM
 
     @classmethod
     def block(cls):
-        return cls("block", reason="unsupported_protocol")
+        return _BLOCK
+
+
+# Verdict is frozen, so every request can share these.
+_FORWARD = Verdict("forward")
+_REDIRECT_SIM = Verdict("redirect_sim", reason="good_reputation")
+_BLOCK = Verdict("block", reason="unsupported_protocol")
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +126,17 @@ class Signature:
 @dataclass(frozen=True)
 class SignatureDb:
     signatures: tuple[Signature, ...] = ()
+    # (signature, pattern, pattern as the latin-1 text a parsed path holds)
+    _scan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_scan", tuple(
+            (sig, sig.pattern, sig.pattern.decode("latin-1")) for sig in self.signatures))
 
     def first_match(self, tx: HttpTransaction) -> Optional[Signature]:
-        haystacks = (tx.content, tx.path.encode("utf-8", "surrogateescape"))
-        for sig in self.signatures:
-            if any(sig.pattern in h for h in haystacks):
+        content, path = tx.content, tx.path
+        for sig, pattern, text in self._scan:
+            if pattern in content or text in path:
                 return sig
         return None
 
@@ -222,11 +240,18 @@ def intercept_tls(keystore: Keystore, server: ServerIdentity,
 # Request parsing
 # ---------------------------------------------------------------------------
 
+# What bytes.strip() removes. str.strip() also removes \x1c-\x1f, \x85 and
+# \xa0, which a latin-1 header line may hold.
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
 def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
     """Parse raw HTTP/1.x request bytes into a transaction.
 
-    Malformed HTTP and any protocol but http/https (``NetGuard.handle``
-    blocks POP/IMAP/FTP before parsing) raise :class:`RequestParseError`.
+    Malformed HTTP, ambiguous framing (a second ``Host`` or
+    ``Content-Length`` header, any ``Transfer-Encoding``) and any protocol
+    but http/https (``NetGuard.handle`` blocks POP/IMAP/FTP before parsing)
+    raise :class:`RequestParseError`.
     """
     protocol = declared_protocol.lower()
     if protocol not in ("http", "https"):
@@ -235,30 +260,55 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     head, sep, rest = raw.partition(b"\r\n\r\n")
     if not sep:
         head, sep, rest = raw.partition(b"\n\n")
-    lines = head.replace(b"\r\n", b"\n").split(b"\n")
-    if not lines or not lines[0].strip():
+    request_line, newline, block = head.partition(b"\n")
+    if newline and request_line.endswith(b"\r"):
+        request_line = request_line[:-1]
+    if not request_line.strip():
         raise RequestParseError("empty request")
-    parts = lines[0].split()
+    parts = request_line.split()
     if len(parts) != 3:
-        raise RequestParseError(f"bad request line: {lines[0]!r}")
-    method, target, version = (p.decode("latin-1") for p in parts)
+        raise RequestParseError(f"bad request line: {request_line!r}")
+    method, target, version = [p.decode("latin-1") for p in parts]
     if not version.startswith("HTTP/"):
         raise RequestParseError(f"bad HTTP version: {version!r}")
 
+    # Latin-1 maps each byte to one character, so these are the byte lines.
     headers = []
-    for line in lines[1:]:
-        if not line.strip():
+    authority = length = None
+    for line in block.decode("latin-1").replace("\r\n", "\n").split("\n"):
+        if not line.strip(_ASCII_WHITESPACE):
             continue
-        name, colon, value = line.partition(b":")
-        name = name.decode("latin-1").strip()
+        name, colon, value = line.partition(":")
+        name = name.strip()
         if not colon or not _TOKEN_RE.fullmatch(name):
-            raise RequestParseError(f"bad header line: {line!r}")
-        headers.append((name, value.decode("latin-1").strip()))
+            raise RequestParseError(f"bad header line: {line.encode('latin-1')!r}")
+        value = value.strip()
+        headers.append((name, value))
+        key = name.lower()
+        if key == "host":
+            if authority is not None:
+                raise RequestParseError("more than one Host header")
+            authority = value
+        elif key == "content-length":
+            if length is not None:
+                raise RequestParseError("more than one Content-Length header")
+            length = value
+        elif key == "transfer-encoding":
+            raise RequestParseError(f"unsupported Transfer-Encoding: {value!r}")
 
-    host, port, path = _split_target(target, headers, protocol)
+    if target.startswith("http://") or target.startswith("https://"):
+        authority, slash, tail = target.split("://", 1)[1].partition("/")
+        path = slash + tail if slash else "/"
+    elif authority is None:
+        raise RequestParseError("no Host header and no absolute request target")
+    else:
+        path = target
+    host, _, port = authority.partition(":")
+    port = port or ("443" if protocol == "https" else "80")
+    if _decimal(port, "port") > 65535:
+        raise RequestParseError(f"bad port: {port!r}")
 
     content = b""
-    length = next((v for n, v in headers if n.lower() == "content-length"), None)
     if length is not None:
         n = _decimal(length, "Content-Length")
         if len(rest) < n:
@@ -267,23 +317,6 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
 
     return HttpTransaction(method, protocol, host, port, path, version,
                            tuple(headers), content)
-
-
-def _split_target(target: str, headers, protocol: str) -> tuple[str, str, str]:
-    if target.startswith("http://") or target.startswith("https://"):
-        rest = target.split("://", 1)[1]
-        authority, slash, tail = rest.partition("/")
-        path = slash + tail if slash else "/"
-    else:
-        authority = next((v for n, v in headers if n.lower() == "host"), None)
-        if authority is None:
-            raise RequestParseError("no Host header and no absolute request target")
-        path = target
-    host, _, port = authority.partition(":")
-    port = port or ("443" if protocol == "https" else "80")
-    if _decimal(port, "port") > 65535:
-        raise RequestParseError(f"bad port: {port!r}")
-    return host, port, path
 
 
 def _decimal(text: str, what: str) -> int:
@@ -331,13 +364,12 @@ def strip_payload(tx: HttpTransaction, sigs: SignatureDb) -> HttpTransaction:
     changed = True
     while changed:
         changed = False
-        for sig in sigs.signatures:
-            if sig.pattern in content:
-                content = content.replace(sig.pattern, b"")
+        for _, pattern, text in sigs._scan:
+            if pattern in content:
+                content = content.replace(pattern, b"")
                 changed = True
-            pat_str = sig.pattern.decode("latin-1")
-            if pat_str in path:
-                path = path.replace(pat_str, "")
+            if text in path:
+                path = path.replace(text, "")
                 changed = True
     return HttpTransaction(tx.method, tx.scheme, tx.host, tx.port, path,
                            tx.http_version, tx.headers, content)
@@ -373,23 +405,25 @@ def simulate_response(tx: HttpTransaction) -> bytes:
 # Capture log
 # ---------------------------------------------------------------------------
 
-def _b64(data) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def _b64(data: bytes) -> str:
     return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def write_log_entry(tx: HttpTransaction) -> str:
     """Tagged capture record with every field value base64-encoded."""
-    headers = "".join(f"  <{name}>{_b64(value)}</{name}>\n" for name, value in tx.headers)
-    content = f"<content>{_b64(tx.content)}</content>" if tx.content else "<content />"
+    b64 = binascii.b2a_base64
+    headers = "".join([f"  <{name}>{b64(value.encode(), newline=False).decode()}</{name}>\n"
+                       for name, value in tx.headers])
+    content = (f"<content>{b64(tx.content, newline=False).decode()}</content>"
+               if tx.content else "<content />")
     return (f"<header>\n"
-            f"  <method>{_b64(tx.method)}</method>\n"
-            f"  <scheme>{_b64(tx.scheme)}</scheme>\n"
-            f"  <host>{_b64(tx.host)}</host>\n"
-            f"  <port>{_b64(tx.port)}</port>\n"
-            f"  <path>{_b64(tx.path)}</path>\n"
-            f"  <http_version>{_b64(tx.http_version)}</http_version>\n"
+            f"  <method>{b64(tx.method.encode(), newline=False).decode()}</method>\n"
+            f"  <scheme>{b64(tx.scheme.encode(), newline=False).decode()}</scheme>\n"
+            f"  <host>{b64(tx.host.encode(), newline=False).decode()}</host>\n"
+            f"  <port>{b64(tx.port.encode(), newline=False).decode()}</port>\n"
+            f"  <path>{b64(tx.path.encode(), newline=False).decode()}</path>\n"
+            f"  <http_version>{b64(tx.http_version.encode(), newline=False).decode()}"
+            f"</http_version>\n"
             f"{headers}</header>\n{content}\n")
 
 

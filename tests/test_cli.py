@@ -216,3 +216,65 @@ def test_make_corpus_flags_exit_1_exactly_when_out_of_contract(seed, count):
         else:
             assert code == 0
             assert len(list(out_dir.glob("*.app"))) == count
+
+
+_ONE_BUTTON = (FIXTURES / "one_button.app").read_bytes()
+_app_files = st.one_of(
+    st.builds(lambda at, b: _ONE_BUTTON[:at] + b + _ONE_BUTTON[at + 1:],
+              st.integers(0, len(_ONE_BUTTON)), st.binary(max_size=2)),
+    st.binary(max_size=200))
+
+
+@settings(max_examples=40, deadline=None)
+@given(app=st.one_of(st.just(_ONE_BUTTON), _app_files), seed=st.integers(-3, 3),
+       max_events=st.integers(-2, 30), monkey_first=st.booleans())
+def test_explore_exits_0_or_1_on_any_file_and_flags(app, seed, max_events, monkey_first):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.app"
+        path.write_bytes(app)
+        code, out = _quiet_main(["explore", "--app", str(path), "--seed", str(seed),
+                                 "--max-events", str(max_events)]
+                                + ["--monkey-first"] * monkey_first)
+    assert code in (0, 1)
+    if app == _ONE_BUTTON:
+        assert code == (1 if max_events < 1 else 0)
+    if code == 0:
+        assert "events sent:" in out
+
+
+_VALID_METHODS = ["monkey", "smart", "smart_monkey", "monkey,smart_monkey", "monkey, smart"]
+_VALID_FORMATS = ["human", "csv", "structured", "human,csv,structured", ""]
+
+
+# Each value is drawn from its valid range about half the time, so that runs
+# with every flag in its contract are common.
+@settings(max_examples=30, deadline=None)
+@given(app=st.one_of(st.just(_ONE_BUTTON), _app_files),
+       methods=st.one_of(st.sampled_from(_VALID_METHODS),
+                         st.sampled_from(_VALID_METHODS + ["", "bogus", "monkey,,smart"])),
+       formats=st.one_of(st.sampled_from(_VALID_FORMATS),
+                         st.sampled_from(_VALID_FORMATS + ["bogus"])),
+       seed=st.integers(-3, 3),
+       monkey_events=st.one_of(st.integers(1, 20), st.integers(-2, 20)),
+       max_events=st.one_of(st.integers(1, 20), st.integers(-2, 20)),
+       threshold=st.one_of(st.integers(0, 100), st.integers(-5, 105)),
+       workers=st.one_of(st.integers(1, 2), st.integers(-1, 2)))
+def test_run_exits_0_or_1_on_any_file_and_flags(app, methods, formats, seed, monkey_events,
+                                                max_events, threshold, workers):
+    method_names = [m.strip() for m in methods.split(",") if m.strip()]
+    broken = (not method_names or "bogus" in methods or formats == "bogus"
+              or not 0 <= threshold <= 100 or workers < 1 or monkey_events < 1
+              or (max_events < 1 and {"smart", "smart_monkey"} & set(method_names)))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "corpus", Path(tmp) / "out"
+        corpus.mkdir()
+        (corpus / "model.app").write_bytes(app)
+        code, _ = _quiet_main(["run", "--corpus", str(corpus), "--out", str(out),
+                               "--methods", methods, "--formats", formats,
+                               "--seed", str(seed), "--monkey-events", str(monkey_events),
+                               "--max-events", str(max_events),
+                               "--threshold", str(threshold), "--workers", str(workers)])
+        assert code in (0, 1)
+        if app == _ONE_BUTTON:
+            assert code == (1 if broken else 0)
+        assert (out / "capture.log").exists() == (code == 0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidcage.harness import default_signatures
 from droidcage.netguard import (
     BLOCKED_PROTOCOLS,
     DEFAULT_CUSTOM_ROOT,
@@ -641,3 +642,208 @@ def test_handle_returns_an_outcome_for_any_bytes_and_protocol(raw, protocol, ser
     outcome = guard.handle(raw, protocol, server)
     assert isinstance(outcome, GuardOutcome)
     assert outcome.disposition in ("handled", "blocked_protocol", "malformed", "tls_rejected")
+
+
+# ---------------------------------------------------------------------------
+# Signature scan: the path is matched as the latin-1 bytes it was parsed from
+# ---------------------------------------------------------------------------
+
+def test_non_ascii_pattern_in_raw_path_bytes_is_found():
+    sigs = SignatureDb((Signature("sig-e-acute", b"\xc3\xa9"),))
+    raw = b"GET /caf\xc3\xa9 HTTP/1.1\r\nHost: h.example\r\n\r\n"
+    tx = parse_request(raw)
+    assert decide(tx, sigs, REP).kind == "strip_and_redirect"
+    assert strip_payload(tx, sigs).path == "/caf"
+    outcome = _guard(signatures=sigs).handle(raw)
+    assert outcome.verdict.kind == "strip_and_redirect"
+
+
+def test_pattern_byte_absent_from_raw_path_bytes_does_not_match():
+    # \xe9 is one byte in the request; its UTF-8 form would hold \xc3
+    sigs = SignatureDb((Signature("sig-c3", b"\xc3"),))
+    raw = b"GET /caf\xe9 HTTP/1.1\r\nHost: h.example\r\n\r\n"
+    tx = parse_request(raw)
+    assert decide(tx, sigs, REP).kind == "forward"
+    assert _guard(signatures=sigs).handle(raw).verdict.kind == "forward"
+
+
+def test_packaged_shell_signature_in_a_path_is_stripped():
+    sigs = default_signatures()
+    pattern = next(s.pattern for s in sigs.signatures if s.id == "sig-shell-03")
+    text = pattern.decode("latin-1")
+    tx = HttpTransaction("GET", "http", "h.example", "80", f"/run?c={text}&x=1", "HTTP/1.1")
+    verdict = decide(tx, sigs, REP)
+    assert (verdict.kind, verdict.signature_id) == ("strip_and_redirect", "sig-shell-03")
+    stripped = strip_payload(tx, sigs)
+    assert text not in stripped.path
+    assert stripped.path == "/run?c=&x=1"
+
+
+def test_signature_db_compares_and_hashes_by_its_signatures():
+    again = SignatureDb(tuple(SIGS.signatures))
+    assert again == SIGS and hash(again) == hash(SIGS)
+    assert "_scan" not in repr(SIGS)
+
+
+# ---------------------------------------------------------------------------
+# Ambiguous framing is malformed
+# ---------------------------------------------------------------------------
+
+_AMBIGUOUS = {
+    "two_content_lengths": (
+        b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\nContent-Length: 10\r\n\r\n"
+        b"abcMAL-DROP-001",
+        "more than one Content-Length header"),
+    "two_hosts": (
+        b"GET / HTTP/1.1\r\nHost: a.example\r\nhost: b.example\r\n\r\n",
+        "more than one Host header"),
+    "two_hosts_absolute_target": (
+        b"GET http://a.example/p HTTP/1.1\r\nHost: a.example\r\nHOST: a.example\r\n\r\n",
+        "more than one Host header"),
+    "chunked": (
+        b"POST / HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"c\r\nMAL-DROP-001\r\n0\r\n\r\n",
+        "unsupported Transfer-Encoding: 'chunked'"),
+    "transfer_encoding_and_length": (
+        b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\ntransfer-encoding: gzip\r\n\r\nabc",
+        "unsupported Transfer-Encoding: 'gzip'"),
+}
+
+
+@pytest.mark.parametrize("raw, message", _AMBIGUOUS.values(), ids=_AMBIGUOUS.keys())
+def test_ambiguous_framing_is_a_parse_error(raw, message):
+    with pytest.raises(RequestParseError) as e:
+        parse_request(raw)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("raw", [raw for raw, _ in _AMBIGUOUS.values()], ids=_AMBIGUOUS.keys())
+def test_pipeline_logs_ambiguous_framing_as_malformed(raw):
+    guard = _guard()
+    outcome = guard.handle(raw)
+    assert outcome.disposition == "malformed"
+    assert guard.capture_log == [] and guard.transport.sent == [] and guard.routing_log == []
+    assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
+
+
+def test_one_host_and_one_content_length_still_parse():
+    tx = parse_request(b"POST / HTTP/1.1\r\nHOST: a.example:81\r\ncontent-length: 3\r\n\r\nabc")
+    assert (tx.host, tx.port, tx.content) == ("a.example", "81", b"abc")
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parser against the two-pass parser it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
+    """parse_request as it was before it read the request in one pass."""
+    protocol = declared_protocol.lower()
+    if protocol not in ("http", "https"):
+        raise RequestParseError(f"unknown protocol {declared_protocol!r}")
+
+    head, sep, rest = raw.partition(b"\r\n\r\n")
+    if not sep:
+        head, sep, rest = raw.partition(b"\n\n")
+    lines = head.replace(b"\r\n", b"\n").split(b"\n")
+    if not lines or not lines[0].strip():
+        raise RequestParseError("empty request")
+    parts = lines[0].split()
+    if len(parts) != 3:
+        raise RequestParseError(f"bad request line: {lines[0]!r}")
+    method, target, version = (p.decode("latin-1") for p in parts)
+    if not version.startswith("HTTP/"):
+        raise RequestParseError(f"bad HTTP version: {version!r}")
+
+    headers = []
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        name, colon, value = line.partition(b":")
+        name = name.decode("latin-1").strip()
+        if not colon or not _REFERENCE_TOKEN_RE.fullmatch(name):
+            raise RequestParseError(f"bad header line: {line!r}")
+        headers.append((name, value.decode("latin-1").strip()))
+
+    host, port, path = _reference_split_target(target, headers, protocol)
+
+    content = b""
+    length = next((v for n, v in headers if n.lower() == "content-length"), None)
+    if length is not None:
+        n = _reference_decimal(length, "Content-Length")
+        if len(rest) < n:
+            raise RequestParseError(f"truncated body: expected {n} bytes, got {len(rest)}")
+        content = rest[:n]
+
+    return HttpTransaction(method, protocol, host, port, path, version,
+                           tuple(headers), content)
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"[A-Za-z0-9!#$%&'*+.^_`|~-]+")
+
+
+def _reference_split_target(target: str, headers, protocol: str) -> tuple[str, str, str]:
+    if target.startswith("http://") or target.startswith("https://"):
+        rest = target.split("://", 1)[1]
+        authority, slash, tail = rest.partition("/")
+        path = slash + tail if slash else "/"
+    else:
+        authority = next((v for n, v in headers if n.lower() == "host"), None)
+        if authority is None:
+            raise RequestParseError("no Host header and no absolute request target")
+        path = target
+    host, _, port = authority.partition(":")
+    port = port or ("443" if protocol == "https" else "80")
+    if _reference_decimal(port, "port") > 65535:
+        raise RequestParseError(f"bad port: {port!r}")
+    return host, port, path
+
+
+def _reference_decimal(text: str, what: str) -> int:
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise RequestParseError(f"bad {what}: {text!r}")
+
+
+_FRAMING_MESSAGES = ("more than one Host header", "more than one Content-Length header",
+                     "unsupported Transfer-Encoding: ")
+_WELL_FORMED = [
+    _raw(method="GET", path="/GetInfo.ashx?appid=7ffc7be9", host="cfg.adsmogo.com",
+         headers=(("Connection", "Keep-Alive"), ("User-Agent", "Apache-HttpClient (java 1.4)"))),
+    _raw(method="POST", host="h.example", port=8080, body=b"a=1&b=MAL-DROP-001"),
+    b"GET http://h.example:80/p?q=1 HTTP/1.0\r\nAccept: */*\r\n\r\n",
+    b"POST /up HTTP/1.1\nHost: h.example\nContent-Length: 4\n\nbody",
+    b"PUT /x HTTP/1.1\r\nHost: a\r\nX-A: \xe9\xa0\r\n \r\nX-B:v\r\n\t\n\r\n\r\n",
+    b"GET / HTTP/1.1\r\nHost: a\r\n\r\n",
+]
+_EDIT_BYTES = [b" ", b"\t", b"\r", b"\n", b":", b"\x0b", b"\x1c", b"\x85", b"\xa0"]
+
+
+@st.composite
+def one_byte_edits(draw):
+    """A well-formed request with one byte inserted, deleted or replaced,
+    most often at or next to a separator byte."""
+    base = draw(st.sampled_from(_WELL_FORMED))
+    separators = [i + d for i, b in enumerate(base) if b in b" \t\r\n:" for d in (0, 1)]
+    at = draw(st.one_of(st.sampled_from(separators), st.integers(0, len(base))))
+    op = draw(st.sampled_from(["insert", "delete", "replace"]))
+    byte = draw(st.one_of(st.sampled_from(_EDIT_BYTES), st.binary(min_size=1, max_size=1)))
+    return base[:at] + (b"" if op == "delete" else byte) + base[at + (op != "insert"):]
+
+
+def _parse_result(parse, raw, protocol):
+    try:
+        return parse(raw, protocol), None
+    except RequestParseError as e:
+        return None, str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=one_byte_edits(), protocol=st.sampled_from(["http", "https"]))
+def test_one_byte_edit_parses_as_the_two_pass_parser_did(raw, protocol):
+    tx, error = _parse_result(parse_request, raw, protocol)
+    if error is not None and error.startswith(_FRAMING_MESSAGES):
+        return  # rejected on purpose; the reference takes the first value
+    assert (tx, error) == _parse_result(_reference_parse_request, raw, protocol)
