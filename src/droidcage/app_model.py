@@ -14,7 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .data_tables import DataTables, default_tables
 from .gcpause import gc_paused
@@ -85,8 +85,7 @@ class UiElement:
         return self.bounds[3]
 
 
-@dataclass(frozen=True, slots=True)
-class ElementKey:
+class ElementKey(NamedTuple):
     """Identity of a UI element as seen by the grey-box explorer.
 
     Strong variants carry the activity name; partial variants fall back
@@ -223,8 +222,7 @@ class SideEffect:
         return cls("register_receiver", action=action)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str
     target: Optional[ElementKey] = None
     value: str = ""   # set_text
@@ -411,8 +409,7 @@ class AppModel:
 # Device state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AppContext:
+class AppContext(NamedTuple):
     activity: str
     state: str
     receivers: frozenset[str] = frozenset()
@@ -485,8 +482,7 @@ def install_app(device: DeviceState, app: AppModel) -> DeviceState:
 # Execution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     device: DeviceState
     executed_blocks: tuple[str, ...]
     side_effects: tuple[SideEffect, ...]
@@ -519,7 +515,9 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     """Run one event against the machine.
 
     Deterministic: identical (device, event) pairs produce identical
-    results. Events matching no transition leave the device untouched.
+    results. The given device is never mutated: a step that changes the
+    app's context or crashes it returns a new device, and any other step
+    (no match, or a transition that changes neither) returns the given one.
     """
     if device.crashed:
         raise SessionCrashedError(f"session for {app.package} has crashed")
@@ -578,7 +576,6 @@ def _receiver_transition(app, ctx, trigger, action) -> Optional[Transition]:
 
 
 def _fire(device, app, ctx, transition) -> StepResult:
-    dev = device.clone()
     new_ctx = ctx
     for eff in transition.side_effects:
         if eff.kind == "register_receiver":
@@ -586,10 +583,13 @@ def _fire(device, app, ctx, transition) -> StepResult:
                                  new_ctx.receivers | {eff.action})
     if transition.to is not None and transition.to != (new_ctx.activity, new_ctx.state):
         new_ctx = _enter_state(app, new_ctx, *transition.to)
-    dev.contexts[app.package] = new_ctx
-    if transition.crash:
-        dev.crashed = True
-    return StepResult(dev, transition.blocks, transition.side_effects,
+    # Devices are never mutated after a step, so a transition that leaves
+    # the context and the crash flag as they were keeps the device it got.
+    if transition.crash or new_ctx != ctx:
+        device = device.clone()
+        device.contexts[app.package] = new_ctx
+        device.crashed = transition.crash
+    return StepResult(device, transition.blocks, transition.side_effects,
                       transition.crash, True)
 
 

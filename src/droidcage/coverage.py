@@ -94,14 +94,23 @@ def aggregate(reports: list[CoverageReport], method: str = "", *,
     pool = reports if include_crashed else [r for r in reports if not r.crashed]
     if not pool:
         return AggregateRow(method, 0.0, 0.0, 0.0, crash_rate)
-    n = len(pool)
     return AggregateRow(
         method=method,
-        classes_avg=100.0 * sum(r.class_ratio for r in pool) / n,
-        methods_avg=100.0 * sum(r.method_ratio for r in pool) / n,
-        blocks_avg=100.0 * sum(r.block_ratio for r in pool) / n,
+        classes_avg=_mean_percent([r.class_ratio for r in pool]),
+        methods_avg=_mean_percent([r.method_ratio for r in pool]),
+        blocks_avg=_mean_percent([r.block_ratio for r in pool]),
         crash_rate=crash_rate,
     )
+
+
+def _mean_percent(ratios: list[float]) -> float:
+    # Added left to right in a plain loop, not with sum(): since CPython
+    # 3.12 sum() compensates float rounding, which changes the last digit
+    # of a mean and so the output bytes from one interpreter to the next.
+    total = 0.0
+    for ratio in ratios:
+        total += ratio
+    return 100.0 * total / len(ratios)
 
 
 def improvement_ratio(combined: AggregateRow, baseline: AggregateRow) -> float:

@@ -18,8 +18,11 @@ between ``content`` and ``/>``, but none inside a tag.
 ``parse_request`` takes a request with at most one ``Host`` header and at
 most one ``Content-Length`` header, and none with a ``Transfer-Encoding``
 header: each of those frames the request ambiguously (RFC 9112 3.2, 6.1,
-6.3), so it is malformed. Signatures are matched against the body bytes and
-against the path's latin-1 bytes, the bytes it was parsed from.
+6.3), so it is malformed. So is a request whose version is not HTTP/1.0 or
+HTTP/1.1 (RFC 9112 2.3), or whose host is empty or holds a character outside
+an RFC 3986 reg-name (RFC 9112 3.2): it has nowhere valid to go. Signatures
+are matched against the body bytes and against the path's latin-1 bytes, the
+bytes it was parsed from.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ DEFAULT_REPUTATION_THRESHOLD = 60
 # An HTTP token (RFC 9110): what a header name, and so a capture-log tag, may be.
 _TOKEN = r"[A-Za-z0-9!#$%&'*+.^_`|~-]+"
 _TOKEN_RE = re.compile(_TOKEN)
+# A host parse_request routes: a non-empty RFC 3986 reg-name.
+_REG_NAME_RE = re.compile(r"[A-Za-z0-9._~!$&'()*+,;=%-]+")
+_HTTP_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
 
 
 class RequestParseError(ValueError):
@@ -249,9 +255,10 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     """Parse raw HTTP/1.x request bytes into a transaction.
 
     Malformed HTTP, ambiguous framing (a second ``Host`` or
-    ``Content-Length`` header, any ``Transfer-Encoding``) and any protocol
-    but http/https (``NetGuard.handle`` blocks POP/IMAP/FTP before parsing)
-    raise :class:`RequestParseError`.
+    ``Content-Length`` header, any ``Transfer-Encoding``), a version other
+    than HTTP/1.0 or HTTP/1.1, an empty host or one that is not a reg-name,
+    and any protocol but http/https (``NetGuard.handle`` blocks POP/IMAP/FTP
+    before parsing) raise :class:`RequestParseError`.
     """
     protocol = declared_protocol.lower()
     if protocol not in ("http", "https"):
@@ -315,6 +322,11 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
             raise RequestParseError(f"truncated body: expected {n} bytes, got {len(rest)}")
         content = rest[:n]
 
+    # Checked last, so a request that also breaks a rule above reports that.
+    if version not in _HTTP_VERSIONS:
+        raise RequestParseError(f"unsupported HTTP version: {version!r}")
+    if not _REG_NAME_RE.fullmatch(host):
+        raise RequestParseError(f"bad host: {host!r}")
     return HttpTransaction(method, protocol, host, port, path, version,
                            tuple(headers), content)
 

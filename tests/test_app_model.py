@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidcage.app_model import (
+    AppContext,
     AppModel,
     DeviceState,
+    ElementKey,
     Event,
     EventUniverse,
     ModelParseError,
@@ -15,6 +17,9 @@ from droidcage.app_model import (
     OracleBudgetError,
     SessionCrashedError,
     Settings,
+    StepResult,
+    _enter_state,
+    _match_transition,
     apply_event,
     dump_hierarchy,
     identify_element,
@@ -22,6 +27,7 @@ from droidcage.app_model import (
     model_from_dict,
     reachable_blocks,
 )
+from droidcage.data_tables import default_tables
 
 from conftest import FIXTURES, WRONGLY_TYPED_EDITS, device_for, edited_login_gate, write_model
 
@@ -388,6 +394,164 @@ def test_block_conservation_and_oracle_soundness(login_gate, data):
         for bid in res.executed_blocks:
             assert bid in known
             assert bid in oracle
+
+
+# ---------------------------------------------------------------------------
+# The step contract: a step never mutates its input device, and a fired
+# transition that changes nothing keeps it
+# ---------------------------------------------------------------------------
+
+PING = "com.t.PING"
+
+
+def _registering_app() -> AppModel:
+    """One screen whose buttons register a receiver, stay put, move, or crash."""
+    button = lambda name, y: {"kind": "button", "id": name, "bounds": [0, y, 100, 100],
+                              "actions": ["click"]}
+    home = {"activity": "Main", "state": "home"}
+    click = lambda element, to, blocks, **extra: {
+        "from": {"activity": "Main", "state": "home", "element": element},
+        "trigger": {"action": "click"}, "to": to, "blocks": blocks, **extra}
+    return model_from_dict(_minimal_doc(
+        activities=[{"name": "Main", "initial_state": "home", "states": [
+            {"id": "home", "elements": [button("reg", 0), button("stay", 100),
+                                        button("go", 200), button("boom", 300)]},
+            {"id": "away", "elements": [button("back", 0)]},
+        ]}],
+        blocks=[{"id": f"k{i}", "class": "com.t.app.Main", "method": f"m{i}"} for i in range(6)],
+        transitions=[
+            click("reg", None, ["k0"],
+                  side_effects=[{"kind": "register_receiver", "action": PING}]),
+            click("stay", home, ["k1"]),
+            click("go", {"activity": "Main", "state": "away"}, ["k2"]),
+            click("boom", None, ["k3"], crash=True),
+            {"from": {"activity": "Main", "state": "away", "element": "back"},
+             "trigger": {"action": "click"}, "to": home, "blocks": ["k4"]},
+            {"from": {"receiver": PING}, "to": None, "blocks": ["k5"]},
+        ],
+    ), source="registering")
+
+
+def _click_home(app, id_string):
+    return Event.click(_key(app, "Main", "home", id_string))
+
+
+@pytest.mark.parametrize("fixture, event", [
+    ("login_gate", lambda app: Event.click(_key(app, "LoginActivity", "form", "btn_login"))),
+    ("tiny_taps", lambda app: _click_home(app, "btn_top")),   # to: null, no effects
+    ("registering", lambda app: _click_home(app, "stay")),    # to: the state it is in
+], ids=["login_gate", "tiny_taps", "stay"])
+def test_fired_transition_that_keeps_the_context_keeps_the_device(request, fixture, event):
+    app = _registering_app() if fixture == "registering" else request.getfixturevalue(fixture)
+    device = device_for(app)
+    result = apply_event(device, app, event(app))
+    assert result.matched and result.executed_blocks
+    assert result.device is device
+
+
+def test_registering_a_receiver_again_keeps_the_device():
+    app = _registering_app()
+    device = apply_event(device_for(app), app, _click_home(app, "reg")).device
+    result = apply_event(device, app, _click_home(app, "reg"))
+    assert result.matched and result.device is device
+
+
+@pytest.mark.parametrize("fixture, event", [
+    ("login_gate", lambda app: Event.set_text(
+        _key(app, "LoginActivity", "form", "edit_username"), "alice")),   # moves
+    ("registering", lambda app: _click_home(app, "go")),                 # moves
+    ("registering", lambda app: _click_home(app, "reg")),                # registers a receiver
+    ("registering", lambda app: _click_home(app, "boom")),               # crashes
+    ("crash_first", lambda app: _click_home(app, "btn_update")),         # crashes
+], ids=["login_gate-move", "move", "register", "crash", "crash_first-crash"])
+def test_changing_transition_returns_a_new_device_and_leaves_the_input(request, fixture, event):
+    app = _registering_app() if fixture == "registering" else request.getfixturevalue(fixture)
+    device = device_for(app)
+    snapshot = device.clone()
+    result = apply_event(device, app, event(app))
+    assert result.matched
+    assert result.device is not device
+    assert (result.device.contexts, result.device.crashed) != (device.contexts, device.crashed)
+    assert device == snapshot
+
+
+def _cloning_step(device, app, event) -> StepResult:
+    """apply_event as it was when every fired transition cloned the device."""
+    if event.kind == "app_switch":
+        return apply_event(device, app, event)
+    ctx = device.context(app.package)
+    transition = _match_transition(app, ctx, event, default_tables())
+    if transition is None:
+        return StepResult(device, (), (), False, False)
+    dev = device.clone()
+    new_ctx = ctx
+    for eff in transition.side_effects:
+        if eff.kind == "register_receiver":
+            new_ctx = AppContext(new_ctx.activity, new_ctx.state,
+                                 new_ctx.receivers | {eff.action})
+    if transition.to is not None and transition.to != (new_ctx.activity, new_ctx.state):
+        new_ctx = _enter_state(app, new_ctx, *transition.to)
+    dev.contexts[app.package] = new_ctx
+    if transition.crash:
+        dev.crashed = True
+    return StepResult(dev, transition.blocks, transition.side_effects, transition.crash, True)
+
+
+_STEP_FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_bomb",
+                  "crash_first", "registering")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_apply_event_equals_the_cloning_stepper_and_mutates_no_input(request, data):
+    name = data.draw(st.sampled_from(_STEP_FIXTURES))
+    app = _registering_app() if name == "registering" else request.getfixturevalue(name)
+    pool = _event_pool(app) + [Event.broadcast(PING)]
+    events = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    device = reference = device_for(app)
+    for ev in events:
+        if device.crashed:
+            break
+        snapshot = device.clone()
+        result = apply_event(device, app, ev)
+        expected = _cloning_step(reference, app, ev)
+        assert result == expected  # field by field; the devices by value
+        assert device == snapshot
+        device, reference = result.device, expected.device
+
+
+# ---------------------------------------------------------------------------
+# Engine records
+# ---------------------------------------------------------------------------
+
+_KEY = ElementKey("strong_id", "Main", "btn")
+_RECORDS = [
+    (Event.set_text(_KEY, "v"), ("kind", "target", "value", "action", "number", "body", "name")),
+    (ElementKey("partial_dims", None, (3, 4)), ("kind", "activity", "value")),
+    (AppContext("Main", "home", frozenset({PING})), ("activity", "state", "receivers")),
+    # A hashable stand-in for the device: a DeviceState is not hashable.
+    (StepResult(None, ("k1",), (), False, True),
+     ("device", "executed_blocks", "side_effects", "crashed", "matched")),
+]
+
+
+@pytest.mark.parametrize("record, names", _RECORDS, ids=lambda r: type(r).__name__)
+def test_record_hashes_as_the_tuple_of_its_fields(record, names):
+    # Set orders in the outputs follow these hashes.
+    assert hash(record) == hash(tuple(getattr(record, n) for n in names))
+
+
+@pytest.mark.parametrize("record, names", _RECORDS, ids=lambda r: type(r).__name__)
+def test_record_fields_cannot_be_assigned(record, names):
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], None)
+
+
+def test_event_repr_names_every_field():
+    assert repr(Event("click")) == (
+        "Event(kind='click', target=None, value='', action='', number='', body='', name='')")
+    assert repr(Event.click(_KEY)).startswith(
+        "Event(kind='click', target=ElementKey(kind='strong_id', activity='Main', value='btn'),")
 
 
 # ---------------------------------------------------------------------------

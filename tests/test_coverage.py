@@ -84,6 +84,16 @@ def test_aggregate_reproduces_published_monkey_blocks_average():
     assert row.blocks_avg == pytest.approx(36.32, abs=1e-9)
 
 
+def test_aggregate_sums_ratios_left_to_right_on_every_interpreter():
+    # Ten tenths added one by one round to 0.9999999999999999; the
+    # compensated sum() of CPython 3.12+ would give exactly 1.0 and change
+    # the last digit of the mean (and so the output bytes).
+    reports = [_report(f"app{i}", 0.1, totals=10) for i in range(10)]
+    row = aggregate(reports, "monkey")
+    assert row.blocks_avg == 100.0 * 0.9999999999999999 / 10
+    assert row.classes_avg == row.methods_avg == row.blocks_avg
+
+
 def test_aggregate_crash_rate():
     row = aggregate([_report("a", 0.5, crashed=True)], "monkey")
     assert row.crash_rate == 100.0

@@ -732,6 +732,54 @@ def test_one_host_and_one_content_length_still_parse():
 
 
 # ---------------------------------------------------------------------------
+# A host or version that cannot be routed is malformed
+# ---------------------------------------------------------------------------
+
+_UNROUTABLE = {
+    "empty_host_header": (b"GET / HTTP/1.1\r\nHost:\r\n\r\n", "bad host: ''"),
+    "port_without_host": (b"GET / HTTP/1.1\r\nHost: :80\r\n\r\n", "bad host: ''"),
+    "empty_absolute_authority": (b"GET http:///p HTTP/1.1\r\n\r\n", "bad host: ''"),
+    "space_in_host": (b"GET / HTTP/1.1\r\nHost: a b\r\n\r\n", "bad host: 'a b'"),
+    "non_ascii_host": ("GET / HTTP/1.1\r\nHost: caf\xe9.example\r\n\r\n".encode("latin-1"),
+                       "bad host: 'caf\xe9.example'"),
+    "slash_in_host": (b"GET / HTTP/1.1\r\nHost: a/b\r\n\r\n", "bad host: 'a/b'"),
+    "future_version": (b"GET / HTTP/9.9\r\nHost: a.example\r\n\r\n",
+                       "unsupported HTTP version: 'HTTP/9.9'"),
+    "bare_version_prefix": (b"GET / HTTP/\r\nHost: a.example\r\n\r\n",
+                            "unsupported HTTP version: 'HTTP/'"),
+    "http2": (b"GET / HTTP/2.0\r\nHost: a.example\r\n\r\n",
+              "unsupported HTTP version: 'HTTP/2.0'"),
+}
+
+
+@pytest.mark.parametrize("raw, message", _UNROUTABLE.values(), ids=_UNROUTABLE.keys())
+def test_unroutable_host_or_version_is_a_parse_error(raw, message):
+    with pytest.raises(RequestParseError) as e:
+        parse_request(raw)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("raw", [raw for raw, _ in _UNROUTABLE.values()], ids=_UNROUTABLE.keys())
+def test_pipeline_logs_unroutable_host_or_version_as_malformed(raw):
+    guard = _guard()
+    outcome = guard.handle(raw)
+    assert outcome.disposition == "malformed"
+    assert guard.capture_log == [] and guard.transport.sent == [] and guard.routing_log == []
+    assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
+
+
+@pytest.mark.parametrize("raw, host, version", [
+    (b"GET / HTTP/1.0\r\nHost: a.example\r\n\r\n", "a.example", "HTTP/1.0"),
+    (b"GET / HTTP/1.1\r\nHost: A-z0.9_~!$&'()*+,;=%41:8080\r\n\r\n",
+     "A-z0.9_~!$&'()*+,;=%41", "HTTP/1.1"),
+    (b"GET http://10.0.0.1:81/p HTTP/1.1\r\n\r\n", "10.0.0.1", "HTTP/1.1"),
+])
+def test_every_reg_name_character_and_both_versions_still_parse(raw, host, version):
+    tx = parse_request(raw)
+    assert (tx.host, tx.http_version) == (host, version)
+
+
+# ---------------------------------------------------------------------------
 # The one-pass parser against the two-pass parser it replaced
 # ---------------------------------------------------------------------------
 
@@ -809,6 +857,7 @@ def _reference_decimal(text: str, what: str) -> int:
 
 _FRAMING_MESSAGES = ("more than one Host header", "more than one Content-Length header",
                      "unsupported Transfer-Encoding: ")
+_ROUTING_MESSAGES = ("unsupported HTTP version: ", "bad host: ")
 _WELL_FORMED = [
     _raw(method="GET", path="/GetInfo.ashx?appid=7ffc7be9", host="cfg.adsmogo.com",
          headers=(("Connection", "Keep-Alive"), ("User-Agent", "Apache-HttpClient (java 1.4)"))),
@@ -846,4 +895,14 @@ def test_one_byte_edit_parses_as_the_two_pass_parser_did(raw, protocol):
     tx, error = _parse_result(parse_request, raw, protocol)
     if error is not None and error.startswith(_FRAMING_MESSAGES):
         return  # rejected on purpose; the reference takes the first value
+    if error is not None and error.startswith(_ROUTING_MESSAGES):
+        # Rejected on purpose, and only where the reference accepted the
+        # request with a version or host outside the rules.
+        ref = _reference_parse_request(raw, protocol)
+        if ref.http_version not in ("HTTP/1.0", "HTTP/1.1"):
+            assert error == f"unsupported HTTP version: {ref.http_version!r}"
+        else:
+            assert error == f"bad host: {ref.host!r}"
+            assert not re.fullmatch(r"[A-Za-z0-9._~!$&'()*+,;=%-]+", ref.host)
+        return
     assert (tx, error) == _parse_result(_reference_parse_request, raw, protocol)
