@@ -28,6 +28,10 @@ ORIGIN_FLAGS = ("app_code", "framework_core", "inlined_candidate")
 SMS_RECEIVED_ACTION = "android.provider.Telephony.SMS_RECEIVED"
 PHONE_STATE_ACTION = "android.intent.action.PHONE_STATE"
 
+# The event kind that fires a receiver of each telephony action; any other
+# action is a broadcast.
+_RECEIVER_TRIGGERS = {SMS_RECEIVED_ACTION: "incoming_sms", PHONE_STATE_ACTION: "incoming_call"}
+
 # Body used when the platform sends the probe SMS to the device itself.
 SMS_PROBE_BODY = "probe"
 
@@ -714,108 +718,133 @@ def reachable_blocks(app: AppModel, universe: EventUniverse | None = None, *,
 # ---------------------------------------------------------------------------
 
 def _object(raw, where: str, what: str) -> dict:
-    if not isinstance(raw, dict):
+    """An array item (an element, a side effect, ...) or the document: a JSON object."""
+    if type(raw) is not dict:
         raise ModelValidationError(
             f"{where}: {what} must be a JSON object, got {type(raw).__name__}")
     return raw
 
 
-_NUMBER = frozenset({int, float})
-_STRING = frozenset({str})
+# A field kind: the words its message uses, and the exact types json.loads
+# gives for it (so ``true`` is neither a number nor an element index).
+_NONE = type(None)
+_STRING = ("a string", (str,))
+_OPT_STRING = ("a string or null", (str, _NONE))
+_ARRAY = ("a JSON array", (list,))
+_OBJECT = ("a JSON object", (dict,))
+_OPT_OBJECT = ("a JSON object or null", (dict, _NONE))
+_BOOL = ("a boolean", (bool,))
+_OPT_INT = ("an int or null", (int, _NONE))
+_ELEMENT_REF = ("an int or a string", (int, str))
+
+_REQUIRED = object()
 
 
-def _array(raw, where: str, what: str) -> list | tuple:
-    if not isinstance(raw, (list, tuple)):
+def _field(obj: dict, key: str, where: str, kind=_STRING, default=_REQUIRED):
+    """``obj[key]`` checked against ``kind``, or ``default`` when the key is absent."""
+    value = obj.get(key, default)
+    if type(value) in kind[1]:
+        return value
+    if key in obj:
         raise ModelValidationError(
-            f"{where}: {what} must be a JSON array, got {type(raw).__name__}")
-    return raw
-
-
-def _is_array(raw, types: frozenset) -> bool:
-    """Whether ``raw`` is a JSON array (list or tuple) of values of ``types``."""
-    return isinstance(raw, (list, tuple)) and types.issuperset(map(type, raw))
-
-
-def _req(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict) or key not in obj:
+            f"{where}: {key} must be {kind[0]}, got {type(value).__name__}")
+    if default is _REQUIRED:
         raise ModelValidationError(f"{where}: missing field {key!r}")
-    return obj[key]
+    return default
 
 
-def _name(obj: dict, key: str, where: str) -> str:
-    """A required field that must be a string: names, ids and signatures
-    are hashed, compared and joined with other text."""
-    value = _req(obj, key, where)
-    if type(value) is not str:
-        raise ModelValidationError(f"{where}: {key} must be a string, got {type(value).__name__}")
+def _choice(obj: dict, key: str, where: str, choices: tuple, what: str, default=_REQUIRED) -> str:
+    value = _field(obj, key, where, _STRING, default)
+    if value not in choices:
+        raise ModelValidationError(f"{where}: unknown {what} {value!r}")
     return value
 
 
-def _load_element(raw: dict, where: str) -> UiElement:
-    kind = _object(raw, where, "element").get("kind", "generic")
-    if kind not in ELEMENT_KINDS:
-        raise ModelValidationError(f"{where}: unknown element kind {kind!r}")
-    bounds = _req(raw, "bounds", where)
-    if not _is_array(bounds, _NUMBER) or len(bounds) != 4:
+def _choices(obj: dict, key: str, where: str, choices: tuple, what: str,
+             default=()) -> tuple[str, ...]:
+    values = tuple(_field(obj, key, where, _ARRAY, default))
+    for value in values:
+        if value not in choices:
+            raise ModelValidationError(f"{where}: unknown {what} {value!r}")
+    return values
+
+
+def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
+    values = obj.get(key, [])
+    if type(values) is not list or not all(type(v) is str for v in values):
+        raise ModelValidationError(f"{where}: {key} must be an array of strings")
+    return tuple(values)
+
+
+def _activity_state(obj: dict, where: str, activities: dict, what: str = "") -> tuple[str, UiState]:
+    """The (activity, state) an object names; ``what`` qualifies the messages."""
+    act = _field(obj, "activity", where)
+    st = _field(obj, "state", where)
+    if act not in activities:
+        raise ModelValidationError(f"{where}: unknown {what}activity {act!r}")
+    try:
+        return act, activities[act].state(st)
+    except KeyError:
+        raise ModelValidationError(f"{where}: unknown {what}state {st!r}") from None
+
+
+def _load_element(raw, where: str) -> UiElement:
+    raw = _object(raw, where, "element")
+    kind = _choice(raw, "kind", where, ELEMENT_KINDS, "element kind", "generic")
+    bounds = _field(raw, "bounds", where, _ARRAY)
+    if len(bounds) != 4 or not all(type(v) in (int, float) for v in bounds):
         raise ModelValidationError(f"{where}: bounds must be [x, y, width, height]")
-    bounds = tuple(bounds)
     if bounds[2] <= 0 or bounds[3] <= 0:
         raise ModelValidationError(f"{where}: element width/height must be positive")
-    actions = tuple(_array(raw.get("actions", ()), where, "actions"))
-    for a in actions:
-        if a not in UI_ACTIONS:
-            raise ModelValidationError(f"{where}: unknown action {a!r}")
+    actions = _choices(raw, "actions", where, UI_ACTIONS, "action")
     if kind == "textfield" and "set_text" not in actions:
         raise ModelValidationError(f"{where}: textfield must list set_text")
     if kind == "checkbox" and "toggle" not in actions:
         raise ModelValidationError(f"{where}: checkbox must list toggle")
-    element = UiElement(
+    # A long key present shadows its short alias, whatever the alias holds.
+    id_key = "id_string" if "id_string" in raw else "id"
+    desc_key = "content_description" if "content_description" in raw else "description"
+    return UiElement(
         kind=kind,
-        id_string=raw.get("id_string", raw.get("id")),
-        content_description=raw.get("content_description", raw.get("description")),
-        text=raw.get("text"),
-        hint=raw.get("hint"),
-        bounds=bounds,  # type: ignore[arg-type]
+        id_string=_field(raw, id_key, where, _OPT_STRING, None),
+        content_description=_field(raw, desc_key, where, _OPT_STRING, None),
+        text=_field(raw, "text", where, _OPT_STRING, None),
+        hint=_field(raw, "hint", where, _OPT_STRING, None),
+        bounds=tuple(bounds),  # type: ignore[arg-type]
         actions=actions,
     )
-    for attr in ("id_string", "content_description", "text", "hint"):
-        if not isinstance(getattr(element, attr), (str, type(None))):
-            raise ModelValidationError(f"{where}: {attr} must be a string")
-    return element
 
 
-def _load_side_effect(raw: dict, where: str) -> SideEffect:
-    kind = _req(_object(raw, where, "side effect"), "kind", where)
+_SIDE_EFFECT_KINDS = ("network_request", "outgoing_call", "outgoing_sms", "java_call",
+                      "system_call", "register_receiver")
+
+
+def _load_side_effect(raw, where: str) -> SideEffect:
+    raw = _object(raw, where, "side effect")
+    kind = _choice(raw, "kind", where, _SIDE_EFFECT_KINDS, "side-effect kind")
     if kind == "network_request":
-        data = raw.get("data", "")
-        if not isinstance(data, str):
-            raise ModelValidationError(f"{where}: network_request data must be a string")
-        protocol = raw.get("protocol", "http")
-        if type(protocol) is not str:
-            raise ModelValidationError(f"{where}: network_request protocol must be a string")
-        return SideEffect.network_request(data.encode("utf-8"), protocol, raw.get("server"))
+        return SideEffect.network_request(_field(raw, "data", where, _STRING, "").encode("utf-8"),
+                                          _field(raw, "protocol", where, _STRING, "http"),
+                                          _field(raw, "server", where, _OPT_STRING, None))
     if kind == "outgoing_call":
-        return SideEffect.outgoing_call(_req(raw, "number", where))
+        return SideEffect.outgoing_call(_field(raw, "number", where))
     if kind == "outgoing_sms":
-        return SideEffect.outgoing_sms(_req(raw, "number", where), raw.get("body", ""))
+        return SideEffect.outgoing_sms(_field(raw, "number", where),
+                                       _field(raw, "body", where, _STRING, ""))
     if kind == "java_call":
-        sig = _name(raw, "signature", where)
+        sig = _field(raw, "signature", where)
         if not sig:
             raise ModelValidationError(f"{where}: java_call signature must be non-empty")
-        origin = tuple(_array(raw.get("origin", ("app_code",)), where, "origin"))
-        for flag in origin:
-            if flag not in ORIGIN_FLAGS:
-                raise ModelValidationError(f"{where}: unknown origin flag {flag!r}")
-        return SideEffect.java_call(sig, origin, raw.get("pid"))
+        origin = _choices(raw, "origin", where, ORIGIN_FLAGS, "origin flag", ("app_code",))
+        return SideEffect.java_call(sig, origin, _field(raw, "pid", where, _OPT_INT, None))
     if kind == "system_call":
-        return SideEffect.system_call(_req(raw, "name", where), raw.get("pid"))
-    if kind == "register_receiver":
-        return SideEffect.register_receiver(_req(raw, "action", where))
-    raise ModelValidationError(f"{where}: unknown side-effect kind {kind!r}")
+        return SideEffect.system_call(_field(raw, "name", where),
+                                      _field(raw, "pid", where, _OPT_INT, None))
+    return SideEffect.register_receiver(_field(raw, "action", where))
 
 
-def _resolve_element_ref(state: UiState, ref, where: str) -> int:
-    if isinstance(ref, int):
+def _resolve_element_ref(state: UiState, ref: int | str, where: str) -> int:
+    if type(ref) is int:
         if not 0 <= ref < len(state.elements):
             raise ModelValidationError(f"{where}: element index {ref} out of range")
         return ref
@@ -836,16 +865,12 @@ _MATCH_CATEGORIES = (
 def _load_match(raw: dict | None, where: str) -> Optional[TextMatch]:
     if raw is None:
         return None
-    kind = _req(_object(raw, where, "match"), "kind", where)
-    if kind not in _MATCH_KINDS:
-        raise ModelValidationError(f"{where}: unknown match kind {kind!r}")
+    kind = _choice(raw, "kind", where, _MATCH_KINDS, "match kind")
     if kind == "equals":
-        return TextMatch("equals", value=_req(raw, "value", where))
+        return TextMatch("equals", value=_field(raw, "value", where))
     if kind == "matches_category":
-        cat = _req(raw, "category", where)
-        if cat not in _MATCH_CATEGORIES:
-            raise ModelValidationError(f"{where}: unknown category {cat!r}")
-        return TextMatch("matches_category", category=cat)
+        return TextMatch("matches_category",
+                         category=_choice(raw, "category", where, _MATCH_CATEGORIES, "category"))
     return TextMatch("non_empty")
 
 
@@ -876,28 +901,30 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
 
 
 def _build_model(doc: dict, source: str) -> AppModel:
-    package = _name(doc, "package", source)
-    main_activity = _req(doc, "main_activity", source)
-    own_number = _req(doc, "own_number", source)
+    doc = _object(doc, source, "model")
+    package = _field(doc, "package", source)
+    main_activity = _field(doc, "main_activity", source)
+    own_number = _field(doc, "own_number", source)
     if not own_number:
         raise ModelValidationError(f"{source}: own_number must be non-empty")
 
     activities = []
-    for araw in _array(_req(doc, "activities", source), source, "activities"):
-        aname = _name(araw, "name", source)
+    for araw in _field(doc, "activities", source, _ARRAY):
+        araw = _object(araw, source, "activity")
+        aname = _field(araw, "name", source)
         awhere = f"{source}:{aname}"
         states = []
-        for sraw in _array(_req(araw, "states", awhere), awhere, "states"):
-            sid = _name(sraw, "id", awhere)
+        for sraw in _field(araw, "states", awhere, _ARRAY):
+            sraw = _object(sraw, awhere, "state")
+            sid = _field(sraw, "id", awhere)
             where = f"{awhere}/{sid}"
-            elements = tuple(
-                _load_element(e, where) for e in _array(sraw.get("elements", ()), where, "elements")
-            )
+            elements = tuple(_load_element(e, where)
+                             for e in _field(sraw, "elements", where, _ARRAY, ()))
             states.append(UiState(sid, elements))
         ids = [s.id for s in states]
         if len(set(ids)) != len(ids):
             raise ModelValidationError(f"{awhere}: state ids must be unique")
-        initial = _req(araw, "initial_state", awhere)
+        initial = _field(araw, "initial_state", awhere)
         if initial not in ids:
             raise ModelValidationError(f"{awhere}: initial_state {initial!r} not found")
         activities.append(Activity(aname, initial, tuple(states)))
@@ -911,100 +938,64 @@ def _build_model(doc: dict, source: str) -> AppModel:
     act_by_name = {a.name: a for a in activities}
 
     blocks = []
-    for braw in _array(_req(doc, "blocks", source), source, "blocks"):
-        bid = _req(braw, "id", source)
-        if type(bid) is not str:
-            raise ModelValidationError(f"{source}: block id {bid!r} must be a string")
-        blocks.append(BasicBlock(bid, _name(braw, "class", source), _name(braw, "method", source)))
-    block_ids = [b.id for b in blocks]
-    if len(set(block_ids)) != len(block_ids):
+    for braw in _field(doc, "blocks", source, _ARRAY):
+        braw = _object(braw, source, "block")
+        blocks.append(BasicBlock(_field(braw, "id", source), _field(braw, "class", source),
+                                 _field(braw, "method", source)))
+    known_blocks = {b.id for b in blocks}
+    if len(known_blocks) != len(blocks):
         raise ModelValidationError(f"{source}: block ids must be unique")
-    known_blocks = set(block_ids)
 
-    receivers_raw = _object(doc.get("receivers", {}), source, "receivers")
-    declared = receivers_raw.get("declared", ())
-    if not _is_array(declared, _STRING):
-        raise ModelValidationError(f"{source}: receivers.declared must be an array of strings")
+    # Keyed by dotted path, so that messages name receivers.declared and .dynamic.
+    receivers = {f"receivers.{k}": v
+                 for k, v in _field(doc, "receivers", source, _OBJECT, {}).items()}
+    declared = _strings(receivers, "receivers.declared", source)
     dynamic = []
-    for draw in _array(receivers_raw.get("dynamic", ()), source, "receivers.dynamic"):
-        act = _name(draw, "activity", f"{source}:receivers")
-        st = _name(draw, "state", f"{source}:receivers")
-        if act not in act_by_name:
-            raise ModelValidationError(f"{source}: dynamic receiver references unknown activity {act!r}")
-        try:
-            act_by_name[act].state(st)
-        except KeyError:
-            raise ModelValidationError(f"{source}: dynamic receiver references unknown state {st!r}") from None
-        dynamic.append((act, st, _name(draw, "action", f"{source}:receivers")))
+    rwhere = f"{source}:receivers"
+    for draw in _field(receivers, "receivers.dynamic", source, _ARRAY, ()):
+        draw = _object(draw, rwhere, "dynamic receiver")
+        act, state = _activity_state(draw, rwhere, act_by_name)
+        dynamic.append((act, state.id, _field(draw, "action", rwhere)))
 
     transitions = []
-    for i, traw in enumerate(_array(_req(doc, "transitions", source), source, "transitions")):
+    for i, traw in enumerate(_field(doc, "transitions", source, _ARRAY)):
         where = f"{source}:transition[{i}]"
-        frm = _object(_req(traw, "from", where), where, "from")
-        trigger = _object(traw.get("trigger", {}), where, "trigger")
-        match = _load_match(trigger.get("match"), where)
+        traw = _object(traw, where, "transition")
+        frm = _field(traw, "from", where, _OBJECT)
+        trigger = _field(traw, "trigger", where, _OBJECT, {})
+        match = _load_match(_field(trigger, "match", where, _OPT_OBJECT, None), where)
         if "receiver" in frm:
-            action = _name(frm, "receiver", where)
-            if action == SMS_RECEIVED_ACTION:
-                tkind = "incoming_sms"
-            elif action == PHONE_STATE_ACTION:
-                tkind = "incoming_call"
-            else:
-                tkind = "broadcast"
+            action = _field(frm, "receiver", where)
             anchor = None
             if "activity" in frm:
-                anchor = (_name(frm, "activity", where), _name(frm, "state", where))
+                anchor = (_field(frm, "activity", where), _field(frm, "state", where))
             if match is not None:
                 raise ModelValidationError(f"{where}: text match is only valid on set_text")
-            source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(action, tkind, anchor)
-            action_name = tkind
+            action_name = _RECEIVER_TRIGGERS.get(action, "broadcast")
+            source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(
+                action, action_name, anchor)
         else:
-            act = _name(frm, "activity", where)
-            st = _name(frm, "state", where)
-            if act not in act_by_name:
-                raise ModelValidationError(f"{where}: unknown activity {act!r}")
-            try:
-                state_obj = act_by_name[act].state(st)
-            except KeyError:
-                raise ModelValidationError(f"{where}: unknown state {st!r}") from None
-            idx = _resolve_element_ref(state_obj, _req(frm, "element", where), where)
-            action_name = _req(trigger, "action", where)
-            if action_name not in UI_ACTIONS:
-                raise ModelValidationError(f"{where}: unknown trigger action {action_name!r}")
+            act, state = _activity_state(frm, where, act_by_name)
+            idx = _resolve_element_ref(state, _field(frm, "element", where, _ELEMENT_REF), where)
+            action_name = _choice(trigger, "action", where, UI_ACTIONS, "trigger action")
             if match is not None and action_name != "set_text":
                 raise ModelValidationError(f"{where}: text match is only valid on set_text")
-            source_obj = UiSource(act, st, idx)
+            source_obj = UiSource(act, state.id, idx)
 
-        to_raw = traw.get("to")
-        to = None
-        if to_raw is not None:
-            tact = _name(_object(to_raw, where, "to"), "activity", where)
-            tst = _name(to_raw, "state", where)
-            if tact not in act_by_name:
-                raise ModelValidationError(f"{where}: unknown target activity {tact!r}")
-            try:
-                act_by_name[tact].state(tst)
-            except KeyError:
-                raise ModelValidationError(f"{where}: unknown target state {tst!r}") from None
-            to = (tact, tst)
+        to = _field(traw, "to", where, _OPT_OBJECT, None)
+        if to is not None:
+            act, state = _activity_state(to, where, act_by_name, "target ")
+            to = (act, state.id)
 
-        tblocks = traw.get("blocks", ())
-        if not isinstance(tblocks, (list, tuple)):
-            raise ModelValidationError(f"{where}: blocks must be an array of block ids")
+        tblocks = tuple(_field(traw, "blocks", where, _ARRAY, ()))
         for bid in tblocks:
             if type(bid) is not str or bid not in known_blocks:
                 raise ModelValidationError(f"{where}: unknown block {bid!r}")
-        tblocks = tuple(tblocks)
-        effects = tuple(
-            _load_side_effect(e, where)
-            for e in _array(traw.get("side_effects", ()), where, "side_effects")
-        )
-        transitions.append(Transition(i, source_obj, action_name, match, to,
-                                      tblocks, effects, bool(traw.get("crash", False))))
+        effects = tuple(_load_side_effect(e, where)
+                        for e in _field(traw, "side_effects", where, _ARRAY, ()))
+        transitions.append(Transition(i, source_obj, action_name, match, to, tblocks, effects,
+                                      _field(traw, "crash", where, _BOOL, False)))
 
-    alphabet = doc.get("alphabet", ())
-    if not _is_array(alphabet, _STRING):
-        raise ModelValidationError(f"{source}: alphabet must be an array of strings")
     app = AppModel(
         package=package,
         main_activity=main_activity,
@@ -1012,9 +1003,9 @@ def _build_model(doc: dict, source: str) -> AppModel:
         activities=tuple(activities),
         transitions=tuple(transitions),
         blocks=tuple(blocks),
-        declared_receivers=tuple(declared),
+        declared_receivers=declared,
         dynamic_receivers=tuple(dynamic),
-        alphabet=tuple(alphabet),
+        alphabet=_strings(doc, "alphabet", source),
     )
     _check_determinism(app, source)
     return app

@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--monkey-events", type=int, default=500)
     run.add_argument("--max-events", type=int, default=2000)
     run.add_argument("--threshold", type=int, default=60)
-    run.add_argument("--workers", type=int, default=1)
     run.add_argument("--formats", default="human,csv",
                      help="comma-separated subset of " + ",".join(FORMATS))
     run.add_argument("--out", type=Path, default=Path("results"))
@@ -99,7 +98,6 @@ def _cmd_run(args) -> int:
         monkey_events=args.monkey_events,
         max_events=args.max_events,
         reputation_threshold=args.threshold,
-        workers=args.workers,
         formats=tuple(f.strip() for f in args.formats.split(",") if f.strip()),
     )
     result = run_experiment(config)

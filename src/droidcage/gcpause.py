@@ -23,10 +23,9 @@ class gc_paused:
     their results leaves nothing for ``gc.collect()``.
 
     The pause is process-wide, since the collector's switch is, and lasts
-    one decode. Every decoder runs on the main thread: the corpus loads
-    before any worker starts. On exit, also when the body raises,
-    collection is enabled again only if it was enabled on entry, so pauses
-    nest and a caller who turned collection off keeps it off.
+    one decode. On exit, also when the body raises, collection is enabled
+    again only if it was enabled on entry, so pauses nest and a caller who
+    turned collection off keeps it off.
 
     Exiting allocates nothing, so the collection the pause defers runs at
     the caller's next allocation, after the decoder's own temporaries (the

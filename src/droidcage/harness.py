@@ -16,8 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -93,7 +91,6 @@ class ExperimentConfig:
     monkey_events: int = 500
     max_events: int = 2000
     reputation_threshold: int = 60
-    workers: int = 1
     formats: tuple[str, ...] = ("human", "csv")
 
     def __post_init__(self):
@@ -106,8 +103,6 @@ class ExperimentConfig:
             if f not in FORMATS:
                 raise ExperimentError(f"unknown format {f!r}")
         check_threshold(self.reputation_threshold)
-        if self.workers < 1:
-            raise ExperimentError(f"workers must be at least 1, not {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -184,51 +179,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every configured method over the corpus and aggregate.
 
     Fully deterministic for a fixed seed: per-app seeds derive from the
-    package name (so results are independent of corpus order), parallel
-    workers only change scheduling, and results merge in corpus order.
+    package name (so results are independent of corpus order), and results
+    merge by method, then in corpus order.
 
-    Jobs run in two waves. When both monkey and smart_monkey are asked
-    for, the second wave holds the smart_monkey jobs: each starts from a
-    copy of its app's finished monkey session (from the first wave) and
-    runs only the explorer, since its monkey phase would replay the very
-    same events. Everything else runs in the first wave, including
-    smart_monkey on its own, which then runs its monkey phase itself.
+    Jobs run one after another. When both monkey and smart_monkey are
+    asked for, the smart_monkey jobs run last: each starts from a copy of
+    its app's finished monkey session and runs only the explorer, since
+    its monkey phase would replay the very same events. smart_monkey on
+    its own runs its monkey phase itself.
     """
     corpus = load_corpus_dir(config.corpus)
     # Read once per run; every session still gets a NetGuard (and capture
     # log) of its own.
     signatures, reputation = default_signatures(), default_reputation()
 
-    jobs = [(method, i) for method in config.methods for i in range(len(corpus))]
     chained = "monkey" in config.methods and "smart_monkey" in config.methods
-    first = [job for job in jobs if not chained or job[0] != "smart_monkey"]
-    second = [("smart_monkey", i) for i in range(len(corpus))] if chained else []
-
-    def work(job, start=None):
-        method, i = job
-        # Through the module attribute, so a wrapper of _run_one sees every job.
-        return _run_one(corpus[i][1], method, config, signatures, reputation, start)
-
     outcomes = {}
-    parallel = config.workers > 1
-    with ThreadPoolExecutor(max_workers=config.workers) if parallel else nullcontext() as pool:
-        run_all = pool.map if parallel else map
-        outcomes.update(zip(first, run_all(work, first)))
-        starts = [outcomes[("monkey", i)][1:] for _, i in second]
-        outcomes.update(zip(second, run_all(work, second, starts)))
+    for method in sorted(config.methods, key=lambda m: chained and m == "smart_monkey"):
+        for i, (_, app) in enumerate(corpus):
+            start = outcomes["monkey", i][1:] if chained and method == "smart_monkey" else None
+            # Through the module attribute, so a wrapper of _run_one sees every job.
+            outcomes[method, i] = _run_one(app, method, config, signatures, reputation, start)
 
     result = ExperimentResult(table=ResultsTable(()))
     rows = []
     capture_parts = []
     by_method: dict[str, list[CoverageReport]] = {m: [] for m in config.methods}
-    for method, i in jobs:
-        app = corpus[i][1]
-        report, session, guard = outcomes[(method, i)]
-        by_method[method].append(report)
-        result.per_app.append((method, report))
-        result.sessions[(method, app.package)] = session
-        result.traces[(method, app.package)] = session.trace.to_text()
-        capture_parts.append(guard.capture_text())
+    for method in config.methods:
+        for i, (_, app) in enumerate(corpus):
+            report, session, guard = outcomes[method, i]
+            by_method[method].append(report)
+            result.per_app.append((method, report))
+            result.sessions[(method, app.package)] = session
+            result.traces[(method, app.package)] = session.trace.to_text()
+            capture_parts.append(guard.capture_text())
     result.capture_log = "".join(capture_parts)
     for method in config.methods:
         rows.append(aggregate(by_method[method], method))

@@ -19,10 +19,10 @@ between ``content`` and ``/>``, but none inside a tag.
 most one ``Content-Length`` header, and none with a ``Transfer-Encoding``
 header: each of those frames the request ambiguously (RFC 9112 3.2, 6.1,
 6.3), so it is malformed. So is a request whose version is not HTTP/1.0 or
-HTTP/1.1 (RFC 9112 2.3), or whose host is empty or holds a character outside
-an RFC 3986 reg-name (RFC 9112 3.2): it has nowhere valid to go. Signatures
-are matched against the body bytes and against the path's latin-1 bytes, the
-bytes it was parsed from.
+HTTP/1.1 (RFC 9112 2.3), or whose host is empty, holds a character outside
+an RFC 3986 reg-name or a "%" that does not open a %HH escape (RFC 9112 3.2):
+it has nowhere valid to go. Signatures are matched against the body bytes and
+against the path's latin-1 bytes, the bytes it was parsed from.
 """
 
 from __future__ import annotations
@@ -49,8 +49,11 @@ DEFAULT_REPUTATION_THRESHOLD = 60
 # An HTTP token (RFC 9110): what a header name, and so a capture-log tag, may be.
 _TOKEN = r"[A-Za-z0-9!#$%&'*+.^_`|~-]+"
 _TOKEN_RE = re.compile(_TOKEN)
-# A host parse_request routes: a non-empty RFC 3986 reg-name.
-_REG_NAME_RE = re.compile(r"[A-Za-z0-9._~!$&'()*+,;=%-]+")
+# A host parse_request routes: a non-empty RFC 3986 reg-name, where "%" only
+# opens a %HH escape. Each run of other characters stops at a "%", so a
+# failed match backtracks in linear time.
+_REG_NAME_RE = re.compile(r"(?=.)[A-Za-z0-9._~!$&'()*+,;=-]*"
+                          r"(?:%[0-9A-Fa-f]{2}[A-Za-z0-9._~!$&'()*+,;=-]*)*")
 _HTTP_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
 
 

@@ -80,15 +80,38 @@ WRONGLY_TYPED_EDITS = [
     (("package",), 5, "package must be a string"),
     (("blocks", 0, "class"), ["C"], "class must be a string"),
     (("transitions", 7, "side_effects", 0, "signature"), 5, "signature must be a string"),
+    (("own_number",), 5, "own_number must be a string"),
+    (("main_activity",), ["LoginActivity"], "main_activity must be a string"),
+    (("activities", 0, "initial_state"), ["form"], "initial_state must be a string"),
+    (("transitions", 0, "trigger", "match"), {"kind": "equals", "value": 5},
+     "value must be a string"),
+    (("transitions", 15, "side_effects", 0), {"kind": "outgoing_call", "number": 5550100},
+     "number must be a string"),
+    (("transitions", 15, "side_effects", 0),
+     {"kind": "outgoing_sms", "number": "5550100", "body": 5}, "body must be a string"),
+    (("transitions", 15, "side_effects", 0), {"kind": "system_call", "name": 5},
+     "name must be a string"),
+    (("transitions", 15, "side_effects", 0), {"kind": "register_receiver", "action": []},
+     "action must be a string"),
+    (("transitions", 7, "side_effects", 1, "server"), 5, "server must be a string or null"),
+    (("transitions", 7, "side_effects", 0, "pid"), "4242", "pid must be an int or null"),
+    (("transitions", 7, "side_effects", 0, "pid"), True, "pid must be an int or null"),
+    (("transitions", 0, "crash"), "false", "crash must be a boolean"),
+    (("transitions", 13, "from", "element"), True, "element must be an int or a string"),
 ]
 
 
-def edited_login_gate(path: tuple, value) -> dict:
-    """The login_gate.app document with the value at ``path`` replaced."""
-    doc = json.loads((FIXTURES / "login_gate.app").read_text(encoding="utf-8"))
+def edited_fixture(name: str, path: tuple, value) -> dict:
+    """The fixture document ``name`` with the value at ``path`` replaced."""
+    doc = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
     *parents, last = path
     holder = doc
     for key in parents:
         holder = holder[key]
     holder[last] = value
     return doc
+
+
+def edited_login_gate(path: tuple, value) -> dict:
+    """The login_gate.app document with the value at ``path`` replaced."""
+    return edited_fixture("login_gate.app", path, value)

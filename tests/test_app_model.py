@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidcage import harness
 from droidcage.app_model import (
     AppContext,
     AppModel,
@@ -27,9 +28,17 @@ from droidcage.app_model import (
     model_from_dict,
     reachable_blocks,
 )
+from droidcage.coverage import measure
 from droidcage.data_tables import default_tables
 
-from conftest import FIXTURES, WRONGLY_TYPED_EDITS, device_for, edited_login_gate, write_model
+from conftest import (
+    FIXTURES,
+    WRONGLY_TYPED_EDITS,
+    device_for,
+    edited_fixture,
+    edited_login_gate,
+    write_model,
+)
 
 
 def _minimal_doc(**overrides):
@@ -189,6 +198,42 @@ def _model_or_model_error(load, arg) -> None:
 @given(st.sampled_from(_LOGIN_GATE_PATHS), _json_values)
 def test_any_value_anywhere_in_login_gate_loads_or_is_a_model_error(path, value):
     _model_or_model_error(model_from_dict, edited_login_gate(path, value))
+
+
+_EVERY_FIELD = json.loads((FIXTURES / "every_field.app").read_text(encoding="utf-8"))
+_EVERY_FIELD_PATHS = tuple(_paths(_EVERY_FIELD))
+_SMALL_RUN = harness.ExperimentConfig(corpus=FIXTURES, monkey_events=30, max_events=60)
+_SIGNATURES, _REPUTATION = harness.default_signatures(), harness.default_reputation()
+
+
+def test_every_field_fixture_uses_every_kind():
+    # Without this, a fixture the loader rejected would pass the property below.
+    app = model_from_dict(_EVERY_FIELD)
+    assert {el.kind for a in app.activities for s in a.states for el in s.elements} == {
+        "button", "textfield", "checkbox", "generic"}
+    assert {e.kind for t in app.transitions for e in t.side_effects} == {
+        "network_request", "outgoing_call", "outgoing_sms", "java_call", "system_call",
+        "register_receiver"}
+    assert sorted(t.match.kind for t in app.transitions if t.match) == [
+        "equals", "equals", "matches_category", "non_empty"]
+    assert any(getattr(t.source, "anchor", None) for t in app.transitions)
+    assert app.dynamic_receivers
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_EVERY_FIELD_PATHS), _json_values)
+def test_any_value_anywhere_in_every_field_is_a_model_error_or_runs(path, value):
+    # A model the loader accepts must run every method and write its
+    # trace, capture log and coverage without raising.
+    try:
+        app = model_from_dict(edited_fixture("every_field.app", path, value))
+    except ModelValidationError:
+        return
+    for method in harness.METHODS:
+        _, session, guard = harness._run_one(app, method, _SMALL_RUN, _SIGNATURES, _REPUTATION)
+        session.trace.to_text()
+        guard.capture_text()
+        measure(session, app)
 
 
 @settings(max_examples=150, deadline=None)

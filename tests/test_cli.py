@@ -59,8 +59,10 @@ def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
     (["proxy-check", "--request", "{request}", "--threshold", "-5"], "threshold"),
     (["proxy-check", "--request", "{request}", "--threshold", "101"], "threshold"),
     (["monkey", "--app", "{app}", "--throttle", "-1"], "throttle_ms"),
-    (["run", "--corpus", "{corpus}", "--out", "{out}", "--workers", "0"], "workers"),
-    (["run", "--corpus", "{corpus}", "--out", "{out}", "--workers", "-3"], "workers"),
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--monkey-events", "0"],
+     "event_count must be >= 1"),
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--max-events", "0"],
+     "max_events must be >= 1"),
     (["monkey", "--app", "{app}", "--pct-syskeys", "60", "--pct-appswitch", "60"],
      "pct_syskeys + pct_appswitch must be <= 100"),
     (["make-corpus", "--out", "{out}", "--count", "0"], "count must be >= 1"),
@@ -257,13 +259,12 @@ _VALID_FORMATS = ["human", "csv", "structured", "human,csv,structured", ""]
        seed=st.integers(-3, 3),
        monkey_events=st.one_of(st.integers(1, 20), st.integers(-2, 20)),
        max_events=st.one_of(st.integers(1, 20), st.integers(-2, 20)),
-       threshold=st.one_of(st.integers(0, 100), st.integers(-5, 105)),
-       workers=st.one_of(st.integers(1, 2), st.integers(-1, 2)))
+       threshold=st.one_of(st.integers(0, 100), st.integers(-5, 105)))
 def test_run_exits_0_or_1_on_any_file_and_flags(app, methods, formats, seed, monkey_events,
-                                                max_events, threshold, workers):
+                                                max_events, threshold):
     method_names = [m.strip() for m in methods.split(",") if m.strip()]
     broken = (not method_names or "bogus" in methods or formats == "bogus"
-              or not 0 <= threshold <= 100 or workers < 1 or monkey_events < 1
+              or not 0 <= threshold <= 100 or monkey_events < 1
               or (max_events < 1 and {"smart", "smart_monkey"} & set(method_names)))
     with tempfile.TemporaryDirectory() as tmp:
         corpus, out = Path(tmp) / "corpus", Path(tmp) / "out"
@@ -273,7 +274,7 @@ def test_run_exits_0_or_1_on_any_file_and_flags(app, methods, formats, seed, mon
                                "--methods", methods, "--formats", formats,
                                "--seed", str(seed), "--monkey-events", str(monkey_events),
                                "--max-events", str(max_events),
-                               "--threshold", str(threshold), "--workers", str(workers)])
+                               "--threshold", str(threshold)])
         assert code in (0, 1)
         if app == _ONE_BUTTON:
             assert code == (1 if broken else 0)

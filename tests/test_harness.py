@@ -112,15 +112,6 @@ def test_per_app_isolation(small_corpus, tmp_path):
     assert wanted[0] == lone.per_app[0][1]
 
 
-def test_workers_do_not_change_results(small_corpus):
-    serial = run_experiment(ExperimentConfig(corpus=small_corpus, methods=("smart",)))
-    parallel = run_experiment(ExperimentConfig(corpus=small_corpus, methods=("smart",),
-                                               workers=4))
-    assert serial.table == parallel.table
-    assert serial.capture_log == parallel.capture_log
-    assert serial.per_app == parallel.per_app
-
-
 def test_monkey_substream_shared_with_combined(small_corpus):
     config = ExperimentConfig(corpus=small_corpus, methods=("monkey", "smart_monkey"))
     result = run_experiment(config)
@@ -174,14 +165,6 @@ def test_capture_log_is_each_method_alone_in_order(three_methods, one_method_run
     # the monkey guards they start from.
     parts = [one_method_runs[m].capture_log for m in ("monkey", "smart", "smart_monkey")]
     assert three_methods.capture_log == "".join(parts)
-
-
-def test_workers_do_not_change_three_method_results(corpus20, three_methods):
-    parallel = run_experiment(ExperimentConfig(corpus=corpus20, workers=2))
-    assert parallel.table == three_methods.table
-    assert parallel.per_app == three_methods.per_app
-    assert parallel.traces == three_methods.traces
-    assert parallel.capture_log == three_methods.capture_log
 
 
 def test_smart_monkey_leaves_the_monkey_session_unchanged(three_methods, one_method_runs):

@@ -743,6 +743,10 @@ _UNROUTABLE = {
     "non_ascii_host": ("GET / HTTP/1.1\r\nHost: caf\xe9.example\r\n\r\n".encode("latin-1"),
                        "bad host: 'caf\xe9.example'"),
     "slash_in_host": (b"GET / HTTP/1.1\r\nHost: a/b\r\n\r\n", "bad host: 'a/b'"),
+    "bare_percent": (b"GET / HTTP/1.1\r\nHost: %\r\n\r\n", "bad host: '%'"),
+    "percent_not_hex": (b"GET / HTTP/1.1\r\nHost: a%zz\r\n\r\n", "bad host: 'a%zz'"),
+    "percent_one_digit": (b"GET / HTTP/1.1\r\nHost: a%4\r\n\r\n", "bad host: 'a%4'"),
+    "trailing_percent": (b"GET / HTTP/1.1\r\nHost: a%41%\r\n\r\n", "bad host: 'a%41%'"),
     "future_version": (b"GET / HTTP/9.9\r\nHost: a.example\r\n\r\n",
                        "unsupported HTTP version: 'HTTP/9.9'"),
     "bare_version_prefix": (b"GET / HTTP/\r\nHost: a.example\r\n\r\n",
@@ -766,6 +770,16 @@ def test_pipeline_logs_unroutable_host_or_version_as_malformed(raw):
     assert outcome.disposition == "malformed"
     assert guard.capture_log == [] and guard.transport.sent == [] and guard.routing_log == []
     assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
+
+
+@pytest.mark.parametrize("host", [b"a" * 50_000 + b"%", b"a%41" * 12_500 + b"%"],
+                         ids=["plain", "escaped"])
+def test_long_host_with_a_stray_percent_is_rejected_in_linear_time(host):
+    raw = b"GET / HTTP/1.1\r\nHost: " + host + b"\r\n\r\n"
+    start = time.perf_counter()
+    with pytest.raises(RequestParseError, match="bad host"):
+        parse_request(raw)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("raw, host, version", [
@@ -903,6 +917,7 @@ def test_one_byte_edit_parses_as_the_two_pass_parser_did(raw, protocol):
             assert error == f"unsupported HTTP version: {ref.http_version!r}"
         else:
             assert error == f"bad host: {ref.host!r}"
-            assert not re.fullmatch(r"[A-Za-z0-9._~!$&'()*+,;=%-]+", ref.host)
+            assert not re.fullmatch(r"(?=.)[A-Za-z0-9._~!$&'()*+,;=-]*"
+                                    r"(?:%[0-9A-Fa-f]{2}[A-Za-z0-9._~!$&'()*+,;=-]*)*", ref.host)
         return
     assert (tx, error) == _parse_result(_reference_parse_request, raw, protocol)
