@@ -31,6 +31,7 @@ PHONE_STATE_ACTION = "android.intent.action.PHONE_STATE"
 # The event kind that fires a receiver of each telephony action; any other
 # action is a broadcast.
 _RECEIVER_TRIGGERS = {SMS_RECEIVED_ACTION: "incoming_sms", PHONE_STATE_ACTION: "incoming_call"}
+_TELEPHONY_ACTIONS = {kind: action for action, kind in _RECEIVER_TRIGGERS.items()}
 
 # Body used when the platform sends the probe SMS to the device itself.
 SMS_PROBE_BODY = "probe"
@@ -453,15 +454,6 @@ class DeviceState:
             raise AppNotInstalledError(f"{package} is not installed") from None
 
 
-def fresh_device(processes: Iterable[str] = (), packages: Iterable[str] = (),
-                 settings: Settings | None = None) -> DeviceState:
-    return DeviceState(
-        running_processes=set(processes),
-        installed_apps=set(packages),
-        settings=settings if settings is not None else Settings(),
-    )
-
-
 def _enter_state(app: AppModel, ctx: AppContext, activity: str, state: str) -> AppContext:
     # Entering a state registers any dynamic receivers triggered by it.
     registered = set(ctx.receivers)
@@ -510,8 +502,18 @@ def _resolve_target(app: AppModel, ctx: AppContext, key: ElementKey) -> Optional
     return app.screen(ctx.activity, ctx.state).first_index.get(key)
 
 
-def _live_receiver(app: AppModel, ctx: AppContext, action: str) -> bool:
-    return action in app.declared_receivers or action in ctx.receivers
+def live_receiver_action(app: AppModel, ctx: AppContext, event: Event) -> Optional[str]:
+    """The intent action ``event`` is delivered under, if a receiver for it is live.
+
+    A broadcast carries its own action; an incoming SMS or call arrives
+    under the telephony action. A receiver is live when the app declares
+    it or ``ctx`` has registered it. Any other event reaches no receiver.
+    """
+    kind = event.kind
+    action = event.action if kind == "broadcast" else _TELEPHONY_ACTIONS.get(kind)
+    if action is not None and (action in app.declared_receivers or action in ctx.receivers):
+        return action
+    return None
 
 
 def apply_event(device: DeviceState, app: AppModel, event: Event,
@@ -555,20 +557,10 @@ def _match_transition(app, ctx, event, tables) -> Optional[Transition]:
                 return t
         return None
 
-    if event.kind == "broadcast":
-        if not _live_receiver(app, ctx, event.action):
-            return None
-        return _receiver_transition(app, ctx, "broadcast", event.action)
-    if event.kind == "incoming_sms":
-        if not _live_receiver(app, ctx, SMS_RECEIVED_ACTION):
-            return None
-        return _receiver_transition(app, ctx, "incoming_sms", SMS_RECEIVED_ACTION)
-    if event.kind == "incoming_call":
-        if not _live_receiver(app, ctx, PHONE_STATE_ACTION):
-            return None
-        return _receiver_transition(app, ctx, "incoming_call", PHONE_STATE_ACTION)
-    # system_key and anything else never match app transitions
-    return None
+    action = live_receiver_action(app, ctx, event)
+    if action is None:
+        return None
+    return _receiver_transition(app, ctx, event.kind, action)
 
 
 def _receiver_transition(app, ctx, trigger, action) -> Optional[Transition]:
@@ -644,15 +636,25 @@ class EventUniverse:
     include_call: bool
 
     @classmethod
-    def for_app(cls, app: AppModel) -> "EventUniverse":
+    def for_app(cls, app: AppModel, tables: DataTables | None = None) -> "EventUniverse":
+        """The app's alphabet, and the receiver events (broadcasts from ``tables``) it may take."""
         actions = app.receiver_actions()
         return cls(
             text_values=tuple(app.alphabet),
-            broadcast_actions=tuple(a for a in default_tables().table("broadcast")
+            broadcast_actions=tuple(a for a in (tables or default_tables()).table("broadcast")
                                     if a in actions),
             include_sms=SMS_RECEIVED_ACTION in actions,
             include_call=PHONE_STATE_ACTION in actions,
         )
+
+    def receiver_events(self, own_number: str) -> list[Event]:
+        """The broadcasts, then the probe SMS, then the call, each to ``own_number``."""
+        events = [Event.broadcast(a) for a in self.broadcast_actions]
+        if self.include_sms:
+            events.append(Event.incoming_sms(own_number, SMS_PROBE_BODY))
+        if self.include_call:
+            events.append(Event.incoming_call(own_number))
+        return events
 
 
 def _candidate_events(app: AppModel, device: DeviceState, universe: EventUniverse,
@@ -665,11 +667,7 @@ def _candidate_events(app: AppModel, device: DeviceState, universe: EventUnivers
                 events.extend(Event.set_text(key, v) for v in universe.text_values)
             else:
                 events.append(Event(action, target=key))
-    events.extend(Event.broadcast(a) for a in universe.broadcast_actions)
-    if universe.include_sms:
-        events.append(Event.incoming_sms(own_number, SMS_PROBE_BODY))
-    if universe.include_call:
-        events.append(Event.incoming_call(own_number))
+    events.extend(universe.receiver_events(own_number))
     events.append(Event.app_switch())
     return events
 
@@ -687,11 +685,11 @@ def reachable_blocks(app: AppModel, universe: EventUniverse | None = None, *,
     :class:`OracleBudgetError` when the state space exceeds the budget;
     the oracle is either exact or explicitly unavailable.
     """
-    universe = universe or EventUniverse.for_app(app)
     tables = tables or default_tables()
+    universe = universe or EventUniverse.for_app(app, tables)
     policy = TelephonyPolicy(own_number=app.own_number)
 
-    start = install_app(fresh_device(), app)
+    start = install_app(DeviceState(), app)
     seen = {_state_key(app, start)}
     frontier = deque([start])
     blocks: set[str] = set()
@@ -744,6 +742,8 @@ def _field(obj: dict, key: str, where: str, kind=_STRING, default=_REQUIRED):
     """``obj[key]`` checked against ``kind``, or ``default`` when the key is absent."""
     value = obj.get(key, default)
     if type(value) in kind[1]:
+        if type(value) is str and not value.isascii():
+            _check_text(value, key, where)
         return value
     if key in obj:
         raise ModelValidationError(
@@ -751,6 +751,14 @@ def _field(obj: dict, key: str, where: str, kind=_STRING, default=_REQUIRED):
     if default is _REQUIRED:
         raise ModelValidationError(f"{where}: missing field {key!r}")
     return default
+
+
+def _check_text(value: str, key: str, where: str) -> None:
+    # A JSON \uXXXX escape can leave a lone surrogate, which UTF-8 cannot encode.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ModelValidationError(f"{where}: {key} must be valid Unicode text") from None
 
 
 def _choice(obj: dict, key: str, where: str, choices: tuple, what: str, default=_REQUIRED) -> str:
@@ -773,6 +781,9 @@ def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
     values = obj.get(key, [])
     if type(values) is not list or not all(type(v) is str for v in values):
         raise ModelValidationError(f"{where}: {key} must be an array of strings")
+    for value in values:
+        if not value.isascii():
+            _check_text(value, key, where)
     return tuple(values)
 
 
@@ -968,7 +979,8 @@ def _build_model(doc: dict, source: str) -> AppModel:
             action = _field(frm, "receiver", where)
             anchor = None
             if "activity" in frm:
-                anchor = (_field(frm, "activity", where), _field(frm, "state", where))
+                act, state = _activity_state(frm, where, act_by_name, "anchor ")
+                anchor = (act, state.id)
             if match is not None:
                 raise ModelValidationError(f"{where}: text match is only valid on set_text")
             action_name = _RECEIVER_TRIGGERS.get(action, "broadcast")

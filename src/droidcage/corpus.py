@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .app_model import (
@@ -132,8 +133,7 @@ def _base_doc(pkg: str, seq: int) -> dict:
     }
 
 
-def _detail_screens(doc, blocks, transitions, n: int, rng: Xoshiro256StarStar,
-                    home_rows: int) -> list[dict]:
+def _detail_screens(blocks, transitions, n: int) -> tuple[list[dict], list[dict]]:
     """n home buttons, each opening a drainable detail screen with a back
     button (kept last so systematic walks descend before returning)."""
     home_elements = []
@@ -141,7 +141,7 @@ def _detail_screens(doc, blocks, transitions, n: int, rng: Xoshiro256StarStar,
     for j in range(n):
         btn = f"btn_open{j}"
         home_elements.append(_el("button", id=btn, text=f"Open {j}",
-                                 row=home_rows + j, actions=["click"]))
+                                 row=j, actions=["click"]))
         enter = blocks.new("Detail", f"open{j}")
         work = blocks.new("Detail", f"work{j}")
         flip = blocks.new("Detail", f"flip{j}")
@@ -154,7 +154,7 @@ def _detail_screens(doc, blocks, transitions, n: int, rng: Xoshiro256StarStar,
         ]})
         transitions.append(_ui("Main", "home", btn, "click", to=("Detail", state),
                                blocks=enter,
-                               effects=[_java(f"void {doc['package']}.Detail.onCreate")]))
+                               effects=[_java(f"void {blocks.package}.Detail.onCreate")]))
         transitions.append(_ui("Detail", state, f"check{j}", "toggle", blocks=flip))
         transitions.append(_ui("Detail", state, f"btn_work{j}", "click", blocks=work,
                                effects=[_sys("openat")]))
@@ -169,7 +169,7 @@ def _doc_plain(pkg, seq, rng):
     transitions = []
     n = 2 + rng.randrange(2)  # 2..3 detail screens
     scroll = blocks.new("Main", "onScroll")
-    home_buttons, detail_states = _detail_screens(doc, blocks, transitions, n, rng, 0)
+    home_buttons, detail_states = _detail_screens(blocks, transitions, n)
     home = home_buttons + [
         _el("generic", desc="news feed", row=n, actions=["scroll"]),
     ]
@@ -182,7 +182,7 @@ def _doc_plain(pkg, seq, rng):
     ]
     doc["transitions"] = transitions
     doc["blocks"] = blocks.entries
-    return doc, False, True
+    return doc
 
 
 def _doc_textgate(pkg, seq, rng):
@@ -235,15 +235,15 @@ def _doc_textgate(pkg, seq, rng):
     }]
     doc["transitions"] = transitions
     doc["blocks"] = blocks.entries
-    return doc, True, True
+    return doc
 
 
-def _gated_base(pkg, seq, rng):
+def _gated_base(pkg, seq):
     """Small ungated surface shared by the receiver-gated archetypes."""
     doc = _base_doc(pkg, seq)
     blocks = _Blocks(pkg)
     transitions = []
-    home_buttons, detail_states = _detail_screens(doc, blocks, transitions, 1, rng, 0)
+    home_buttons, detail_states = _detail_screens(blocks, transitions, 1)
     doc["activities"] = [
         {"name": "Main", "initial_state": "home",
          "states": [{"id": "home", "elements": home_buttons}]},
@@ -253,55 +253,36 @@ def _gated_base(pkg, seq, rng):
     return doc, blocks, transitions
 
 
-def _doc_broadcastgate(pkg, seq, rng):
-    doc, blocks, transitions = _gated_base(pkg, seq, rng)
-    intent = _BROADCAST_INTENTS[seq % len(_BROADCAST_INTENTS)]
-    bomb = blocks.new("Receiver", "onReceive", 3)
-    doc["receivers"]["declared"] = [intent]
+# The receiver-gated archetypes, each as (intent, receiver method, extra
+# origin flags, extra system calls). broadcastgate's intent (None) is
+# chosen by the app's sequence number.
+_RECEIVER_GATES = {
+    "broadcastgate": (None, "onReceive", (), ("connect",)),
+    "dynamicgate": ("android.bluetooth.device.action.ACL_CONNECTED", "onAcl",
+                    ("inlined_candidate",), ()),
+    "smsgate": (SMS_RECEIVED_ACTION, "onSms", (), ()),
+    "callgate": (PHONE_STATE_ACTION, "onCall", (), ()),
+}
+
+
+def _doc_receivergate(archetype, pkg, seq, rng):
+    intent, method, origin, syscalls = _RECEIVER_GATES[archetype]
+    intent = intent or _BROADCAST_INTENTS[seq % len(_BROADCAST_INTENTS)]
+    doc, blocks, transitions = _gated_base(pkg, seq)
+    bomb = blocks.new("Receiver", method, 3)
+    if archetype == "dynamicgate":
+        # the receiver only exists once the detail screen was opened
+        doc["receivers"]["dynamic"] = [
+            {"activity": "Detail", "state": "detail0", "action": intent},
+        ]
+    else:
+        doc["receivers"]["declared"] = [intent]
+    effects = [_java(f"void {pkg}.Receiver.{method}", ("app_code", *origin))]
     transitions.append(_rx(intent, blocks=bomb,
-                           effects=[_java(f"void {pkg}.Receiver.onReceive"),
-                                    _sys("connect")]))
+                           effects=effects + [_sys(name) for name in syscalls]))
     doc["transitions"] = transitions
     doc["blocks"] = blocks.entries
-    return doc, True, True
-
-
-def _doc_dynamicgate(pkg, seq, rng):
-    doc, blocks, transitions = _gated_base(pkg, seq, rng)
-    intent = "android.bluetooth.device.action.ACL_CONNECTED"
-    bomb = blocks.new("Receiver", "onAcl", 3)
-    # the receiver only exists once the detail screen was opened
-    doc["receivers"]["dynamic"] = [
-        {"activity": "Detail", "state": "detail0", "action": intent},
-    ]
-    transitions.append(_rx(intent, blocks=bomb,
-                           effects=[_java(f"void {pkg}.Receiver.onAcl",
-                                          ("app_code", "inlined_candidate"))]))
-    doc["transitions"] = transitions
-    doc["blocks"] = blocks.entries
-    return doc, True, True
-
-
-def _doc_smsgate(pkg, seq, rng):
-    doc, blocks, transitions = _gated_base(pkg, seq, rng)
-    bomb = blocks.new("Receiver", "onSms", 3)
-    doc["receivers"]["declared"] = [SMS_RECEIVED_ACTION]
-    transitions.append(_rx(SMS_RECEIVED_ACTION, blocks=bomb,
-                           effects=[_java(f"void {pkg}.Receiver.onSms")]))
-    doc["transitions"] = transitions
-    doc["blocks"] = blocks.entries
-    return doc, True, True
-
-
-def _doc_callgate(pkg, seq, rng):
-    doc, blocks, transitions = _gated_base(pkg, seq, rng)
-    bomb = blocks.new("Receiver", "onCall", 3)
-    doc["receivers"]["declared"] = [PHONE_STATE_ACTION]
-    transitions.append(_rx(PHONE_STATE_ACTION, blocks=bomb,
-                           effects=[_java(f"void {pkg}.Receiver.onCall")]))
-    doc["transitions"] = transitions
-    doc["blocks"] = blocks.entries
-    return doc, True, True
+    return doc
 
 
 def _doc_selfsms(pkg, seq, rng):
@@ -325,7 +306,7 @@ def _doc_selfsms(pkg, seq, rng):
         _rx(SMS_RECEIVED_ACTION, blocks=recv),
     ]
     doc["blocks"] = blocks.entries
-    return doc, False, True
+    return doc
 
 
 def _doc_premium(pkg, seq, rng):
@@ -349,7 +330,7 @@ def _doc_premium(pkg, seq, rng):
         _ui("Main", "home", "btn_info", "click", blocks=b_info),
     ]
     doc["blocks"] = blocks.entries
-    return doc, False, True
+    return doc
 
 
 def _doc_crasher(pkg, seq, rng):
@@ -380,7 +361,7 @@ def _doc_crasher(pkg, seq, rng):
         _ui("Tools", "tools", "btn_boom", "click", blocks=b_boom, crash=True),
     ]
     doc["blocks"] = blocks.entries
-    return doc, False, True
+    return doc
 
 
 def _doc_logicbomb(pkg, seq, rng):
@@ -410,8 +391,7 @@ def _doc_logicbomb(pkg, seq, rng):
             effects=[_sys("unlink")]),
     ]
     doc["blocks"] = blocks.entries
-    # equals-gated: the oracle can key in the magic phrase, engines cannot
-    return doc, False, False
+    return doc
 
 
 def _doc_netchatty(pkg, seq, rng):
@@ -457,21 +437,18 @@ def _doc_netchatty(pkg, seq, rng):
                           "states": [{"id": "home", "elements": home}]}]
     doc["transitions"] = transitions
     doc["blocks"] = blocks.entries
-    return doc, False, True
+    return doc
 
 
 _BUILDERS = {
     "plain": _doc_plain,
     "textgate": _doc_textgate,
-    "broadcastgate": _doc_broadcastgate,
-    "dynamicgate": _doc_dynamicgate,
-    "smsgate": _doc_smsgate,
-    "callgate": _doc_callgate,
     "selfsms": _doc_selfsms,
     "premium": _doc_premium,
     "crasher": _doc_crasher,
     "logicbomb": _doc_logicbomb,
     "netchatty": _doc_netchatty,
+    **{archetype: partial(_doc_receivergate, archetype) for archetype in _RECEIVER_GATES},
 }
 
 
@@ -484,9 +461,12 @@ def build_corpus(seed: int = 0, count: int = 20) -> list[CorpusApp]:
         rng = Xoshiro256StarStar(derive_seed(seed, f"corpus-app-{i}"))
         name = f"app{i:02d}_{archetype}"
         pkg = f"com.corpus.{archetype}{i:02d}"
-        doc, gated, eligible = _BUILDERS[archetype](pkg, i, rng)
+        doc = _BUILDERS[archetype](pkg, i, rng)
         model = model_from_dict(doc, source=name)
-        apps.append(CorpusApp(name, model, doc, gated, eligible))
+        # logicbomb is equals-gated: the oracle can key in the magic phrase,
+        # engines cannot.
+        apps.append(CorpusApp(name, model, doc, archetype in GATED_ARCHETYPES,
+                              archetype != "logicbomb"))
     return apps
 
 

@@ -14,19 +14,18 @@ from enum import Enum
 from typing import Optional
 
 from .app_model import (
-    PHONE_STATE_ACTION,
-    SMS_PROBE_BODY,
-    SMS_RECEIVED_ACTION,
     AppModel,
     DeviceState,
     ElementKey,
     Event,
+    EventUniverse,
     Screen,
     Settings,
     UiElement,
     dump_hierarchy,
     identify_element,
     install_app,
+    live_receiver_action,
 )
 from .data_tables import DataTables, default_tables
 from .monkey import MonkeyConfig, run_monkey
@@ -194,29 +193,21 @@ class _Explorer:
                 if self.runner.current_screen() != screen:
                     break  # screen changed: replan there
 
-    def _live_receivers(self) -> set[str]:
-        ctx = self.runner.device.context(self.app.package)
-        return set(self.app.declared_receivers) | set(ctx.receivers)
-
     def inject(self) -> None:
         """One-shot broadcast, SMS and call injection.
 
         Runs after the first full UI sweep so dynamically registered
-        receivers are live. Only events the app can actually receive are
-        sent, which keeps trivial sessions short.
+        receivers are live. The events are the oracle's receiver events,
+        and only those the app can receive right now are sent, which keeps
+        trivial sessions short.
         """
-        own = self.app.own_number
-        for action in self.tables.table("broadcast"):
+        app = self.app
+        for event in EventUniverse.for_app(app, self.tables).receiver_events(app.own_number):
             if self.budget <= 0 or self.session.crashed:
                 return
-            if action in self._live_receivers():
-                self.issue(Event.broadcast(action))
-        if self.budget > 0 and not self.session.crashed \
-                and SMS_RECEIVED_ACTION in self._live_receivers():
-            self.issue(Event.incoming_sms(own, SMS_PROBE_BODY))
-        if self.budget > 0 and not self.session.crashed \
-                and PHONE_STATE_ACTION in self._live_receivers():
-            self.issue(Event.incoming_call(own))
+            ctx = self.runner.device.context(app.package)
+            if live_receiver_action(app, ctx, event) is not None:
+                self.issue(event)
 
 
 def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,

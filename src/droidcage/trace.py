@@ -49,10 +49,7 @@ class TraceLog:
 
     def to_text(self) -> str:
         """One call per line, java and system calls alike."""
-        lines = []
-        for e in self.events:
-            lines.append(format_java_call(e) if e.kind == "java_call" else e.signature + "\n")
-        return "".join(lines)
+        return "".join(e.signature + "\n" for e in self.events)
 
 
 def _visible(event: TraceEvent, config: TraceConfig) -> bool:

@@ -2,8 +2,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from droidcage.app_model import AppModel, install_app, load_app_model
+from droidcage.app_model import (
+    ELEMENT_KINDS,
+    PHONE_STATE_ACTION,
+    SMS_RECEIVED_ACTION,
+    UI_ACTIONS,
+    AppModel,
+    install_app,
+    load_app_model,
+)
+from droidcage.data_tables import default_tables
 from droidcage.explorer import baseline_device
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,3 +125,118 @@ def edited_fixture(name: str, path: tuple, value) -> dict:
 def edited_login_gate(path: tuple, value) -> dict:
     """The login_gate.app document with the value at ``path`` replaced."""
     return edited_fixture("login_gate.app", path, value)
+
+
+# Pools for generated app models. They are small on purpose: ids, text and
+# sizes collide, so partial element keys shadow one another.
+_GEN_OWN_NUMBER = "5550100"
+# A broadcast the packaged broadcast table lacks.
+OUTSIDE_ACTION = "com.example.action.PING"
+_GEN_IDS = (None, None, "btn_a", "btn_b")
+_GEN_TEXTS = (None, "OK", "Go")
+_GEN_SIZES = ((300, 150), (500, 150))
+_GEN_HINTS = (None, "Password", "PIN code", "Email")
+_GEN_RECEIVER_ACTIONS = ("android.intent.action.BOOT_COMPLETED", SMS_RECEIVED_ACTION,
+                         PHONE_STATE_ACTION, OUTSIDE_ACTION)
+# An equals value no fill table holds and the monkey cannot type.
+_GEN_MAGIC = "open-sesame-42"
+
+
+def _category_sample(category: str) -> str:
+    tables = default_tables()
+    if category == "email":
+        return f"a.b@{tables.table('email_provider')[0]}"
+    return tables.table(category)[0]
+
+
+@st.composite
+def app_docs(draw) -> dict:
+    """A valid ``.app`` document.
+
+    1-3 activities with 1-4 states of 0-4 elements each; ``equals``,
+    ``non_empty`` and ``matches_category`` gates; crash transitions,
+    SMS and calls to the app's own number and to another; declared,
+    dynamic and registered receivers, many of them for ``OUTSIDE_ACTION``.
+    The alphabet holds a value for every gate an engine could pass, so
+    the oracle can type whatever an engine can.
+    """
+    def choice(values):
+        return draw(st.sampled_from(values))
+
+    def some_receiver_actions():
+        return [a for a in _GEN_RECEIVER_ACTIONS if choice((True, True, False))]
+
+    activities = []
+    for a in range(draw(st.integers(1, 3))):
+        states = []
+        for s in range(draw(st.integers(1, 4))):
+            elements = []
+            for row in range(draw(st.integers(0, 4))):
+                kind = choice(ELEMENT_KINDS)
+                actions = set(draw(st.lists(st.sampled_from(UI_ACTIONS), max_size=2)))
+                actions |= {"textfield": {"set_text"}, "checkbox": {"toggle"}}.get(kind, set())
+                elements.append({"kind": kind, "id": choice(_GEN_IDS), "text": choice(_GEN_TEXTS),
+                                 "hint": choice(_GEN_HINTS),
+                                 "bounds": [choice((0, 500)), 200 * row, *choice(_GEN_SIZES)],
+                                 "actions": sorted(actions)})
+            states.append({"id": f"s{s}", "elements": elements})
+        activities.append({"name": f"A{a}", "initial_state": "s0", "states": states})
+    screens = [({"activity": act["name"], "state": state["id"]}, state["elements"])
+               for act in activities for state in act["states"]]
+    places = [place for place, _ in screens]
+    alphabet = {"filler"}
+    blocks = []
+    transitions = []
+
+    def transition(frm: dict, trigger: dict) -> None:
+        bid = f"b{len(blocks)}"
+        blocks.append({"id": bid, "class": "gen.Main", "method": bid})
+        effects = []
+        for effect in draw(st.lists(st.sampled_from(("sms", "call", "register", "java")),
+                                    max_size=2)):
+            number = choice((_GEN_OWN_NUMBER, "5550999"))
+            effects.append({
+                "sms": {"kind": "outgoing_sms", "number": number, "body": "ping"},
+                "call": {"kind": "outgoing_call", "number": number},
+                "register": {"kind": "register_receiver", "action": choice(_GEN_RECEIVER_ACTIONS)},
+                "java": {"kind": "java_call", "signature": f"void gen.Main.{bid}"},
+            }[effect])
+        transitions.append({"from": frm, "trigger": trigger,
+                            "to": draw(st.none() | st.sampled_from(places)), "blocks": [bid],
+                            "side_effects": effects, "crash": choice((True,) + (False,) * 7)})
+
+    def set_text_match():
+        gate = choice((None, "equals", "non_empty", "matches_category"))
+        if gate == "equals":
+            value = choice(("filler", _GEN_MAGIC))
+            if draw(st.booleans()):
+                alphabet.add(value)
+            return {"kind": "equals", "value": value}
+        if gate == "matches_category":
+            category = choice(("password", "pin_code", "email", "first_name"))
+            alphabet.add(_category_sample(category))
+            return {"kind": "matches_category", "category": category}
+        return gate and {"kind": gate}
+
+    for place, elements in screens:
+        for i, element in enumerate(elements):
+            for action in element["actions"]:
+                if draw(st.booleans()):
+                    match = set_text_match() if action == "set_text" else None
+                    trigger = {"action": action, **({"match": match} if match else {})}
+                    transition({**place, "element": i}, trigger)
+    for action in some_receiver_actions():
+        anchor = draw(st.none() | st.sampled_from(places))
+        transition({"receiver": action, **(anchor or {})}, {})
+    dynamic = [{**choice(places), "action": choice(_GEN_RECEIVER_ACTIONS)}
+               for _ in range(draw(st.integers(0, 2)))]
+    return {
+        "package": "com.gen.app",
+        "main_activity": "A0",
+        "own_number": _GEN_OWN_NUMBER,
+        "activities": activities,
+        "blocks": blocks,
+        "receivers": {"declared": some_receiver_actions(), "dynamic": dynamic},
+        "transitions": transitions,
+        "alphabet": sorted(alphabet),
+    }

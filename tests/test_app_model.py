@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from droidcage import harness
 from droidcage.app_model import (
+    SMS_RECEIVED_ACTION,
     AppContext,
     AppModel,
     DeviceState,
@@ -24,6 +25,7 @@ from droidcage.app_model import (
     apply_event,
     dump_hierarchy,
     identify_element,
+    live_receiver_action,
     load_app_model,
     model_from_dict,
     reachable_blocks,
@@ -245,6 +247,31 @@ def test_any_json_document_loads_or_is_a_model_error(tmp_path_factory, doc):
     _model_or_model_error(load_app_model, path)
 
 
+@pytest.mark.parametrize("field, value", [("state", "nowhere"), ("activity", "Nowhere")])
+def test_receiver_anchor_must_name_a_known_activity_and_state(field, value):
+    doc = edited_fixture("every_field.app", ("transitions", 12, "from", field), value)
+    with pytest.raises(ModelValidationError, match=f"unknown anchor {field} {value!r}"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("package",), "com.\ud800", "package"),
+    (("alphabet",), ["alpha", "\ud800"], "alphabet"),
+    (("transitions", 7, "side_effects", 0, "signature"), "void a.\ud800", "signature"),
+    (("transitions", 7, "side_effects", 1, "data"), "GET /\ud800 HTTP/1.1\r\n\r\n", "data"),
+])
+def test_lone_surrogate_is_a_model_error(tmp_path, path, value, key):
+    # json.dumps writes the surrogate as a \ud800 escape, as a hostile file would.
+    path = write_model(tmp_path, edited_login_gate(path, value))
+    with pytest.raises(ModelValidationError, match=f"{key} must be valid Unicode text"):
+        load_app_model(path)
+
+
+def test_non_ascii_text_loads():
+    app = model_from_dict(edited_login_gate(("alphabet",), ["café", "日本"]))
+    assert app.alphabet == ("café", "日本")
+
+
 @pytest.mark.parametrize("data", [b"\xff{}", b"[" * 100_000 + b"]" * 100_000],
                          ids=["not_utf8", "nested_too_deeply"])
 def test_unreadable_model_file_is_parse_error(tmp_path, data):
@@ -372,6 +399,25 @@ def test_undeclared_broadcast_is_ignored(login_gate):
                          Event.broadcast("android.intent.action.USER_PRESENT"))
     assert result.executed_blocks == ()
     assert result.device == device
+
+
+def test_receiver_events_reach_their_trigger_only():
+    # An SMS receiver is live for a broadcast of its action, but only an
+    # incoming SMS fires it: transitions are keyed by (trigger, action).
+    doc = _minimal_doc()
+    doc["receivers"]["declared"] = [SMS_RECEIVED_ACTION]
+    doc["transitions"] = [{"from": {"receiver": SMS_RECEIVED_ACTION}, "blocks": ["k1"]}]
+    app = model_from_dict(doc)
+    device = device_for(app)
+    ctx = device.context(app.package)
+    broadcast = Event.broadcast(SMS_RECEIVED_ACTION)
+    assert live_receiver_action(app, ctx, broadcast) == SMS_RECEIVED_ACTION
+    assert not apply_event(device, app, broadcast).matched
+    sms = Event.incoming_sms(app.own_number, "hi")
+    assert live_receiver_action(app, ctx, sms) == SMS_RECEIVED_ACTION
+    assert apply_event(device, app, sms).executed_blocks == ("k1",)
+    assert live_receiver_action(app, ctx, Event.incoming_call(app.own_number)) is None
+    assert live_receiver_action(app, ctx, Event.system_key("back")) is None
 
 
 def test_crashed_session_accepts_no_events(crash_first):

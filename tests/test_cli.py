@@ -150,6 +150,16 @@ def test_explore_rejects_wrongly_typed_value_without_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_run_rejects_lone_surrogate_before_writing_output(tmp_path, capsys):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    doc = edited_login_gate(("transitions", 7, "side_effects", 0, "signature"), "void a.\ud800")
+    (corpus / "bad.app").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert "signature must be valid Unicode text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _capture_log() -> bytes:
     guard = NetGuard()
     guard.handle(b"GET /a HTTP/1.1\r\nHost: h.example\r\nheader: x\r\n\r\n")

@@ -9,7 +9,7 @@ from droidcage.app_model import (
     model_from_dict,
     reachable_blocks,
 )
-from droidcage.data_tables import default_tables
+from droidcage.data_tables import DataTables, default_tables
 from droidcage.explorer import (
     DEFAULT_WHITELIST,
     ExplorationConfig,
@@ -28,7 +28,7 @@ from droidcage.monkey import MonkeyConfig, generate_events, run_monkey
 from droidcage.rng import Xoshiro256StarStar
 from droidcage.session import SessionRunner
 
-from conftest import device_for
+from conftest import OUTSIDE_ACTION, device_for, edited_fixture
 
 TABLES = default_tables()
 
@@ -228,6 +228,20 @@ def test_explore_attains_oracle_on_eligible_fixtures(tiny_taps, one_button, boot
         session = explore(app, ExplorationConfig(seed=3, max_events=10_000),
                           device_for(app))
         assert session.executed_blocks == set(oracle)
+
+
+def test_explorer_and_oracle_send_the_broadcasts_of_custom_tables():
+    # A receiver for a broadcast that only a custom table holds: the
+    # explorer sends it, so the oracle given the same tables must too.
+    doc = edited_fixture("boot_gate.app", ("receivers", "declared"), [OUTSIDE_ACTION])
+    doc["transitions"][1]["from"]["receiver"] = OUTSIDE_ACTION
+    app = model_from_dict(doc)
+    custom = DataTables({**TABLES.tables,
+                         "broadcast": TABLES.table("broadcast") + (OUTSIDE_ACTION,)})
+    session = explore(app, ExplorationConfig(seed=0, max_events=100), device_for(app),
+                      tables=custom)
+    assert session.executed_blocks == reachable_blocks(app, tables=custom) == {"v1", "v2", "v3"}
+    assert reachable_blocks(app) == {"v1"}
 
 
 def test_explore_login_gate_misses_only_error_path_and_dead_block(login_gate):

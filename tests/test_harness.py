@@ -27,6 +27,12 @@ from droidcage.harness import (
 # update it.
 GOLDEN_SEED0_DIGEST = "4392224e1d9fe48cf3ad5e5a5909b98c44b97372eb7dd3338d96ad030ee16a8d"
 
+# SHA-256 of the `.app` files `write_corpus` writes for 20 apps, by seed.
+GOLDEN_CORPUS_DIGESTS = {
+    0: "3d028c984ab11bf0b88687cc90a632af8ff0a6b6abdc43077a5436974d2f36a4",
+    1: "41c5354be93b606c0221d9f174adfacc719b1d935316502fa5ccecc0a518fa47",
+}
+
 PAPER_TABLE = ResultsTable((
     AggregateRow("monkey", 32.93, 35.05, 36.32, 16.0),
     AggregateRow("smart", 34.84, 36.68, 37.73, 0.0),
@@ -211,6 +217,12 @@ def test_seed0_outputs_are_byte_identical_to_golden(tmp_path):
     config = ExperimentConfig(corpus=tmp_path / "corpus", seed=0)
     write_outputs(run_experiment(config), tmp_path / "out", config.formats)
     assert _digest_dir(tmp_path / "out") == GOLDEN_SEED0_DIGEST
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CORPUS_DIGESTS))
+def test_corpus_files_are_byte_identical_to_golden(tmp_path, seed):
+    write_corpus(tmp_path, seed, 20)
+    assert _digest_dir(tmp_path) == GOLDEN_CORPUS_DIGESTS[seed]
 
 
 def test_run_output_is_the_same_under_any_hash_seed(corpus20, tmp_path):
