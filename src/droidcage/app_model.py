@@ -990,6 +990,9 @@ def _build_model(doc: dict, source: str) -> AppModel:
             act, state = _activity_state(frm, where, act_by_name)
             idx = _resolve_element_ref(state, _field(frm, "element", where, _ELEMENT_REF), where)
             action_name = _choice(trigger, "action", where, UI_ACTIONS, "trigger action")
+            if action_name not in state.elements[idx].actions:
+                raise ModelValidationError(
+                    f"{where}: element {idx} does not list {action_name!r}")
             if match is not None and action_name != "set_text":
                 raise ModelValidationError(f"{where}: text match is only valid on set_text")
             source_obj = UiSource(act, state.id, idx)

@@ -116,9 +116,11 @@ def _coverage_line(report) -> str:
 
 def _cmd_explore(args) -> int:
     app = load_app_model(args.app)
-    config = ExplorationConfig(seed=args.seed, max_events=args.max_events,
-                               run_monkey_first=args.monkey_first)
-    session = explore(app, config, install_app(baseline_device(), app))
+    config = ExplorationConfig(seed=args.seed, max_events=args.max_events)
+    runner = SessionRunner(app, install_app(baseline_device(), app))
+    if args.monkey_first:
+        run_monkey(runner, MonkeyConfig(seed=args.seed, package=app.package))
+    session = explore(app, config, runner.device, runner=runner)
     report = measure(session, app)
     print(f"events sent: {len(session.events)}")
     print(_coverage_line(report))
@@ -135,8 +137,7 @@ def _cmd_monkey(args) -> int:
                           pct_appswitch=args.pct_appswitch,
                           throttle_ms=args.throttle, event_count=args.events,
                           package=app.package)
-    device = install_app(baseline_device(), app)
-    session = run_monkey(app, device, config, runner=SessionRunner(app, device))
+    session = run_monkey(SessionRunner(app, install_app(baseline_device(), app)), config)
     report = measure(session, app)
     print(f"events sent: {len(session.events)}")
     print(_coverage_line(report))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
 
 from .app_model import (
     AppModel,
@@ -24,11 +23,10 @@ from .app_model import (
     UiElement,
     dump_hierarchy,
     identify_element,
-    install_app,
     live_receiver_action,
 )
-from .data_tables import DataTables, default_tables
-from .monkey import MonkeyConfig, run_monkey
+from .data_tables import DataTables
+from .monkey import run_monkey
 from .rng import Xoshiro256StarStar, derive_seed
 from .session import Session, SessionRunner
 
@@ -41,10 +39,13 @@ __all__ = [
     "Whitelist",
     "categorize_textfield",
     "cleanup",
-    "dump_hierarchy",
     "explore",
     "generate_fill_value",
     "identify_element",
+    # Unused here: the benchmark's trace hooks wrap these two by this
+    # module's attribute.
+    "dump_hierarchy",
+    "run_monkey",
 ]
 
 
@@ -114,8 +115,6 @@ def generate_fill_value(category: TextfieldCategory, tables: DataTables,
 class ExplorationConfig:
     seed: int = 0
     max_events: int = 2000
-    run_monkey_first: bool = False
-    monkey_config: Optional[MonkeyConfig] = None
 
     def __post_init__(self):
         if self.max_events < 1:
@@ -211,33 +210,23 @@ class _Explorer:
 
 
 def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
-            netguard=None, tables: DataTables | None = None,
+            tables: DataTables | None = None,
             runner: SessionRunner | None = None) -> Session:
     """Run one grey-box exploration session.
 
-    Optional random-event phase first, then systematic passes (dump,
-    identify, fill, trigger), then receiver injection, then a final
-    sweep over anything the injections unlocked.
+    Systematic passes (dump, identify, fill, trigger), then receiver
+    injection, then a final sweep over anything the injections unlocked.
+    The app must be installed on ``device``.
 
     When an existing runner is passed, its session is continued from the
-    runner's device (``device``, ``netguard`` and ``tables`` are then the
-    runner's own); otherwise a fresh runner is created over ``device``.
+    runner's device (``device`` and ``tables`` are then the runner's own);
+    otherwise a fresh runner is created over ``device``.
     """
     if runner is None:
-        if app.package not in device.contexts:
-            device = install_app(device, app)
-        runner = SessionRunner(app, device, netguard=netguard,
-                               tables=tables or default_tables())
+        runner = SessionRunner(app, device, tables=tables)
     if runner.device.crashed:
         runner.session.crashed = True
         return runner.session
-
-    if config.run_monkey_first:
-        monkey_config = config.monkey_config or MonkeyConfig(seed=config.seed,
-                                                             package=app.package)
-        run_monkey(app, runner.device, monkey_config, runner=runner)
-        if runner.session.crashed:
-            return runner.session
 
     engine = _Explorer(app, config, runner, runner.tables)
     engine.drain_ui()

@@ -157,16 +157,13 @@ def _run_one(app: AppModel, method: str, config: ExperimentConfig,
         session, guard = start[0].copy(), start[1].copy()
         runner = SessionRunner(app, session.device, netguard=guard, session=session)
 
-    if method == "monkey":
-        session = run_monkey(app, runner.device, monkey_config, runner=runner)
-    else:
-        explore_config = ExplorationConfig(
-            seed=seed_app,
-            max_events=config.max_events,
-            run_monkey_first=(method == "smart_monkey" and start is None),
-            monkey_config=monkey_config,
-        )
-        session = explore(app, explore_config, runner.device, runner=runner)
+    # smart_monkey is the monkey phase, then the explorer, on one runner.
+    if method != "smart" and start is None:
+        run_monkey(runner, monkey_config)
+    if method != "monkey":
+        explore(app, ExplorationConfig(seed=seed_app, max_events=config.max_events),
+                runner.device, runner=runner)
+    session = runner.session
 
     report = measure(session, app)
     cleaned = cleanup(session.device, DEFAULT_WHITELIST, DEFAULT_BASELINE)

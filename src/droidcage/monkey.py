@@ -99,16 +99,13 @@ def generate_events(config: MonkeyConfig, app: AppModel,
     return events
 
 
-def run_monkey(app: AppModel, device: DeviceState, config: MonkeyConfig,
-               runner: SessionRunner | None = None) -> Session:
-    """Drive a session with the random stream, stopping early on crash.
+def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
+    """Drive the runner's session with the random stream; stop on a crash.
 
-    When an existing runner is passed (the combined-engine case) its
-    session accumulates the monkey phase; otherwise a fresh runner is
-    created over the given device.
+    A later phase on the same runner continues from where the monkey left
+    the app.
     """
-    if runner is None:
-        runner = SessionRunner(app, device)
+    app = runner.app
     if runner.device.crashed:
         runner.session.crashed = True
         return runner.session

@@ -254,6 +254,20 @@ def test_receiver_anchor_must_name_a_known_activity_and_state(field, value):
         model_from_dict(doc)
 
 
+def test_ui_transition_on_an_action_its_element_does_not_list_is_a_model_error():
+    # The monkey sends any tap kind to whatever element it hits, but the
+    # oracle only tries listed actions: such a block would run unreachably.
+    doc = json.loads((FIXTURES / "one_button.app").read_text(encoding="utf-8"))
+    doc["blocks"].append({"id": "c9", "class": "com.fixture.onebutton.Main",
+                          "method": "onHold"})
+    doc["transitions"].append({
+        "from": {"activity": "Main", "state": "home", "element": "btn_go"},
+        "trigger": {"action": "long_click"}, "blocks": ["c9"]})
+    with pytest.raises(ModelValidationError,
+                       match=r"transition\[1\]: element 0 does not list 'long_click'"):
+        model_from_dict(doc)
+
+
 @pytest.mark.parametrize("path, value, key", [
     (("package",), "com.\ud800", "package"),
     (("alphabet",), ["alpha", "\ud800"], "alphabet"),

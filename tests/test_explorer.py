@@ -1,6 +1,7 @@
 import pytest
 
 from droidcage.app_model import (
+    AppNotInstalledError,
     Settings,
     UiElement,
     apply_event,
@@ -315,13 +316,11 @@ def test_monkey_phase_is_prefix_of_combined_session(request, corpus_by_archetype
     mc = MonkeyConfig(seed=seed, package=app.package)
     stream = generate_events(mc, app, device_for(app))
     device = device_for(app)
-    monkey = run_monkey(app, device, mc, runner=SessionRunner(app, device))
-    combined = explore(
-        app,
-        ExplorationConfig(seed=seed, max_events=10_000, run_monkey_first=True,
-                          monkey_config=mc),
-        device_for(app),
-    )
+    monkey = run_monkey(SessionRunner(app, device), mc)
+    runner = SessionRunner(app, device_for(app))
+    run_monkey(runner, mc)
+    combined = explore(app, ExplorationConfig(seed=seed, max_events=10_000),
+                       runner.device, runner=runner)
     # run_monkey stops at a crash; generate_events keeps drawing.
     assert monkey.crashed or len(monkey.events) == 500
     assert monkey.events == stream[:len(monkey.events)]
@@ -333,6 +332,18 @@ def test_crash_halts_exploration_with_partial_coverage(crash_first):
                       device_for(crash_first))
     assert session.crashed
     assert session.executed_blocks == {"x1"}
+
+
+@pytest.mark.parametrize("engine", ("explore", "run_monkey"))
+def test_engines_need_the_app_installed(login_gate, engine):
+    # Neither engine installs the app: a caller that forgot gets an error,
+    # not a session on a device the harness did not provision.
+    with pytest.raises(AppNotInstalledError, match="com.fixture.logingate is not installed"):
+        if engine == "explore":
+            explore(login_gate, ExplorationConfig(seed=0, max_events=100), baseline_device())
+        else:
+            run_monkey(SessionRunner(login_gate, baseline_device()),
+                       MonkeyConfig(seed=0, package=login_gate.package))
 
 
 # ---------------------------------------------------------------------------

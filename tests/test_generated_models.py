@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 
 from droidcage.app_model import install_app, model_from_dict, reachable_blocks
+from droidcage.coverage import measure
 from droidcage.data_tables import DataTables, default_tables
-from droidcage.explorer import ExplorationConfig, baseline_device, explore
-from droidcage.monkey import MonkeyConfig, run_monkey
+from droidcage.explorer import ExplorationConfig, baseline_device, cleanup, explore
+from droidcage.monkey import MonkeyConfig, generate_events, run_monkey
 from droidcage.session import SessionRunner
 
 from conftest import OUTSIDE_ACTION, app_docs
@@ -20,11 +21,12 @@ def _sessions(app, tables, seed=0):
     """The monkey, smart and smart_monkey sessions of ``app`` under ``tables``."""
     monkey_config = MonkeyConfig(seed=seed, event_count=40, package=app.package)
     runner = SessionRunner(app, install_app(baseline_device(), app), tables=tables)
-    sessions = {"monkey": run_monkey(app, runner.device, monkey_config, runner=runner)}
+    sessions = {"monkey": run_monkey(runner, monkey_config)}
     for method in ("smart", "smart_monkey"):
         runner = SessionRunner(app, install_app(baseline_device(), app), tables=tables)
-        config = ExplorationConfig(seed=seed, max_events=60, monkey_config=monkey_config,
-                                   run_monkey_first=method == "smart_monkey")
+        if method == "smart_monkey":
+            run_monkey(runner, monkey_config)
+        config = ExplorationConfig(seed=seed, max_events=60)
         sessions[method] = explore(app, config, runner.device, runner=runner)
     return sessions
 
@@ -49,3 +51,33 @@ def test_one_seed_gives_the_same_sessions_twice(doc):
         assert session.events == again.events, method
         assert session.executed_blocks == again.executed_blocks, method
         assert session.trace.to_text() == again.trace.to_text(), method
+
+
+@settings(max_examples=30, deadline=None)
+@given(app_docs())
+def test_engine_contracts(doc):
+    app = model_from_dict(doc)
+    device = install_app(baseline_device(), app)
+    monkey_config = MonkeyConfig(seed=5, event_count=40, package=app.package)
+    explore_config = ExplorationConfig(seed=5, max_events=60)
+    monkey = run_monkey(SessionRunner(app, device), monkey_config)
+    # run_monkey stops at a crash; generate_events keeps drawing.
+    assert monkey.crashed or len(monkey.events) == monkey_config.event_count
+    assert monkey.events == generate_events(monkey_config, app, device)[:len(monkey.events)]
+
+    # The harness's two ways to start smart_monkey: continue a copy of the
+    # finished monkey session, or run both phases on one runner.
+    copied = monkey.copy()
+    continued = explore(app, explore_config, copied.device,
+                        runner=SessionRunner(app, copied.device, session=copied))
+    runner = SessionRunner(app, device)
+    run_monkey(runner, monkey_config)
+    assert continued == explore(app, explore_config, runner.device, runner=runner)
+    assert monkey == run_monkey(SessionRunner(app, device), monkey_config)
+
+    for session in (monkey, continued):
+        report = measure(session, app)
+        assert 0 <= report.blocks_executed <= report.blocks_total == len(app.blocks)
+        assert 0 <= report.methods_executed <= report.methods_total
+        assert 0 <= report.classes_executed <= report.classes_total
+        assert cleanup(session.device) == baseline_device()

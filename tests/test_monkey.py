@@ -49,7 +49,7 @@ def test_run_monkey_equals_stepping_the_generated_stream(tiny_taps, login_gate, 
         config = MonkeyConfig(seed=seed, pct_syskeys=30, pct_appswitch=30,
                               event_count=300, package=app.package)
         device = device_for(app)
-        session = run_monkey(app, device, config, runner=SessionRunner(app, device))
+        session = run_monkey(SessionRunner(app, device), config)
         stepped = SessionRunner(app, device)
         for event in generate_events(config, app, device):
             if stepped.session.crashed:
@@ -75,16 +75,14 @@ def test_monkey_saturates_ungated_tiny_app(tiny_taps):
     config = MonkeyConfig(**PAPER_CONFIG, package=tiny_taps.package)
     oracle = reachable_blocks(tiny_taps)
     device = device_for(tiny_taps)
-    session = run_monkey(tiny_taps, device, config,
-                         runner=SessionRunner(tiny_taps, device))
+    session = run_monkey(SessionRunner(tiny_taps, device), config)
     assert session.executed_blocks == set(oracle) == {"t1", "t2", "t3"}
 
 
 def test_monkey_misses_category_gated_blocks(login_gate):
     config = MonkeyConfig(**PAPER_CONFIG, package=login_gate.package)
     device = device_for(login_gate)
-    session = run_monkey(login_gate, device, config,
-                         runner=SessionRunner(login_gate, device))
+    session = run_monkey(SessionRunner(login_gate, device), config)
     assert not {"b2", "b7", "b8"} & session.executed_blocks
 
 
@@ -93,8 +91,7 @@ def test_monkey_session_is_deterministic(login_gate):
 
     def run():
         device = device_for(login_gate)
-        s = run_monkey(login_gate, device, config,
-                       runner=SessionRunner(login_gate, device))
+        s = run_monkey(SessionRunner(login_gate, device), config)
         return s.events, s.executed_blocks
 
     assert run() == run()
@@ -103,8 +100,7 @@ def test_monkey_session_is_deterministic(login_gate):
 def test_monkey_stops_early_on_crash(crash_first):
     config = MonkeyConfig(**PAPER_CONFIG, package=crash_first.package)
     device = device_for(crash_first)
-    session = run_monkey(crash_first, device, config,
-                         runner=SessionRunner(crash_first, device))
+    session = run_monkey(SessionRunner(crash_first, device), config)
     assert session.crashed
     assert session.executed_blocks == {"x1"}  # partial coverage still reported
     assert len(session.events) < 500
@@ -115,8 +111,7 @@ def test_monkey_blocks_subset_of_oracle(login_gate, tiny_taps, boot_gate):
         oracle = reachable_blocks(app)
         config = MonkeyConfig(**PAPER_CONFIG, package=app.package)
         device = device_for(app)
-        session = run_monkey(app, device, config,
-                             runner=SessionRunner(app, device))
+        session = run_monkey(SessionRunner(app, device), config)
         assert session.executed_blocks <= set(oracle)
 
 
