@@ -14,7 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .data_tables import DataTables, default_tables
 from .gcpause import gc_paused
@@ -130,9 +130,12 @@ class Screen:
     ``first_index`` maps each key to the first element that carries it.
     That is the shadowing rule: a later element with the same (partial)
     key can never be an event's target.
+
+    ``transitions`` holds the screen's UI transitions, grouped by
+    (element index, action) in model order; :class:`AppModel` fills it.
     """
 
-    __slots__ = ("state", "keys", "first_index", "_bounds")
+    __slots__ = ("state", "keys", "first_index", "transitions", "_bounds")
 
     def __init__(self, activity: str, state: UiState):
         self.state = state
@@ -140,6 +143,7 @@ class Screen:
         self.first_index: dict[ElementKey, int] = {}
         for i, key in enumerate(self.keys):
             self.first_index.setdefault(key, i)
+        self.transitions: dict[tuple[int, str], tuple[Transition, ...]] = {}
         self._bounds = tuple(el.bounds for el in state.elements)
 
     def entries(self) -> Iterator[tuple[ElementKey, UiElement]]:
@@ -349,32 +353,33 @@ class AppModel:
     block_index: dict[str, BasicBlock] = field(init=False, repr=False, compare=False)
     _activities: dict[str, Activity] = field(init=False, repr=False, compare=False)
     _screens: dict[tuple[str, str], Screen] = field(init=False, repr=False, compare=False)
-    _ui_transitions: dict[tuple[str, str, int, str], tuple[Transition, ...]] = field(
-        init=False, repr=False, compare=False)
     _receiver_transitions: dict[tuple[str, str], tuple[Transition, ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         activities = _first_wins((a.name, a) for a in self.activities)
-        # Transitions grouped by what they match, each group then a tuple.
-        ui: dict[tuple[str, str, int, str], Sequence[Transition]] = {}
-        rx: dict[tuple[str, str], Sequence[Transition]] = {}
+        screens = {(name, sid): Screen(name, st)
+                   for name, act in activities.items()
+                   for sid, st in act._states.items()}
+        # Transitions grouped by what they match, each group a tuple. A UI
+        # transition goes straight into its screen's table; one on a state
+        # the model lacks (possible only without the loader) never fires.
+        rx: dict[tuple[str, str], tuple[Transition, ...]] = {}
         for t in self.transitions:
-            if isinstance(t.source, UiSource):
-                key = (t.source.activity, t.source.state, t.source.element_index, t.action)
-                ui.setdefault(key, []).append(t)
+            src = t.source
+            if isinstance(src, UiSource):
+                screen = screens.get((src.activity, src.state))
+                if screen is not None:
+                    group = screen.transitions
+                    key = (src.element_index, t.action)
+                    group[key] = group.get(key, ()) + (t,)
             else:
-                rx.setdefault((t.source.trigger, t.source.action), []).append(t)
-        for groups in (ui, rx):
-            for k, v in groups.items():
-                groups[k] = tuple(v)
+                key = (src.trigger, src.action)
+                rx[key] = rx.get(key, ()) + (t,)
         tables = {
             "block_index": {b.id: b for b in self.blocks},
             "_activities": activities,
-            "_screens": {(name, sid): Screen(name, st)
-                         for name, act in activities.items()
-                         for sid, st in act._states.items()},
-            "_ui_transitions": ui,
+            "_screens": screens,
             "_receiver_transitions": rx,
         }
         for name, value in tables.items():
@@ -497,11 +502,6 @@ def dump_hierarchy(device: DeviceState, app: AppModel) -> tuple[UiElement, ...]:
     return app.ui_state(ctx.activity, ctx.state).elements
 
 
-def _resolve_target(app: AppModel, ctx: AppContext, key: ElementKey) -> Optional[int]:
-    # First element whose key equals the event key (see Screen.first_index).
-    return app.screen(ctx.activity, ctx.state).first_index.get(key)
-
-
 def live_receiver_action(app: AppModel, ctx: AppContext, event: Event) -> Optional[str]:
     """The intent action ``event`` is delivered under, if a receiver for it is live.
 
@@ -545,14 +545,16 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
 
 
 def _match_transition(app, ctx, event, tables) -> Optional[Transition]:
-    if event.is_ui:
-        if event.target is None:
+    kind = event.kind
+    if kind in UI_ACTIONS:
+        target = event.target
+        if target is None:
             return None
-        idx = _resolve_target(app, ctx, event.target)
+        screen = app.screen(ctx.activity, ctx.state)
+        idx = screen.first_index.get(target)  # the shadowing rule
         if idx is None:
             return None
-        candidates = app._ui_transitions.get((ctx.activity, ctx.state, idx, event.kind), ())
-        for t in candidates:
+        for t in screen.transitions.get((idx, kind), ()):
             if t.match is None or t.match.accepts(event.value, tables):
                 return t
         return None
@@ -608,9 +610,10 @@ def run_event_chain(device: DeviceState, app: AppModel, event: Event,
     self-texting fixtures from spinning.
     """
     steps: list[tuple[Event, StepResult]] = []
-    queue = deque([event])
-    while queue and len(steps) <= LOOPBACK_LIMIT:
-        ev = queue.popleft()
+    queue = [event]  # loopbacks are appended while the loop walks it
+    for ev in queue:
+        if len(steps) > LOOPBACK_LIMIT:
+            break
         result = apply_event(device, app, ev, tables)
         steps.append((ev, result))
         device = result.device
@@ -1028,8 +1031,12 @@ def _build_model(doc: dict, source: str) -> AppModel:
 
 def _check_determinism(app: AppModel, source: str) -> None:
     # At most one transition may match any concrete (state, event) pair;
-    # the model's transition tables group the candidates.
-    for key, group in app._ui_transitions.items():
+    # the model's transition tables group the candidates. Every group is
+    # checked, also those on a shadowed element that no event can reach.
+    ui_groups = (((activity, state, idx, action), group)
+                 for (activity, state), screen in app._screens.items()
+                 for (idx, action), group in screen.transitions.items())
+    for key, group in ui_groups:
         if len(group) == 1:
             continue
         # multiple transitions are only allowed as equals-matches on

@@ -143,7 +143,9 @@ class _Explorer:
         self.tables = tables
         self.rng = Xoshiro256StarStar(derive_seed(config.seed, "smart-fill"))
         self.budget = config.max_events
-        self.seen_screens: dict[tuple[str, str], Screen] = {}
+        # Seen screens that may still hold an unvisited pair. Visited pairs
+        # are never forgotten, so a screen whose plan ran out leaves for good.
+        self.open_screens: dict[tuple[str, str], Screen] = {}
 
     @property
     def session(self) -> Session:
@@ -161,15 +163,18 @@ class _Explorer:
         return Event.set_text(key, generate_fill_value(category, self.tables, self.rng))
 
     def _pending_anywhere(self) -> bool:
-        return any(_plan(screen, self.session.visited)
-                   for screen in self.seen_screens.values())
+        for name, screen in list(self.open_screens.items()):
+            if _plan(screen, self.session.visited):
+                return True
+            del self.open_screens[name]
+        return False
 
     def drain_ui(self) -> None:
         """Process screens until no unvisited pair is discoverable."""
         idle_switch = False
         while self.budget > 0 and not self.session.crashed:
             screen = self.runner.current_screen()
-            shown = self.seen_screens[screen] = self.app.screen(*screen)
+            shown = self.app.screen(*screen)
             plan = _plan(shown, self.session.visited)
             if not plan:
                 if not self._pending_anywhere():
@@ -180,7 +185,8 @@ class _Explorer:
                 idle_switch = True
                 continue
             idle_switch = False
-            for key, action, element in plan:
+            self.open_screens[screen] = shown
+            for n, (key, action, element) in enumerate(plan, 1):
                 if self.budget <= 0 or self.session.crashed:
                     return
                 self.session.visited.add((key, action))
@@ -191,6 +197,8 @@ class _Explorer:
                 self.issue(event)
                 if self.runner.current_screen() != screen:
                     break  # screen changed: replan there
+            if n == len(plan):  # every planned pair is now visited
+                del self.open_screens[screen]
 
     def inject(self) -> None:
         """One-shot broadcast, SMS and call injection.

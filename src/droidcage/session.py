@@ -119,12 +119,15 @@ class SessionRunner:
         return steps[0][1]
 
     def _absorb(self, result: StepResult) -> None:
-        self.session.executed_blocks.update(result.executed_blocks)
-        self.session.trace.extend(record(result, TRACE_CONFIG))
-        for eff in result.side_effects:
-            self.session.effects.append(self._dispose(eff))
-        if result.crashed:
-            self.session.crashed = True
+        session = self.session
+        _, blocks, effects, crashed, _ = result
+        session.executed_blocks.update(blocks)
+        if effects:  # a step without side effects leaves no trace and no effects
+            session.trace.extend(record(result, TRACE_CONFIG))
+            for eff in effects:
+                session.effects.append(self._dispose(eff))
+        if crashed:
+            session.crashed = True
 
     def _dispose(self, eff: SideEffect) -> ObservedEffect:
         if eff.kind in TELEPHONY_KINDS:

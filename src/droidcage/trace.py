@@ -81,11 +81,13 @@ def record(step: StepResult, config: TraceConfig) -> list[TraceEvent]:
 
 
 def _to_event(eff: SideEffect, config: TraceConfig) -> TraceEvent | None:
-    pid = eff.pid if eff.pid is not None else config.target_pid
-    if eff.kind == "java_call":
+    kind, pid = eff.kind, eff.pid
+    if pid is None:
+        pid = config.target_pid
+    if kind == "java_call":
         origin = eff.origin or ("app_code",)
         return TraceEvent("java_call", eff.signature, pid, tuple(origin))
-    if eff.kind == "system_call":
+    if kind == "system_call":
         return TraceEvent("system_call", eff.name, pid)
     return None
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from droidcage import harness
 from droidcage.app_model import (
     SMS_RECEIVED_ACTION,
+    UI_ACTIONS,
     AppContext,
     AppModel,
     DeviceState,
@@ -17,11 +18,12 @@ from droidcage.app_model import (
     ModelParseError,
     ModelValidationError,
     OracleBudgetError,
+    ReceiverSource,
     SessionCrashedError,
     Settings,
     StepResult,
+    UiSource,
     _enter_state,
-    _match_transition,
     apply_event,
     dump_hierarchy,
     identify_element,
@@ -35,7 +37,9 @@ from droidcage.data_tables import default_tables
 
 from conftest import (
     FIXTURES,
+    OUTSIDE_ACTION,
     WRONGLY_TYPED_EDITS,
+    app_docs,
     device_for,
     edited_fixture,
     edited_login_gate,
@@ -299,6 +303,22 @@ def test_ambiguous_transitions_rejected(tmp_path):
     doc = _minimal_doc()
     doc["transitions"].append(dict(doc["transitions"][0]))
     with pytest.raises(ModelValidationError, match="deterministic"):
+        load_app_model(write_model(tmp_path, doc))
+
+
+def test_ambiguity_on_a_shadowed_element_is_rejected(tmp_path):
+    # The first "B" shadows the second, so no event reaches the second's
+    # transitions; the machine must still be deterministic there.
+    doc = _minimal_doc()
+    doc["activities"][0]["states"][0]["elements"] = [
+        {"kind": "button", "text": "B", "bounds": [0, y, 100, 100], "actions": ["click"]}
+        for y in (0, 200)]
+    twin = {"from": {"activity": "Main", "state": "home", "element": 1},
+            "trigger": {"action": "click"}, "to": None, "blocks": ["k1"]}
+    doc["transitions"] = [twin, dict(twin)]
+    with pytest.raises(ModelValidationError,
+                       match=r"ambiguous transitions for \('Main', 'home', 1, 'click'\) "
+                             r"\(machine must be deterministic\)"):
         load_app_model(write_model(tmp_path, doc))
 
 
@@ -580,12 +600,35 @@ def test_changing_transition_returns_a_new_device_and_leaves_the_input(request, 
     assert device == snapshot
 
 
+def _reference_transition(app, ctx, event):
+    """The transition ``event`` fires, found by scanning ``app.transitions``
+    in order, without the model's lookup tables."""
+    here = (ctx.activity, ctx.state)
+    if event.kind in UI_ACTIONS:
+        keys = app.screen(*here).keys
+        if event.target not in keys:
+            return None
+        source = UiSource(*here, keys.index(event.target))  # the first element wins
+        for t in app.transitions:
+            if t.source == source and t.action == event.kind and (
+                    t.match is None or t.match.accepts(event.value, default_tables())):
+                return t
+        return None
+    action = live_receiver_action(app, ctx, event)
+    for t in app.transitions:
+        src = t.source
+        if isinstance(src, ReceiverSource) and (src.trigger, src.action) == (event.kind, action) \
+                and src.anchor in (None, here):
+            return t
+    return None
+
+
 def _cloning_step(device, app, event) -> StepResult:
     """apply_event as it was when every fired transition cloned the device."""
     if event.kind == "app_switch":
         return apply_event(device, app, event)
     ctx = device.context(app.package)
-    transition = _match_transition(app, ctx, event, default_tables())
+    transition = _reference_transition(app, ctx, event)
     if transition is None:
         return StepResult(device, (), (), False, False)
     dev = device.clone()
@@ -611,12 +654,28 @@ _STEP_FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_
 def test_apply_event_equals_the_cloning_stepper_and_mutates_no_input(request, data):
     name = data.draw(st.sampled_from(_STEP_FIXTURES))
     app = _registering_app() if name == "registering" else request.getfixturevalue(name)
-    pool = _event_pool(app) + [Event.broadcast(PING)]
-    events = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    _check_against_the_cloning_stepper(app, data, Event.broadcast(PING))
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_docs(), st.data())
+def test_apply_event_equals_the_cloning_stepper_on_generated_models(doc, data):
+    # Generated ids collide, so events hit shadowed elements.
+    _check_against_the_cloning_stepper(model_from_dict(doc), data, Event.broadcast(OUTSIDE_ACTION))
+
+
+def _check_against_the_cloning_stepper(app, data, *extra_events):
+    pool = _event_pool(app) + list(extra_events)
     device = reference = device_for(app)
-    for ev in events:
+    for _ in range(data.draw(st.integers(0, 30))):
         if device.crashed:
             break
+        # Any event, or one aimed at the current screen (or at no element),
+        # so that the screen's own and shadowed elements are hit often.
+        ctx = device.context(app.package)
+        keys = app.screen(ctx.activity, ctx.state).keys
+        here = [ev for ev in pool if ev.target is None or ev.target in keys]
+        ev = data.draw(st.sampled_from(pool) | st.sampled_from(here))
         snapshot = device.clone()
         result = apply_event(device, app, ev)
         expected = _cloning_step(reference, app, ev)

@@ -15,7 +15,6 @@ from droidcage.app_model import (
     UiSource,
     UiState,
     _candidate_events,
-    _resolve_target,
     apply_event,
     model_from_dict,
     reachable_blocks,
@@ -89,7 +88,7 @@ def test_monkey_hit_on_shadowed_element_resolves_to_first(shadow):
                           shadow.screen("Main", "home"))
     assert event == Event.click(OK_KEY)
     ctx = device.context(shadow.package)
-    assert _resolve_target(shadow, ctx, event.target) == 0
+    assert shadow.screen(ctx.activity, ctx.state).first_index.get(event.target) == 0
     assert apply_event(device, shadow, event).executed_blocks == ("first",)
 
 
@@ -134,7 +133,10 @@ def test_directly_constructed_model_has_working_lookups():
         package="com.t.direct", main_activity="Main", own_number="5550000",
         activities=(Activity("Main", "home", (home, done)),),
         transitions=(Transition(0, UiSource("Main", "home", 0), "click", None,
-                                ("Main", "done"), ("b1",), ()),),
+                                ("Main", "done"), ("b1",), ()),
+                     # names a state the model lacks: it constructs, and never fires
+                     Transition(1, UiSource("Main", "gone", 0), "click", None,
+                                None, ("b1",), ())),
         blocks=(BasicBlock("b1", "c.Main", "go"),),
         declared_receivers=(), dynamic_receivers=(), alphabet=(),
     )

@@ -1,6 +1,7 @@
 import pytest
 
 from droidcage.app_model import (
+    LOOPBACK_LIMIT,
     SMS_RECEIVED_ACTION,
     Event,
     SessionCrashedError,
@@ -8,6 +9,7 @@ from droidcage.app_model import (
     identify_element,
     install_app,
     model_from_dict,
+    run_event_chain,
 )
 from droidcage.explorer import baseline_device
 from droidcage.netguard import NetGuard, parse_capture_log
@@ -70,10 +72,14 @@ def test_loopback_body_is_the_sent_body():
 def test_self_texting_cycle_is_capped():
     app, runner = _runner(_self_sms_doc(receiver_sends_back=True))
     btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
+    # The receiver texts itself forever; the chain stops after the click
+    # and LOOPBACK_LIMIT loopbacks, each of which sent one more SMS.
+    _, steps = run_event_chain(runner.device, app, Event.click(btn), runner.policy)
+    assert [ev.kind for ev, _ in steps] == ["click"] + ["incoming_sms"] * LOOPBACK_LIMIT
+    assert [res.executed_blocks for _, res in steps] == [("s1",)] + [("r1",)] * LOOPBACK_LIMIT
     runner.step(Event.click(btn))
-    # the receiver texts itself forever; the chain must terminate
     assert len(runner.session.events) == 1
-    assert 1 <= len(runner.session.telephony_deliveries()) <= 10
+    assert len(runner.session.telephony_deliveries()) == LOOPBACK_LIMIT + 1 == 9
 
 
 def test_rejected_sms_tagged_and_session_alive():
