@@ -71,8 +71,7 @@ class OracleBudgetError(RuntimeError):
 # UI structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UiElement:
+class UiElement(NamedTuple):
     kind: str = "generic"
     id_string: Optional[str] = None
     content_description: Optional[str] = None
@@ -80,14 +79,6 @@ class UiElement:
     hint: Optional[str] = None
     bounds: tuple[int, int, int, int] = (0, 0, 1, 1)
     actions: tuple[str, ...] = ()
-
-    @property
-    def width(self) -> int:
-        return self.bounds[2]
-
-    @property
-    def height(self) -> int:
-        return self.bounds[3]
 
 
 class ElementKey(NamedTuple):
@@ -115,11 +106,11 @@ def identify_element(activity: str, element: UiElement) -> ElementKey:
         return ElementKey("strong_desc", activity, element.content_description)
     if element.text:
         return ElementKey("partial_text", None, element.text)
-    return ElementKey("partial_dims", None, (element.width, element.height))
+    _, _, width, height = element.bounds
+    return ElementKey("partial_dims", None, (width, height))
 
 
-@dataclass(frozen=True)
-class UiState:
+class UiState(NamedTuple):
     id: str
     elements: tuple[UiElement, ...]
 
@@ -139,12 +130,12 @@ class Screen:
 
     def __init__(self, activity: str, state: UiState):
         self.state = state
-        self.keys = tuple(identify_element(activity, el) for el in state.elements)
+        self.keys = tuple([identify_element(activity, el) for el in state.elements])
         self.first_index: dict[ElementKey, int] = {}
         for i, key in enumerate(self.keys):
             self.first_index.setdefault(key, i)
         self.transitions: dict[tuple[int, str], tuple[Transition, ...]] = {}
-        self._bounds = tuple(el.bounds for el in state.elements)
+        self._bounds = tuple([el.bounds for el in state.elements])
 
     def entries(self) -> Iterator[tuple[ElementKey, UiElement]]:
         """The unshadowed elements with their keys, in screen order."""
@@ -181,8 +172,7 @@ class Activity:
             raise KeyError(state_id) from None
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+class BasicBlock(NamedTuple):
     id: str
     class_name: str
     method: str
@@ -192,8 +182,7 @@ class BasicBlock:
 # Side effects and events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SideEffect:
+class SideEffect(NamedTuple):
     kind: str
     data: bytes = b""            # network_request payload
     protocol: str = "http"       # network_request declared protocol
@@ -291,8 +280,7 @@ class Event(NamedTuple):
 # Transitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TextMatch:
+class TextMatch(NamedTuple):
     kind: str  # equals | non_empty | matches_category
     value: str = ""
     category: str = ""
@@ -307,15 +295,13 @@ class TextMatch:
         raise ValueError(f"unknown match kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class UiSource:
+class UiSource(NamedTuple):
     activity: str
     state: str
     element_index: int
 
 
-@dataclass(frozen=True)
-class ReceiverSource:
+class ReceiverSource(NamedTuple):
     action: str                 # manifest intent action
     trigger: str                # broadcast | incoming_sms | incoming_call
     anchor: Optional[tuple[str, str]] = None  # restrict to (activity, state)
@@ -741,19 +727,52 @@ _ELEMENT_REF = ("an int or a string", (int, str))
 _REQUIRED = object()
 
 
+def _fields(obj: dict, where: str, spec: tuple) -> list:
+    """For each (key, kind, default) of ``spec``, in one pass: ``obj[key]``
+    checked against ``kind``, or ``default`` when the key is absent."""
+    values = []
+    for key, kind, default in spec:
+        value = obj.get(key, default)
+        if type(value) in kind[1]:
+            if type(value) is str and not value.isascii():
+                _check_text(value, key, where)
+        elif key in obj:
+            raise ModelValidationError(
+                f"{where}: {key} must be {kind[0]}, got {type(value).__name__}")
+        elif default is _REQUIRED:
+            raise ModelValidationError(f"{where}: missing field {key!r}")
+        values.append(value)
+    return values
+
+
 def _field(obj: dict, key: str, where: str, kind=_STRING, default=_REQUIRED):
-    """``obj[key]`` checked against ``kind``, or ``default`` when the key is absent."""
-    value = obj.get(key, default)
-    if type(value) in kind[1]:
-        if type(value) is str and not value.isascii():
-            _check_text(value, key, where)
-        return value
-    if key in obj:
-        raise ModelValidationError(
-            f"{where}: {key} must be {kind[0]}, got {type(value).__name__}")
-    if default is _REQUIRED:
-        raise ModelValidationError(f"{where}: missing field {key!r}")
-    return default
+    """One field, read as :func:`_fields` reads each."""
+    return _fields(obj, where, ((key, kind, default),))[0]
+
+
+# Each object kind's plain fields, read in one pass of _fields.
+_MODEL_FIELDS = (("package", _STRING, _REQUIRED), ("main_activity", _STRING, _REQUIRED),
+                 ("own_number", _STRING, _REQUIRED), ("activities", _ARRAY, _REQUIRED),
+                 ("blocks", _ARRAY, _REQUIRED), ("receivers", _OBJECT, {}),
+                 ("transitions", _ARRAY, _REQUIRED))
+_BLOCK_FIELDS = (("id", _STRING, _REQUIRED), ("class", _STRING, _REQUIRED),
+                 ("method", _STRING, _REQUIRED))
+_PLACE_FIELDS = (("activity", _STRING, _REQUIRED), ("state", _STRING, _REQUIRED))
+_UI_SOURCE_FIELDS = _PLACE_FIELDS + (("element", _ELEMENT_REF, _REQUIRED),)
+_DYNAMIC_FIELDS = _PLACE_FIELDS + (("action", _STRING, _REQUIRED),)
+_UI_TRIGGER_FIELDS = (("match", _OPT_OBJECT, None), ("action", _STRING, _REQUIRED))
+_TRANSITION_FIELDS = (("from", _OBJECT, _REQUIRED), ("trigger", _OBJECT, {}),
+                      ("to", _OPT_OBJECT, None), ("blocks", _ARRAY, ()),
+                      ("side_effects", _ARRAY, ()), ("crash", _BOOL, False))
+# An element's, by whether it has the long key of each aliased pair: a long
+# key present shadows its short alias, whatever the alias holds.
+_ELEMENT_FIELDS = {
+    (long_id, long_desc): (
+        ("kind", _STRING, "generic"), ("bounds", _ARRAY, _REQUIRED), ("actions", _ARRAY, ()),
+        ("id_string" if long_id else "id", _OPT_STRING, None),
+        ("content_description" if long_desc else "description", _OPT_STRING, None),
+        ("text", _OPT_STRING, None), ("hint", _OPT_STRING, None))
+    for long_id in (False, True) for long_desc in (False, True)}
 
 
 def _check_text(value: str, key: str, where: str) -> None:
@@ -764,20 +783,10 @@ def _check_text(value: str, key: str, where: str) -> None:
         raise ModelValidationError(f"{where}: {key} must be valid Unicode text") from None
 
 
-def _choice(obj: dict, key: str, where: str, choices: tuple, what: str, default=_REQUIRED) -> str:
-    value = _field(obj, key, where, _STRING, default)
+def _one_of(value, where: str, choices, what: str):
     if value not in choices:
         raise ModelValidationError(f"{where}: unknown {what} {value!r}")
     return value
-
-
-def _choices(obj: dict, key: str, where: str, choices: tuple, what: str,
-             default=()) -> tuple[str, ...]:
-    values = tuple(_field(obj, key, where, _ARRAY, default))
-    for value in values:
-        if value not in choices:
-            raise ModelValidationError(f"{where}: unknown {what} {value!r}")
-    return values
 
 
 def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
@@ -790,71 +799,72 @@ def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _activity_state(obj: dict, where: str, activities: dict, what: str = "") -> tuple[str, UiState]:
-    """The (activity, state) an object names; ``what`` qualifies the messages."""
-    act = _field(obj, "activity", where)
-    st = _field(obj, "state", where)
+def _activity_state(obj: dict, where: str, activities: dict, what: str = "",
+                    spec: tuple = _PLACE_FIELDS) -> list:
+    """The activity and UiState ``obj`` names, then its other ``spec`` fields."""
+    values = _fields(obj, where, spec)
+    act, st = values[0], values[1]
     if act not in activities:
         raise ModelValidationError(f"{where}: unknown {what}activity {act!r}")
     try:
-        return act, activities[act].state(st)
+        values[1] = activities[act].state(st)
     except KeyError:
         raise ModelValidationError(f"{where}: unknown {what}state {st!r}") from None
+    return values
+
+
+_NUMBERS = frozenset({int, float})
 
 
 def _load_element(raw, where: str) -> UiElement:
     raw = _object(raw, where, "element")
-    kind = _choice(raw, "kind", where, ELEMENT_KINDS, "element kind", "generic")
-    bounds = _field(raw, "bounds", where, _ARRAY)
-    if len(bounds) != 4 or not all(type(v) in (int, float) for v in bounds):
+    kind, bounds, actions, id_string, description, text, hint = _fields(
+        raw, where, _ELEMENT_FIELDS["id_string" in raw, "content_description" in raw])
+    _one_of(kind, where, ELEMENT_KINDS, "element kind")
+    x, y, w, h = bounds if len(bounds) == 4 else (None,) * 4
+    # v * 0 is 0 for a finite number (an int of any size too) and NaN for
+    # NaN and ±Infinity; math.isfinite would raise on an int too big for a float.
+    if not ({type(x), type(y), type(w), type(h)} <= _NUMBERS
+            and 0 == x * 0 == y * 0 == w * 0 == h * 0):
         raise ModelValidationError(f"{where}: bounds must be [x, y, width, height]")
-    if bounds[2] <= 0 or bounds[3] <= 0:
+    if w <= 0 or h <= 0:
         raise ModelValidationError(f"{where}: element width/height must be positive")
-    actions = _choices(raw, "actions", where, UI_ACTIONS, "action")
+    for action in actions:
+        if actions.count(_one_of(action, where, UI_ACTIONS, "action")) > 1:
+            raise ModelValidationError(f"{where}: action {action!r} is listed twice")
     if kind == "textfield" and "set_text" not in actions:
         raise ModelValidationError(f"{where}: textfield must list set_text")
     if kind == "checkbox" and "toggle" not in actions:
         raise ModelValidationError(f"{where}: checkbox must list toggle")
-    # A long key present shadows its short alias, whatever the alias holds.
-    id_key = "id_string" if "id_string" in raw else "id"
-    desc_key = "content_description" if "content_description" in raw else "description"
-    return UiElement(
-        kind=kind,
-        id_string=_field(raw, id_key, where, _OPT_STRING, None),
-        content_description=_field(raw, desc_key, where, _OPT_STRING, None),
-        text=_field(raw, "text", where, _OPT_STRING, None),
-        hint=_field(raw, "hint", where, _OPT_STRING, None),
-        bounds=tuple(bounds),  # type: ignore[arg-type]
-        actions=actions,
-    )
+    return UiElement(kind, id_string, description, text, hint, (x, y, w, h), tuple(actions))
 
 
-_SIDE_EFFECT_KINDS = ("network_request", "outgoing_call", "outgoing_sms", "java_call",
-                      "system_call", "register_receiver")
+# Each side-effect kind's fields, named as SideEffect names them.
+_SIDE_EFFECT_FIELDS = {
+    "network_request": (("data", _STRING, ""), ("protocol", _STRING, "http"),
+                        ("server", _OPT_STRING, None)),
+    "outgoing_call": (("number", _STRING, _REQUIRED),),
+    "outgoing_sms": (("number", _STRING, _REQUIRED), ("body", _STRING, "")),
+    "java_call": (("signature", _STRING, _REQUIRED), ("origin", _ARRAY, ("app_code",)),
+                  ("pid", _OPT_INT, None)),
+    "system_call": (("name", _STRING, _REQUIRED), ("pid", _OPT_INT, None)),
+    "register_receiver": (("action", _STRING, _REQUIRED),),
+}
 
 
 def _load_side_effect(raw, where: str) -> SideEffect:
     raw = _object(raw, where, "side effect")
-    kind = _choice(raw, "kind", where, _SIDE_EFFECT_KINDS, "side-effect kind")
+    kind = _one_of(_field(raw, "kind", where), where, _SIDE_EFFECT_FIELDS, "side-effect kind")
+    spec = _SIDE_EFFECT_FIELDS[kind]
+    fields = dict(zip([key for key, _, _ in spec], _fields(raw, where, spec)))
     if kind == "network_request":
-        return SideEffect.network_request(_field(raw, "data", where, _STRING, "").encode("utf-8"),
-                                          _field(raw, "protocol", where, _STRING, "http"),
-                                          _field(raw, "server", where, _OPT_STRING, None))
-    if kind == "outgoing_call":
-        return SideEffect.outgoing_call(_field(raw, "number", where))
-    if kind == "outgoing_sms":
-        return SideEffect.outgoing_sms(_field(raw, "number", where),
-                                       _field(raw, "body", where, _STRING, ""))
+        fields["data"] = fields["data"].encode("utf-8")
     if kind == "java_call":
-        sig = _field(raw, "signature", where)
-        if not sig:
+        if not fields["signature"]:
             raise ModelValidationError(f"{where}: java_call signature must be non-empty")
-        origin = _choices(raw, "origin", where, ORIGIN_FLAGS, "origin flag", ("app_code",))
-        return SideEffect.java_call(sig, origin, _field(raw, "pid", where, _OPT_INT, None))
-    if kind == "system_call":
-        return SideEffect.system_call(_field(raw, "name", where),
-                                      _field(raw, "pid", where, _OPT_INT, None))
-    return SideEffect.register_receiver(_field(raw, "action", where))
+        fields["origin"] = tuple([_one_of(flag, where, ORIGIN_FLAGS, "origin flag")
+                                  for flag in fields["origin"]])
+    return SideEffect(kind, **fields)
 
 
 def _resolve_element_ref(state: UiState, ref: int | str, where: str) -> int:
@@ -879,12 +889,13 @@ _MATCH_CATEGORIES = (
 def _load_match(raw: dict | None, where: str) -> Optional[TextMatch]:
     if raw is None:
         return None
-    kind = _choice(raw, "kind", where, _MATCH_KINDS, "match kind")
+    kind = _one_of(_field(raw, "kind", where), where, _MATCH_KINDS, "match kind")
     if kind == "equals":
         return TextMatch("equals", value=_field(raw, "value", where))
     if kind == "matches_category":
+        category = _field(raw, "category", where)
         return TextMatch("matches_category",
-                         category=_choice(raw, "category", where, _MATCH_CATEGORIES, "category"))
+                         category=_one_of(category, where, _MATCH_CATEGORIES, "category"))
     return TextMatch("non_empty")
 
 
@@ -915,15 +926,13 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
 
 
 def _build_model(doc: dict, source: str) -> AppModel:
-    doc = _object(doc, source, "model")
-    package = _field(doc, "package", source)
-    main_activity = _field(doc, "main_activity", source)
-    own_number = _field(doc, "own_number", source)
+    (package, main_activity, own_number, raw_activities, raw_blocks, raw_receivers,
+     raw_transitions) = _fields(_object(doc, source, "model"), source, _MODEL_FIELDS)
     if not own_number:
         raise ModelValidationError(f"{source}: own_number must be non-empty")
 
     activities = []
-    for araw in _field(doc, "activities", source, _ARRAY):
+    for araw in raw_activities:
         araw = _object(araw, source, "activity")
         aname = _field(araw, "name", source)
         awhere = f"{source}:{aname}"
@@ -932,9 +941,8 @@ def _build_model(doc: dict, source: str) -> AppModel:
             sraw = _object(sraw, awhere, "state")
             sid = _field(sraw, "id", awhere)
             where = f"{awhere}/{sid}"
-            elements = tuple(_load_element(e, where)
-                             for e in _field(sraw, "elements", where, _ARRAY, ()))
-            states.append(UiState(sid, elements))
+            states.append(UiState(sid, tuple([_load_element(e, where) for e in
+                                               _field(sraw, "elements", where, _ARRAY, ())])))
         ids = [s.id for s in states]
         if len(set(ids)) != len(ids):
             raise ModelValidationError(f"{awhere}: state ids must be unique")
@@ -951,68 +959,60 @@ def _build_model(doc: dict, source: str) -> AppModel:
         raise ModelValidationError(f"{source}: main_activity {main_activity!r} not found")
     act_by_name = {a.name: a for a in activities}
 
-    blocks = []
-    for braw in _field(doc, "blocks", source, _ARRAY):
-        braw = _object(braw, source, "block")
-        blocks.append(BasicBlock(_field(braw, "id", source), _field(braw, "class", source),
-                                 _field(braw, "method", source)))
+    blocks = [BasicBlock(*_fields(_object(braw, source, "block"), source, _BLOCK_FIELDS))
+              for braw in raw_blocks]
     known_blocks = {b.id for b in blocks}
     if len(known_blocks) != len(blocks):
         raise ModelValidationError(f"{source}: block ids must be unique")
 
     # Keyed by dotted path, so that messages name receivers.declared and .dynamic.
-    receivers = {f"receivers.{k}": v
-                 for k, v in _field(doc, "receivers", source, _OBJECT, {}).items()}
+    receivers = {f"receivers.{k}": v for k, v in raw_receivers.items()}
     declared = _strings(receivers, "receivers.declared", source)
     dynamic = []
     rwhere = f"{source}:receivers"
     for draw in _field(receivers, "receivers.dynamic", source, _ARRAY, ()):
         draw = _object(draw, rwhere, "dynamic receiver")
-        act, state = _activity_state(draw, rwhere, act_by_name)
-        dynamic.append((act, state.id, _field(draw, "action", rwhere)))
+        act, state, action = _activity_state(draw, rwhere, act_by_name, spec=_DYNAMIC_FIELDS)
+        dynamic.append((act, state.id, action))
 
     transitions = []
-    for i, traw in enumerate(_field(doc, "transitions", source, _ARRAY)):
+    for i, traw in enumerate(raw_transitions):
         where = f"{source}:transition[{i}]"
-        traw = _object(traw, where, "transition")
-        frm = _field(traw, "from", where, _OBJECT)
-        trigger = _field(traw, "trigger", where, _OBJECT, {})
-        match = _load_match(_field(trigger, "match", where, _OPT_OBJECT, None), where)
+        frm, trigger, to, tblocks, effects, crash = _fields(
+            _object(traw, where, "transition"), where, _TRANSITION_FIELDS)
         if "receiver" in frm:
+            match = _load_match(_field(trigger, "match", where, _OPT_OBJECT, None), where)
             action = _field(frm, "receiver", where)
             anchor = None
             if "activity" in frm:
                 act, state = _activity_state(frm, where, act_by_name, "anchor ")
                 anchor = (act, state.id)
-            if match is not None:
-                raise ModelValidationError(f"{where}: text match is only valid on set_text")
             action_name = _RECEIVER_TRIGGERS.get(action, "broadcast")
             source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(
                 action, action_name, anchor)
         else:
-            act, state = _activity_state(frm, where, act_by_name)
-            idx = _resolve_element_ref(state, _field(frm, "element", where, _ELEMENT_REF), where)
-            action_name = _choice(trigger, "action", where, UI_ACTIONS, "trigger action")
+            raw_match, action_name = _fields(trigger, where, _UI_TRIGGER_FIELDS)
+            match = _load_match(raw_match, where)
+            act, state, ref = _activity_state(frm, where, act_by_name, spec=_UI_SOURCE_FIELDS)
+            idx = _resolve_element_ref(state, ref, where)
+            # An action the element lists is a known one.
             if action_name not in state.elements[idx].actions:
+                _one_of(action_name, where, UI_ACTIONS, "trigger action")
                 raise ModelValidationError(
                     f"{where}: element {idx} does not list {action_name!r}")
-            if match is not None and action_name != "set_text":
-                raise ModelValidationError(f"{where}: text match is only valid on set_text")
             source_obj = UiSource(act, state.id, idx)
+        if match is not None and action_name != "set_text":
+            raise ModelValidationError(f"{where}: text match is only valid on set_text")
 
-        to = _field(traw, "to", where, _OPT_OBJECT, None)
         if to is not None:
             act, state = _activity_state(to, where, act_by_name, "target ")
             to = (act, state.id)
-
-        tblocks = tuple(_field(traw, "blocks", where, _ARRAY, ()))
         for bid in tblocks:
             if type(bid) is not str or bid not in known_blocks:
                 raise ModelValidationError(f"{where}: unknown block {bid!r}")
-        effects = tuple(_load_side_effect(e, where)
-                        for e in _field(traw, "side_effects", where, _ARRAY, ()))
-        transitions.append(Transition(i, source_obj, action_name, match, to, tblocks, effects,
-                                      _field(traw, "crash", where, _BOOL, False)))
+        transitions.append(Transition(i, source_obj, action_name, match, to, tuple(tblocks),
+                                      tuple([_load_side_effect(e, where) for e in effects]),
+                                      crash))
 
     app = AppModel(
         package=package,

@@ -15,6 +15,7 @@ from droidcage.app_model import (
 )
 from droidcage.data_tables import default_tables
 from droidcage.explorer import baseline_device
+from droidcage.harness import DEFAULT_IDENTITIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -108,6 +109,16 @@ WRONGLY_TYPED_EDITS = [
     (("transitions", 7, "side_effects", 0, "pid"), True, "pid must be an int or null"),
     (("transitions", 0, "crash"), "false", "crash must be a boolean"),
     (("transitions", 13, "from", "element"), True, "element must be an int or a string"),
+    # json.loads reads NaN and Infinity, and no tap hits (or every tap hits) such bounds.
+    (("activities", 0, "states", 0, "elements", 0, "bounds"), [40, 200, float("nan"), 120],
+     "bounds must be"),
+    (("activities", 0, "states", 0, "elements", 0, "bounds"),
+     [0, 0, float("inf"), float("inf")], "bounds must be"),
+    (("activities", 0, "states", 0, "elements", 0, "bounds"), [float("-inf"), 200, 1000, 120],
+     "bounds must be"),
+    # A repeated action would have the explorer send the same (element, action) pair twice.
+    (("activities", 0, "states", 0, "elements", 2, "actions"), ["click", "click"],
+     "action 'click' is listed twice"),
 ]
 
 
@@ -155,8 +166,10 @@ def app_docs(draw) -> dict:
 
     1-3 activities with 1-4 states of 0-4 elements each; ``equals``,
     ``non_empty`` and ``matches_category`` gates; crash transitions,
-    SMS and calls to the app's own number and to another; declared,
-    dynamic and registered receivers, many of them for ``OUTSIDE_ACTION``.
+    SMS and calls to the app's own number and to another; network
+    requests over HTTP, over HTTPS to a known server, over a blocked
+    protocol, and malformed; declared, dynamic and registered receivers,
+    many of them for ``OUTSIDE_ACTION``.
     The alphabet holds a value for every gate an engine could pass, so
     the oracle can type whatever an engine can.
     """
@@ -192,14 +205,24 @@ def app_docs(draw) -> dict:
         bid = f"b{len(blocks)}"
         blocks.append({"id": bid, "class": "gen.Main", "method": bid})
         effects = []
-        for effect in draw(st.lists(st.sampled_from(("sms", "call", "register", "java")),
+        for effect in draw(st.lists(st.sampled_from(("sms", "call", "register", "java", "http",
+                                                     "https", "blocked", "malformed")),
                                     max_size=2)):
             number = choice((_GEN_OWN_NUMBER, "5550999"))
+            server = choice(sorted(DEFAULT_IDENTITIES))
             effects.append({
                 "sms": {"kind": "outgoing_sms", "number": number, "body": "ping"},
                 "call": {"kind": "outgoing_call", "number": number},
                 "register": {"kind": "register_receiver", "action": choice(_GEN_RECEIVER_ACTIONS)},
                 "java": {"kind": "java_call", "signature": f"void gen.Main.{bid}"},
+                "http": {"kind": "network_request", "protocol": "http",
+                         "data": f"POST /{bid} HTTP/1.1\r\nHost: gen.example\r\n"
+                                 "Content-Length: 2\r\n\r\nhi"},
+                "https": {"kind": "network_request", "protocol": "https", "server": server,
+                          "data": f"GET /{bid} HTTP/1.1\r\nHost: {server}\r\n\r\n"},
+                "blocked": {"kind": "network_request", "protocol": "imap",
+                            "data": "a1 LOGIN gen secret\r\n"},
+                "malformed": {"kind": "network_request", "data": "\x00\x01 not a request"},
             }[effect])
         transitions.append({"from": frm, "trigger": trigger,
                             "to": draw(st.none() | st.sampled_from(places)), "blocks": [bid],

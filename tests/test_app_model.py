@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -11,6 +12,7 @@ from droidcage.app_model import (
     UI_ACTIONS,
     AppContext,
     AppModel,
+    BasicBlock,
     DeviceState,
     ElementKey,
     Event,
@@ -21,8 +23,12 @@ from droidcage.app_model import (
     ReceiverSource,
     SessionCrashedError,
     Settings,
+    SideEffect,
     StepResult,
+    TextMatch,
+    UiElement,
     UiSource,
+    UiState,
     _enter_state,
     apply_event,
     dump_hierarchy,
@@ -32,6 +38,7 @@ from droidcage.app_model import (
     model_from_dict,
     reachable_blocks,
 )
+from droidcage.corpus import write_corpus
 from droidcage.coverage import measure
 from droidcage.data_tables import default_tables
 
@@ -187,7 +194,7 @@ def _paths(node, prefix=()):
 _LOGIN_GATE = json.loads((FIXTURES / "login_gate.app").read_text(encoding="utf-8"))
 _LOGIN_GATE_PATHS = tuple(_paths(_LOGIN_GATE))
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=10),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner,
                                                                 max_size=4),
     max_leaves=12)
@@ -320,6 +327,42 @@ def test_ambiguity_on_a_shadowed_element_is_rejected(tmp_path):
                        match=r"ambiguous transitions for \('Main', 'home', 1, 'click'\) "
                              r"\(machine must be deterministic\)"):
         load_app_model(write_model(tmp_path, doc))
+
+
+# SHA-256 of repr(model) for each fixture, and of repr(load_corpus_dir(...))
+# over the 20-app corpus by seed: a faster loader must build the same models.
+GOLDEN_MODEL_REPR_DIGESTS = {
+    "boot_gate.app": "2f3244050d81d46116f1e4a40104faa381eb31b399d0a2f22b8aea58cfc297b7",
+    "crash_first.app": "60b8664976cda45077a7fc205b6ebb824470121c77f9d58ddf0ba9d25d5d6cb9",
+    "every_field.app": "090717ed2080119c6a6591cbd0da23a9c4129e2374597d7d20db420e3caa5310",
+    "login_gate.app": "2af1d52bbf1d8f4b1b60a0201a0df0af4977039ce6eea3b00d39f7f85d308008",
+    "one_button.app": "bfdc5bb59bcdcfa5eb5bcc1b6fc5ebf58d2ac9d98a36292ec3c5ef1eac60f843",
+    "sealed_bomb.app": "b7e8553ae96ac42f7e095db3b8b817986335dffdaa56f4d6e7e82bbd96d6df9d",
+    "tiny_taps.app": "98b943f4c48106c8067fc601901076a95405595fb55739cd60cc6830ba4ab64e",
+}
+GOLDEN_CORPUS_REPR_DIGESTS = {
+    0: "4aa260089d4d5ca30490c8f5de75fc16b842144f7b94b941f302a806e8f95a9e",
+    1: "6ddcf18a2249db484beefcc336cb7d0add2bbc44bbfe6e441e3319f6f88e395d",
+}
+
+
+def _repr_digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_every_fixture_is_golden():
+    assert sorted(p.name for p in FIXTURES.glob("*.app")) == sorted(GOLDEN_MODEL_REPR_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODEL_REPR_DIGESTS))
+def test_loaded_fixture_repr_is_golden(name):
+    assert _repr_digest(load_app_model(FIXTURES / name)) == GOLDEN_MODEL_REPR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CORPUS_REPR_DIGESTS))
+def test_loaded_corpus_repr_is_golden(tmp_path, seed):
+    write_corpus(tmp_path, seed, 20)
+    assert _repr_digest(harness.load_corpus_dir(tmp_path)) == GOLDEN_CORPUS_REPR_DIGESTS[seed]
 
 
 def test_distinct_equals_values_are_allowed(tmp_path):
@@ -696,6 +739,17 @@ _RECORDS = [
     # A hashable stand-in for the device: a DeviceState is not hashable.
     (StepResult(None, ("k1",), (), False, True),
      ("device", "executed_blocks", "side_effects", "crashed", "matched")),
+    # The model records the loader builds.
+    (UiElement("button", "btn", None, "Go", None, (0, 0, 10, 5), ("click",)),
+     ("kind", "id_string", "content_description", "text", "hint", "bounds", "actions")),
+    (UiState("home", (UiElement(),)), ("id", "elements")),
+    (BasicBlock("k1", "com.t.Main", "m"), ("id", "class_name", "method")),
+    (SideEffect.java_call("void a.b", pid=7),
+     ("kind", "data", "protocol", "server", "number", "body", "signature", "origin", "pid",
+      "name", "action")),
+    (TextMatch("equals", value="v"), ("kind", "value", "category")),
+    (UiSource("Main", "home", 0), ("activity", "state", "element_index")),
+    (ReceiverSource(PING, "broadcast", ("Main", "home")), ("action", "trigger", "anchor")),
 ]
 
 

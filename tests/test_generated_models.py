@@ -2,11 +2,13 @@
 
 from hypothesis import given, settings
 
+from droidcage import harness
 from droidcage.app_model import install_app, model_from_dict, reachable_blocks
 from droidcage.coverage import measure
 from droidcage.data_tables import DataTables, default_tables
 from droidcage.explorer import ExplorationConfig, baseline_device, cleanup, explore
 from droidcage.monkey import MonkeyConfig, generate_events, run_monkey
+from droidcage.netguard import NetGuard, parse_capture_log, write_log_entry
 from droidcage.session import SessionRunner
 
 from conftest import OUTSIDE_ACTION, app_docs
@@ -15,20 +17,30 @@ _DEFAULT = default_tables()
 # The packaged tables with a broadcast table that also holds OUTSIDE_ACTION.
 _CUSTOM = DataTables({**_DEFAULT.tables,
                       "broadcast": _DEFAULT.table("broadcast") + (OUTSIDE_ACTION,)})
+_SIGNATURES, _REPUTATION = harness.default_signatures(), harness.default_reputation()
+
+
+def _runs(app, tables, seed=0):
+    """The runners of the monkey, smart and smart_monkey sessions of ``app``
+    under ``tables``, each with a NetGuard that knows the harness's servers."""
+    def runner():
+        guard = NetGuard(_SIGNATURES, _REPUTATION, identities=harness.DEFAULT_IDENTITIES)
+        return SessionRunner(app, install_app(baseline_device(), app), netguard=guard,
+                             tables=tables)
+
+    monkey_config = MonkeyConfig(seed=seed, event_count=40, package=app.package)
+    runs = {method: runner() for method in harness.METHODS}
+    for method, run in runs.items():
+        if method != "smart":
+            run_monkey(run, monkey_config)
+        if method != "monkey":
+            explore(app, ExplorationConfig(seed=seed, max_events=60), run.device, runner=run)
+    return runs
 
 
 def _sessions(app, tables, seed=0):
     """The monkey, smart and smart_monkey sessions of ``app`` under ``tables``."""
-    monkey_config = MonkeyConfig(seed=seed, event_count=40, package=app.package)
-    runner = SessionRunner(app, install_app(baseline_device(), app), tables=tables)
-    sessions = {"monkey": run_monkey(runner, monkey_config)}
-    for method in ("smart", "smart_monkey"):
-        runner = SessionRunner(app, install_app(baseline_device(), app), tables=tables)
-        if method == "smart_monkey":
-            run_monkey(runner, monkey_config)
-        config = ExplorationConfig(seed=seed, max_events=60)
-        sessions[method] = explore(app, config, runner.device, runner=runner)
-    return sessions
+    return {method: run.session for method, run in _runs(app, tables, seed).items()}
 
 
 @settings(max_examples=30, deadline=None)
@@ -39,6 +51,24 @@ def test_every_session_block_is_reachable_by_the_oracle(doc):
         reachable = reachable_blocks(app, tables=tables)
         for method, session in _sessions(app, tables).items():
             assert session.executed_blocks <= reachable, (method, tables is _CUSTOM)
+
+
+@settings(max_examples=20, deadline=None)
+@given(app_docs())
+def test_every_capture_log_round_trips(doc):
+    app = model_from_dict(doc)
+    for method, run in _runs(app, _DEFAULT).items():
+        text = run.netguard.capture_text()
+        assert "".join(map(write_log_entry, parse_capture_log(text))) == text, method
+
+
+@settings(max_examples=20, deadline=None)
+@given(app_docs())
+def test_smart_sends_each_targeted_ui_pair_at_most_once(doc):
+    app = model_from_dict(doc)
+    session = explore(app, ExplorationConfig(max_events=60), install_app(baseline_device(), app))
+    pairs = [(event.target, event.kind) for event in session.events if event.is_ui]
+    assert len(pairs) == len(set(pairs))
 
 
 @settings(max_examples=15, deadline=None)
