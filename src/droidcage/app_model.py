@@ -477,9 +477,6 @@ class StepResult(NamedTuple):
     matched: bool
 
 
-_EMPTY = ((), (), False, False)
-
-
 def dump_hierarchy(device: DeviceState, app: AppModel) -> tuple[UiElement, ...]:
     """Elements of the current UI state, in stable (fixture) order."""
     if device.crashed:
@@ -513,53 +510,37 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     """
     if device.crashed:
         raise SessionCrashedError(f"session for {app.package} has crashed")
-    tables = tables or default_tables()
-    ctx = device.context(app.package)
-
-    if event.kind == "app_switch":
+    try:
+        ctx = device.contexts[app.package]
+    except KeyError:
+        raise AppNotInstalledError(f"{app.package} is not installed") from None
+    kind = event.kind
+    transition = None
+    if kind in UI_ACTIONS:
+        if event.target is not None:
+            screen = app._screens[ctx.activity, ctx.state]
+            # The shadowing rule; a target not on this screen (None) keys nothing.
+            idx = screen.first_index.get(event.target)
+            for t in screen.transitions.get((idx, kind), ()):
+                if t.match is None or t.match.accepts(event.value, tables or default_tables()):
+                    transition = t
+                    break
+    elif kind == "app_switch":
         main = app.activity(app.main_activity)
         if (ctx.activity, ctx.state) == (main.name, main.initial_state):
-            return StepResult(device, *_EMPTY)
+            return StepResult(device, (), (), False, False)
         dev = device.clone()
         dev.contexts[app.package] = _enter_state(app, ctx, main.name, main.initial_state)
         return StepResult(dev, (), (), False, True)
-
-    transition = _match_transition(app, ctx, event, tables)
+    elif (action := live_receiver_action(app, ctx, event)) is not None:
+        for t in app._receiver_transitions.get((kind, action), ()):
+            anchor = t.source.anchor
+            if anchor is None or anchor == (ctx.activity, ctx.state):
+                transition = t
+                break
     if transition is None:
-        return StepResult(device, *_EMPTY)
-    return _fire(device, app, ctx, transition)
+        return StepResult(device, (), (), False, False)
 
-
-def _match_transition(app, ctx, event, tables) -> Optional[Transition]:
-    kind = event.kind
-    if kind in UI_ACTIONS:
-        target = event.target
-        if target is None:
-            return None
-        screen = app.screen(ctx.activity, ctx.state)
-        idx = screen.first_index.get(target)  # the shadowing rule
-        if idx is None:
-            return None
-        for t in screen.transitions.get((idx, kind), ()):
-            if t.match is None or t.match.accepts(event.value, tables):
-                return t
-        return None
-
-    action = live_receiver_action(app, ctx, event)
-    if action is None:
-        return None
-    return _receiver_transition(app, ctx, event.kind, action)
-
-
-def _receiver_transition(app, ctx, trigger, action) -> Optional[Transition]:
-    for t in app._receiver_transitions.get((trigger, action), ()):
-        anchor = t.source.anchor
-        if anchor is None or anchor == (ctx.activity, ctx.state):
-            return t
-    return None
-
-
-def _fire(device, app, ctx, transition) -> StepResult:
     new_ctx = ctx
     for eff in transition.side_effects:
         if eff.kind == "register_receiver":
@@ -567,8 +548,8 @@ def _fire(device, app, ctx, transition) -> StepResult:
                                  new_ctx.receivers | {eff.action})
     if transition.to is not None and transition.to != (new_ctx.activity, new_ctx.state):
         new_ctx = _enter_state(app, new_ctx, *transition.to)
-    # Devices are never mutated after a step, so a transition that leaves
-    # the context and the crash flag as they were keeps the device it got.
+    # A transition that leaves the context equal (registering a receiver
+    # that is already live, say) and does not crash keeps the device it got.
     if transition.crash or new_ctx != ctx:
         device = device.clone()
         device.contexts[app.package] = new_ctx
@@ -595,20 +576,21 @@ def run_event_chain(device: DeviceState, app: AppModel, event: Event,
     incoming events immediately. The chain is capped to keep pathological
     self-texting fixtures from spinning.
     """
-    steps: list[tuple[Event, StepResult]] = []
-    queue = [event]  # loopbacks are appended while the loop walks it
-    for ev in queue:
-        if len(steps) > LOOPBACK_LIMIT:
-            break
-        result = apply_event(device, app, ev, tables)
-        steps.append((ev, result))
-        device = result.device
-        if result.crashed:
-            break
+    result = apply_event(device, app, event, tables)
+    steps = [(event, result)]
+    if result.crashed or not result.side_effects:
+        return result.device, steps  # nothing can loop back: most steps end here
+    queue: list[Event] = []  # loopbacks, appended while the loop walks it
+    while not result.crashed:
         for eff in result.side_effects:
             if eff.kind in TELEPHONY_KINDS and filter_outgoing(eff, policy).delivered:
                 queue.append(loopback_event(eff))
-    return device, steps
+        if len(steps) > len(queue) or len(steps) > LOOPBACK_LIMIT:
+            break
+        ev = queue[len(steps) - 1]
+        result = apply_event(result.device, app, ev, tables)
+        steps.append((ev, result))
+    return result.device, steps
 
 
 # ---------------------------------------------------------------------------
@@ -683,20 +665,21 @@ def reachable_blocks(app: AppModel, universe: EventUniverse | None = None, *,
     frontier = deque([start])
     blocks: set[str] = set()
 
-    while frontier:
-        device = frontier.popleft()
-        for event in _candidate_events(app, device, universe, app.own_number):
-            new_device, steps = run_event_chain(device, app, event, policy, tables)
-            for _, res in steps:
-                blocks.update(res.executed_blocks)
-            if new_device.crashed:
-                continue  # terminal: crashed sessions accept nothing further
-            key = _state_key(app, new_device)
-            if key not in seen:
-                if len(seen) >= max_states:
-                    raise OracleBudgetError(len(seen), max_states)
-                seen.add(key)
-                frontier.append(new_device)
+    with gc_paused():
+        while frontier:
+            device = frontier.popleft()
+            for event in _candidate_events(app, device, universe, app.own_number):
+                new_device, steps = run_event_chain(device, app, event, policy, tables)
+                for _, res in steps:
+                    blocks.update(res.executed_blocks)
+                if new_device.crashed:
+                    continue  # terminal: crashed sessions accept nothing further
+                key = _state_key(app, new_device)
+                if key not in seen:
+                    if len(seen) >= max_states:
+                        raise OracleBudgetError(len(seen), max_states)
+                    seen.add(key)
+                    frontier.append(new_device)
     return frozenset(blocks)
 
 
@@ -912,7 +895,8 @@ def load_app_model(path: str | Path) -> AppModel:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ModelParseError(f"{path.name}: line {e.lineno} col {e.colno}: {e.msg}") from e
-        except (UnicodeDecodeError, RecursionError) as e:  # not UTF-8, or nested too deeply
+        except (ValueError, RecursionError) as e:
+            # not UTF-8, an integer over int()'s digit limit, or nested too deeply
             raise ModelParseError(f"{path.name}: {e}") from e
         if not isinstance(doc, dict):
             raise ModelParseError(f"{path.name}: top level must be an object")

@@ -26,6 +26,7 @@ from .app_model import (
     live_receiver_action,
 )
 from .data_tables import DataTables
+from .gcpause import gc_paused
 from .monkey import run_monkey
 from .rng import Xoshiro256StarStar, derive_seed
 from .session import Session, SessionRunner
@@ -171,11 +172,12 @@ class _Explorer:
 
     def drain_ui(self) -> None:
         """Process screens until no unvisited pair is discoverable."""
+        runner, session = self.runner, self.session
         idle_switch = False
-        while self.budget > 0 and not self.session.crashed:
-            screen = self.runner.current_screen()
+        while self.budget > 0 and not session.crashed:
+            screen = runner.current_screen()
             shown = self.app.screen(*screen)
-            plan = _plan(shown, self.session.visited)
+            plan = _plan(shown, session.visited)
             if not plan:
                 if not self._pending_anywhere():
                     return
@@ -186,17 +188,21 @@ class _Explorer:
                 continue
             idle_switch = False
             self.open_screens[screen] = shown
+            device = runner.device
             for n, (key, action, element) in enumerate(plan, 1):
-                if self.budget <= 0 or self.session.crashed:
+                if self.budget <= 0 or session.crashed:
                     return
-                self.session.visited.add((key, action))
+                session.visited.add((key, action))
                 if action == "set_text":
                     event = self._fill_event(key, element)
                 else:
-                    event = Event(action, target=key)
+                    event = Event(action, key)
                 self.issue(event)
-                if self.runner.current_screen() != screen:
-                    break  # screen changed: replan there
+                # Devices are never mutated: the same device shows the same screen.
+                if runner.device is not device:
+                    device = runner.device
+                    if runner.current_screen() != screen:
+                        break  # screen changed: replan there
             if n == len(plan):  # every planned pair is now visited
                 del self.open_screens[screen]
 
@@ -237,10 +243,11 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
         return runner.session
 
     engine = _Explorer(app, config, runner, runner.tables)
-    engine.drain_ui()
-    if not engine.session.crashed and engine.budget > 0:
-        engine.inject()
+    with gc_paused():
         engine.drain_ui()
+        if not engine.session.crashed and engine.budget > 0:
+            engine.inject()
+            engine.drain_ui()
     return engine.session
 
 

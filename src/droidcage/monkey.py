@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .app_model import AppModel, DeviceState, Event, Screen, run_event_chain
+from .gcpause import gc_paused
 from .rng import Xoshiro256StarStar
 from .session import Session, SessionRunner
 from .telephony import TelephonyPolicy
@@ -111,13 +112,14 @@ def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
         return runner.session
     rng = Xoshiro256StarStar(config.seed)
     ctx = screen = None
-    for _ in range(config.event_count):
-        if runner.session.crashed:
-            break
-        # The device only crashes together with the session, so the app
-        # has a screen here; it changes only with the app's context.
-        if (current := runner.device.context(app.package)) is not ctx:
-            ctx, screen = current, app.screen(current.activity, current.state)
-        event = _generate_one(rng, config, screen)
-        runner.step(event)
+    with gc_paused():
+        for _ in range(config.event_count):
+            if runner.session.crashed:
+                break
+            # The device only crashes together with the session, so the app
+            # has a screen here; it changes only with the app's context.
+            if (current := runner.device.context(app.package)) is not ctx:
+                ctx, screen = current, app.screen(current.activity, current.state)
+            event = _generate_one(rng, config, screen)
+            runner.step(event)
     return runner.session

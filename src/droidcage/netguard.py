@@ -85,8 +85,7 @@ class HttpTransaction:
             raise ValueError("method must be non-empty")
         if self.scheme not in ("http", "https"):
             raise ValueError(f"unsupported scheme {self.scheme!r}")
-        if not self.port.isdigit():
-            raise ValueError(f"port must be numeric, got {self.port!r}")
+        _check_port(self.port)
 
 
 @dataclass(frozen=True)
@@ -315,8 +314,7 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
         path = target
     host, _, port = authority.partition(":")
     port = port or ("443" if protocol == "https" else "80")
-    if _decimal(port, "port") > 65535:
-        raise RequestParseError(f"bad port: {port!r}")
+    _check_port(port)
 
     content = b""
     if length is not None:
@@ -343,6 +341,12 @@ def _decimal(text: str, what: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise RequestParseError(f"bad {what}: {text!r}")
+
+
+def _check_port(port: str) -> None:
+    # The one port rule, for parsed requests and decoded capture records.
+    if _decimal(port, "port") > 65535:
+        raise RequestParseError(f"bad port: {port!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +458,8 @@ _RECORD_RE = re.compile(
 # One field of a header block with its whitespace removed (str.split() drops
 # the same str.isspace characters that \s matches).
 _FIELD_RE = re.compile(r"<(" + _TOKEN + r")>([A-Za-z0-9+/=]*)</\1>")
+# In such a block, an "=" that is not in the last two places of its value.
+_INNER_PAD_RE = re.compile(r"=(?!=?</)")
 
 
 def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
@@ -464,16 +470,24 @@ def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
         if head is None:
             raise LogDecodeError(f"no <header> element at offset {pos}")
         raise LogDecodeError(f"no </header> and <content> element at offset {head.end()}")
-    tags = _FIELD_RE.findall("".join(m.group(1).split()))
+    head = "".join(m.group(1).split())
+    tags = _FIELD_RE.findall(head)
+    names, raw = zip(*tags) if tags else ((), ())
     n = len(FIELD_TAGS)
-    names = tuple(name for name, _ in tags[:n])
-    if names != FIELD_TAGS:
-        raise LogDecodeError(f"unexpected field tags {list(names)} at offset {pos}")
+    if names[:n] != FIELD_TAGS:
+        raise LogDecodeError(f"unexpected field tags {list(names[:n])} at offset {pos}")
+    # b64decode(validate=True) accepts a different set on each of CPython
+    # 3.10-3.13 (3.10 alone takes "aGk==", 3.11 and 3.12 "AAAA===="). On values
+    # whose length is a multiple of 4, with "=" only in the last two places,
+    # they all agree, so the reader takes no other.
+    content = m.group(3) and "".join(m.group(3).split())
     try:
-        values = [base64.b64decode(value, validate=True).decode("utf-8") for _, value in tags]
-        headers = tuple(zip([name for name, _ in tags[n:]], values[n:]))
-        content = (b"" if m.group(3) is None else
-                   base64.b64decode("".join(m.group(3).split()), validate=True))
+        values = [base64.b64decode(v, validate=True).decode("utf-8") for v in raw if not len(v) % 4]
+        if (len(values) < len(raw) or _INNER_PAD_RE.search(head)
+                or content and (len(content) % 4 or "=" in content[:-2])):
+            raise ValueError("base64 length or padding")
+        headers = tuple(zip(names[n:], values[n:]))
+        content = base64.b64decode(content, validate=True) if content else b""
         tx = HttpTransaction(*values[:n], headers, content)
     except ValueError as e:  # bad base64, not UTF-8, or a value HttpTransaction rejects
         raise LogDecodeError(f"bad record at offset {pos}: {e}") from e

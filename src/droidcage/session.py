@@ -97,37 +97,32 @@ class SessionRunner:
     def step(self, event: Event) -> StepResult:
         """Apply one engine-issued event (plus telephony loopback)."""
         device = self.device
+        session = self.session
         if event.target is None and event.kind in UI_ACTIONS and not device.crashed \
                 and self.app.package in device.contexts:
             # A UI event aimed at no element matches no transition: the
             # chain would return this very result and absorb nothing.
             # Most monkey taps land here, so the result is built once per
             # device, not once per tap.
-            self.session.events.append(event)
-            self.session.device = device
+            session.events.append(event)
+            session.device = device
             result = self._no_match
             if result.device is not device:
                 result = self._no_match = StepResult(device, (), (), False, False)
             return result
-        self.device, steps = run_event_chain(
-            self.device, self.app, event, self.policy, self.tables
-        )
-        self.session.events.append(event)
-        self.session.device = self.device
+        self.device, steps = run_event_chain(device, self.app, event, self.policy, self.tables)
+        session.events.append(event)
+        session.device = self.device
         for _, result in steps:
-            self._absorb(result)
+            _, blocks, effects, crashed, _ = result
+            session.executed_blocks.update(blocks)
+            if effects:  # a step without side effects leaves no trace and no effects
+                session.trace.extend(record(result, TRACE_CONFIG))
+                for eff in effects:
+                    session.effects.append(self._dispose(eff))
+            if crashed:
+                session.crashed = True
         return steps[0][1]
-
-    def _absorb(self, result: StepResult) -> None:
-        session = self.session
-        _, blocks, effects, crashed, _ = result
-        session.executed_blocks.update(blocks)
-        if effects:  # a step without side effects leaves no trace and no effects
-            session.trace.extend(record(result, TRACE_CONFIG))
-            for eff in effects:
-                session.effects.append(self._dispose(eff))
-        if crashed:
-            session.crashed = True
 
     def _dispose(self, eff: SideEffect) -> ObservedEffect:
         if eff.kind in TELEPHONY_KINDS:

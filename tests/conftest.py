@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -18,6 +19,20 @@ from droidcage.explorer import baseline_device
 from droidcage.harness import DEFAULT_IDENTITIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic collector off, and switch it on again.
+
+    The engines and decoders pause it; a pause that did not end would slow
+    every later test. Only the switch is checked: what ``gc.collect()``
+    finds depends on tracing (see ``tests/test_gcpause.py``).
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -297,8 +297,9 @@ def test_non_ascii_text_loads():
     assert app.alphabet == ("café", "日本")
 
 
-@pytest.mark.parametrize("data", [b"\xff{}", b"[" * 100_000 + b"]" * 100_000],
-                         ids=["not_utf8", "nested_too_deeply"])
+@pytest.mark.parametrize("data", [b"\xff{}", b"[" * 100_000 + b"]" * 100_000,
+                                  b'{"bounds": [' + b"9" * 5000 + b"]}"],
+                         ids=["not_utf8", "nested_too_deeply", "integer_over_int_digit_limit"])
 def test_unreadable_model_file_is_parse_error(tmp_path, data):
     path = tmp_path / "bad.app"
     path.write_bytes(data)

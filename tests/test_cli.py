@@ -88,6 +88,19 @@ def test_explore_single_app(capsys):
     assert "blocks 12/14" in out
 
 
+@pytest.mark.parametrize("fixture, expected", [
+    ("login_gate.app", "events sent: 511\n"
+     "com.fixture.logingate: blocks 13/14 (92.86%) methods 11/12 classes 3/3\n"),
+    # The monkey phase crashes the app, so the explorer sends nothing.
+    ("crash_first.app", "events sent: 11\n"
+     "com.fixture.crashfirst: blocks 1/2 (50.00%) methods 1/2 classes 1/1 CRASHED\n"),
+])
+def test_explore_monkey_first_stdout(capsys, fixture, expected):
+    code = main(["explore", "--app", str(FIXTURES / fixture), "--seed", "0", "--monkey-first"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_monkey_mirrors_annex_flags(capsys):
     code = main(["monkey", "--app", str(FIXTURES / "login_gate.app"),
                  "-s", "0", "--pct-syskeys", "0", "--pct-appswitch", "0",

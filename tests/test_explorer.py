@@ -299,6 +299,50 @@ def test_new_elements_on_revisited_screen_are_scheduled():
     assert len(clicks_on_a) == 1  # the shared element is not re-triggered
 
 
+def _button(name: str, row: int) -> dict:
+    return {"kind": "button", "id": name, "text": name,
+            "bounds": [0, 200 * row, 100, 100], "actions": ["click"]}
+
+
+def _click(state: str, element: str, block: str, to: str | None = None) -> dict:
+    return {"from": {"activity": "Main", "state": state, "element": element},
+            "trigger": {"action": "click"},
+            "to": {"activity": "Main", "state": to} if to else None, "blocks": [block]}
+
+
+def test_relaunch_that_reaches_no_pending_pair_ends_the_sweep():
+    # home -> mid by btn_x; mid's btn_a leads to a dead end, so btn_b stays
+    # pending on mid, which a relaunch (back to home, whose only pair is
+    # spent) cannot reach again: each sweep relaunches once, then gives up.
+    doc = {
+        "package": "com.t.stuck", "main_activity": "Main", "own_number": "5550000",
+        "activities": [{
+            "name": "Main", "initial_state": "home",
+            "states": [
+                {"id": "home", "elements": [_button("btn_x", 0)]},
+                {"id": "mid", "elements": [_button("btn_a", 0), _button("btn_b", 1)]},
+                {"id": "end", "elements": [_button("btn_z", 0)]},
+            ],
+        }],
+        "blocks": [{"id": b, "class": "c.Main", "method": b} for b in ("x1", "a1", "b1", "z1")],
+        "transitions": [
+            _click("home", "btn_x", "x1", to="mid"),
+            _click("mid", "btn_a", "a1", to="end"),
+            _click("mid", "btn_b", "b1"),
+            _click("end", "btn_z", "z1"),
+        ],
+    }
+    app = model_from_dict(doc)
+    session = explore(app, ExplorationConfig(seed=0, max_events=100), device_for(app))
+    assert [(e.kind, e.target and e.target.value) for e in session.events] == [
+        ("click", "btn_x"), ("click", "btn_a"), ("click", "btn_z"),
+        ("app_switch", None),  # first sweep: one relaunch, then the exit
+        ("app_switch", None),  # final sweep: the same
+    ]
+    assert session.executed_blocks == {"x1", "a1", "z1"}
+    assert reachable_blocks(app) == {"x1", "a1", "b1", "z1"}
+
+
 @pytest.fixture(scope="module")
 def corpus_by_archetype(tmp_path_factory):
     """The first app of each archetype in the 20-app corpus of seed 0."""

@@ -1,4 +1,5 @@
-"""The bulk decoders run with the cyclic collector paused, and lose nothing by it."""
+"""The bulk decoders and the engines run with the cyclic collector paused,
+and lose nothing by it."""
 
 import gc
 import io
@@ -6,15 +7,28 @@ import json
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
-from droidcage import app_model, netguard
-from droidcage.app_model import ModelParseError, ModelValidationError, load_app_model, model_from_dict
+from droidcage import app_model, netguard, session
+from droidcage.app_model import (
+    AppNotInstalledError,
+    ModelParseError,
+    ModelValidationError,
+    OracleBudgetError,
+    load_app_model,
+    model_from_dict,
+    reachable_blocks,
+)
 from droidcage.cli import main
 from droidcage.corpus import write_corpus
+from droidcage.explorer import ExplorationConfig, baseline_device, explore
 from droidcage.gcpause import gc_paused
-from droidcage.netguard import LogDecodeError, parse_capture_log
+from droidcage.harness import DEFAULT_IDENTITIES, default_reputation, default_signatures
+from droidcage.monkey import MonkeyConfig, run_monkey
+from droidcage.netguard import LogDecodeError, NetGuard, parse_capture_log
+from droidcage.session import SessionRunner
 
-from conftest import FIXTURES, edited_login_gate
+from conftest import FIXTURES, app_docs, device_for, edited_login_gate
 
 
 def _chain_doc(screens: int = 30, buttons: int = 4) -> dict:
@@ -161,3 +175,137 @@ def test_decoded_graphs_leave_nothing_for_the_collector(inputs, restore_gc):
     gc.collect()
     _decode_everything(inputs)
     assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# The engines
+# ---------------------------------------------------------------------------
+
+LOGIN_GATE = load_app_model(FIXTURES / "login_gate.app")
+
+
+def _runner(app, device=None) -> SessionRunner:
+    guard = NetGuard(default_signatures(), default_reputation(), identities=DEFAULT_IDENTITIES)
+    return SessionRunner(app, device_for(app) if device is None else device, netguard=guard)
+
+
+def _monkey(app, device=None):
+    return run_monkey(_runner(app, device), MonkeyConfig(seed=0))
+
+
+def _explore(app, device=None):
+    runner = _runner(app, device)
+    return explore(app, ExplorationConfig(seed=0), runner.device, runner=runner)
+
+
+# One run per way out of each engine: (call, exception it raises or None).
+ENGINE_RUNS = {
+    "run_monkey": (lambda: _monkey(LOGIN_GATE), None),
+    "run_monkey-not_installed": (lambda: _monkey(LOGIN_GATE, baseline_device()),
+                                 AppNotInstalledError),
+    "explore": (lambda: _explore(LOGIN_GATE), None),
+    "explore-not_installed": (lambda: _explore(LOGIN_GATE, baseline_device()),
+                              AppNotInstalledError),
+    "reachable_blocks": (lambda: reachable_blocks(LOGIN_GATE), None),
+    "reachable_blocks-over_budget": (lambda: reachable_blocks(LOGIN_GATE, max_states=1),
+                                     OracleBudgetError),
+}
+
+
+def _run_engine(name: str) -> None:
+    call, error = ENGINE_RUNS[name]
+    if error is None:
+        call()
+    else:
+        with pytest.raises(error):
+            call()
+
+
+@pytest.mark.parametrize("name", ENGINE_RUNS)
+def test_engine_leaves_enabled_gc_enabled(restore_gc, name):
+    gc.enable()
+    _run_engine(name)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", ENGINE_RUNS)
+def test_engine_leaves_disabled_gc_disabled(restore_gc, name):
+    gc.disable()
+    _run_engine(name)
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("name", ["run_monkey", "explore", "reachable_blocks"])
+def test_engine_loops_run_with_gc_paused(restore_gc, monkeypatch, name):
+    # The engines' loops step through SessionRunner.step (monkey, explorer)
+    # or app_model.run_event_chain (oracle).
+    seen = []
+
+    def spy(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    spy(session.SessionRunner, "step")
+    spy(app_model, "run_event_chain")
+    gc.enable()
+    _run_engine(name)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def _run_engines(app, monkey_events: int = 500) -> None:
+    """The monkey, smart_monkey (the monkey, then the explorer, on one
+    runner), smart and the oracle on one app; every result dropped."""
+    for phases in (("monkey",), ("monkey", "explore"), ("explore",)):
+        runner = _runner(app)
+        if "monkey" in phases:
+            run_monkey(runner, MonkeyConfig(seed=0, event_count=monkey_events))
+        if "explore" in phases:
+            explore(app, ExplorationConfig(seed=0), runner.device, runner=runner)
+    reachable_blocks(app)
+
+
+def _garbage_after(run) -> int:
+    """What the collector finds after ``run`` ran with collection off."""
+    gc.disable()
+    gc.collect()
+    run()
+    return gc.collect()
+
+
+def test_engine_runs_leave_nothing_for_the_collector(inputs, restore_gc):
+    # Why the engines' pause loses nothing: sessions, devices and steps form
+    # acyclic graphs, so reference counting frees whatever a run drops.
+    apps = [load_app_model(path) for path in sorted(FIXTURES.glob("*.app"))]
+    apps += [load_app_model(path) for path in inputs["corpus"]]
+    apps.append(model_from_dict(_chain_doc()))
+
+    def run():
+        for app in apps:
+            _run_engines(app)
+    assert _garbage_after(run) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=app_docs())
+def test_engine_runs_on_generated_models_leave_nothing_for_the_collector(doc):
+    app = model_from_dict(doc)
+    try:
+        assert _garbage_after(lambda: _run_engines(app, monkey_events=100)) == 0
+    finally:
+        gc.enable()  # a function-scoped fixture would not run per example
+
+
+def test_guard_sees_a_session_that_points_back_to_its_runner(restore_gc, monkeypatch):
+    # The guard's own check: a cycle through the session must show.
+    init = session.SessionRunner.__init__
+
+    def linked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.session.runner = self
+    monkeypatch.setattr(session.SessionRunner, "__init__", linked_init)
+    assert _garbage_after(lambda: _run_engines(LOGIN_GATE)) > 0

@@ -5,7 +5,7 @@ import textwrap
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from droidcage.harness import default_signatures
@@ -132,6 +132,9 @@ def test_transaction_invariants():
         HttpTransaction("GET", "http", "h", "eighty", "/", "HTTP/1.1")
     with pytest.raises(ValueError):
         HttpTransaction("", "http", "h", "80", "/", "HTTP/1.1")
+    for port in ("\u00b2", "70000", "9" * 5000):  # parse_request rejects them too
+        with pytest.raises(ValueError, match="bad port"):
+            HttpTransaction("GET", "http", "h", port, "/", "HTTP/1.1")
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +334,15 @@ def test_capture_log_multi_entry_parse():
     assert parse_capture_log(text) == txs
 
 
-@pytest.mark.parametrize("tag, value", [("host", b"\xff\xfe"), ("port", b"x")],
-                         ids=["non_utf8_host", "non_numeric_port"])
+@pytest.mark.parametrize("tag, value", [
+    ("host", b"\xff\xfe"),
+    ("port", b"x"),
+    # The ports parse_request rejects: one rule for both.
+    ("port", "\u00b2".encode()),
+    ("port", b"70000"),
+    ("port", b"9" * 5000),
+], ids=["non_utf8_host", "non_numeric_port", "superscript_port", "port_over_65535",
+        "port_over_int_digit_limit"])
 def test_capture_record_with_a_bad_field_value_is_a_log_decode_error(tag, value):
     tx = parse_request(_raw(host="h.example", port=80))
     entry = write_log_entry(tx)
@@ -343,6 +353,47 @@ def test_capture_record_with_a_bad_field_value_is_a_log_decode_error(tag, value)
         parse_log_entry(bad)
     with pytest.raises(LogDecodeError):
         parse_capture_log(entry + bad)
+
+
+_B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _reference_unbase64(value: str) -> bytes | None:
+    """RFC 4648 base64 decoded by hand; None when ``value`` breaks a rule.
+
+    The rules: a length that is a multiple of 4, alphabet characters only,
+    then at most two "=". Bits left over after the last full byte are dropped.
+    """
+    body = value.rstrip("=")
+    if len(value) % 4 or len(value) - len(body) > 2 or any(c not in _B64_ALPHABET for c in body):
+        return None
+    bits = "".join(format(_B64_ALPHABET.index(c), "06b") for c in body)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits) - 7, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="AQg=", max_size=12),
+                 st.text(alphabet=_B64_ALPHABET + "=", max_size=16)))
+@example("aGk==")  # b64decode(validate=True) takes it on CPython 3.10, not on 3.11-3.13
+@example("AAAA====")  # and takes this on 3.11 and 3.12, not on 3.10 or 3.13
+@example("aGk=")
+def test_capture_field_base64_follows_a_pure_python_reference(value):
+    entry = write_log_entry(_log_tx(headers=(("X-V", "v"),), body=b"b"))
+    expected = _reference_unbase64(value)
+    try:
+        text = None if expected is None else expected.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
+    for tag, old, got, want in [("X-V", "dg==", lambda tx: dict(tx.headers)["X-V"], text),
+                                ("content", "Yg==", lambda tx: tx.content, expected)]:
+        field = f"<{tag}>{old}</{tag}>"
+        assert field in entry
+        bad = entry.replace(field, f"<{tag}>{value}</{tag}>")
+        if want is None:
+            with pytest.raises(LogDecodeError):
+                parse_log_entry(bad)
+        else:
+            assert got(parse_log_entry(bad)) == want
 
 
 def _log_tx(headers=(("Connection", "Keep-Alive"),), body=b""):
