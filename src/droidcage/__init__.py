@@ -37,13 +37,13 @@ from .netguard import (
     Verdict,
     decide,
     intercept_tls,
-    parse_log_entry,
+    parse_capture_log,
     parse_request,
     simulate_response,
     write_log_entry,
 )
 from .session import Session
 from .telephony import TelephonyPolicy, filter_outgoing
-from .trace import TraceConfig, TraceEvent, TraceLog, format_java_call, record
+from .trace import TraceConfig, TraceEvent, TraceLog, record
 
 __version__ = "0.1.0"

@@ -196,10 +196,6 @@ class SideEffect(NamedTuple):
     action: str = ""             # register_receiver
 
     @classmethod
-    def network_request(cls, data: bytes, protocol: str = "http", server: str | None = None):
-        return cls("network_request", data=data, protocol=protocol, server=server)
-
-    @classmethod
     def outgoing_call(cls, number: str):
         return cls("outgoing_call", number=number)
 
@@ -214,10 +210,6 @@ class SideEffect(NamedTuple):
     @classmethod
     def system_call(cls, name: str, pid: int | None = None):
         return cls("system_call", name=name, pid=pid)
-
-    @classmethod
-    def register_receiver(cls, action: str):
-        return cls("register_receiver", action=action)
 
 
 class Event(NamedTuple):
@@ -234,20 +226,8 @@ class Event(NamedTuple):
         return cls("click", target=target)
 
     @classmethod
-    def long_click(cls, target):
-        return cls("long_click", target=target)
-
-    @classmethod
-    def scroll(cls, target):
-        return cls("scroll", target=target)
-
-    @classmethod
     def set_text(cls, target, value: str):
         return cls("set_text", target=target, value=value)
-
-    @classmethod
-    def toggle(cls, target):
-        return cls("toggle", target=target)
 
     @classmethod
     def broadcast(cls, action: str):

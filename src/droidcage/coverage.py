@@ -80,26 +80,19 @@ def measure(session: Session, app: AppModel) -> CoverageReport:
     )
 
 
-def aggregate(reports: list[CoverageReport], method: str = "", *,
-              include_crashed: bool = True) -> AggregateRow:
+def aggregate(reports: list[CoverageReport], method: str = "") -> AggregateRow:
     """Unweighted mean of per-app ratios, plus the crash rate.
 
-    Crashed apps contribute their partial ratios by default; pass
-    ``include_crashed=False`` to drop them from the coverage means (they
-    always count toward the crash rate).
+    Crashed apps contribute their partial ratios to the coverage means.
     """
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
-    crash_rate = 100.0 * sum(r.crashed for r in reports) / len(reports)
-    pool = reports if include_crashed else [r for r in reports if not r.crashed]
-    if not pool:
-        return AggregateRow(method, 0.0, 0.0, 0.0, crash_rate)
     return AggregateRow(
         method=method,
-        classes_avg=_mean_percent([r.class_ratio for r in pool]),
-        methods_avg=_mean_percent([r.method_ratio for r in pool]),
-        blocks_avg=_mean_percent([r.block_ratio for r in pool]),
-        crash_rate=crash_rate,
+        classes_avg=_mean_percent([r.class_ratio for r in reports]),
+        methods_avg=_mean_percent([r.method_ratio for r in reports]),
+        blocks_avg=_mean_percent([r.block_ratio for r in reports]),
+        crash_rate=100.0 * sum(r.crashed for r in reports) / len(reports),
     )
 
 

@@ -32,7 +32,7 @@ TABLE_FILES = {
 
 
 class DataTableError(ValueError):
-    """A table file is missing or empty."""
+    """A data file is missing, empty, or holds a line its reader rejects."""
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,6 @@ class ExperimentResult:
     per_app: list[tuple[str, CoverageReport]] = field(default_factory=list)
     sessions: dict = field(default_factory=dict)   # (method, package) -> Session
     capture_log: str = ""
-    traces: dict = field(default_factory=dict)     # (method, package) -> str
 
 
 def load_corpus_dir(path: str | Path) -> list[tuple[str, AppModel]]:
@@ -208,7 +207,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             by_method[method].append(report)
             result.per_app.append((method, report))
             result.sessions[(method, app.package)] = session
-            result.traces[(method, app.package)] = session.trace.to_text()
             capture_parts.append(guard.capture_text())
     result.capture_log = "".join(capture_parts)
     for method in config.methods:
@@ -262,16 +260,6 @@ def emit_results(table: ResultsTable, format: str = "human") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def parse_results_csv(text: str) -> ResultsTable:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["method", "classes_avg", "methods_avg", "blocks_avg", "crash_rate"]:
-        raise ValueError(f"unexpected CSV header: {header}")
-    rows = [AggregateRow(m, float(c), float(me), float(b), float(cr))
-            for m, c, me, b, cr in reader]
-    return ResultsTable(tuple(rows))
-
-
 def write_outputs(result: ExperimentResult, out_dir: str | Path,
                   formats: tuple[str, ...] = ("human", "csv")) -> list[Path]:
     """Write all experiment artifacts; byte-identical for identical runs."""
@@ -294,8 +282,8 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path,
     put("capture.log", result.capture_log)
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
-    for (method, package), text in sorted(result.traces.items()):
+    for (method, package), session in sorted(result.sessions.items()):
         p = trace_dir / f"{package}__{method}.trace"
-        p.write_text(text, encoding="utf-8")
+        p.write_text(session.trace.to_text(), encoding="utf-8")
         written.append(p)
     return written

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .data_tables import DataTableError
 from .gcpause import gc_paused
 
 BLOCKED_PROTOCOLS = ("pop", "pop3", "imap", "ftp")
@@ -94,27 +95,11 @@ class Verdict:
     signature_id: str = ""
     reason: str = ""
 
-    @classmethod
-    def forward(cls):
-        return _FORWARD
-
-    @classmethod
-    def strip_and_redirect(cls, signature_id: str):
-        return cls("strip_and_redirect", signature_id=signature_id)
-
-    @classmethod
-    def redirect_sim(cls):
-        return _REDIRECT_SIM
-
-    @classmethod
-    def block(cls):
-        return _BLOCK
-
 
 # Verdict is frozen, so every request can share these.
-_FORWARD = Verdict("forward")
-_REDIRECT_SIM = Verdict("redirect_sim", reason="good_reputation")
-_BLOCK = Verdict("block", reason="unsupported_protocol")
+FORWARD = Verdict("forward")
+REDIRECT_SIM = Verdict("redirect_sim", reason="good_reputation")
+BLOCK = Verdict("block", reason="unsupported_protocol")
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +134,29 @@ class SignatureDb:
         return None
 
 
-def load_signature_db(path: str | Path) -> SignatureDb:
-    """Signature file: one ``id<TAB>hex-pattern`` per line."""
-    sigs = []
+def _read_tab_file(path: str | Path, what: str, parse) -> list:
+    """``parse(key, value)`` for each ``key<TAB>value`` line of a data file.
+
+    Blank lines and lines starting with ``#`` are skipped. A line that does
+    not split in two, or that ``parse`` rejects with a ``ValueError``, raises
+    :class:`DataTableError` naming the file and the line number.
+    """
+    out = []
     for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            sid, hexpat = line.split("\t")
-            sigs.append(Signature(sid, bytes.fromhex(hexpat)))
+            key, value = line.split("\t")
+            out.append(parse(key, value))
         except ValueError as e:
-            raise ValueError(f"{path}:{n}: bad signature line: {e}") from e
-    return SignatureDb(tuple(sigs))
+            raise DataTableError(f"{path}:{n}: bad {what} line: {e}") from e
+    return out
+
+
+def load_signature_db(path: str | Path) -> SignatureDb:
+    """Signature file: one ``id<TAB>hex-pattern`` per line."""
+    return SignatureDb(tuple(_read_tab_file(
+        path, "signature", lambda sid, hexpat: Signature(sid, bytes.fromhex(hexpat)))))
 
 
 @dataclass(frozen=True)
@@ -178,16 +174,8 @@ class ReputationProvider:
 
 def load_reputation(path: str | Path) -> ReputationProvider:
     """Reputation file: one ``host<TAB>score`` per line, scores 0..100."""
-    scores = {}
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        try:
-            host, score = line.split("\t")
-            scores[host] = int(score)
-        except ValueError as e:
-            raise ValueError(f"{path}:{n}: bad reputation line: {e}") from e
-    return ReputationProvider(scores)
+    return ReputationProvider(dict(_read_tab_file(
+        path, "reputation", lambda host, score: (host, _decimal(score, "score")))))
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +358,11 @@ def decide(tx: HttpTransaction, sigs: SignatureDb, rep: ReputationProvider,
     """
     sig = sigs.first_match(tx)
     if sig is not None:
-        return Verdict.strip_and_redirect(sig.id)
+        return Verdict("strip_and_redirect", signature_id=sig.id)
     score = rep.score(tx.host)
     if score is not None and score >= threshold:
-        return Verdict.redirect_sim()
-    return Verdict.forward()
+        return REDIRECT_SIM
+    return FORWARD
 
 
 def strip_payload(tx: HttpTransaction, sigs: SignatureDb) -> HttpTransaction:
@@ -504,14 +492,6 @@ def parse_capture_log(text: str) -> list[HttpTransaction]:
     return records
 
 
-def parse_log_entry(text: str) -> HttpTransaction:
-    """Decode one capture record back into the exact transaction."""
-    tx, end = _read_entry(text, 0)
-    if text[end:].strip():
-        raise LogDecodeError(f"data after the record at offset {end}")
-    return tx
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -593,9 +573,8 @@ class NetGuard:
                server=None) -> GuardOutcome:
         protocol = declared_protocol.lower()
         if protocol in BLOCKED_PROTOCOLS:
-            verdict = Verdict.block()
-            self.routing_log.append((verdict.kind, "none"))
-            return GuardOutcome("blocked_protocol", verdict=verdict)
+            self.routing_log.append((BLOCK.kind, "none"))
+            return GuardOutcome("blocked_protocol", verdict=BLOCK)
 
         tls = None
         if protocol == "https":

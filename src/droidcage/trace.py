@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 from .app_model import ORIGIN_FLAGS, SideEffect, StepResult
 
-__all__ = ["ORIGIN_FLAGS", "TraceConfig", "TraceEvent", "TraceLog",
-           "WrongKindError", "format_java_call", "record"]
-
-
-class WrongKindError(ValueError):
-    pass
+__all__ = ["ORIGIN_FLAGS", "TraceConfig", "TraceEvent", "TraceLog", "record"]
 
 
 @dataclass(frozen=True)
@@ -90,10 +85,3 @@ def _to_event(eff: SideEffect, config: TraceConfig) -> TraceEvent | None:
     if kind == "system_call":
         return TraceEvent("system_call", eff.name, pid)
     return None
-
-
-def format_java_call(event: TraceEvent) -> str:
-    """One newline-terminated line holding exactly the call signature."""
-    if event.kind != "java_call":
-        raise WrongKindError(f"cannot format {event.kind} as a java call")
-    return event.signature + "\n"

@@ -35,7 +35,7 @@ from droidcage.netguard import (
     Signature,
     SignatureDb,
     intercept_tls,
-    parse_log_entry,
+    parse_capture_log,
     write_log_entry,
 )
 from droidcage.rng import Xoshiro256StarStar
@@ -180,7 +180,7 @@ def test_criterion_5_netguard_gate_soundness():
 
     # every capture entry round-trips exactly
     for entry in guard.capture_log:
-        assert write_log_entry(parse_log_entry(entry)) == entry
+        assert [write_log_entry(tx) for tx in parse_capture_log(entry)] == [entry]
 
     # annex vectors, both directions
     assert base64.b64encode(b"GET") == b"R0VU" and base64.b64decode("R0VU") == b"GET"

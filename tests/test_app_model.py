@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -211,6 +212,44 @@ def _model_or_model_error(load, arg) -> None:
 @given(st.sampled_from(_LOGIN_GATE_PATHS), _json_values)
 def test_any_value_anywhere_in_login_gate_loads_or_is_a_model_error(path, value):
     _model_or_model_error(model_from_dict, edited_login_gate(path, value))
+
+
+# login_gate.app transitions, for edits that need a second transition beside one.
+_GATE_TRANSITIONS = _LOGIN_GATE["transitions"]
+_EQUALS_A = dict(_GATE_TRANSITIONS[0],
+                 trigger={"action": "set_text", "match": {"kind": "equals", "value": "a"}})
+_BOOT = _GATE_TRANSITIONS[15]
+_ANCHORED_BOOT = dict(_BOOT, **{"from": dict(_BOOT["from"], activity="LoginActivity",
+                                             state="form")})
+
+# One edit per structural rule of the loader, as (path into login_gate.app,
+# value, message the loader must raise ModelValidationError with).
+BROKEN_RULE_EDITS = [
+    (("activities", 1, "states", 0, "elements", 0, "actions"), [],
+     "MainActivity/menu: checkbox must list toggle"),
+    (("transitions", 7, "side_effects", 0, "signature"), "",
+     "transition[7]: java_call signature must be non-empty"),
+    (("transitions", 13, "from", "element"), 7, "transition[13]: element index 7 out of range"),
+    (("own_number",), "", "login_gate.app: own_number must be non-empty"),
+    (("activities", 0, "states", 1, "id"), "form", "LoginActivity: state ids must be unique"),
+    (("activities",), [], "at least one activity required"),
+    (("activities", 1, "name"), "LoginActivity", "activity names must be unique"),
+    (("main_activity",), "Nowhere", "main_activity 'Nowhere' not found"),
+    (("transitions", 4, "trigger", "match"), {"kind": "non_empty"},
+     "transition[4]: text match is only valid on set_text"),
+    (("transitions",), [_EQUALS_A, _EQUALS_A],
+     "duplicate equals values for ('LoginActivity', 'form', 0, 'set_text')"),
+    (("transitions",), [_BOOT, _ANCHORED_BOOT],
+     "ambiguous receiver transitions for ('broadcast', 'android.intent.action.BOOT_COMPLETED')"),
+    (("transitions",), [_ANCHORED_BOOT, _ANCHORED_BOOT],
+     "duplicate receiver anchors for ('broadcast', 'android.intent.action.BOOT_COMPLETED')"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", BROKEN_RULE_EDITS)
+def test_each_broken_rule_is_validation_error(path, value, message):
+    with pytest.raises(ModelValidationError, match=re.escape(message)):
+        model_from_dict(edited_login_gate(path, value), source="login_gate.app")
 
 
 _EVERY_FIELD = json.loads((FIXTURES / "every_field.app").read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidcage.cli import main
-from droidcage.netguard import NetGuard
+from droidcage.data_tables import DataTableError
+from droidcage.netguard import NetGuard, load_reputation, load_signature_db
 
 from conftest import FIXTURES, WRONGLY_TYPED_EDITS, edited_login_gate
 
@@ -130,6 +132,30 @@ def test_proxy_check_verdicts(tmp_path, capsys):
     req.write_bytes(b"USER x\r\n")
     assert main(["proxy-check", "--request", str(req), "--protocol", "ftp"]) == 0
     assert "block (unsupported_protocol)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--signatures", "sig-a\tzz\n", ":1: bad signature line"),
+    ("--signatures", "# comment\nsig-a 4142\n", ":2: bad signature line"),
+    ("--reputation", "\nx.example\tninety\n", ":2: bad reputation line"),
+    ("--reputation", "x.example 90\n", ":1: bad reputation line"),
+    # int() alone would take these as 90.
+    ("--reputation", "x.example\t9_0\n", ":1: bad reputation line: bad score: '9_0'"),
+    ("--reputation", "x.example\t\u0669\u0660\n", ":1: bad reputation line"),
+], ids=["bad_hex", "signature_without_tab", "non_integer_score", "reputation_without_tab",
+        "underscored_score", "arabic_indic_score"])
+def test_proxy_check_with_a_bad_data_file_line_exits_1(tmp_path, capsys, flag, text, message):
+    data = tmp_path / "data.txt"
+    data.write_text(text, encoding="utf-8")
+    req = tmp_path / "req.bin"
+    req.write_bytes(b"GET / HTTP/1.1\r\nHost: x.example\r\n\r\n")
+    assert main(["proxy-check", "--request", str(req), flag, str(data)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {data}{message}" in err
+    assert "Traceback" not in err
+    load = load_signature_db if flag == "--signatures" else load_reputation
+    with pytest.raises(DataTableError, match=re.escape(f"{data}{message}")):
+        load(data)
 
 
 def test_decode_log_round_trip(corpus_dir, tmp_path, capsys):

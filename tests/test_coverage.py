@@ -109,9 +109,6 @@ def test_crashed_apps_still_contribute_partial_ratios():
     row = aggregate(reports, "x")
     assert row.blocks_avg == pytest.approx(40.0)
     assert row.crash_rate == pytest.approx(50.0)
-    excluded = aggregate(reports, "x", include_crashed=False)
-    assert excluded.blocks_avg == pytest.approx(60.0)
-    assert excluded.crash_rate == pytest.approx(50.0)
 
 
 def test_level_consistency(login_gate):

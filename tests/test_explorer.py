@@ -2,6 +2,7 @@ import pytest
 
 from droidcage.app_model import (
     AppNotInstalledError,
+    Event,
     Settings,
     UiElement,
     apply_event,
@@ -376,6 +377,21 @@ def test_crash_halts_exploration_with_partial_coverage(crash_first):
                       device_for(crash_first))
     assert session.crashed
     assert session.executed_blocks == {"x1"}
+
+
+@pytest.mark.parametrize("engine", ("explore", "run_monkey"))
+def test_engines_on_a_crashed_device_send_nothing(crash_first, engine):
+    update = identify_element("Main", crash_first.ui_state("Main", "home").elements[0])
+    device = apply_event(device_for(crash_first), crash_first, Event.click(update)).device
+    assert device.crashed
+    runner = SessionRunner(crash_first, device)
+    if engine == "explore":
+        session = explore(crash_first, ExplorationConfig(seed=0, max_events=100), device,
+                          runner=runner)
+    else:
+        session = run_monkey(runner, MonkeyConfig(seed=0, package=crash_first.package))
+    assert session.crashed
+    assert session.events == []
 
 
 @pytest.mark.parametrize("engine", ("explore", "run_monkey"))

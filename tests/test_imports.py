@@ -1,7 +1,9 @@
-"""Every name a droidcage module imports is used there or re-exported.
+"""Every name a droidcage module imports is used there or re-exported, and
+every function, class and method it defines is referenced somewhere.
 
-No linter runs in CI, so this stands in for an unused-import check.
-``__init__.py`` is exempt: it imports only to re-export.
+No linter runs in CI, so this stands in for an unused-import check and a
+dead-code check. ``__init__.py`` is exempt from the first: it imports only
+to re-export.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "droidcage"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "droidcage"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +43,40 @@ def test_every_module_is_checked():
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not _imported(tree) - _referenced(tree)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of each module-level function and class and
+    each method, dunders excepted."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _references(path: Path) -> set[str]:
+    """The names and attribute names ``path`` reads; in perfbench also every
+    string constant, since its trace hooks name the attributes they wrap."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and path.parent.name == "perfbench"):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_definition_is_referenced():
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    refs = set().union(*map(_references, sources))
+    uncalled = [f"{path.name}:{qualname}" for path in sorted(PACKAGE.glob("*.py"))
+                for qualname, name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+                if name not in refs]
+    assert not uncalled

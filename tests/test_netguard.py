@@ -27,7 +27,6 @@ from droidcage.netguard import (
     decide,
     intercept_tls,
     parse_capture_log,
-    parse_log_entry,
     parse_request,
     simulate_response,
     strip_payload,
@@ -300,7 +299,7 @@ def test_round_trip_annex_like_entry():
                             host="cfg.adsmogo.com",
                             headers=(("Connection", "Keep-Alive"),
                                      ("User-Agent", "Apache-HttpClient/UNAVAILABLE (java 1.4)"))))
-    assert parse_log_entry(write_log_entry(tx)) == tx
+    assert parse_capture_log(write_log_entry(tx)) == [tx]
 
 
 _token = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
@@ -325,7 +324,7 @@ def transactions(draw):
 @settings(max_examples=150, deadline=None)
 @given(transactions())
 def test_log_round_trip_property(tx):
-    assert parse_log_entry(write_log_entry(tx)) == tx
+    assert parse_capture_log(write_log_entry(tx)) == [tx]
 
 
 def test_capture_log_multi_entry_parse():
@@ -350,7 +349,7 @@ def test_capture_record_with_a_bad_field_value_is_a_log_decode_error(tag, value)
     assert field in entry
     bad = entry.replace(field, f"<{tag}>{base64.b64encode(value).decode()}</{tag}>")
     with pytest.raises(LogDecodeError):
-        parse_log_entry(bad)
+        parse_capture_log(bad)
     with pytest.raises(LogDecodeError):
         parse_capture_log(entry + bad)
 
@@ -391,9 +390,9 @@ def test_capture_field_base64_follows_a_pure_python_reference(value):
         bad = entry.replace(field, f"<{tag}>{value}</{tag}>")
         if want is None:
             with pytest.raises(LogDecodeError):
-                parse_log_entry(bad)
+                parse_capture_log(bad)
         else:
-            assert got(parse_log_entry(bad)) == want
+            assert [got(tx) for tx in parse_capture_log(bad)] == [want]
 
 
 def _log_tx(headers=(("Connection", "Keep-Alive"),), body=b""):
@@ -415,7 +414,7 @@ def test_capture_record_whitespace_is_free_around_elements_and_in_values(edit):
     for tx in (_log_tx(), _log_tx(body=_BODY)):
         entry = write_log_entry(tx)
         assert edit(entry) != entry
-        assert parse_log_entry(edit(entry)) == tx
+        assert parse_capture_log(edit(entry)) == [tx]
         assert parse_capture_log(edit(entry) + edit(entry)) == [tx, tx]
 
 
@@ -423,7 +422,7 @@ def test_capture_record_whitespace_is_free_around_elements_and_in_values(edit):
                                       "<content\n/>"])
 def test_empty_content_element_takes_any_inner_whitespace(spelling):
     tx = _log_tx()
-    assert parse_log_entry(write_log_entry(tx).replace("<content />", spelling)) == tx
+    assert parse_capture_log(write_log_entry(tx).replace("<content />", spelling)) == [tx]
 
 
 def _swap(a, b):
@@ -458,7 +457,7 @@ def test_malformed_capture_record_is_a_log_decode_error(edit):
     bad = edit(entry)
     assert bad != entry
     with pytest.raises(LogDecodeError):
-        parse_log_entry(bad)
+        parse_capture_log(bad)
     with pytest.raises(LogDecodeError):
         parse_capture_log(entry + bad + entry)
 
@@ -466,11 +465,9 @@ def test_malformed_capture_record_is_a_log_decode_error(edit):
 @pytest.mark.parametrize("tail", ["x", "<header>", "<content />"])
 def test_data_after_a_single_record_is_a_log_decode_error(tail):
     entry = write_log_entry(_log_tx())
-    assert parse_log_entry(entry + "\n \t") == _log_tx()
+    assert parse_capture_log(entry + "\n \t") == [_log_tx()]
     with pytest.raises(LogDecodeError):
-        parse_log_entry(entry + tail)
-    with pytest.raises(LogDecodeError):
-        parse_log_entry(entry + entry)
+        parse_capture_log(entry + tail)
 
 
 @pytest.mark.parametrize("text", [

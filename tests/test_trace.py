@@ -1,6 +1,5 @@
 import itertools
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,8 +8,6 @@ from droidcage.trace import (
     TraceConfig,
     TraceEvent,
     TraceLog,
-    WrongKindError,
-    format_java_call,
     record,
 )
 
@@ -86,25 +83,17 @@ def test_monotone_visibility(origin, flags):
         assert len(extended) >= len(base)
 
 
-def test_format_java_call_exact_lines():
-    e1 = TraceEvent("java_call", "void java.lang.StringBuilder.<init>", PID)
-    e2 = TraceEvent("java_call", "java.lang.String java.lang.StringBuilder.toString", PID)
-    assert format_java_call(e1) == "void java.lang.StringBuilder.<init>\n"
-    assert format_java_call(e2) == "java.lang.String java.lang.StringBuilder.toString\n"
-
-
-def test_format_rejects_system_calls():
-    with pytest.raises(WrongKindError):
-        format_java_call(TraceEvent("system_call", "openat", PID))
-
-
 def test_trace_log_text_round():
     log = TraceLog()
     log.extend([
         TraceEvent("java_call", "void java.lang.StringBuilder.<init>", PID),
         TraceEvent("java_call", "java.lang.StringBuilder java.lang.StringBuilder.append", PID),
+        TraceEvent("java_call", "java.lang.String java.lang.StringBuilder.toString", PID),
+        TraceEvent("system_call", "openat", PID),
     ])
     assert log.to_text() == (
         "void java.lang.StringBuilder.<init>\n"
         "java.lang.StringBuilder java.lang.StringBuilder.append\n"
+        "java.lang.String java.lang.StringBuilder.toString\n"
+        "openat\n"
     )
