@@ -13,7 +13,13 @@ one element per request header, each ``<name>base64</name>``, then
 ``</header>`` and ``<content>base64</content>`` (or ``<content />``).
 ``write_log_entry`` writes one element per line; the reader also takes any
 whitespace before and between elements, inside a base64 value, and
-between ``content`` and ``/>``, but none inside a tag.
+between ``content`` and ``/>``, but none inside a tag. With its whitespace
+removed, a value is decoded only when its length is a multiple of 4 and
+every "=" is among its last two characters (in a header value, every "="
+is also followed only by "="). It is decoded with ``binascii.a2b_base64``,
+which on such values gives what ``base64.b64decode(validate=True)`` gives on
+every CPython from 3.10 to 3.13: the same bytes, or an error for both. Any
+other value makes the record undecodable.
 
 ``parse_request`` takes a request with at most one ``Host`` header and at
 most one ``Content-Length`` header, and none with a ``Transfer-Encoding``
@@ -27,14 +33,13 @@ against the path's latin-1 bytes, the bytes it was parsed from.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import copy
 import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .data_tables import DataTableError
 from .gcpause import gc_paused
@@ -70,8 +75,7 @@ class LogDecodeError(ValueError):
 # Transactions and verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HttpTransaction:
+class _HttpFields(NamedTuple):
     method: str
     scheme: str
     host: str
@@ -81,22 +85,36 @@ class HttpTransaction:
     headers: tuple[tuple[str, str], ...] = ()
     content: bytes = b""
 
-    def __post_init__(self):
-        if not self.method:
+
+class HttpTransaction(_HttpFields):
+    """One request: a non-empty method, scheme http or https, a valid port."""
+
+    __slots__ = ()
+
+    def __new__(cls, method: str, scheme: str, host: str, port: str, path: str,
+                http_version: str, headers: tuple[tuple[str, str], ...] = (),
+                content: bytes = b""):
+        if not method:
             raise ValueError("method must be non-empty")
-        if self.scheme not in ("http", "https"):
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
-        _check_port(self.port)
+        if scheme not in ("http", "https"):
+            raise ValueError(f"unsupported scheme {scheme!r}")
+        _check_port(port)
+        return tuple.__new__(cls, (method, scheme, host, port, path, http_version,
+                                   headers, content))
+
+    @classmethod
+    def _make(cls, iterable):
+        # tuple.__new__ in the inherited _make (and so _replace) would skip the rules.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # forward | strip_and_redirect | redirect_sim | block
     signature_id: str = ""
     reason: str = ""
 
 
-# Verdict is frozen, so every request can share these.
+# Verdict is immutable, so every request can share these.
 FORWARD = Verdict("forward")
 REDIRECT_SIM = Verdict("redirect_sim", reason="good_reputation")
 BLOCK = Verdict("block", reason="unsupported_protocol")
@@ -163,19 +181,20 @@ def load_signature_db(path: str | Path) -> SignatureDb:
 class ReputationProvider:
     scores: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for host, score in self.scores.items():
-            if not 0 <= score <= 100:
-                raise ValueError(f"reputation score for {host} out of range: {score}")
-
     def score(self, host: str) -> Optional[int]:
         return self.scores.get(host)
 
 
+def _host_score(host: str, text: str) -> tuple[str, int]:
+    score = _decimal(text, "score")
+    if score > 100:
+        raise ValueError(f"score out of range 0..100: {score}")
+    return host, score
+
+
 def load_reputation(path: str | Path) -> ReputationProvider:
     """Reputation file: one ``host<TAB>score`` per line, scores 0..100."""
-    return ReputationProvider(dict(_read_tab_file(
-        path, "reputation", lambda host, score: (host, _decimal(score, "score")))))
+    return ReputationProvider(dict(_read_tab_file(path, "reputation", _host_score)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +217,12 @@ class ServerIdentity:
             raise ValueError(f"pinned identity {self.domain!r} must embed its root id")
 
 
-@dataclass(frozen=True)
-class MintedCert:
+class MintedCert(NamedTuple):
     domain: str
     signed_by: str
 
 
-@dataclass(frozen=True)
-class TlsInterception:
+class TlsInterception(NamedTuple):
     outcome: str  # intercepted_plaintext | rejected_by_pinning | rejected_unprovisioned
     leaf: Optional[MintedCert] = None
 
@@ -443,10 +460,8 @@ _HEAD = r"\s*<header>((?:\s*<(" + _TOKEN + r")>" + _VALUE + r"</\2>)*)"
 _HEAD_RE = re.compile(_HEAD)
 _RECORD_RE = re.compile(
     _HEAD + r"\s*</header>\s*(?:<content>(" + _VALUE + r")</content>|<content\s*/>)")
-# One field of a header block with its whitespace removed (str.split() drops
-# the same str.isspace characters that \s matches).
-_FIELD_RE = re.compile(r"<(" + _TOKEN + r")>([A-Za-z0-9+/=]*)</\1>")
-# In such a block, an "=" that is not in the last two places of its value.
+# In a header block with its whitespace removed, an "=" that is not in a run
+# of at most two that ends its value.
 _INNER_PAD_RE = re.compile(r"=(?!=?</)")
 
 
@@ -458,24 +473,29 @@ def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
         if head is None:
             raise LogDecodeError(f"no <header> element at offset {pos}")
         raise LogDecodeError(f"no </header> and <content> element at offset {head.end()}")
+    # The match has checked the block, so with its whitespace removed
+    # (str.split() drops the same str.isspace characters that \s matches) it
+    # is "<name>value</name>" repeated, and no name or value holds "<" or ">".
     head = "".join(m.group(1).split())
-    tags = _FIELD_RE.findall(head)
-    names, raw = zip(*tags) if tags else ((), ())
+    fields = head.replace(">", "<").split("<")  # "", name, value, "/name" per field, then ""
+    names, raw = fields[1::4], fields[2::4]
     n = len(FIELD_TAGS)
-    if names[:n] != FIELD_TAGS:
-        raise LogDecodeError(f"unexpected field tags {list(names[:n])} at offset {pos}")
-    # b64decode(validate=True) accepts a different set on each of CPython
-    # 3.10-3.13 (3.10 alone takes "aGk==", 3.11 and 3.12 "AAAA===="). On values
-    # whose length is a multiple of 4, with "=" only in the last two places,
-    # they all agree, so the reader takes no other.
+    if tuple(names[:n]) != FIELD_TAGS:
+        raise LogDecodeError(f"unexpected field tags {names[:n]} at offset {pos}")
     content = m.group(3) and "".join(m.group(3).split())
+    a2b = binascii.a2b_base64
     try:
-        values = [base64.b64decode(v, validate=True).decode("utf-8") for v in raw if not len(v) % 4]
-        if (len(values) < len(raw) or _INNER_PAD_RE.search(head)
-                or content and (len(content) % 4 or "=" in content[:-2])):
-            raise ValueError("base64 length or padding")
+        # The pre-checks the module docstring states. Without them a2b_base64
+        # would stop at the first complete pad and skip a stray "=", and
+        # b64decode(validate=True) takes a different set on each of CPython
+        # 3.10-3.13 (3.10 alone takes "aGk==", 3.11 and 3.12 "AAAA====").
+        if _INNER_PAD_RE.search(head) or content and (len(content) % 4 or "=" in content[:-2]):
+            raise ValueError("base64 padding")
+        values = [a2b(v).decode() for v in raw if not len(v) % 4]
+        if len(values) < len(raw):
+            raise ValueError("base64 length")
         headers = tuple(zip(names[n:], values[n:]))
-        content = base64.b64decode(content, validate=True) if content else b""
+        content = a2b(content) if content else b""
         tx = HttpTransaction(*values[:n], headers, content)
     except ValueError as e:  # bad base64, not UTF-8, or a value HttpTransaction rejects
         raise LogDecodeError(f"bad record at offset {pos}: {e}") from e
@@ -514,13 +534,15 @@ class LoopbackTransport:
         return head + body
 
 
-@dataclass(frozen=True)
-class GuardOutcome:
+class GuardOutcome(NamedTuple):
     disposition: str  # handled | blocked_protocol | malformed | tls_rejected
     verdict: Optional[Verdict] = None
     transaction: Optional[HttpTransaction] = None
     response: Optional[bytes] = None
     tls: Optional[TlsInterception] = None
+
+
+BLOCKED_OUTCOME = GuardOutcome("blocked_protocol", BLOCK)
 
 
 class NetGuard:
@@ -574,7 +596,7 @@ class NetGuard:
         protocol = declared_protocol.lower()
         if protocol in BLOCKED_PROTOCOLS:
             self.routing_log.append((BLOCK.kind, "none"))
-            return GuardOutcome("blocked_protocol", verdict=BLOCK)
+            return BLOCKED_OUTCOME
 
         tls = None
         if protocol == "https":
@@ -600,5 +622,4 @@ class NetGuard:
         else:  # redirect_sim
             response = simulate_response(tx)
             self.routing_log.append((verdict.kind, "simulator"))
-        return GuardOutcome("handled", verdict=verdict, transaction=tx,
-                            response=response, tls=tls)
+        return GuardOutcome("handled", verdict, tx, response, tls)

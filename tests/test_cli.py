@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from droidcage.cli import main
 from droidcage.data_tables import DataTableError
+from droidcage.harness import default_reputation, default_signatures
 from droidcage.netguard import NetGuard, load_reputation, load_signature_db
 
 from conftest import FIXTURES, WRONGLY_TYPED_EDITS, edited_login_gate
@@ -142,8 +143,10 @@ def test_proxy_check_verdicts(tmp_path, capsys):
     # int() alone would take these as 90.
     ("--reputation", "x.example\t9_0\n", ":1: bad reputation line: bad score: '9_0'"),
     ("--reputation", "x.example\t\u0669\u0660\n", ":1: bad reputation line"),
+    ("--reputation", "a.example\t100\nx.example\t200\n",
+     ":2: bad reputation line: score out of range 0..100: 200"),
 ], ids=["bad_hex", "signature_without_tab", "non_integer_score", "reputation_without_tab",
-        "underscored_score", "arabic_indic_score"])
+        "underscored_score", "arabic_indic_score", "score_over_100"])
 def test_proxy_check_with_a_bad_data_file_line_exits_1(tmp_path, capsys, flag, text, message):
     data = tmp_path / "data.txt"
     data.write_text(text, encoding="utf-8")
@@ -156,6 +159,42 @@ def test_proxy_check_with_a_bad_data_file_line_exits_1(tmp_path, capsys, flag, t
     load = load_signature_db if flag == "--signatures" else load_reputation
     with pytest.raises(DataTableError, match=re.escape(f"{data}{message}")):
         load(data)
+
+
+_REQUESTS = [
+    (b"GET /a?b=1 HTTP/1.1\r\nHost: x.example:8080\r\nConnection: Keep-Alive\r\n\r\n", "http"),
+    (b"POST /up HTTP/1.1\r\nHost: x.example\r\nContent-Length: 12\r\n\r\nMAL-DROP-001", "http"),
+    (b"GET / HTTP/1.1\r\nHost: telemetry.trusted.example\r\n\r\n", "https"),
+    (b"GET http://h.example/p HTTP/1.0\r\ncontent: v\r\n\r\n", "http"),
+    (b"USER x\r\n", "ftp"),
+    (b"not http", "http"),
+]
+
+
+def test_proxy_check_and_decode_log_stdout(tmp_path, capsys):
+    req = tmp_path / "req.bin"
+    for raw, protocol in _REQUESTS:
+        req.write_bytes(raw)
+        assert main(["proxy-check", "--request", str(req), "--protocol", protocol]) == 0
+    assert capsys.readouterr().out == (
+        "verdict: forward\n"
+        "verdict: strip_and_redirect (sig-dropper-01)\n"
+        "verdict: redirect_sim (good_reputation)\n"
+        "verdict: forward\n"
+        "verdict: block (unsupported_protocol)\n"
+        "malformed request (dropped)\n")
+    guard = NetGuard(default_signatures(), default_reputation())
+    for raw, protocol in _REQUESTS:
+        guard.handle(raw, protocol)
+    log = tmp_path / "capture.log"
+    log.write_text(guard.capture_text(), encoding="utf-8")
+    assert main(["decode-log", "--log", str(log), "--verify"]) == 0
+    assert capsys.readouterr().out == (
+        "GET http://x.example:8080/a?b=1 [2 headers, 0 content bytes]\n"
+        "POST http://x.example:80/up [2 headers, 12 content bytes]\n"
+        "GET https://telemetry.trusted.example:443/ [1 headers, 0 content bytes]\n"
+        "GET http://h.example:80/p [1 headers, 0 content bytes]\n"
+        "round-trip ok (4 records)\n")
 
 
 def test_decode_log_round_trip(corpus_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import base64
+import binascii
 import itertools
 import re
 import textwrap
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from droidcage import netguard
 from droidcage.harness import default_signatures
 from droidcage.netguard import (
+    BLOCK,
+    BLOCKED_OUTCOME,
     BLOCKED_PROTOCOLS,
     DEFAULT_CUSTOM_ROOT,
     PUBLIC_ROOT,
@@ -18,12 +22,15 @@ from droidcage.netguard import (
     Keystore,
     LogDecodeError,
     LoopbackTransport,
+    MintedCert,
     NetGuard,
     ReputationProvider,
     RequestParseError,
     ServerIdentity,
     Signature,
     SignatureDb,
+    TlsInterception,
+    Verdict,
     decide,
     intercept_tls,
     parse_capture_log,
@@ -134,6 +141,62 @@ def test_transaction_invariants():
     for port in ("\u00b2", "70000", "9" * 5000):  # parse_request rejects them too
         with pytest.raises(ValueError, match="bad port"):
             HttpTransaction("GET", "http", "h", port, "/", "HTTP/1.1")
+
+
+def test_transaction_copies_keep_the_constructor_rules():
+    tx = HttpTransaction("GET", "http", "h", "80", "/", "HTTP/1.1")
+    assert tx._replace(path="/x") == HttpTransaction("GET", "http", "h", "80", "/x", "HTTP/1.1")
+    assert type(tx._replace(path="/x")) is HttpTransaction
+    with pytest.raises(ValueError, match="bad port"):
+        tx._replace(port="70000")
+    with pytest.raises(ValueError, match="unsupported scheme"):
+        HttpTransaction._make(["GET", "ftp", "h", "21", "/", "HTTP/1.1"])
+
+
+_LEAF = MintedCert("h.example", DEFAULT_CUSTOM_ROOT)
+# (record, its field names, its repr): the reprs are those the records had as
+# frozen dataclasses.
+_NET_RECORDS = [
+    (HttpTransaction("GET", "http", "h.example", "80", "/", "HTTP/1.1",
+                     (("Host", "h.example"),), b"x"),
+     ("method", "scheme", "host", "port", "path", "http_version", "headers", "content"),
+     "HttpTransaction(method='GET', scheme='http', host='h.example', port='80', path='/', "
+     "http_version='HTTP/1.1', headers=(('Host', 'h.example'),), content=b'x')"),
+    (Verdict("strip_and_redirect", signature_id="sig-a"), ("kind", "signature_id", "reason"),
+     "Verdict(kind='strip_and_redirect', signature_id='sig-a', reason='')"),
+    (_LEAF, ("domain", "signed_by"),
+     "MintedCert(domain='h.example', signed_by='cage-custom-root')"),
+    (TlsInterception("intercepted_plaintext", leaf=_LEAF), ("outcome", "leaf"),
+     "TlsInterception(outcome='intercepted_plaintext', "
+     "leaf=MintedCert(domain='h.example', signed_by='cage-custom-root'))"),
+    (GuardOutcome("blocked_protocol", verdict=BLOCK),
+     ("disposition", "verdict", "transaction", "response", "tls"),
+     "GuardOutcome(disposition='blocked_protocol', verdict=Verdict(kind='block', "
+     "signature_id='', reason='unsupported_protocol'), transaction=None, response=None, "
+     "tls=None)"),
+]
+
+
+@pytest.mark.parametrize("record, names, text", _NET_RECORDS, ids=lambda r: type(r).__name__)
+def test_network_record_repr_names_every_field(record, names, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, names, text", _NET_RECORDS, ids=lambda r: type(r).__name__)
+def test_network_record_hashes_as_the_tuple_of_its_fields(record, names, text):
+    assert hash(record) == hash(tuple(getattr(record, n) for n in names))
+
+
+@pytest.mark.parametrize("record, names, text", _NET_RECORDS, ids=lambda r: type(r).__name__)
+def test_network_record_fields_cannot_be_assigned(record, names, text):
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], None)
+
+
+def test_every_blocked_request_shares_one_outcome():
+    guard = NetGuard()
+    assert guard.handle(b"x", "ftp") is guard.handle(b"y", "IMAP") is BLOCKED_OUTCOME
+    assert BLOCKED_OUTCOME == GuardOutcome("blocked_protocol", verdict=BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +456,38 @@ def test_capture_field_base64_follows_a_pure_python_reference(value):
                 parse_capture_log(bad)
         else:
             assert [got(tx) for tx in parse_capture_log(bad)] == [want]
+
+
+def test_reader_base64_decode_equals_b64decode_validate_under_its_pre_checks():
+    """The reader decodes with binascii.a2b_base64, which on its own stops at
+    the first complete pad and drops stray "=", and b64decode(validate=True)
+    differs across CPython 3.10-3.13. Under the reader's pre-checks the two
+    agree; this checks it on the running version for every value of length 4
+    and 8 over an alphabet with both pad-bit patterns ("Q", "g") and "="."""
+    def validating(v):
+        return base64.b64decode(v, validate=True)
+
+    def _decoded(decode, value):
+        try:
+            return decode(value)
+        except binascii.Error:
+            return "rejected"
+
+    checked, differ = {"header": 0, "content": 0}, []
+    for size in (4, 8):
+        for v in map("".join, itertools.product("ABQg/=", repeat=size)):
+            # _read_entry's pre-checks besides the length, a multiple of 4
+            # here: a header value's, run on its <header> block, and the
+            # content's.
+            header = not netguard._INNER_PAD_RE.search(f"<v>{v}</v>")
+            content = "=" not in v[:-2]
+            if header or content:
+                if _decoded(binascii.a2b_base64, v) != _decoded(validating, v):
+                    differ.append(v)
+                checked["header"] += header
+                checked["content"] += content
+    assert differ == []
+    assert checked == {"header": 485_150, "content": 563_400}
 
 
 def _log_tx(headers=(("Connection", "Keep-Alive"),), body=b""):
