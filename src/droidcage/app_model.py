@@ -14,7 +14,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .data_tables import DataTables, default_tables
 from .gcpause import gc_paused
@@ -391,32 +392,29 @@ class AppContext(NamedTuple):
     receivers: frozenset[str] = frozenset()
 
 
-@dataclass
-class Settings:
+class Settings(NamedTuple):
     wifi: bool = True
     data_network: bool = True
     sound_volume: int = 50
 
 
-@dataclass
-class DeviceState:
-    contexts: dict[str, AppContext] = field(default_factory=dict)
-    installed_apps: set[str] = field(default_factory=set)
-    running_processes: set[str] = field(default_factory=set)
-    settings: Settings = field(default_factory=Settings)
+class DeviceState(NamedTuple):
+    """A device as one step leaves it; a step that changes it builds a new one.
+
+    The steps build ``contexts`` as a new dict that nothing mutates after;
+    its default is an empty read-only mapping, so no two devices share a
+    mutable object.
+    """
+
+    contexts: Mapping[str, AppContext] = MappingProxyType({})
+    installed_apps: frozenset[str] = frozenset()
+    running_processes: frozenset[str] = frozenset()
+    settings: Settings = Settings()
     crashed: bool = False
 
-    def clone(self) -> "DeviceState":
-        settings = self.settings
-        return DeviceState(
-            contexts=dict(self.contexts),
-            installed_apps=set(self.installed_apps),
-            running_processes=set(self.running_processes),
-            # Field by field: dataclasses.replace inspects the fields on every call.
-            settings=Settings(wifi=settings.wifi, data_network=settings.data_network,
-                              sound_volume=settings.sound_volume),
-            crashed=self.crashed,
-        )
+    def __reduce__(self):
+        # A read-only mapping does not pickle; copies get a plain dict.
+        return DeviceState, (dict(self.contexts), *self[1:])
 
     def context(self, package: str) -> AppContext:
         try:
@@ -436,13 +434,12 @@ def _enter_state(app: AppModel, ctx: AppContext, activity: str, state: str) -> A
 
 def install_app(device: DeviceState, app: AppModel) -> DeviceState:
     """Install and launch the app: main activity, initial state."""
-    dev = device.clone()
-    dev.installed_apps.add(app.package)
-    dev.running_processes.add(app.package)
     main = app.activity(app.main_activity)
     ctx = _enter_state(app, AppContext(main.name, main.initial_state), main.name, main.initial_state)
-    dev.contexts[app.package] = ctx
-    return dev
+    return DeviceState({**device.contexts, app.package: ctx},
+                       device.installed_apps | {app.package},
+                       device.running_processes | {app.package},
+                       device.settings, device.crashed)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +506,9 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
         main = app.activity(app.main_activity)
         if (ctx.activity, ctx.state) == (main.name, main.initial_state):
             return StepResult(device, (), (), False, False)
-        dev = device.clone()
-        dev.contexts[app.package] = _enter_state(app, ctx, main.name, main.initial_state)
+        new_ctx = _enter_state(app, ctx, main.name, main.initial_state)
+        dev = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
+                          device.running_processes, device.settings, False)
         return StepResult(dev, (), (), False, True)
     elif (action := live_receiver_action(app, ctx, event)) is not None:
         for t in app._receiver_transitions.get((kind, action), ()):
@@ -531,9 +529,8 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     # A transition that leaves the context equal (registering a receiver
     # that is already live, say) and does not crash keeps the device it got.
     if transition.crash or new_ctx != ctx:
-        device = device.clone()
-        device.contexts[app.package] = new_ctx
-        device.crashed = transition.crash
+        device = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
+                             device.running_processes, device.settings, transition.crash)
     return StepResult(device, transition.blocks, transition.side_effects,
                       transition.crash, True)
 

@@ -83,9 +83,6 @@ def load_tables(directory: str | Path) -> DataTables:
 
 @lru_cache(maxsize=1)
 def default_tables() -> DataTables:
-    """The tables packaged with the library."""
-    loaded = {}
-    for key, fname in TABLE_FILES.items():
-        text = resources.files("droidcage.data").joinpath(fname).read_text(encoding="utf-8")
-        loaded[key] = _read_lines(text, fname)
-    return DataTables(loaded)
+    """The tables packaged with the library, read once per process."""
+    with resources.as_file(resources.files("droidcage") / "data") as directory:
+        return load_tables(directory)

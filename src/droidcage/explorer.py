@@ -9,7 +9,7 @@ device clean afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .app_model import (
@@ -37,7 +37,6 @@ __all__ = [
     "NotATextfieldError",
     "Session",
     "TextfieldCategory",
-    "Whitelist",
     "categorize_textfield",
     "cleanup",
     "explore",
@@ -174,7 +173,7 @@ class _Explorer:
         """Process screens until no unvisited pair is discoverable."""
         runner, session = self.runner, self.session
         idle_switch = False
-        while self.budget > 0 and not session.crashed:
+        while self.budget > 0 and not runner.device.crashed:
             screen = runner.current_screen()
             shown = self.app.screen(*screen)
             plan = _plan(shown, session.visited)
@@ -190,7 +189,7 @@ class _Explorer:
             self.open_screens[screen] = shown
             device = runner.device
             for n, (key, action, element) in enumerate(plan, 1):
-                if self.budget <= 0 or session.crashed:
+                if self.budget <= 0 or device.crashed:
                     return
                 session.visited.add((key, action))
                 if action == "set_text":
@@ -216,7 +215,7 @@ class _Explorer:
         """
         app = self.app
         for event in EventUniverse.for_app(app, self.tables).receiver_events(app.own_number):
-            if self.budget <= 0 or self.session.crashed:
+            if self.budget <= 0 or self.runner.device.crashed:
                 return
             ctx = self.runner.device.context(app.package)
             if live_receiver_action(app, ctx, event) is not None:
@@ -238,10 +237,6 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
     """
     if runner is None:
         runner = SessionRunner(app, device, tables=tables)
-    if runner.device.crashed:
-        runner.session.crashed = True
-        return runner.session
-
     engine = _Explorer(app, config, runner, runner.tables)
     with gc_paused():
         engine.drain_ui()
@@ -255,41 +250,33 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
 # Environment cleanup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Whitelist:
-    processes: frozenset[str]
-    packages: frozenset[str]
-
-
-DEFAULT_WHITELIST = Whitelist(
-    processes=frozenset({"system_server", "zygote", "netd"}),
-    packages=frozenset({"com.android.systemui", "com.android.settings"}),
+# The clean device: the apps and processes a session may leave behind,
+# and the settings it must be returned to.
+BASELINE_DEVICE = DeviceState(
+    installed_apps=frozenset({"com.android.systemui", "com.android.settings"}),
+    running_processes=frozenset({"system_server", "zygote", "netd"}),
+    settings=Settings(wifi=True, data_network=True, sound_volume=50),
 )
 
-DEFAULT_BASELINE = Settings(wifi=True, data_network=True, sound_volume=50)
 
+def cleanup(device: DeviceState, baseline: DeviceState = BASELINE_DEVICE) -> DeviceState:
+    """Kill stray processes, uninstall stray apps, reset settings.
 
-def cleanup(device: DeviceState, whitelist: Whitelist = DEFAULT_WHITELIST,
-            baseline: Settings = DEFAULT_BASELINE) -> DeviceState:
-    """Kill non-whitelisted processes, uninstall stray apps, reset settings.
-
-    Idempotent; the result always equals the whitelist baseline device.
+    ``baseline`` stands for the clean device: its installed apps and
+    running processes are the whitelist, and its settings are the ones
+    to restore. Only the contexts of its installed apps are kept.
+    Idempotent; a device that started as ``baseline`` comes back equal
+    to it.
     """
+    keep = baseline.installed_apps
     return DeviceState(
-        contexts={p: c for p, c in device.contexts.items()
-                  if p in whitelist.packages},
-        installed_apps=device.installed_apps & whitelist.packages,
-        running_processes=device.running_processes & whitelist.processes,
-        settings=replace(baseline),
-        crashed=False,
+        {p: c for p, c in device.contexts.items() if p in keep},
+        device.installed_apps & keep,
+        device.running_processes & baseline.running_processes,
+        baseline.settings,
     )
 
 
-def baseline_device(whitelist: Whitelist = DEFAULT_WHITELIST,
-                    baseline: Settings = DEFAULT_BASELINE) -> DeviceState:
+def baseline_device() -> DeviceState:
     """The device state every session must be returned to."""
-    return DeviceState(
-        installed_apps=set(whitelist.packages),
-        running_processes=set(whitelist.processes),
-        settings=replace(baseline),
-    )
+    return BASELINE_DEVICE

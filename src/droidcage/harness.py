@@ -29,8 +29,6 @@ from .coverage import (
     per_app_csv,
 )
 from .explorer import (
-    DEFAULT_BASELINE,
-    DEFAULT_WHITELIST,
     ExplorationConfig,
     baseline_device,
     cleanup,
@@ -165,7 +163,7 @@ def _run_one(app: AppModel, method: str, config: ExperimentConfig,
     session = runner.session
 
     report = measure(session, app)
-    cleaned = cleanup(session.device, DEFAULT_WHITELIST, DEFAULT_BASELINE)
+    cleaned = cleanup(session.device)
     if cleaned != baseline_device():
         raise ExperimentError(f"cleanup verification failed for {app.package}")
     return report, session, guard

@@ -78,14 +78,13 @@ def generate_events(config: MonkeyConfig, app: AppModel,
                     device: DeviceState) -> list[Event]:
     """Produce exactly ``event_count`` events for the given seed.
 
-    Generation simulates forward on a private device copy (with the same
+    Generation simulates forward from the given device (with the same
     telephony-loopback semantics a session applies) because coordinate
     hit-testing depends on whatever screen the previous event led to.
     After a crash the hierarchy is gone and taps hit nothing.
     """
     rng = Xoshiro256StarStar(config.seed)
     policy = TelephonyPolicy(app.own_number)
-    device = device.clone()
     events = []
     ctx = screen = None
     for _ in range(config.event_count):
@@ -107,17 +106,14 @@ def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
     the app.
     """
     app = runner.app
-    if runner.device.crashed:
-        runner.session.crashed = True
-        return runner.session
     rng = Xoshiro256StarStar(config.seed)
     ctx = screen = None
     with gc_paused():
         for _ in range(config.event_count):
-            if runner.session.crashed:
+            if runner.device.crashed:
                 break
-            # The device only crashes together with the session, so the app
-            # has a screen here; it changes only with the app's context.
+            # An uncrashed device shows the app's screen; it changes only
+            # with the app's context.
             if (current := runner.device.context(app.package)) is not ctx:
                 ctx, screen = current, app.screen(current.activity, current.state)
             event = _generate_one(rng, config, screen)

@@ -51,8 +51,12 @@ class Session:
     trace: TraceLog = field(default_factory=TraceLog)
     effects: list[ObservedEffect] = field(default_factory=list)
     visited: set[tuple[ElementKey, str]] = field(default_factory=set)
-    crashed: bool = False
     device: Optional[DeviceState] = None  # device as the session left it
+
+    @property
+    def crashed(self) -> bool:
+        """Whether the device the session left has crashed."""
+        return self.device is not None and self.device.crashed
 
     def copy(self) -> "Session":
         """A session that continues from this one without changing it.
@@ -66,7 +70,6 @@ class Session:
                        trace=TraceLog(list(self.trace.events)),
                        effects=list(self.effects),
                        visited=set(self.visited),
-                       crashed=self.crashed,
                        device=self.device)
 
     def telephony_deliveries(self) -> list[SideEffect]:
@@ -114,14 +117,12 @@ class SessionRunner:
         session.events.append(event)
         session.device = self.device
         for _, result in steps:
-            _, blocks, effects, crashed, _ = result
+            _, blocks, effects, _, _ = result
             session.executed_blocks.update(blocks)
             if effects:  # a step without side effects leaves no trace and no effects
                 session.trace.extend(record(result, TRACE_CONFIG))
                 for eff in effects:
                     session.effects.append(self._dispose(eff))
-            if crashed:
-                session.crashed = True
         return steps[0][1]
 
     def _dispose(self, eff: SideEffect) -> ObservedEffect:

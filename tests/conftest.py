@@ -11,6 +11,8 @@ from droidcage.app_model import (
     SMS_RECEIVED_ACTION,
     UI_ACTIONS,
     AppModel,
+    Event,
+    identify_element,
     install_app,
     load_app_model,
 )
@@ -146,6 +148,27 @@ def edited_fixture(name: str, path: tuple, value) -> dict:
         holder = holder[key]
     holder[last] = value
     return doc
+
+
+def event_pool(app: AppModel) -> list:
+    """Every engine event an app can take: each element action, each alphabet
+    value (and one outside it), receiver events and system events."""
+    pool = [Event.app_switch(), Event.system_key("back"),
+            Event.broadcast("android.intent.action.BOOT_COMPLETED"),
+            Event.incoming_sms(app.own_number, "hi"),
+            Event.incoming_call(app.own_number)]
+    for act in app.activities:
+        for state in act.states:
+            for el in state.elements:
+                key = identify_element(act.name, el)
+                for action in el.actions:
+                    if action == "set_text":
+                        for v in app.alphabet:
+                            pool.append(Event.set_text(key, v))
+                        pool.append(Event.set_text(key, "random-ish"))
+                    else:
+                        pool.append(Event(action, target=key))
+    return pool
 
 
 def edited_login_gate(path: tuple, value) -> dict:

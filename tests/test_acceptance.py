@@ -14,8 +14,6 @@ from droidcage.app_model import install_app, load_app_model, reachable_blocks
 from droidcage.corpus import build_corpus, write_corpus
 from droidcage.coverage import AggregateRow, improvement_ratio
 from droidcage.explorer import (
-    DEFAULT_BASELINE,
-    DEFAULT_WHITELIST,
     ExplorationConfig,
     baseline_device,
     cleanup,
@@ -252,12 +250,12 @@ def test_criterion_8_monkey_config_fidelity(login_gate):
 
 def test_criterion_9_cleanup(experiment):
     result, _ = experiment
-    baseline = baseline_device(DEFAULT_WHITELIST, DEFAULT_BASELINE)
+    baseline = baseline_device()
     checked = 0
     for (method, package), session in result.sessions.items():
-        cleaned = cleanup(session.device, DEFAULT_WHITELIST, DEFAULT_BASELINE)
+        cleaned = cleanup(session.device, baseline)
         assert cleaned == baseline, (method, package)
-        assert cleanup(cleaned, DEFAULT_WHITELIST, DEFAULT_BASELINE) == cleaned
+        assert cleanup(cleaned, baseline) == cleaned
         checked += 1
     _ok(9, f"{checked} sessions: post-cleanup device equals whitelist baseline, "
            f"cleanup idempotent")

@@ -1,7 +1,8 @@
+import copy
 import hashlib
 import json
+import pickle
 import re
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from droidcage.app_model import (
     apply_event,
     dump_hierarchy,
     identify_element,
+    install_app,
     live_receiver_action,
     load_app_model,
     model_from_dict,
@@ -42,6 +44,7 @@ from droidcage.app_model import (
 from droidcage.corpus import write_corpus
 from droidcage.coverage import measure
 from droidcage.data_tables import default_tables
+from droidcage.explorer import baseline_device
 
 from conftest import (
     FIXTURES,
@@ -51,6 +54,7 @@ from conftest import (
     device_for,
     edited_fixture,
     edited_login_gate,
+    event_pool,
     write_model,
 )
 
@@ -428,15 +432,6 @@ def test_distinct_equals_values_are_allowed(tmp_path):
 # Hierarchy dumps
 # ---------------------------------------------------------------------------
 
-def test_clone_copies_every_settings_field():
-    settings = Settings(wifi=False, data_network=False, sound_volume=7)
-    clone = DeviceState(settings=settings).clone()
-    assert clone.settings == settings
-    assert clone.settings is not settings
-    # clone names the fields one by one; a new field must be added there.
-    assert [f.name for f in fields(Settings)] == ["wifi", "data_network", "sound_volume"]
-
-
 def test_dump_login_state(login_gate):
     device = device_for(login_gate)
     elements = dump_hierarchy(device, login_gate)
@@ -545,29 +540,10 @@ def test_crashed_session_accepts_no_events(crash_first):
         apply_event(device, crash_first, Event.click(key))
 
 
-def _event_pool(app):
-    pool = [Event.app_switch(), Event.system_key("back"),
-            Event.broadcast("android.intent.action.BOOT_COMPLETED"),
-            Event.incoming_sms(app.own_number, "hi"),
-            Event.incoming_call(app.own_number)]
-    for act in app.activities:
-        for state in act.states:
-            for el in state.elements:
-                key = identify_element(act.name, el)
-                for action in el.actions:
-                    if action == "set_text":
-                        for v in app.alphabet:
-                            pool.append(Event.set_text(key, v))
-                        pool.append(Event.set_text(key, "random-ish"))
-                    else:
-                        pool.append(Event(action, target=key))
-    return pool
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_replay_determinism(login_gate, data):
-    pool = _event_pool(login_gate)
+    pool = event_pool(login_gate)
     events = data.draw(st.lists(st.sampled_from(pool), max_size=25))
 
     def run():
@@ -589,7 +565,7 @@ def test_replay_determinism(login_gate, data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_block_conservation_and_oracle_soundness(login_gate, data):
-    pool = _event_pool(login_gate)
+    pool = event_pool(login_gate)
     events = data.draw(st.lists(st.sampled_from(pool), max_size=25))
     oracle = reachable_blocks(login_gate)
     known = {b.id for b in login_gate.blocks}
@@ -675,12 +651,44 @@ def test_registering_a_receiver_again_keeps_the_device():
 def test_changing_transition_returns_a_new_device_and_leaves_the_input(request, fixture, event):
     app = _registering_app() if fixture == "registering" else request.getfixturevalue(fixture)
     device = device_for(app)
-    snapshot = device.clone()
+    snapshot = copy.deepcopy(device)
     result = apply_event(device, app, event(app))
     assert result.matched
     assert result.device is not device
     assert (result.device.contexts, result.device.crashed) != (device.contexts, device.crashed)
     assert device == snapshot
+
+
+@pytest.mark.parametrize("record", [DeviceState(), Settings()], ids=lambda r: type(r).__name__)
+def test_no_device_field_can_be_assigned(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_the_default_contexts_cannot_be_changed():
+    with pytest.raises(TypeError):
+        DeviceState().contexts["com.t.app"] = AppContext("Main", "home")
+
+
+@pytest.mark.parametrize("fixture", ["login_gate", "crash_first"])
+def test_install_app_leaves_its_input_and_returns_frozensets(request, fixture, tiny_taps):
+    app = request.getfixturevalue(fixture)
+    for device in (DeviceState(), baseline_device(), device_for(tiny_taps)):
+        snapshot = copy.deepcopy(device)
+        installed = install_app(device, app)
+        assert device == snapshot
+        assert app.package in installed.installed_apps
+        assert type(installed.installed_apps) is frozenset
+        assert type(installed.running_processes) is frozenset
+
+
+def test_a_device_pickles_and_copies_to_an_equal_device(crash_first):
+    crashed = apply_event(device_for(crash_first), crash_first,
+                          _click_home(crash_first, "btn_update")).device
+    for device in (DeviceState(), baseline_device(), crashed):
+        assert pickle.loads(pickle.dumps(device)) == device
+        assert copy.deepcopy(device) == device == copy.copy(device)
 
 
 def _reference_transition(app, ctx, event):
@@ -707,14 +715,13 @@ def _reference_transition(app, ctx, event):
 
 
 def _cloning_step(device, app, event) -> StepResult:
-    """apply_event as it was when every fired transition cloned the device."""
+    """apply_event as it was when every fired transition built a new device."""
     if event.kind == "app_switch":
         return apply_event(device, app, event)
     ctx = device.context(app.package)
     transition = _reference_transition(app, ctx, event)
     if transition is None:
         return StepResult(device, (), (), False, False)
-    dev = device.clone()
     new_ctx = ctx
     for eff in transition.side_effects:
         if eff.kind == "register_receiver":
@@ -722,9 +729,11 @@ def _cloning_step(device, app, event) -> StepResult:
                                  new_ctx.receivers | {eff.action})
     if transition.to is not None and transition.to != (new_ctx.activity, new_ctx.state):
         new_ctx = _enter_state(app, new_ctx, *transition.to)
-    dev.contexts[app.package] = new_ctx
-    if transition.crash:
-        dev.crashed = True
+    dev = DeviceState(contexts={**device.contexts, app.package: new_ctx},
+                      installed_apps=device.installed_apps,
+                      running_processes=device.running_processes,
+                      settings=device.settings,
+                      crashed=device.crashed or transition.crash)
     return StepResult(dev, transition.blocks, transition.side_effects, transition.crash, True)
 
 
@@ -748,7 +757,7 @@ def test_apply_event_equals_the_cloning_stepper_on_generated_models(doc, data):
 
 
 def _check_against_the_cloning_stepper(app, data, *extra_events):
-    pool = _event_pool(app) + list(extra_events)
+    pool = event_pool(app) + list(extra_events)
     device = reference = device_for(app)
     for _ in range(data.draw(st.integers(0, 30))):
         if device.crashed:
@@ -759,7 +768,7 @@ def _check_against_the_cloning_stepper(app, data, *extra_events):
         keys = app.screen(ctx.activity, ctx.state).keys
         here = [ev for ev in pool if ev.target is None or ev.target in keys]
         ev = data.draw(st.sampled_from(pool) | st.sampled_from(here))
-        snapshot = device.clone()
+        snapshot = copy.deepcopy(device)
         result = apply_event(device, app, ev)
         expected = _cloning_step(reference, app, ev)
         assert result == expected  # field by field; the devices by value
@@ -776,6 +785,7 @@ _RECORDS = [
     (Event.set_text(_KEY, "v"), ("kind", "target", "value", "action", "number", "body", "name")),
     (ElementKey("partial_dims", None, (3, 4)), ("kind", "activity", "value")),
     (AppContext("Main", "home", frozenset({PING})), ("activity", "state", "receivers")),
+    (Settings(False, False, 7), ("wifi", "data_network", "sound_volume")),
     # A hashable stand-in for the device: a DeviceState is not hashable.
     (StepResult(None, ("k1",), (), False, True),
      ("device", "executed_blocks", "side_effects", "crashed", "matched")),

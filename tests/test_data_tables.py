@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from droidcage import data_tables
 from droidcage.data_tables import (
     TABLE_FILES,
     DataTableError,
@@ -32,6 +35,11 @@ def test_all_tables_non_empty():
     tables = default_tables()
     for category in TABLE_FILES:
         assert tables.table(category), category
+
+
+def test_default_tables_are_the_packaged_directory_read_once():
+    assert default_tables() is default_tables()
+    assert default_tables() == load_tables(Path(data_tables.__file__).parent / "data")
 
 
 def test_load_tables_from_directory(tmp_path):

@@ -1,7 +1,10 @@
+import copy
+
 import pytest
 
 from droidcage.app_model import (
     AppNotInstalledError,
+    DeviceState,
     Event,
     Settings,
     UiElement,
@@ -13,11 +16,9 @@ from droidcage.app_model import (
 )
 from droidcage.data_tables import DataTables, default_tables
 from droidcage.explorer import (
-    DEFAULT_WHITELIST,
     ExplorationConfig,
     NotATextfieldError,
     TextfieldCategory,
-    Whitelist,
     baseline_device,
     categorize_textfield,
     cleanup,
@@ -410,42 +411,39 @@ def test_engines_need_the_app_installed(login_gate, engine):
 # Cleanup
 # ---------------------------------------------------------------------------
 
-WL = Whitelist(processes=frozenset({"system_server"}),
-               packages=frozenset({"com.android.systemui"}))
-BASE = Settings(wifi=True, data_network=True, sound_volume=50)
+SETTINGS = Settings(wifi=True, data_network=True, sound_volume=50)
+BASE = DeviceState(installed_apps=frozenset({"com.android.systemui"}),
+                   running_processes=frozenset({"system_server"}), settings=SETTINGS)
 
 
 def test_cleanup_removes_stray_package():
-    device = baseline_device(WL, BASE)
-    device.installed_apps.add("com.evil.drop")
-    device.running_processes.add("com.evil.drop")
-    cleaned = cleanup(device, WL, BASE)
+    device = BASE._replace(installed_apps=BASE.installed_apps | {"com.evil.drop"},
+                           running_processes=BASE.running_processes | {"com.evil.drop"})
+    cleaned = cleanup(device, BASE)
     assert "com.evil.drop" not in cleaned.installed_apps
     assert "com.evil.drop" not in cleaned.running_processes
 
 
 def test_cleanup_is_idempotent():
-    device = baseline_device(WL, BASE)
-    device.installed_apps.add("com.stray.app")
-    once = cleanup(device, WL, BASE)
-    assert cleanup(once, WL, BASE) == once
+    device = BASE._replace(installed_apps=BASE.installed_apps | {"com.stray.app"})
+    once = cleanup(device, BASE)
+    assert cleanup(once, BASE) == once
 
 
 def test_cleanup_on_clean_device_is_identity():
-    device = baseline_device(WL, BASE)
-    assert cleanup(device, WL, BASE) == device
+    assert cleanup(BASE, BASE) == BASE
 
 
 def test_cleanup_restores_settings():
-    device = baseline_device(WL, BASE)
-    device.settings.wifi = False
-    device.settings.sound_volume = 0
-    cleaned = cleanup(device, WL, BASE)
-    assert cleaned.settings == BASE
+    device = BASE._replace(settings=SETTINGS._replace(wifi=False, sound_volume=0))
+    cleaned = cleanup(device, BASE)
+    assert cleaned.settings == SETTINGS
 
 
 def test_cleanup_after_session_restores_baseline(login_gate):
     session = explore(login_gate, ExplorationConfig(seed=0, max_events=10_000),
                       device_for(login_gate))
-    cleaned = cleanup(session.device, DEFAULT_WHITELIST)
-    assert cleaned == baseline_device(DEFAULT_WHITELIST)
+    snapshot = copy.deepcopy(session.device)
+    cleaned = cleanup(session.device)
+    assert cleaned == baseline_device()
+    assert session.device == snapshot

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droidcage.app_model import (
     LOOPBACK_LIMIT,
@@ -14,6 +16,9 @@ from droidcage.app_model import (
 from droidcage.explorer import baseline_device
 from droidcage.netguard import NetGuard, parse_capture_log
 from droidcage.session import SessionRunner
+from droidcage.telephony import TelephonyPolicy
+
+from conftest import app_docs, device_for, event_pool
 
 
 def _self_sms_doc(receiver_sends_back=False):
@@ -171,3 +176,49 @@ def test_ui_event_on_nothing_still_fails_on_crashed_device(crash_first):
     with pytest.raises(SessionCrashedError):
         runner.step(Event("click"))
     assert len(runner.session.events) == 1
+
+
+def test_a_crash_in_a_loopback_crashes_the_session():
+    doc = _self_sms_doc()
+    doc["transitions"][1]["crash"] = True  # the SMS receiver
+    app, runner = _runner(doc)
+    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
+    assert not runner.step(Event.click(btn)).crashed  # the click itself did not crash
+    assert runner.session.crashed and runner.device.crashed
+    assert runner.session.executed_blocks == {"s1", "r1"}
+
+
+_FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_bomb", "crash_first")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_session_crashed_once_a_step_crashed(request, data):
+    _check_crash_flag(request.getfixturevalue(data.draw(st.sampled_from(_FIXTURES))), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_docs(), st.data())
+def test_session_crashed_once_a_step_crashed_on_generated_models(doc, data):
+    _check_crash_flag(model_from_dict(doc), data)
+
+
+def _check_crash_flag(app, data):
+    """After every step, ``session.crashed`` holds exactly when a step of
+    some chain so far (the engine event or a loopback) returned crashed."""
+    runner = SessionRunner(app, device_for(app))
+    assert not runner.session.crashed
+    # The same chains, run beside the runner, tell which steps crashed.
+    reference, policy, crashed = runner.device, TelephonyPolicy(app.own_number), False
+    pool = event_pool(app) + [Event("click")]  # and a tap on no element
+    for _ in range(data.draw(st.integers(0, 30))):
+        event = data.draw(st.sampled_from(pool))
+        if crashed:
+            with pytest.raises(SessionCrashedError):
+                runner.step(event)
+            assert runner.session.crashed
+            return
+        reference, steps = run_event_chain(reference, app, event, policy)
+        crashed = any(result.crashed for _, result in steps)
+        runner.step(event)
+        assert runner.session.crashed == crashed
