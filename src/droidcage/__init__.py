@@ -10,7 +10,6 @@ from .app_model import (
     DeviceState,
     ElementKey,
     Event,
-    EventUniverse,
     SideEffect,
     StepResult,
     apply_event,
@@ -29,7 +28,7 @@ from .explorer import (
     explore,
     generate_fill_value,
 )
-from .harness import ExperimentConfig, ResultsTable, emit_results, run_experiment
+from .harness import ExperimentConfig, emit_results, run_experiment
 from .monkey import MonkeyConfig, generate_events, run_monkey
 from .netguard import (
     HttpTransaction,

@@ -11,6 +11,7 @@ exploration engines are then measured against.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -574,48 +575,29 @@ def run_event_chain(device: DeviceState, app: AppModel, event: Event,
 # Reachability oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EventUniverse:
-    """The events an engine could conceivably generate against an app."""
-
-    text_values: tuple[str, ...]
-    broadcast_actions: tuple[str, ...]
-    include_sms: bool
-    include_call: bool
-
-    @classmethod
-    def for_app(cls, app: AppModel, tables: DataTables | None = None) -> "EventUniverse":
-        """The app's alphabet, and the receiver events (broadcasts from ``tables``) it may take."""
-        actions = app.receiver_actions()
-        return cls(
-            text_values=tuple(app.alphabet),
-            broadcast_actions=tuple(a for a in (tables or default_tables()).table("broadcast")
-                                    if a in actions),
-            include_sms=SMS_RECEIVED_ACTION in actions,
-            include_call=PHONE_STATE_ACTION in actions,
-        )
-
-    def receiver_events(self, own_number: str) -> list[Event]:
-        """The broadcasts, then the probe SMS, then the call, each to ``own_number``."""
-        events = [Event.broadcast(a) for a in self.broadcast_actions]
-        if self.include_sms:
-            events.append(Event.incoming_sms(own_number, SMS_PROBE_BODY))
-        if self.include_call:
-            events.append(Event.incoming_call(own_number))
-        return events
+def receiver_events(app: AppModel, tables: DataTables) -> list[Event]:
+    """The receiver events ``app`` may take: the broadcasts of ``tables`` it
+    declares or registers, then the probe SMS, then the call, each to its
+    own number."""
+    actions = app.receiver_actions()
+    events = [Event.broadcast(a) for a in tables.table("broadcast") if a in actions]
+    if SMS_RECEIVED_ACTION in actions:
+        events.append(Event.incoming_sms(app.own_number, SMS_PROBE_BODY))
+    if PHONE_STATE_ACTION in actions:
+        events.append(Event.incoming_call(app.own_number))
+    return events
 
 
-def _candidate_events(app: AppModel, device: DeviceState, universe: EventUniverse,
-                      own_number: str) -> list[Event]:
+def _candidate_events(app: AppModel, device: DeviceState, receivers: list[Event]) -> list[Event]:
     ctx = device.context(app.package)
     events: list[Event] = []
     for key, el in app.screen(ctx.activity, ctx.state).entries():
         for action in el.actions:
             if action == "set_text":
-                events.extend(Event.set_text(key, v) for v in universe.text_values)
+                events.extend(Event.set_text(key, v) for v in app.alphabet)
             else:
                 events.append(Event(action, target=key))
-    events.extend(universe.receiver_events(own_number))
+    events.extend(receivers)
     events.append(Event.app_switch())
     return events
 
@@ -625,8 +607,8 @@ def _state_key(app: AppModel, device: DeviceState):
     return (ctx.activity, ctx.state, ctx.receivers, device.crashed)
 
 
-def reachable_blocks(app: AppModel, universe: EventUniverse | None = None, *,
-                     max_states: int = 10_000, tables: DataTables | None = None) -> frozenset[str]:
+def reachable_blocks(app: AppModel, *, max_states: int = 10_000,
+                     tables: DataTables | None = None) -> frozenset[str]:
     """Exact set of blocks executable by any event sequence.
 
     Exhaustive breadth-first search over (device context, event). Raises
@@ -634,7 +616,7 @@ def reachable_blocks(app: AppModel, universe: EventUniverse | None = None, *,
     the oracle is either exact or explicitly unavailable.
     """
     tables = tables or default_tables()
-    universe = universe or EventUniverse.for_app(app, tables)
+    receivers = receiver_events(app, tables)
     policy = TelephonyPolicy(own_number=app.own_number)
 
     start = install_app(DeviceState(), app)
@@ -645,7 +627,7 @@ def reachable_blocks(app: AppModel, universe: EventUniverse | None = None, *,
     with gc_paused():
         while frontier:
             device = frontier.popleft()
-            for event in _candidate_events(app, device, universe, app.own_number):
+            for event in _candidate_events(app, device, receivers):
                 new_device, steps = run_event_chain(device, app, event, policy, tables)
                 for _, res in steps:
                     blocks.update(res.executed_blocks)
@@ -685,6 +667,10 @@ _OPT_INT = ("an int or null", (int, _NONE))
 _ELEMENT_REF = ("an int or a string", (int, str))
 
 _REQUIRED = object()
+
+# A package name: dot-separated segments, each an ASCII letter and then ASCII
+# letters, digits or "_". Output file names hold it, so it has no "/" or "..".
+_PACKAGE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)*")
 
 
 def _fields(obj: dict, where: str, spec: tuple) -> list:
@@ -889,6 +875,10 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> AppModel:
 def _build_model(doc: dict, source: str) -> AppModel:
     (package, main_activity, own_number, raw_activities, raw_blocks, raw_receivers,
      raw_transitions) = _fields(_object(doc, source, "model"), source, _MODEL_FIELDS)
+    if not _PACKAGE_RE.fullmatch(package):
+        raise ModelValidationError(
+            f"{source}: package must be dot-separated names, each a letter and then "
+            f"letters, digits or '_', got {package!r}")
     if not own_number:
         raise ModelValidationError(f"{source}: own_number must be non-empty")
 

@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
     )
     result = run_experiment(config)
     write_outputs(result, args.out, config.formats)
-    sys.stdout.write(emit_results(result.table, "human"))
+    sys.stdout.write(emit_results(result.rows, "human"))
     return 0
 
 

@@ -17,13 +17,13 @@ from .app_model import (
     DeviceState,
     ElementKey,
     Event,
-    EventUniverse,
     Screen,
     Settings,
     UiElement,
     dump_hierarchy,
     identify_element,
     live_receiver_action,
+    receiver_events,
 )
 from .data_tables import DataTables
 from .gcpause import gc_paused
@@ -135,12 +135,10 @@ def _plan(screen: Screen, visited: set) -> list[tuple[ElementKey, str, UiElement
 
 
 class _Explorer:
-    def __init__(self, app: AppModel, config: ExplorationConfig,
-                 runner: SessionRunner, tables: DataTables):
-        self.app = app
-        self.config = config
+    def __init__(self, runner: SessionRunner, config: ExplorationConfig):
+        self.app = runner.app
         self.runner = runner
-        self.tables = tables
+        self.tables = runner.tables
         self.rng = Xoshiro256StarStar(derive_seed(config.seed, "smart-fill"))
         self.budget = config.max_events
         # Seen screens that may still hold an unvisited pair. Visited pairs
@@ -214,7 +212,7 @@ class _Explorer:
         trivial sessions short.
         """
         app = self.app
-        for event in EventUniverse.for_app(app, self.tables).receiver_events(app.own_number):
+        for event in receiver_events(app, self.tables):
             if self.budget <= 0 or self.runner.device.crashed:
                 return
             ctx = self.runner.device.context(app.package)
@@ -237,7 +235,7 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
     """
     if runner is None:
         runner = SessionRunner(app, device, tables=tables)
-    engine = _Explorer(app, config, runner, runner.tables)
+    engine = _Explorer(runner, config)
     with gc_paused():
         engine.drain_ui()
         if not engine.session.crashed and engine.budget > 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -104,25 +104,25 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ResultsTable:
-    rows: tuple[AggregateRow, ...]
-
-
-@dataclass
 class ExperimentResult:
-    table: ResultsTable
-    per_app: list[tuple[str, CoverageReport]] = field(default_factory=list)
-    sessions: dict = field(default_factory=dict)   # (method, package) -> Session
-    capture_log: str = ""
+    rows: tuple[AggregateRow, ...]
+    per_app: list[tuple[str, CoverageReport]]
+    sessions: dict[tuple[str, str], Session]  # keyed by (method, package)
+    capture_log: str
 
 
 def load_corpus_dir(path: str | Path) -> list[tuple[str, AppModel]]:
     path = Path(path)
     if not path.is_dir():
         raise ExperimentError(f"corpus directory not found: {path}")
-    entries = []
+    entries, seen = [], {}
     for f in sorted(path.glob("*.app")):
-        entries.append((f.stem, load_app_model(f)))
+        app = load_app_model(f)
+        if app.package in seen:
+            raise ExperimentError(
+                f"{seen[app.package]} and {f} both declare package {app.package!r}")
+        seen[app.package] = f
+        entries.append((f.stem, app))
     if not entries:
         raise ExperimentError(f"no .app models in {path}")
     return entries
@@ -137,36 +137,32 @@ def _make_guard(config: ExperimentConfig, signatures: SignatureDb,
 
 def _run_one(app: AppModel, method: str, config: ExperimentConfig,
              signatures: SignatureDb, reputation: ReputationProvider,
-             start: tuple[Session, NetGuard] | None = None):
+             start: SessionRunner | None = None) -> tuple[CoverageReport, SessionRunner]:
     """One (method, app) session: run, measure, clean up.
 
-    ``start`` is the app's finished monkey session and its guard; a
-    smart_monkey job given it continues from copies of both instead of
+    ``start`` is the runner of the app's finished monkey job; a
+    smart_monkey job given it continues from a copy of it instead of
     running the monkey phase again.
     """
     seed_app = derive_seed(config.seed, app.package)
-    monkey_config = MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
-                                 package=app.package)
     if start is None:
         guard = _make_guard(config, signatures, reputation)
         runner = SessionRunner(app, install_app(baseline_device(), app), netguard=guard)
+        # smart_monkey is the monkey phase, then the explorer, on one runner.
+        if method != "smart":
+            run_monkey(runner, MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
+                                            package=app.package))
     else:
-        session, guard = start[0].copy(), start[1].copy()
-        runner = SessionRunner(app, session.device, netguard=guard, session=session)
-
-    # smart_monkey is the monkey phase, then the explorer, on one runner.
-    if method != "smart" and start is None:
-        run_monkey(runner, monkey_config)
+        runner = start.copy()
     if method != "monkey":
         explore(app, ExplorationConfig(seed=seed_app, max_events=config.max_events),
                 runner.device, runner=runner)
-    session = runner.session
 
-    report = measure(session, app)
-    cleaned = cleanup(session.device)
+    report = measure(runner.session, app)
+    cleaned = cleanup(runner.device)
     if cleaned != baseline_device():
         raise ExperimentError(f"cleanup verification failed for {app.package}")
-    return report, session, guard
+    return report, runner
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -191,26 +187,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     outcomes = {}
     for method in sorted(config.methods, key=lambda m: chained and m == "smart_monkey"):
         for i, (_, app) in enumerate(corpus):
-            start = outcomes["monkey", i][1:] if chained and method == "smart_monkey" else None
+            start = outcomes["monkey", i][1] if chained and method == "smart_monkey" else None
             # Through the module attribute, so a wrapper of _run_one sees every job.
             outcomes[method, i] = _run_one(app, method, config, signatures, reputation, start)
 
-    result = ExperimentResult(table=ResultsTable(()))
-    rows = []
-    capture_parts = []
-    by_method: dict[str, list[CoverageReport]] = {m: [] for m in config.methods}
+    rows, per_app, sessions, capture_parts = [], [], {}, []
     for method in config.methods:
+        reports = []
         for i, (_, app) in enumerate(corpus):
-            report, session, guard = outcomes[method, i]
-            by_method[method].append(report)
-            result.per_app.append((method, report))
-            result.sessions[(method, app.package)] = session
-            capture_parts.append(guard.capture_text())
-    result.capture_log = "".join(capture_parts)
-    for method in config.methods:
-        rows.append(aggregate(by_method[method], method))
-    result.table = ResultsTable(tuple(rows))
-    return result
+            report, runner = outcomes[method, i]
+            reports.append(report)
+            per_app.append((method, report))
+            sessions[method, app.package] = runner.session
+            capture_parts.append(runner.netguard.capture_text())
+        rows.append(aggregate(reports, method))
+    return ExperimentResult(tuple(rows), per_app, sessions, "".join(capture_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +216,13 @@ def _crash_pct(v: float) -> str:
     return f"{v:g}%"
 
 
-def emit_results(table: ResultsTable, format: str = "human") -> str:
-    """Render the aggregate table (human, csv or structured text)."""
-    if not table.rows:
+def emit_results(rows: tuple[AggregateRow, ...], format: str = "human") -> str:
+    """Render the aggregate rows (human, csv or structured text)."""
+    if not rows:
         raise ValueError("results table is empty")
     if format == "human":
         data = [RESULT_COLUMNS]
-        for row in table.rows:
+        for row in rows:
             data.append((METHOD_LABELS.get(row.method, row.method),
                          _pct(row.classes_avg), _pct(row.methods_avg),
                          _pct(row.blocks_avg), _crash_pct(row.crash_rate)))
@@ -243,7 +234,7 @@ def emit_results(table: ResultsTable, format: str = "human") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["method", "classes_avg", "methods_avg", "blocks_avg", "crash_rate"])
-        for row in table.rows:
+        for row in rows:
             writer.writerow([row.method, repr(row.classes_avg), repr(row.methods_avg),
                              repr(row.blocks_avg), repr(row.crash_rate)])
         return buf.getvalue()
@@ -252,7 +243,7 @@ def emit_results(table: ResultsTable, format: str = "human") -> str:
             {"method": r.method, "classes_avg": r.classes_avg,
              "methods_avg": r.methods_avg, "blocks_avg": r.blocks_avg,
              "crash_rate": r.crash_rate}
-            for r in table.rows
+            for r in rows
         ]
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {format!r}")
@@ -271,12 +262,12 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path,
         written.append(p)
 
     if "human" in formats:
-        put("results.txt", emit_results(result.table, "human"))
+        put("results.txt", emit_results(result.rows, "human"))
     if "csv" in formats:
-        put("summary.csv", emit_results(result.table, "csv"))
+        put("summary.csv", emit_results(result.rows, "csv"))
         put("per_app.csv", per_app_csv(result.per_app))
     if "structured" in formats:
-        put("results.json", emit_results(result.table, "structured"))
+        put("results.json", emit_results(result.rows, "structured"))
     put("capture.log", result.capture_log)
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)

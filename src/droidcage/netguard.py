@@ -5,8 +5,8 @@ leaf certificate signed by the sandbox's own root (defeated only by
 certificate pinning), the plaintext request is parsed and logged as
 base64-tagged capture records, known-malicious payloads are stripped,
 well-reputed destinations are diverted to a consistent services
-simulator, and only the remainder is forwarded to the (pluggable, by
-default loopback) live transport.
+simulator, and only the remainder is forwarded: recorded on the guard and
+answered with a fixed reply, never sent to the network.
 
 A capture record is ``<header>``, the six fields of ``FIELD_TAGS`` and then
 one element per request header, each ``<name>base64</name>``, then
@@ -516,22 +516,8 @@ def parse_capture_log(text: str) -> list[HttpTransaction]:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-class LoopbackTransport:
-    """Records would-be live traffic instead of touching the network."""
-
-    def __init__(self):
-        self.sent: list[HttpTransaction] = []
-
-    def copy(self) -> "LoopbackTransport":
-        dup = LoopbackTransport()
-        dup.sent = list(self.sent)
-        return dup
-
-    def send(self, tx: HttpTransaction) -> bytes:
-        self.sent.append(tx)
-        body = b"forwarded\n"
-        head = ("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body)).encode("latin-1")
-        return head + body
+# The reply to every forwarded request.
+FORWARDED_RESPONSE = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nforwarded\n"
 
 
 class GuardOutcome(NamedTuple):
@@ -551,17 +537,15 @@ class NetGuard:
     def __init__(self, signatures: SignatureDb | None = None,
                  reputation: ReputationProvider | None = None, *,
                  threshold: int = DEFAULT_REPUTATION_THRESHOLD,
-                 keystore: Keystore | None = None,
                  custom_root: str = DEFAULT_CUSTOM_ROOT,
-                 identities: dict[str, ServerIdentity] | None = None,
-                 transport=None):
+                 identities: dict[str, ServerIdentity] | None = None):
         self.signatures = signatures or SignatureDb()
         self.reputation = reputation or ReputationProvider()
         self.threshold = check_threshold(threshold)
-        self.keystore = keystore or Keystore(frozenset({custom_root, PUBLIC_ROOT}))
+        self.keystore = Keystore(frozenset({custom_root, PUBLIC_ROOT}))
         self.custom_root = custom_root
         self.identities = dict(identities or {})
-        self.transport = transport if transport is not None else LoopbackTransport()
+        self.forwarded: list[HttpTransaction] = []
         self.capture_log: list[str] = []
         self.malformed_log: list[str] = []
         self.routing_log: list[tuple[str, str]] = []
@@ -569,12 +553,11 @@ class NetGuard:
     def copy(self) -> "NetGuard":
         """A guard that continues from this one's logs without changing them.
 
-        The logs and the transport's record are duplicated; the read-only
+        The logs and the forwarded requests are duplicated; the read-only
         inputs (signatures, reputation, keystore, identities) are shared.
-        The transport must have a ``copy`` method.
         """
         dup = copy.copy(self)
-        dup.transport = self.transport.copy()
+        dup.forwarded = list(self.forwarded)
         dup.capture_log = list(self.capture_log)
         dup.malformed_log = list(self.malformed_log)
         dup.routing_log = list(self.routing_log)
@@ -583,16 +566,11 @@ class NetGuard:
     def capture_text(self) -> str:
         return "".join(self.capture_log)
 
-    def _identity(self, server) -> ServerIdentity:
-        if isinstance(server, ServerIdentity):
-            return server
-        if isinstance(server, str) and server in self.identities:
-            return self.identities[server]
-        domain = server if isinstance(server, str) else ""
-        return ServerIdentity(domain=domain, root_id=PUBLIC_ROOT, pinned=False)
+    def _identity(self, server: str | None) -> ServerIdentity:
+        return self.identities.get(server) or ServerIdentity(server or "", PUBLIC_ROOT)
 
     def handle(self, raw: bytes, declared_protocol: str = "http",
-               server=None) -> GuardOutcome:
+               server: str | None = None) -> GuardOutcome:
         protocol = declared_protocol.lower()
         if protocol in BLOCKED_PROTOCOLS:
             self.routing_log.append((BLOCK.kind, "none"))
@@ -614,7 +592,8 @@ class NetGuard:
         self.capture_log.append(write_log_entry(tx))
         verdict = decide(tx, self.signatures, self.reputation, self.threshold)
         if verdict.kind == "forward":
-            response = self.transport.send(tx)
+            self.forwarded.append(tx)
+            response = FORWARDED_RESPONSE
             self.routing_log.append((verdict.kind, "live"))
         elif verdict.kind == "strip_and_redirect":
             response = simulate_response(strip_payload(tx, self.signatures))

@@ -9,6 +9,7 @@ incoming events, so self-texting apps trigger their own receivers.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -80,22 +81,29 @@ class Session:
 
 
 class SessionRunner:
-    """Applies events for one session, absorbing all platform plumbing.
-
-    A ``session`` passed in is continued (its device must be ``device``);
-    otherwise the runner starts an empty one.
-    """
+    """Applies events for one session, absorbing all platform plumbing."""
 
     def __init__(self, app: AppModel, device: DeviceState, *,
-                 netguard=None, tables: DataTables | None = None,
-                 session: Session | None = None):
+                 netguard=None, tables: DataTables | None = None):
         self.app = app
         self.device = device
-        self.session = session if session is not None else Session(device=device)
+        self.session = Session(device=device)
         self.policy = TelephonyPolicy(own_number=app.own_number)
         self.netguard = netguard
         self.tables = tables or default_tables()
         self._no_match = StepResult(device, (), (), False, False)
+
+    def copy(self) -> "SessionRunner":
+        """A runner that continues from this one without changing it.
+
+        The session and the guard are copied; the app, tables and policy
+        are shared.
+        """
+        dup = copy.copy(self)
+        dup.session = self.session.copy()
+        if self.netguard is not None:
+            dup.netguard = self.netguard.copy()
+        return dup
 
     def step(self, event: Event) -> StepResult:
         """Apply one engine-issued event (plus telephony loopback)."""

@@ -18,7 +18,6 @@ from droidcage.app_model import (
     DeviceState,
     ElementKey,
     Event,
-    EventUniverse,
     ModelParseError,
     ModelValidationError,
     OracleBudgetError,
@@ -247,6 +246,9 @@ BROKEN_RULE_EDITS = [
      "ambiguous receiver transitions for ('broadcast', 'android.intent.action.BOOT_COMPLETED')"),
     (("transitions",), [_ANCHORED_BOOT, _ANCHORED_BOOT],
      "duplicate receiver anchors for ('broadcast', 'android.intent.action.BOOT_COMPLETED')"),
+    (("package",), "../../escaped",
+     "login_gate.app: package must be dot-separated names, each a letter and then "
+     "letters, digits or '_', got '../../escaped'"),
 ]
 
 
@@ -254,6 +256,20 @@ BROKEN_RULE_EDITS = [
 def test_each_broken_rule_is_validation_error(path, value, message):
     with pytest.raises(ModelValidationError, match=re.escape(message)):
         model_from_dict(edited_login_gate(path, value), source="login_gate.app")
+
+
+@pytest.mark.parametrize("package", [
+    "", ".", "com.", ".com", "com..app", "1com", "com.1app", "_com", "com._app", "com/app",
+    "..", "com.app\n", "com app", "com-app", "c\u00f6m.app", "com.\uff41pp", "com.app.",
+])
+def test_package_outside_the_name_rule_is_validation_error(package):
+    with pytest.raises(ModelValidationError, match="package must be dot-separated names"):
+        model_from_dict(edited_login_gate(("package",), package))
+
+
+@pytest.mark.parametrize("package", ["x", "com.A_1.b2_", "Com.fixture.logingate"])
+def test_package_inside_the_name_rule_loads(package):
+    assert model_from_dict(edited_login_gate(("package",), package)).package == package
 
 
 _EVERY_FIELD = json.loads((FIXTURES / "every_field.app").read_text(encoding="utf-8"))
@@ -286,10 +302,10 @@ def test_any_value_anywhere_in_every_field_is_a_model_error_or_runs(path, value)
     except ModelValidationError:
         return
     for method in harness.METHODS:
-        _, session, guard = harness._run_one(app, method, _SMALL_RUN, _SIGNATURES, _REPUTATION)
-        session.trace.to_text()
-        guard.capture_text()
-        measure(session, app)
+        _, runner = harness._run_one(app, method, _SMALL_RUN, _SIGNATURES, _REPUTATION)
+        runner.session.trace.to_text()
+        runner.netguard.capture_text()
+        measure(runner.session, app)
 
 
 @settings(max_examples=150, deadline=None)
@@ -842,12 +858,10 @@ def test_oracle_excludes_out_of_alphabet_gate(sealed_bomb):
     assert reachable_blocks(sealed_bomb) == {"u1"}
 
 
-def test_oracle_includes_in_alphabet_gate(sealed_bomb):
-    universe = EventUniverse(
-        text_values=("XJ9#q",), broadcast_actions=(),
-        include_sms=False, include_call=False,
-    )
-    assert reachable_blocks(sealed_bomb, universe) == {"u1", "g1", "g2"}
+def test_oracle_includes_in_alphabet_gate():
+    # sealed_bomb declares no receivers, so the alphabet is its only other event source.
+    app = model_from_dict(edited_fixture("sealed_bomb.app", ("alphabet",), ["XJ9#q"]))
+    assert reachable_blocks(app) == {"u1", "g1", "g2"}
 
 
 def test_oracle_budget_is_explicit(login_gate):

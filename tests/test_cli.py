@@ -47,6 +47,25 @@ def test_run_empty_corpus_fails_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_with_a_package_that_is_a_path_writes_nothing_outside_out(tmp_path, capsys):
+    # Trace files are named after the package, so "../../escaped" would put
+    # them two levels above out/traces.
+    corpus = tmp_path / "corpus"
+    assert main(["make-corpus", "--out", str(corpus), "--seed", "0", "--count", "3"]) == 0
+    model = sorted(corpus.glob("*.app"))[1]
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    doc["package"] = "../../escaped"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    made = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["run", "--corpus", str(corpus), "--out", str(tmp_path / "out" / "res")]) == 1
+    err = capsys.readouterr().err
+    assert "package must be dot-separated names" in err and "'../../escaped'" in err
+    assert "Traceback" not in err
+    assert [p for p in set(tmp_path.rglob("*")) - made
+            if (tmp_path / "out" / "res") not in (p, *p.parents)] == []
+
+
 def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
     out = tmp_path / "results"
     code = main(["run", "--corpus", str(corpus_dir), "--out", str(out),

@@ -90,16 +90,16 @@ def test_engine_contracts(doc):
     device = install_app(baseline_device(), app)
     monkey_config = MonkeyConfig(seed=5, event_count=40, package=app.package)
     explore_config = ExplorationConfig(seed=5, max_events=60)
-    monkey = run_monkey(SessionRunner(app, device), monkey_config)
+    monkey_runner = SessionRunner(app, device)
+    monkey = run_monkey(monkey_runner, monkey_config)
     # run_monkey stops at a crash; generate_events keeps drawing.
     assert monkey.crashed or len(monkey.events) == monkey_config.event_count
     assert monkey.events == generate_events(monkey_config, app, device)[:len(monkey.events)]
 
     # The harness's two ways to start smart_monkey: continue a copy of the
-    # finished monkey session, or run both phases on one runner.
-    copied = monkey.copy()
-    continued = explore(app, explore_config, copied.device,
-                        runner=SessionRunner(app, copied.device, session=copied))
+    # finished monkey runner, or run both phases on one runner.
+    copied = monkey_runner.copy()
+    continued = explore(app, explore_config, copied.device, runner=copied)
     runner = SessionRunner(app, device)
     run_monkey(runner, monkey_config)
     assert continued == explore(app, explore_config, runner.device, runner=runner)

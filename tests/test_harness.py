@@ -16,7 +16,6 @@ from droidcage.coverage import AggregateRow
 from droidcage.harness import (
     ExperimentConfig,
     ExperimentError,
-    ResultsTable,
     emit_results,
     load_corpus_dir,
     run_experiment,
@@ -34,11 +33,11 @@ GOLDEN_CORPUS_DIGESTS = {
     1: "41c5354be93b606c0221d9f174adfacc719b1d935316502fa5ccecc0a518fa47",
 }
 
-PAPER_TABLE = ResultsTable((
+PAPER_ROWS = (
     AggregateRow("monkey", 32.93, 35.05, 36.32, 16.0),
     AggregateRow("smart", 34.84, 36.68, 37.73, 0.0),
     AggregateRow("smart_monkey", 37.12, 41.6, 41.23, 16.0),
-))
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def small_corpus(tmp_path_factory):
 
 
 def test_emit_human_reproduces_published_row_values():
-    text = emit_results(PAPER_TABLE, "human")
+    text = emit_results(PAPER_ROWS, "human")
     rows = [" ".join(line.split()) for line in text.splitlines()]
     assert "Monkey 32.93% 35.05% 36.32% 16%" in rows
     assert "Smart 34.84% 36.68% 37.73% 0%" in rows
@@ -60,20 +59,20 @@ def test_emit_human_reproduces_published_row_values():
 
 
 def test_emit_csv_round_trips():
-    header, *rows = csv.reader(io.StringIO(emit_results(PAPER_TABLE, "csv")))
+    header, *rows = csv.reader(io.StringIO(emit_results(PAPER_ROWS, "csv")))
     assert header == ["method", "classes_avg", "methods_avg", "blocks_avg", "crash_rate"]
-    assert tuple(AggregateRow(m, *map(float, values)) for m, *values in rows) == PAPER_TABLE.rows
+    assert tuple(AggregateRow(m, *map(float, values)) for m, *values in rows) == PAPER_ROWS
 
 
 def test_emit_structured_is_json():
-    rows = json.loads(emit_results(PAPER_TABLE, "structured"))
+    rows = json.loads(emit_results(PAPER_ROWS, "structured"))
     assert rows[0]["method"] == "monkey"
     assert rows[2]["blocks_avg"] == 41.23
 
 
 def test_emit_rejects_empty_table():
     with pytest.raises(ValueError):
-        emit_results(ResultsTable(()), "human")
+        emit_results((), "human")
 
 
 def test_config_requires_methods(tmp_path):
@@ -90,10 +89,26 @@ def test_empty_corpus_is_fatal(tmp_path):
         load_corpus_dir(tmp_path / "missing")
 
 
+def test_two_models_with_one_package_are_fatal(tmp_path):
+    # Sessions and trace files are keyed by package: a second model would
+    # overwrite the first one's.
+    write_corpus(tmp_path, seed=0, count=3)
+    first, second, _ = sorted(tmp_path.glob("*.app"))
+    doc = json.loads(second.read_text(encoding="utf-8"))
+    doc["package"] = json.loads(first.read_text(encoding="utf-8"))["package"]
+    second.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ExperimentError) as e:
+        load_corpus_dir(tmp_path)
+    assert str(e.value) == (f"{first} and {second} both declare package "
+                            f"{doc['package']!r}")
+    with pytest.raises(ExperimentError):
+        run_experiment(ExperimentConfig(corpus=tmp_path))
+
+
 def test_run_experiment_row_per_method(small_corpus):
     config = ExperimentConfig(corpus=small_corpus, methods=("monkey", "smart"))
     result = run_experiment(config)
-    assert [r.method for r in result.table.rows] == ["monkey", "smart"]
+    assert [r.method for r in result.rows] == ["monkey", "smart"]
     assert len(result.per_app) == 2 * 8
 
 
@@ -105,7 +120,7 @@ def test_crashing_app_recorded_and_run_continues(tmp_path):
     result = run_experiment(config)
     crashed = [r.package for _, r in result.per_app if r.crashed]
     assert crashed == ["com.corpus.crasher17"]
-    assert result.table.rows[0].crash_rate == pytest.approx(100 / 20)
+    assert result.rows[0].crash_rate == pytest.approx(100 / 20)
 
 
 def test_per_app_isolation(small_corpus, tmp_path):
@@ -164,7 +179,7 @@ def _traces(result, method):
 def test_smart_monkey_alone_equals_smart_monkey_after_monkey(three_methods, one_method_runs):
     alone = one_method_runs["smart_monkey"]
     assert _rows(alone, "smart_monkey") == _rows(three_methods, "smart_monkey")
-    assert alone.table.rows[0] == three_methods.table.rows[2]
+    assert alone.rows[0] == three_methods.rows[2]
     assert _traces(alone, "smart_monkey") == _traces(three_methods, "smart_monkey")
     assert alone.capture_log
 

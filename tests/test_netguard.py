@@ -21,7 +21,6 @@ from droidcage.netguard import (
     HttpTransaction,
     Keystore,
     LogDecodeError,
-    LoopbackTransport,
     MintedCert,
     NetGuard,
     ReputationProvider,
@@ -633,7 +632,6 @@ def test_whitespace_reformatted_log_decodes_to_the_same_records(fills, width):
 def _guard(**kw):
     kw.setdefault("signatures", SIGS)
     kw.setdefault("reputation", REP)
-    kw.setdefault("transport", LoopbackTransport())
     return NetGuard(kw.pop("signatures"), kw.pop("reputation"), **kw)
 
 
@@ -642,7 +640,7 @@ def test_pipeline_never_forwards_gated_traffic():
     guard.handle(_raw(method="POST", body=b"MAL-DROP-001"))
     guard.handle(_raw(host="telemetry.trusted.example"))
     guard.handle(_raw(host="plain.example"))
-    forwarded_hosts = [tx.host for tx in guard.transport.sent]
+    forwarded_hosts = [tx.host for tx in guard.forwarded]
     assert forwarded_hosts == ["plain.example"]
     assert ("strip_and_redirect", "simulator") in guard.routing_log
     assert ("redirect_sim", "simulator") in guard.routing_log
@@ -751,7 +749,7 @@ def test_pinned_https_leaves_no_plaintext_log():
     assert outcome.disposition == "tls_rejected"
     assert outcome.tls.outcome == "rejected_by_pinning"
     assert guard.capture_log == []
-    assert guard.transport.sent == []
+    assert guard.forwarded == []
 
 
 def test_non_pinned_https_is_intercepted_and_logged():
@@ -865,7 +863,7 @@ def test_pipeline_logs_ambiguous_framing_as_malformed(raw):
     guard = _guard()
     outcome = guard.handle(raw)
     assert outcome.disposition == "malformed"
-    assert guard.capture_log == [] and guard.transport.sent == [] and guard.routing_log == []
+    assert guard.capture_log == [] and guard.forwarded == [] and guard.routing_log == []
     assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
 
 
@@ -911,7 +909,7 @@ def test_pipeline_logs_unroutable_host_or_version_as_malformed(raw):
     guard = _guard()
     outcome = guard.handle(raw)
     assert outcome.disposition == "malformed"
-    assert guard.capture_log == [] and guard.transport.sent == [] and guard.routing_log == []
+    assert guard.capture_log == [] and guard.forwarded == [] and guard.routing_log == []
     assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
 
 

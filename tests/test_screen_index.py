@@ -9,7 +9,6 @@ from droidcage.app_model import (
     BasicBlock,
     ElementKey,
     Event,
-    EventUniverse,
     Transition,
     UiElement,
     UiSource,
@@ -18,7 +17,9 @@ from droidcage.app_model import (
     apply_event,
     model_from_dict,
     reachable_blocks,
+    receiver_events,
 )
+from droidcage.data_tables import default_tables
 from droidcage.explorer import _plan
 from droidcage.monkey import MonkeyConfig, _generate_one
 
@@ -100,8 +101,8 @@ def test_monkey_tap_on_nothing_has_no_target(shadow):
 
 def test_oracle_and_explorer_plan_skip_the_shadowed_element(shadow):
     device = device_for(shadow)
-    universe = EventUniverse.for_app(shadow)
-    ui = [e for e in _candidate_events(shadow, device, universe, shadow.own_number) if e.is_ui]
+    receivers = receiver_events(shadow, default_tables())
+    ui = [e for e in _candidate_events(shadow, device, receivers) if e.is_ui]
     assert ui == [Event.click(OK_KEY)]  # the second button's long_click is unreachable
     plan = _plan(shadow.screen("Main", "home"), set())
     assert [(key, action, el.bounds) for key, action, el in plan] == [

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from droidcage.app_model import (
     model_from_dict,
     run_event_chain,
 )
-from droidcage.explorer import baseline_device
+from droidcage.explorer import ExplorationConfig, baseline_device, explore
 from droidcage.netguard import NetGuard, parse_capture_log
 from droidcage.session import SessionRunner
 from droidcage.telephony import TelephonyPolicy
@@ -186,6 +188,64 @@ def test_a_crash_in_a_loopback_crashes_the_session():
     assert not runner.step(Event.click(btn)).crashed  # the click itself did not crash
     assert runner.session.crashed and runner.device.crashed
     assert runner.session.executed_blocks == {"s1", "r1"}
+
+
+def _copy_doc():
+    """The self-texting app whose send button also makes a forwarded, a
+    malformed and a blocked request and a traced Java call, plus a second
+    button with a block of its own and an SMS the policy rejects."""
+    doc = _self_sms_doc()
+    doc["activities"][0]["states"][0]["elements"].append(
+        {"kind": "button", "id": "btn_more", "text": "More",
+         "bounds": [0, 100, 200, 100], "actions": ["click"]})
+    doc["blocks"].append({"id": "m1", "class": "c.Main", "method": "more"})
+    doc["transitions"][0]["side_effects"] += [
+        {"kind": "network_request", "data": "GET /ping HTTP/1.1\r\nHost: api.unknown.example\r\n\r\n"},
+        {"kind": "network_request", "data": "\x00 not http"},
+        {"kind": "network_request", "protocol": "ftp", "data": "USER anonymous\r\n"},
+        {"kind": "java_call", "signature": "void c.Main.send"},
+    ]
+    doc["transitions"].append(
+        {"from": {"activity": "Main", "state": "home", "element": "btn_more"},
+         "trigger": {"action": "click"}, "to": None, "blocks": ["m1"],
+         "side_effects": [{"kind": "outgoing_sms", "number": "81001", "body": "premium"}]})
+    return doc
+
+
+def test_a_copied_runner_leaves_the_original_unchanged():
+    app, runner = _runner(_copy_doc(), netguard=NetGuard())
+    send, more = [identify_element("Main", e) for e in app.ui_state("Main", "home").elements]
+    runner.step(Event.click(send))
+    session, guard = runner.session, runner.netguard
+    fields = ("events", "executed_blocks", "trace", "effects", "visited", "device")
+    logs = ("capture_log", "malformed_log", "routing_log", "forwarded")
+    session_before = copy.deepcopy([getattr(session, f) for f in fields])
+    guard_before = copy.deepcopy([getattr(guard, f) for f in logs])
+
+    dup = runner.copy()
+    assert dup.app is runner.app and dup.tables is runner.tables and dup.policy is runner.policy
+    dup.step(Event.click(send))
+    dup.step(Event.click(more))
+    explore(app, ExplorationConfig(seed=0, max_events=10), dup.device, runner=dup)
+
+    # The copy reached handled, malformed and blocked requests, a delivered
+    # and a rejected SMS and a new block, and it visited pairs.
+    assert dup.session.executed_blocks == {"s1", "r1", "m1"}
+    assert {o.tag for o in dup.session.effects} >= {
+        "net_handled", "net_malformed", "net_blocked_protocol",
+        "telephony_delivered", "telephony_rejected"}
+    assert dup.session.visited and dup.session.trace.events
+    for f in logs:
+        assert len(getattr(dup.netguard, f)) > len(getattr(guard, f)), f
+    assert [getattr(session, f) for f in fields] == session_before
+    assert [getattr(guard, f) for f in logs] == guard_before
+    assert runner.session is session and runner.netguard is guard
+    assert runner.device is session.device
+
+
+def test_a_copied_runner_without_a_guard_has_none():
+    app, runner = _runner(_self_sms_doc())
+    assert runner.copy().netguard is None
 
 
 _FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_bomb", "crash_first")
