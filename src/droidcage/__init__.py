@@ -42,7 +42,7 @@ from .netguard import (
     write_log_entry,
 )
 from .session import Session
-from .telephony import TelephonyPolicy, filter_outgoing
+from .telephony import filter_outgoing
 from .trace import TraceConfig, TraceEvent, TraceLog, record
 
 __version__ = "0.1.0"

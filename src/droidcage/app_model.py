@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .data_tables import DataTables, default_tables
 from .gcpause import gc_paused
-from .telephony import TELEPHONY_KINDS, TelephonyPolicy, filter_outgoing
+from .telephony import TELEPHONY_KINDS, filter_outgoing
 
 UI_ACTIONS = ("click", "long_click", "scroll", "set_text", "toggle")
 ELEMENT_KINDS = ("button", "textfield", "checkbox", "generic")
@@ -285,14 +285,14 @@ class UiSource(NamedTuple):
 
 class ReceiverSource(NamedTuple):
     action: str                 # manifest intent action
-    trigger: str                # broadcast | incoming_sms | incoming_call
     anchor: Optional[tuple[str, str]] = None  # restrict to (activity, state)
 
 
 @dataclass(frozen=True)
 class Transition:
-    index: int
     source: Union[UiSource, ReceiverSource]
+    # A UI action, or the event kind a receiver transition fires on:
+    # broadcast | incoming_sms | incoming_call.
     action: str
     match: Optional[TextMatch]
     to: Optional[tuple[str, str]]
@@ -342,7 +342,7 @@ class AppModel:
                     key = (src.element_index, t.action)
                     group[key] = group.get(key, ()) + (t,)
             else:
-                key = (src.trigger, src.action)
+                key = (t.action, src.action)
                 rx[key] = rx.get(key, ()) + (t,)
         tables = {
             "block_index": {b.id: b for b in self.blocks},
@@ -451,7 +451,6 @@ class StepResult(NamedTuple):
     device: DeviceState
     executed_blocks: tuple[str, ...]
     side_effects: tuple[SideEffect, ...]
-    crashed: bool
     matched: bool
 
 
@@ -506,11 +505,11 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     elif kind == "app_switch":
         main = app.activity(app.main_activity)
         if (ctx.activity, ctx.state) == (main.name, main.initial_state):
-            return StepResult(device, (), (), False, False)
+            return StepResult(device, (), (), False)
         new_ctx = _enter_state(app, ctx, main.name, main.initial_state)
         dev = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
                           device.running_processes, device.settings, False)
-        return StepResult(dev, (), (), False, True)
+        return StepResult(dev, (), (), True)
     elif (action := live_receiver_action(app, ctx, event)) is not None:
         for t in app._receiver_transitions.get((kind, action), ()):
             anchor = t.source.anchor
@@ -518,7 +517,7 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
                 transition = t
                 break
     if transition is None:
-        return StepResult(device, (), (), False, False)
+        return StepResult(device, (), (), False)
 
     new_ctx = ctx
     for eff in transition.side_effects:
@@ -532,8 +531,7 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     if transition.crash or new_ctx != ctx:
         device = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
                              device.running_processes, device.settings, transition.crash)
-    return StepResult(device, transition.blocks, transition.side_effects,
-                      transition.crash, True)
+    return StepResult(device, transition.blocks, transition.side_effects, True)
 
 
 def loopback_event(effect: SideEffect) -> Event:
@@ -546,7 +544,7 @@ def loopback_event(effect: SideEffect) -> Event:
 
 
 def run_event_chain(device: DeviceState, app: AppModel, event: Event,
-                    policy: TelephonyPolicy, tables: DataTables | None = None
+                    tables: DataTables | None = None
                     ) -> tuple[DeviceState, list[tuple[Event, StepResult]]]:
     """Apply an event plus any telephony loopback events it triggers.
 
@@ -556,12 +554,12 @@ def run_event_chain(device: DeviceState, app: AppModel, event: Event,
     """
     result = apply_event(device, app, event, tables)
     steps = [(event, result)]
-    if result.crashed or not result.side_effects:
+    if result.device.crashed or not result.side_effects:
         return result.device, steps  # nothing can loop back: most steps end here
     queue: list[Event] = []  # loopbacks, appended while the loop walks it
-    while not result.crashed:
+    while not result.device.crashed:
         for eff in result.side_effects:
-            if eff.kind in TELEPHONY_KINDS and filter_outgoing(eff, policy).delivered:
+            if eff.kind in TELEPHONY_KINDS and filter_outgoing(eff, app.own_number).delivered:
                 queue.append(loopback_event(eff))
         if len(steps) > len(queue) or len(steps) > LOOPBACK_LIMIT:
             break
@@ -617,7 +615,6 @@ def reachable_blocks(app: AppModel, *, max_states: int = 10_000,
     """
     tables = tables or default_tables()
     receivers = receiver_events(app, tables)
-    policy = TelephonyPolicy(own_number=app.own_number)
 
     start = install_app(DeviceState(), app)
     seen = {_state_key(app, start)}
@@ -628,7 +625,7 @@ def reachable_blocks(app: AppModel, *, max_states: int = 10_000,
         while frontier:
             device = frontier.popleft()
             for event in _candidate_events(app, device, receivers):
-                new_device, steps = run_event_chain(device, app, event, policy, tables)
+                new_device, steps = run_event_chain(device, app, event, tables)
                 for _, res in steps:
                     blocks.update(res.executed_blocks)
                 if new_device.crashed:
@@ -939,8 +936,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
                 act, state = _activity_state(frm, where, act_by_name, "anchor ")
                 anchor = (act, state.id)
             action_name = _RECEIVER_TRIGGERS.get(action, "broadcast")
-            source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(
-                action, action_name, anchor)
+            source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(action, anchor)
         else:
             raw_match, action_name = _fields(trigger, where, _UI_TRIGGER_FIELDS)
             match = _load_match(raw_match, where)
@@ -961,7 +957,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
         for bid in tblocks:
             if type(bid) is not str or bid not in known_blocks:
                 raise ModelValidationError(f"{where}: unknown block {bid!r}")
-        transitions.append(Transition(i, source_obj, action_name, match, to, tuple(tblocks),
+        transitions.append(Transition(source_obj, action_name, match, to, tuple(tblocks),
                                       tuple([_load_side_effect(e, where) for e in effects]),
                                       crash))
 

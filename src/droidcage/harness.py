@@ -111,21 +111,22 @@ class ExperimentResult:
     capture_log: str
 
 
-def load_corpus_dir(path: str | Path) -> list[tuple[str, AppModel]]:
+def load_corpus_dir(path: str | Path) -> list[AppModel]:
+    """The models of the ``*.app`` files in ``path``, in file-name order."""
     path = Path(path)
     if not path.is_dir():
         raise ExperimentError(f"corpus directory not found: {path}")
-    entries, seen = [], {}
+    models, seen = [], {}
     for f in sorted(path.glob("*.app")):
         app = load_app_model(f)
         if app.package in seen:
             raise ExperimentError(
                 f"{seen[app.package]} and {f} both declare package {app.package!r}")
         seen[app.package] = f
-        entries.append((f.stem, app))
-    if not entries:
+        models.append(app)
+    if not models:
         raise ExperimentError(f"no .app models in {path}")
-    return entries
+    return models
 
 
 def _make_guard(config: ExperimentConfig, signatures: SignatureDb,
@@ -186,7 +187,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     chained = "monkey" in config.methods and "smart_monkey" in config.methods
     outcomes = {}
     for method in sorted(config.methods, key=lambda m: chained and m == "smart_monkey"):
-        for i, (_, app) in enumerate(corpus):
+        for i, app in enumerate(corpus):
             start = outcomes["monkey", i][1] if chained and method == "smart_monkey" else None
             # Through the module attribute, so a wrapper of _run_one sees every job.
             outcomes[method, i] = _run_one(app, method, config, signatures, reputation, start)
@@ -194,7 +195,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rows, per_app, sessions, capture_parts = [], [], {}, []
     for method in config.methods:
         reports = []
-        for i, (_, app) in enumerate(corpus):
+        for i, app in enumerate(corpus):
             report, runner = outcomes[method, i]
             reports.append(report)
             per_app.append((method, report))
@@ -249,30 +250,47 @@ def emit_results(rows: tuple[AggregateRow, ...], format: str = "human") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
+# Every result file a format can write; capture.log and the traces are always written.
+_RESULT_FILES = ("results.txt", "summary.csv", "per_app.csv", "results.json")
+
+
 def write_outputs(result: ExperimentResult, out_dir: str | Path,
                   formats: tuple[str, ...] = ("human", "csv")) -> list[Path]:
-    """Write all experiment artifacts; byte-identical for identical runs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    """Write all experiment artifacts; byte-identical for identical runs.
 
-    def put(name: str, text: str):
+    A result file or trace an earlier run left in ``out_dir`` that this
+    run does not write is removed first, so the directory holds one run;
+    any other file is left alone.
+    """
+    files = {}
+    if "human" in formats:
+        files["results.txt"] = emit_results(result.rows, "human")
+    if "csv" in formats:
+        files["summary.csv"] = emit_results(result.rows, "csv")
+        files["per_app.csv"] = per_app_csv(result.per_app)
+    if "structured" in formats:
+        files["results.json"] = emit_results(result.rows, "structured")
+    files["capture.log"] = result.capture_log
+    traces = {f"{package}__{method}.trace": session
+              for (method, package), session in sorted(result.sessions.items())}
+
+    out = Path(out_dir)
+    trace_dir = out / "traces"
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    for name in _RESULT_FILES:
+        if name not in files:
+            (out / name).unlink(missing_ok=True)
+    for p in trace_dir.glob("*.trace"):
+        if p.name not in traces:
+            p.unlink()
+
+    written = []
+    for name, text in files.items():
         p = out / name
         p.write_text(text, encoding="utf-8")
         written.append(p)
-
-    if "human" in formats:
-        put("results.txt", emit_results(result.rows, "human"))
-    if "csv" in formats:
-        put("summary.csv", emit_results(result.rows, "csv"))
-        put("per_app.csv", per_app_csv(result.per_app))
-    if "structured" in formats:
-        put("results.json", emit_results(result.rows, "structured"))
-    put("capture.log", result.capture_log)
-    trace_dir = out / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    for (method, package), session in sorted(result.sessions.items()):
-        p = trace_dir / f"{package}__{method}.trace"
+    for name, session in traces.items():
+        p = trace_dir / name
         p.write_text(session.trace.to_text(), encoding="utf-8")
         written.append(p)
     return written

@@ -14,7 +14,6 @@ from .app_model import AppModel, DeviceState, Event, Screen, run_event_chain
 from .gcpause import gc_paused
 from .rng import Xoshiro256StarStar
 from .session import Session, SessionRunner
-from .telephony import TelephonyPolicy
 
 SCREEN_WIDTH = 1080
 SCREEN_HEIGHT = 1920
@@ -84,7 +83,6 @@ def generate_events(config: MonkeyConfig, app: AppModel,
     After a crash the hierarchy is gone and taps hit nothing.
     """
     rng = Xoshiro256StarStar(config.seed)
-    policy = TelephonyPolicy(app.own_number)
     events = []
     ctx = screen = None
     for _ in range(config.event_count):
@@ -95,7 +93,7 @@ def generate_events(config: MonkeyConfig, app: AppModel,
         event = _generate_one(rng, config, screen)
         events.append(event)
         if not device.crashed:
-            device, _ = run_event_chain(device, app, event, policy)
+            device, _ = run_event_chain(device, app, event)
     return events
 
 

@@ -548,7 +548,6 @@ class NetGuard:
         self.forwarded: list[HttpTransaction] = []
         self.capture_log: list[str] = []
         self.malformed_log: list[str] = []
-        self.routing_log: list[tuple[str, str]] = []
 
     def copy(self) -> "NetGuard":
         """A guard that continues from this one's logs without changing them.
@@ -560,7 +559,6 @@ class NetGuard:
         dup.forwarded = list(self.forwarded)
         dup.capture_log = list(self.capture_log)
         dup.malformed_log = list(self.malformed_log)
-        dup.routing_log = list(self.routing_log)
         return dup
 
     def capture_text(self) -> str:
@@ -573,7 +571,6 @@ class NetGuard:
                server: str | None = None) -> GuardOutcome:
         protocol = declared_protocol.lower()
         if protocol in BLOCKED_PROTOCOLS:
-            self.routing_log.append((BLOCK.kind, "none"))
             return BLOCKED_OUTCOME
 
         tls = None
@@ -594,11 +591,8 @@ class NetGuard:
         if verdict.kind == "forward":
             self.forwarded.append(tx)
             response = FORWARDED_RESPONSE
-            self.routing_log.append((verdict.kind, "live"))
         elif verdict.kind == "strip_and_redirect":
             response = simulate_response(strip_payload(tx, self.signatures))
-            self.routing_log.append((verdict.kind, "simulator"))
         else:  # redirect_sim
             response = simulate_response(tx)
-            self.routing_log.append((verdict.kind, "simulator"))
         return GuardOutcome("handled", verdict, tx, response, tls)

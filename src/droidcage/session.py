@@ -24,7 +24,7 @@ from .app_model import (
     run_event_chain,
 )
 from .data_tables import DataTables, default_tables
-from .telephony import TELEPHONY_KINDS, TelephonyPolicy, filter_outgoing
+from .telephony import TELEPHONY_KINDS, filter_outgoing
 from .trace import TraceConfig, TraceLog, record
 
 # pid assigned to the app under analysis; fixture side effects carrying a
@@ -88,16 +88,15 @@ class SessionRunner:
         self.app = app
         self.device = device
         self.session = Session(device=device)
-        self.policy = TelephonyPolicy(own_number=app.own_number)
         self.netguard = netguard
         self.tables = tables or default_tables()
-        self._no_match = StepResult(device, (), (), False, False)
+        self._no_match = StepResult(device, (), (), False)
 
     def copy(self) -> "SessionRunner":
         """A runner that continues from this one without changing it.
 
-        The session and the guard are copied; the app, tables and policy
-        are shared.
+        The session and the guard are copied; the app and tables are
+        shared.
         """
         dup = copy.copy(self)
         dup.session = self.session.copy()
@@ -119,13 +118,13 @@ class SessionRunner:
             session.device = device
             result = self._no_match
             if result.device is not device:
-                result = self._no_match = StepResult(device, (), (), False, False)
+                result = self._no_match = StepResult(device, (), (), False)
             return result
-        self.device, steps = run_event_chain(device, self.app, event, self.policy, self.tables)
+        self.device, steps = run_event_chain(device, self.app, event, self.tables)
         session.events.append(event)
         session.device = self.device
         for _, result in steps:
-            _, blocks, effects, _, _ = result
+            _, blocks, effects, _ = result
             session.executed_blocks.update(blocks)
             if effects:  # a step without side effects leaves no trace and no effects
                 session.trace.extend(record(result, TRACE_CONFIG))
@@ -135,7 +134,7 @@ class SessionRunner:
 
     def _dispose(self, eff: SideEffect) -> ObservedEffect:
         if eff.kind in TELEPHONY_KINDS:
-            decision = filter_outgoing(eff, self.policy)
+            decision = filter_outgoing(eff, self.app.own_number)
             tag = "telephony_delivered" if decision.delivered else "telephony_rejected"
             return ObservedEffect(eff, tag)
         if eff.kind == "network_request" and self.netguard is not None:

@@ -16,26 +16,11 @@ TELEPHONY_KINDS = ("outgoing_call", "outgoing_sms")
 
 
 @dataclass(frozen=True)
-class TelephonyPolicy:
-    own_number: str
-
-    def __post_init__(self):
-        if not self.own_number:
-            raise ValueError("policy needs a non-empty own_number")
-
-
-@dataclass(frozen=True)
 class TelephonyDecision:
     delivered: bool
-    ui_flash: bool
-    destination: str
-
-    @property
-    def rejected(self) -> bool:
-        return not self.delivered
 
 
-def filter_outgoing(effect: Any, policy: TelephonyPolicy) -> TelephonyDecision:
+def filter_outgoing(effect: Any, own_number: str) -> TelephonyDecision:
     """Decide whether an outgoing call/SMS side effect may leave the device.
 
     Only the device's own number is deliverable; everything else is
@@ -43,6 +28,4 @@ def filter_outgoing(effect: Any, policy: TelephonyPolicy) -> TelephonyDecision:
     """
     if getattr(effect, "kind", None) not in TELEPHONY_KINDS:
         raise ValueError(f"not a telephony side effect: {effect!r}")
-    if effect.number == policy.own_number:
-        return TelephonyDecision(delivered=True, ui_flash=False, destination=effect.number)
-    return TelephonyDecision(delivered=False, ui_flash=True, destination=effect.number)
+    return TelephonyDecision(delivered=effect.number == own_number)

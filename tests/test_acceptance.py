@@ -34,6 +34,8 @@ from droidcage.netguard import (
     SignatureDb,
     intercept_tls,
     parse_capture_log,
+    simulate_response,
+    strip_payload,
     write_log_entry,
 )
 from droidcage.rng import Xoshiro256StarStar
@@ -154,10 +156,13 @@ def test_criterion_5_netguard_gate_soundness():
                    f"Content-Length: {len(body)}\r\n\r\n").encode() + body
             outcome = guard.handle(raw)
             assert outcome.verdict.kind == "strip_and_redirect"
+            assert outcome.response == simulate_response(
+                strip_payload(outcome.transaction, sigs))
         elif bucket == 1:
             raw = f"GET /b{i} HTTP/1.1\r\nHost: telemetry.trusted.example\r\n\r\n".encode()
             outcome = guard.handle(raw)
             assert outcome.verdict.kind == "redirect_sim"
+            assert outcome.response == simulate_response(outcome.transaction)
         elif bucket == 2:
             host = f"host{rng.alnum(8).lower()}.example"
             raw = f"GET /ok{i} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
@@ -172,9 +177,6 @@ def test_criterion_5_netguard_gate_soundness():
 
     # zero strip/redirect transactions among the forwarded ones
     assert [tx.host for tx in guard.forwarded] == expected_forward_hosts
-    for kind, route in guard.routing_log:
-        if kind in ("strip_and_redirect", "redirect_sim"):
-            assert route == "simulator"
 
     # every capture entry round-trips exactly
     for entry in guard.capture_log:

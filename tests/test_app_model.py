@@ -390,19 +390,20 @@ def test_ambiguity_on_a_shadowed_element_is_rejected(tmp_path):
 
 
 # SHA-256 of repr(model) for each fixture, and of repr(load_corpus_dir(...))
-# over the 20-app corpus by seed: a faster loader must build the same models.
+# (the list of models) over the 20-app corpus by seed: a faster loader must
+# build the same models.
 GOLDEN_MODEL_REPR_DIGESTS = {
-    "boot_gate.app": "2f3244050d81d46116f1e4a40104faa381eb31b399d0a2f22b8aea58cfc297b7",
-    "crash_first.app": "60b8664976cda45077a7fc205b6ebb824470121c77f9d58ddf0ba9d25d5d6cb9",
-    "every_field.app": "090717ed2080119c6a6591cbd0da23a9c4129e2374597d7d20db420e3caa5310",
-    "login_gate.app": "2af1d52bbf1d8f4b1b60a0201a0df0af4977039ce6eea3b00d39f7f85d308008",
-    "one_button.app": "bfdc5bb59bcdcfa5eb5bcc1b6fc5ebf58d2ac9d98a36292ec3c5ef1eac60f843",
-    "sealed_bomb.app": "b7e8553ae96ac42f7e095db3b8b817986335dffdaa56f4d6e7e82bbd96d6df9d",
-    "tiny_taps.app": "98b943f4c48106c8067fc601901076a95405595fb55739cd60cc6830ba4ab64e",
+    "boot_gate.app": "143c10ef8d5e20176076e569eba3672dc3627325318624e51437bc8c7fc5bcda",
+    "crash_first.app": "2a6ca4e759f6fd02c18d35880cc70d4c729a2d818063e5cbf57b600ff65935ac",
+    "every_field.app": "b5e707f77d77a342f3cffc9db990692141a9f2d8b5a73ff43e7c606bf06cdea7",
+    "login_gate.app": "e6b1f49d2c9b2a1a187d9110c2b79785ed09e994a3ce9ce55d309d7302003811",
+    "one_button.app": "038d1f90834b77a5843d56e63aeaba215dcf27177a824e78b7fe79095728109d",
+    "sealed_bomb.app": "43d54cd2c1fdb5f3b0fbfa3a8e90f6e4a9367471a702fda9bac4c76d5cfbac8e",
+    "tiny_taps.app": "31c024a9aeeda36cac7f32f2d07f4d1daf6df175e055bfc34f77548cbb6b28c7",
 }
 GOLDEN_CORPUS_REPR_DIGESTS = {
-    0: "4aa260089d4d5ca30490c8f5de75fc16b842144f7b94b941f302a806e8f95a9e",
-    1: "6ddcf18a2249db484beefcc336cb7d0add2bbc44bbfe6e441e3319f6f88e395d",
+    0: "4aa57287bb8d6566a44f6d5d8578113f6d0b845ac14a1226d73773bf6a435f2b",
+    1: "63b346c90f5f70dff5f8a2637ccc7aa39886453597536c6975202fc33de91932",
 }
 
 
@@ -571,7 +572,7 @@ def test_replay_determinism(login_gate, data):
             res = apply_event(device, login_gate, ev)
             device = res.device
             ctx = device.context(login_gate.package)
-            summary.append((res.executed_blocks, res.side_effects, res.crashed,
+            summary.append((res.executed_blocks, res.side_effects, res.device.crashed,
                             res.matched, ctx.activity, ctx.state, ctx.receivers))
         return summary
 
@@ -724,7 +725,7 @@ def _reference_transition(app, ctx, event):
     action = live_receiver_action(app, ctx, event)
     for t in app.transitions:
         src = t.source
-        if isinstance(src, ReceiverSource) and (src.trigger, src.action) == (event.kind, action) \
+        if isinstance(src, ReceiverSource) and (t.action, src.action) == (event.kind, action) \
                 and src.anchor in (None, here):
             return t
     return None
@@ -737,7 +738,7 @@ def _cloning_step(device, app, event) -> StepResult:
     ctx = device.context(app.package)
     transition = _reference_transition(app, ctx, event)
     if transition is None:
-        return StepResult(device, (), (), False, False)
+        return StepResult(device, (), (), False)
     new_ctx = ctx
     for eff in transition.side_effects:
         if eff.kind == "register_receiver":
@@ -750,7 +751,7 @@ def _cloning_step(device, app, event) -> StepResult:
                       running_processes=device.running_processes,
                       settings=device.settings,
                       crashed=device.crashed or transition.crash)
-    return StepResult(dev, transition.blocks, transition.side_effects, transition.crash, True)
+    return StepResult(dev, transition.blocks, transition.side_effects, True)
 
 
 _STEP_FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_bomb",
@@ -803,8 +804,8 @@ _RECORDS = [
     (AppContext("Main", "home", frozenset({PING})), ("activity", "state", "receivers")),
     (Settings(False, False, 7), ("wifi", "data_network", "sound_volume")),
     # A hashable stand-in for the device: a DeviceState is not hashable.
-    (StepResult(None, ("k1",), (), False, True),
-     ("device", "executed_blocks", "side_effects", "crashed", "matched")),
+    (StepResult(None, ("k1",), (), True),
+     ("device", "executed_blocks", "side_effects", "matched")),
     # The model records the loader builds.
     (UiElement("button", "btn", None, "Go", None, (0, 0, 10, 5), ("click",)),
      ("kind", "id_string", "content_description", "text", "hint", "bounds", "actions")),
@@ -815,7 +816,7 @@ _RECORDS = [
       "name", "action")),
     (TextMatch("equals", value="v"), ("kind", "value", "category")),
     (UiSource("Main", "home", 0), ("activity", "state", "element_index")),
-    (ReceiverSource(PING, "broadcast", ("Main", "home")), ("action", "trigger", "anchor")),
+    (ReceiverSource(PING, ("Main", "home")), ("action", "anchor")),
 ]
 
 

@@ -40,6 +40,36 @@ def test_run_writes_outputs(corpus_dir, tmp_path, capsys):
     assert "Blocks average coverage" in stdout
 
 
+def _files(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_into_an_earlier_runs_out_holds_only_the_new_run(corpus_dir, tmp_path, capsys):
+    three, two = tmp_path / "three", tmp_path / "two"
+    three.mkdir()
+    two.mkdir()
+    for i, app in enumerate(sorted(corpus_dir.glob("*.app"))[:3]):
+        (three / app.name).write_bytes(app.read_bytes())
+        if i < 2:
+            (two / app.name).write_bytes(app.read_bytes())
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run", "--corpus", str(three), "--out", str(out),
+                 "--formats", "human,csv,structured"]) == 0
+    assert len(list((out / "traces").glob("*.trace"))) == 9
+    # Files the run does not name are not its to remove.
+    (out / "notes.txt").write_text("mine")
+    (out / "traces" / "notes.txt").write_text("mine too")
+    for target in (out, fresh):
+        assert main(["run", "--corpus", str(two), "--out", str(target),
+                     "--formats", "human"]) == 0
+    capsys.readouterr()
+    assert _files(out) == {**_files(fresh), "notes.txt": b"mine",
+                           "traces/notes.txt": b"mine too"}
+    assert len(list((out / "traces").glob("*.trace"))) == 6
+    assert not (out / "summary.csv").exists() and not (out / "results.json").exists()
+
+
 def test_run_empty_corpus_fails_nonzero(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

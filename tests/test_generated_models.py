@@ -1,17 +1,26 @@
 """Properties of every engine on generated app models (see ``conftest.app_docs``)."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droidcage import harness
-from droidcage.app_model import install_app, model_from_dict, reachable_blocks
+from droidcage.app_model import (
+    LOOPBACK_LIMIT,
+    install_app,
+    loopback_event,
+    model_from_dict,
+    reachable_blocks,
+    run_event_chain,
+)
 from droidcage.coverage import measure
 from droidcage.data_tables import DataTables, default_tables
 from droidcage.explorer import ExplorationConfig, baseline_device, cleanup, explore
 from droidcage.monkey import MonkeyConfig, generate_events, run_monkey
 from droidcage.netguard import NetGuard, parse_capture_log, write_log_entry
 from droidcage.session import SessionRunner
+from droidcage.telephony import TELEPHONY_KINDS, filter_outgoing
 
-from conftest import OUTSIDE_ACTION, app_docs
+from conftest import OUTSIDE_ACTION, app_docs, device_for, event_pool
 
 _DEFAULT = default_tables()
 # The packaged tables with a broadcast table that also holds OUTSIDE_ACTION.
@@ -81,6 +90,36 @@ def test_one_seed_gives_the_same_sessions_twice(doc):
         assert session.events == again.events, method
         assert session.executed_blocks == again.executed_blocks, method
         assert session.trace.to_text() == again.trace.to_text(), method
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_docs(), st.data())
+def test_event_chain_facts(doc, data):
+    """For every chain: only its last step may leave a crashed device, it
+    returns that step's device, and a telephony effect is delivered, and
+    loops back, exactly when it is addressed to the app's own number."""
+    app = model_from_dict(doc)
+    pool = event_pool(app)
+    device = device_for(app)
+    for _ in range(data.draw(st.integers(1, 30))):
+        if device.crashed:
+            break
+        new_device, steps = run_event_chain(device, app, data.draw(st.sampled_from(pool)))
+        assert new_device is steps[-1][1].device
+        assert not any(result.device.crashed for _, result in steps[:-1])
+        to_self = []
+        for _, result in steps:
+            for eff in result.side_effects:
+                if eff.kind in TELEPHONY_KINDS:
+                    delivered = filter_outgoing(eff, app.own_number).delivered
+                    assert delivered == (eff.number == app.own_number)
+                    if delivered:
+                        to_self.append(loopback_event(eff))
+        loopbacks = [event for event, _ in steps[1:]]
+        assert loopbacks == to_self[:len(loopbacks)]
+        if not new_device.crashed:
+            assert len(loopbacks) == min(len(to_self), LOOPBACK_LIMIT)
+        device = new_device
 
 
 @settings(max_examples=30, deadline=None)

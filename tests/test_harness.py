@@ -214,9 +214,10 @@ def test_crasher_smart_monkey_session_is_its_monkey_session(three_methods):
 
 
 def test_corpus_loader_orders_by_name(small_corpus):
-    entries = load_corpus_dir(small_corpus)
-    names = [n for n, _ in entries]
-    assert names == sorted(names)
+    packages = [app.package for app in load_corpus_dir(small_corpus)]
+    files = sorted(small_corpus.glob("*.app"))
+    assert packages == [json.loads(f.read_text())["package"] for f in files]
+    assert packages != sorted(packages)  # file-name order, not package order
 
 
 def _digest_dir(root):

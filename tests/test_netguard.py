@@ -637,13 +637,16 @@ def _guard(**kw):
 
 def test_pipeline_never_forwards_gated_traffic():
     guard = _guard()
-    guard.handle(_raw(method="POST", body=b"MAL-DROP-001"))
-    guard.handle(_raw(host="telemetry.trusted.example"))
+    stripped = guard.handle(_raw(method="POST", body=b"MAL-DROP-001"))
+    redirected = guard.handle(_raw(host="telemetry.trusted.example"))
     guard.handle(_raw(host="plain.example"))
     forwarded_hosts = [tx.host for tx in guard.forwarded]
     assert forwarded_hosts == ["plain.example"]
-    assert ("strip_and_redirect", "simulator") in guard.routing_log
-    assert ("redirect_sim", "simulator") in guard.routing_log
+    # The gated requests got the simulator's reply, built from what they sent.
+    assert stripped.verdict.kind == "strip_and_redirect"
+    assert stripped.response == simulate_response(strip_payload(stripped.transaction, SIGS))
+    assert redirected.verdict.kind == "redirect_sim"
+    assert redirected.response == simulate_response(redirected.transaction)
 
 
 def test_pipeline_strips_before_simulating():
@@ -863,7 +866,8 @@ def test_pipeline_logs_ambiguous_framing_as_malformed(raw):
     guard = _guard()
     outcome = guard.handle(raw)
     assert outcome.disposition == "malformed"
-    assert guard.capture_log == [] and guard.forwarded == [] and guard.routing_log == []
+    assert outcome.verdict is None and outcome.response is None
+    assert guard.capture_log == [] and guard.forwarded == []
     assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
 
 
@@ -909,7 +913,8 @@ def test_pipeline_logs_unroutable_host_or_version_as_malformed(raw):
     guard = _guard()
     outcome = guard.handle(raw)
     assert outcome.disposition == "malformed"
-    assert guard.capture_log == [] and guard.forwarded == [] and guard.routing_log == []
+    assert outcome.verdict is None and outcome.response is None
+    assert guard.capture_log == [] and guard.forwarded == []
     assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
 
 

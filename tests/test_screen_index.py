@@ -133,10 +133,10 @@ def test_directly_constructed_model_has_working_lookups():
     app = AppModel(
         package="com.t.direct", main_activity="Main", own_number="5550000",
         activities=(Activity("Main", "home", (home, done)),),
-        transitions=(Transition(0, UiSource("Main", "home", 0), "click", None,
+        transitions=(Transition(UiSource("Main", "home", 0), "click", None,
                                 ("Main", "done"), ("b1",), ()),
                      # names a state the model lacks: it constructs, and never fires
-                     Transition(1, UiSource("Main", "gone", 0), "click", None,
+                     Transition(UiSource("Main", "gone", 0), "click", None,
                                 None, ("b1",), ())),
         blocks=(BasicBlock("b1", "c.Main", "go"),),
         declared_receivers=(), dynamic_receivers=(), alphabet=(),

@@ -18,7 +18,6 @@ from droidcage.app_model import (
 from droidcage.explorer import ExplorationConfig, baseline_device, explore
 from droidcage.netguard import NetGuard, parse_capture_log
 from droidcage.session import SessionRunner
-from droidcage.telephony import TelephonyPolicy
 
 from conftest import app_docs, device_for, event_pool
 
@@ -81,7 +80,7 @@ def test_self_texting_cycle_is_capped():
     btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
     # The receiver texts itself forever; the chain stops after the click
     # and LOOPBACK_LIMIT loopbacks, each of which sent one more SMS.
-    _, steps = run_event_chain(runner.device, app, Event.click(btn), runner.policy)
+    _, steps = run_event_chain(runner.device, app, Event.click(btn))
     assert [ev.kind for ev, _ in steps] == ["click"] + ["incoming_sms"] * LOOPBACK_LIMIT
     assert [res.executed_blocks for _, res in steps] == [("s1",)] + [("r1",)] * LOOPBACK_LIMIT
     runner.step(Event.click(btn))
@@ -185,7 +184,7 @@ def test_a_crash_in_a_loopback_crashes_the_session():
     doc["transitions"][1]["crash"] = True  # the SMS receiver
     app, runner = _runner(doc)
     btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    assert not runner.step(Event.click(btn)).crashed  # the click itself did not crash
+    assert not runner.step(Event.click(btn)).device.crashed  # the click itself did not crash
     assert runner.session.crashed and runner.device.crashed
     assert runner.session.executed_blocks == {"s1", "r1"}
 
@@ -218,12 +217,12 @@ def test_a_copied_runner_leaves_the_original_unchanged():
     runner.step(Event.click(send))
     session, guard = runner.session, runner.netguard
     fields = ("events", "executed_blocks", "trace", "effects", "visited", "device")
-    logs = ("capture_log", "malformed_log", "routing_log", "forwarded")
+    logs = ("capture_log", "malformed_log", "forwarded")
     session_before = copy.deepcopy([getattr(session, f) for f in fields])
     guard_before = copy.deepcopy([getattr(guard, f) for f in logs])
 
     dup = runner.copy()
-    assert dup.app is runner.app and dup.tables is runner.tables and dup.policy is runner.policy
+    assert dup.app is runner.app and dup.tables is runner.tables
     dup.step(Event.click(send))
     dup.step(Event.click(more))
     explore(app, ExplorationConfig(seed=0, max_events=10), dup.device, runner=dup)
@@ -269,7 +268,7 @@ def _check_crash_flag(app, data):
     runner = SessionRunner(app, device_for(app))
     assert not runner.session.crashed
     # The same chains, run beside the runner, tell which steps crashed.
-    reference, policy, crashed = runner.device, TelephonyPolicy(app.own_number), False
+    reference, crashed = runner.device, False
     pool = event_pool(app) + [Event("click")]  # and a tap on no element
     for _ in range(data.draw(st.integers(0, 30))):
         event = data.draw(st.sampled_from(pool))
@@ -278,7 +277,7 @@ def _check_crash_flag(app, data):
                 runner.step(event)
             assert runner.session.crashed
             return
-        reference, steps = run_event_chain(reference, app, event, policy)
-        crashed = any(result.crashed for _, result in steps)
+        reference, steps = run_event_chain(reference, app, event)
+        crashed = any(result.device.crashed for _, result in steps)
         runner.step(event)
         assert runner.session.crashed == crashed

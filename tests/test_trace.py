@@ -15,7 +15,7 @@ PID = 4242
 
 
 def _step(*effects):
-    return StepResult(DeviceState(), (), tuple(effects), False, True)
+    return StepResult(DeviceState(), (), tuple(effects), True)
 
 
 def _config(oat=True, branch=True, inline=True):
