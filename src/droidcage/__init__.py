@@ -20,14 +20,7 @@ from .app_model import (
     reachable_blocks,
 )
 from .coverage import AggregateRow, CoverageReport, aggregate, improvement_ratio, measure
-from .explorer import (
-    ExplorationConfig,
-    TextfieldCategory,
-    categorize_textfield,
-    cleanup,
-    explore,
-    generate_fill_value,
-)
+from .explorer import ExplorationConfig, categorize_textfield, cleanup, explore
 from .harness import ExperimentConfig, emit_results, run_experiment
 from .monkey import MonkeyConfig, generate_events, run_monkey
 from .netguard import (

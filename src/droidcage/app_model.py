@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .data_tables import DataTables, default_tables
+from .data_tables import CATEGORIES, DataTables, default_tables
 from .gcpause import gc_paused
 from .telephony import TELEPHONY_KINDS, filter_outgoing
 
@@ -602,7 +602,7 @@ def _candidate_events(app: AppModel, device: DeviceState, receivers: list[Event]
 
 def _state_key(app: AppModel, device: DeviceState):
     ctx = device.context(app.package)
-    return (ctx.activity, ctx.state, ctx.receivers, device.crashed)
+    return ctx.activity, ctx.state, ctx.receivers
 
 
 def reachable_blocks(app: AppModel, *, max_states: int = 10_000,
@@ -823,10 +823,6 @@ def _resolve_element_ref(state: UiState, ref: int | str, where: str) -> int:
 
 
 _MATCH_KINDS = ("equals", "non_empty", "matches_category")
-_MATCH_CATEGORIES = (
-    "phone_number", "first_name", "last_name", "email", "iban",
-    "country", "city", "street_address", "password", "pin_code",
-)
 
 
 def _load_match(raw: dict | None, where: str) -> Optional[TextMatch]:
@@ -838,7 +834,7 @@ def _load_match(raw: dict | None, where: str) -> Optional[TextMatch]:
     if kind == "matches_category":
         category = _field(raw, "category", where)
         return TextMatch("matches_category",
-                         category=_one_of(category, where, _MATCH_CATEGORIES, "category"))
+                         category=_one_of(category, where, CATEGORIES, "category"))
     return TextMatch("non_empty")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 from .app_model import (
@@ -187,9 +188,7 @@ def _doc_plain(pkg, seq, rng):
 
 def _doc_textgate(pkg, seq, rng):
     category = _GATE_CATEGORIES[seq % len(_GATE_CATEGORIES)]
-    tables = default_tables()
-    sample = (tables.table("first_name")[0] + "." + tables.table("last_name")[0]).lower() \
-        + "@gmail.com" if category == "email" else tables.table(category)[0]
+    sample = default_tables().fill(category, itemgetter(0))
     doc = _base_doc(pkg, seq)
     doc["alphabet"] = [sample, "filler"]
     blocks = _Blocks(pkg)

@@ -1,12 +1,13 @@
-"""Realistic-data tables used to fill categorized textfields.
+"""The text-entry vocabulary: textfield categories, their fill rule and gate test.
 
 Tables are newline-delimited text files. The packaged defaults ship with
 the library; a directory with the same file names can be loaded instead.
-A :class:`DataTables` is one map from category (the keys of
+A :class:`DataTables` is one map from table name (the keys of
 ``TABLE_FILES``) to that file's values in file order, read through
-``table(category)``. The same tables back the model-side
-``matches-category`` gate predicate, so a value produced by the fill
-generator always satisfies the gate of the matching category.
+``table(name)``. This module owns the category set (``CATEGORIES``), the
+fill rule (``DataTables.fill``) and the model-side ``matches_category``
+gate test (``DataTables.matches``), so a value the explorer fills for a
+category always passes the gate of that category.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Sequence
 
 TABLE_FILES = {
     "first_name": "first-names.txt",
@@ -29,6 +31,10 @@ TABLE_FILES = {
     "pin_code": "pin-codes.txt",
     "password": "passwords.txt",
 }
+
+# Every table is a category but the two that only feed others, plus email,
+# which is composed from first name, last name and provider.
+CATEGORIES = frozenset((TABLE_FILES.keys() - {"broadcast", "email_provider"}) | {"email"})
 
 
 class DataTableError(ValueError):
@@ -45,6 +51,18 @@ class DataTables:
         except KeyError:
             raise KeyError(f"no table for category {category!r}") from None
 
+    def fill(self, category: str, choose: Callable[[Sequence[str]], str]) -> str:
+        """A value of ``category``; ``choose`` picks one entry of a table.
+
+        An email is first.last@provider, lower-cased, its parts chosen in
+        that order.
+        """
+        if category == "email":
+            first, last, provider = (choose(self.table(name)) for name in
+                                     ("first_name", "last_name", "email_provider"))
+            return f"{first}.{last}@{provider}".lower()
+        return choose(self.table(category))
+
     def matches(self, category: str, value: str) -> bool:
         """Whether ``value`` looks like a member of ``category``.
 
@@ -57,8 +75,6 @@ class DataTables:
                 return False
             local, _, domain = value.partition("@")
             return "." in local and domain in self.tables["email_provider"]
-        if category == "uncategorized":
-            return value != ""
         return value in self.table(category)
 
 

@@ -10,7 +10,6 @@ device clean afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .app_model import (
     AppModel,
@@ -34,13 +33,10 @@ from .session import Session, SessionRunner
 __all__ = [
     "ElementKey",
     "ExplorationConfig",
-    "NotATextfieldError",
     "Session",
-    "TextfieldCategory",
     "categorize_textfield",
     "cleanup",
     "explore",
-    "generate_fill_value",
     "identify_element",
     # Unused here: the benchmark's trace hooks wrap these two by this
     # module's attribute.
@@ -49,66 +45,37 @@ __all__ = [
 ]
 
 
-class NotATextfieldError(ValueError):
-    pass
-
-
-class TextfieldCategory(str, Enum):
-    PHONE_NUMBER = "phone_number"
-    FIRST_NAME = "first_name"
-    LAST_NAME = "last_name"
-    EMAIL = "email"
-    IBAN = "iban"
-    COUNTRY = "country"
-    CITY = "city"
-    STREET_ADDRESS = "street_address"
-    PASSWORD = "password"
-    PIN_CODE = "pin_code"
-    UNCATEGORIZED = "uncategorized"
-
-
 # First match in this order wins; keywords are matched case-insensitively
 # as substrings of the hint, ID string and content description.
-CATEGORY_KEYWORDS: tuple[tuple[TextfieldCategory, tuple[str, ...]], ...] = (
-    (TextfieldCategory.PHONE_NUMBER, ("phone", "mobile", "msisdn", "tel")),
-    (TextfieldCategory.FIRST_NAME, ("first name", "firstname", "first_name", "given name", "forename", "first")),
-    (TextfieldCategory.LAST_NAME, ("last name", "lastname", "last_name", "surname", "family name", "last")),
-    (TextfieldCategory.EMAIL, ("email", "e-mail", "mail")),
-    (TextfieldCategory.IBAN, ("iban", "bank account", "account number")),
-    (TextfieldCategory.COUNTRY, ("country",)),
-    (TextfieldCategory.CITY, ("city", "town")),
-    (TextfieldCategory.STREET_ADDRESS, ("street", "address", "addr")),
-    (TextfieldCategory.PASSWORD, ("password", "passwd", "pwd", "pass")),
-    (TextfieldCategory.PIN_CODE, ("pin", "code")),
+CATEGORY_KEYWORDS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("phone_number", ("phone", "mobile", "msisdn", "tel")),
+    ("first_name", ("first name", "firstname", "first_name", "given name", "forename", "first")),
+    ("last_name", ("last name", "lastname", "last_name", "surname", "family name", "last")),
+    ("email", ("email", "e-mail", "mail")),
+    ("iban", ("iban", "bank account", "account number")),
+    ("country", ("country",)),
+    ("city", ("city", "town")),
+    ("street_address", ("street", "address", "addr")),
+    ("password", ("password", "passwd", "pwd", "pass")),
+    ("pin_code", ("pin", "code")),
 )
 
 UNCATEGORIZED_FILL_LENGTH = 12
 
 
-def categorize_textfield(element: UiElement) -> TextfieldCategory:
-    """Recognize a textfield of interest from its hint/ID/description."""
-    if element.kind != "textfield":
-        raise NotATextfieldError(f"cannot categorize a {element.kind}")
-    sources = [s.lower() for s in (element.hint, element.id_string,
-                                   element.content_description) if s]
-    for category, keywords in CATEGORY_KEYWORDS:
-        for source in sources:
-            if any(kw in source for kw in keywords):
-                return category
-    return TextfieldCategory.UNCATEGORIZED
+def categorize_textfield(element: UiElement) -> str:
+    """The category of a textfield from its hint/ID/description.
 
-
-def generate_fill_value(category: TextfieldCategory, tables: DataTables,
-                        rng: Xoshiro256StarStar) -> str:
-    """Draw a realistic value for the category from the data tables."""
-    if category == TextfieldCategory.UNCATEGORIZED:
-        return rng.alnum(UNCATEGORIZED_FILL_LENGTH)
-    if category == TextfieldCategory.EMAIL:
-        first = rng.choice(tables.table("first_name"))
-        last = rng.choice(tables.table("last_name"))
-        provider = rng.choice(tables.table("email_provider"))
-        return f"{first}.{last}@{provider}".lower()
-    return rng.choice(tables.table(category.value))
+    A textfield no keyword names, and any other element, is "uncategorized".
+    """
+    if element.kind == "textfield":
+        sources = [s.lower() for s in (element.hint, element.id_string,
+                                       element.content_description) if s]
+        for category, keywords in CATEGORY_KEYWORDS:
+            for source in sources:
+                if any(kw in source for kw in keywords):
+                    return category
+    return "uncategorized"
 
 
 @dataclass(frozen=True)
@@ -153,13 +120,6 @@ class _Explorer:
         self.budget -= 1
         self.runner.step(event)
 
-    def _fill_event(self, key: ElementKey, element: UiElement) -> Event:
-        if element.kind == "textfield":
-            category = categorize_textfield(element)
-        else:
-            category = TextfieldCategory.UNCATEGORIZED
-        return Event.set_text(key, generate_fill_value(category, self.tables, self.rng))
-
     def _pending_anywhere(self) -> bool:
         for name, screen in list(self.open_screens.items()):
             if _plan(screen, self.session.visited):
@@ -187,11 +147,14 @@ class _Explorer:
             self.open_screens[screen] = shown
             device = runner.device
             for n, (key, action, element) in enumerate(plan, 1):
-                if self.budget <= 0 or device.crashed:
+                if self.budget <= 0:
                     return
                 session.visited.add((key, action))
                 if action == "set_text":
-                    event = self._fill_event(key, element)
+                    category = categorize_textfield(element)
+                    value = (self.rng.alnum(UNCATEGORIZED_FILL_LENGTH) if category == "uncategorized"
+                             else self.tables.fill(category, self.rng.choice))
+                    event = Event.set_text(key, value)
                 else:
                     event = Event(action, key)
                 self.issue(event)

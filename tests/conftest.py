@@ -1,5 +1,6 @@
 import gc
 import json
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -191,20 +192,15 @@ _GEN_RECEIVER_ACTIONS = ("android.intent.action.BOOT_COMPLETED", SMS_RECEIVED_AC
 _GEN_MAGIC = "open-sesame-42"
 
 
-def _category_sample(category: str) -> str:
-    tables = default_tables()
-    if category == "email":
-        return f"a.b@{tables.table('email_provider')[0]}"
-    return tables.table(category)[0]
-
-
 @st.composite
 def app_docs(draw) -> dict:
     """A valid ``.app`` document.
 
     1-3 activities with 1-4 states of 0-4 elements each; ``equals``,
     ``non_empty`` and ``matches_category`` gates; crash transitions,
-    SMS and calls to the app's own number and to another; network
+    SMS and calls to the app's own number and to another, often a
+    self-texting loop (an SMS receiver that texts the app's own number,
+    so one SMS chains up to ``LOOPBACK_LIMIT`` loopbacks); network
     requests over HTTP, over HTTPS to a known server, over a blocked
     protocol, and malformed; declared, dynamic and registered receivers,
     many of them for ``OUTSIDE_ACTION``.
@@ -239,10 +235,10 @@ def app_docs(draw) -> dict:
     blocks = []
     transitions = []
 
-    def transition(frm: dict, trigger: dict) -> None:
+    def transition(frm: dict, trigger: dict, effects: tuple = ()) -> None:
         bid = f"b{len(blocks)}"
         blocks.append({"id": bid, "class": "gen.Main", "method": bid})
-        effects = []
+        effects = list(effects)
         for effect in draw(st.lists(st.sampled_from(("sms", "call", "register", "java", "http",
                                                      "https", "blocked", "malformed")),
                                     max_size=2)):
@@ -275,7 +271,7 @@ def app_docs(draw) -> dict:
             return {"kind": "equals", "value": value}
         if gate == "matches_category":
             category = choice(("password", "pin_code", "email", "first_name"))
-            alphabet.add(_category_sample(category))
+            alphabet.add(default_tables().fill(category, itemgetter(0)))
             return {"kind": "matches_category", "category": category}
         return gate and {"kind": gate}
 
@@ -286,7 +282,15 @@ def app_docs(draw) -> dict:
                     match = set_text_match() if action == "set_text" else None
                     trigger = {"action": action, **({"match": match} if match else {})}
                     transition({**place, "element": i}, trigger)
-    for action in some_receiver_actions():
+    declared = some_receiver_actions()
+    receiver_actions = some_receiver_actions()
+    if draw(st.booleans()):
+        # The self-texting loop; unanchored, so it is the app's only SMS receiver.
+        declared = sorted({*declared, SMS_RECEIVED_ACTION})
+        receiver_actions = [a for a in receiver_actions if a != SMS_RECEIVED_ACTION]
+        transition({"receiver": SMS_RECEIVED_ACTION}, {},
+                   ({"kind": "outgoing_sms", "number": _GEN_OWN_NUMBER, "body": "loop"},))
+    for action in receiver_actions:
         anchor = draw(st.none() | st.sampled_from(places))
         transition({"receiver": action, **(anchor or {})}, {})
     dynamic = [{**choice(places), "action": choice(_GEN_RECEIVER_ACTIONS)}
@@ -297,7 +301,7 @@ def app_docs(draw) -> dict:
         "own_number": _GEN_OWN_NUMBER,
         "activities": activities,
         "blocks": blocks,
-        "receivers": {"declared": some_receiver_actions(), "dynamic": dynamic},
+        "receivers": {"declared": declared, "dynamic": dynamic},
         "transitions": transitions,
         "alphabet": sorted(alphabet),
     }

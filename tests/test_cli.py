@@ -187,6 +187,7 @@ def test_proxy_check_verdicts(tmp_path, capsys):
 @pytest.mark.parametrize("flag, text, message", [
     ("--signatures", "sig-a\tzz\n", ":1: bad signature line"),
     ("--signatures", "# comment\nsig-a 4142\n", ":2: bad signature line"),
+    ("--signatures", "sig1\t\n", ":1: bad signature line: signature sig1 has an empty pattern"),
     ("--reputation", "\nx.example\tninety\n", ":2: bad reputation line"),
     ("--reputation", "x.example 90\n", ":1: bad reputation line"),
     # int() alone would take these as 90.
@@ -194,7 +195,7 @@ def test_proxy_check_verdicts(tmp_path, capsys):
     ("--reputation", "x.example\t\u0669\u0660\n", ":1: bad reputation line"),
     ("--reputation", "a.example\t100\nx.example\t200\n",
      ":2: bad reputation line: score out of range 0..100: 200"),
-], ids=["bad_hex", "signature_without_tab", "non_integer_score", "reputation_without_tab",
+], ids=["bad_hex", "signature_without_tab", "empty_pattern", "non_integer_score", "reputation_without_tab",
         "underscored_score", "arabic_indic_score", "score_over_100"])
 def test_proxy_check_with_a_bad_data_file_line_exits_1(tmp_path, capsys, flag, text, message):
     data = tmp_path / "data.txt"

@@ -1,4 +1,5 @@
 import copy
+from operator import itemgetter
 
 import pytest
 
@@ -14,16 +15,14 @@ from droidcage.app_model import (
     model_from_dict,
     reachable_blocks,
 )
-from droidcage.data_tables import DataTables, default_tables
+from droidcage.data_tables import CATEGORIES, DataTables, default_tables
 from droidcage.explorer import (
+    CATEGORY_KEYWORDS,
     ExplorationConfig,
-    NotATextfieldError,
-    TextfieldCategory,
     baseline_device,
     categorize_textfield,
     cleanup,
     explore,
-    generate_fill_value,
     identify_element,
 )
 from droidcage.corpus import _ARCHETYPE_CYCLE, write_corpus
@@ -79,48 +78,40 @@ def _field(**kw):
 
 
 def test_categorize_email_hint():
-    assert categorize_textfield(_field(hint="Email address")) == TextfieldCategory.EMAIL
+    assert categorize_textfield(_field(hint="Email address")) == "email"
 
 
 def test_categorize_iban_id():
-    assert categorize_textfield(_field(id_string="edit_iban")) == TextfieldCategory.IBAN
+    assert categorize_textfield(_field(id_string="edit_iban")) == "iban"
 
 
 def test_categorize_unknown_hint():
-    assert categorize_textfield(_field(hint="Favorite color")) == TextfieldCategory.UNCATEGORIZED
+    assert categorize_textfield(_field(hint="Favorite color")) == "uncategorized"
 
 
 def test_categorize_is_case_insensitive():
-    assert categorize_textfield(_field(hint="PHONE NUMBER")) == TextfieldCategory.PHONE_NUMBER
+    assert categorize_textfield(_field(hint="PHONE NUMBER")) == "phone_number"
 
 
-def test_categorize_rejects_non_textfields():
-    with pytest.raises(NotATextfieldError):
-        categorize_textfield(UiElement(kind="button", bounds=(0, 0, 10, 10)))
+def test_categorize_non_textfield_is_uncategorized():
+    button = UiElement(kind="button", hint="Email", bounds=(0, 0, 10, 10))
+    assert categorize_textfield(button) == "uncategorized"
 
 
-class _IndexZeroRng:
-    def randrange(self, n):
-        return 0
-
-    def choice(self, seq):
-        return seq[0]
-
-    def alnum(self, length):
-        return "a" * length
+def test_keywords_name_every_category():
+    assert {category for category, _ in CATEGORY_KEYWORDS} == CATEGORIES
 
 
 def test_fill_first_name_head_of_table():
-    assert generate_fill_value(TextfieldCategory.FIRST_NAME, TABLES, _IndexZeroRng()) == "Aaren"
+    assert TABLES.fill("first_name", itemgetter(0)) == "Aaren"
 
 
 def test_fill_iban_head_of_table():
-    value = generate_fill_value(TextfieldCategory.IBAN, TABLES, _IndexZeroRng())
-    assert value == "AL94283405797977629281563659"
+    assert TABLES.fill("iban", itemgetter(0)) == "AL94283405797977629281563659"
 
 
 def test_fill_email_shape():
-    value = generate_fill_value(TextfieldCategory.EMAIL, TABLES, Xoshiro256StarStar(5))
+    value = TABLES.fill("email", Xoshiro256StarStar(5).choice)
     local, _, domain = value.partition("@")
     first, _, last = local.partition(".")
     assert first and last
@@ -128,19 +119,27 @@ def test_fill_email_shape():
     assert value == value.lower()
 
 
-def test_fill_uncategorized_is_alnum_12():
-    value = generate_fill_value(TextfieldCategory.UNCATEGORIZED, TABLES,
-                                Xoshiro256StarStar(9))
-    assert len(value) == 12 and value.isalnum()
+def test_fill_email_draws_first_last_then_provider():
+    drawn = []
+    assert TABLES.fill("email", lambda table: drawn.append(table) or table[1]) \
+        == "aarika.johnson@yahoo.com"
+    assert drawn == [TABLES.table(name) for name in ("first_name", "last_name", "email_provider")]
+
+
+def test_fill_uncategorized_is_alnum_12(login_gate):
+    # The first field's hint, "Username", names no category.
+    session = explore(login_gate, ExplorationConfig(seed=9, max_events=1),
+                      device_for(login_gate))
+    [event] = session.events
+    assert (event.kind, event.target.value) == ("set_text", "edit_username")
+    assert len(event.value) == 12 and event.value.isalnum()
 
 
 def test_fill_values_satisfy_their_category_gates():
     rng = Xoshiro256StarStar(11)
-    for category in TextfieldCategory:
-        if category == TextfieldCategory.UNCATEGORIZED:
-            continue
-        value = generate_fill_value(category, TABLES, rng)
-        assert TABLES.matches(category.value, value), (category, value)
+    for category in sorted(CATEGORIES):
+        value = TABLES.fill(category, rng.choice)
+        assert TABLES.matches(category, value), (category, value)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +372,17 @@ def test_monkey_phase_is_prefix_of_combined_session(request, corpus_by_archetype
     assert combined.events[:len(monkey.events)] == monkey.events
 
 
+def test_budget_stops_the_explorer_mid_plan(tiny_taps):
+    # Three clicks that all stay on the first screen; a budget of two stops
+    # the explorer inside that screen's plan.
+    home = tiny_taps.screen("Main", "home")
+    plan = [(key, action) for key, el in home.entries() for action in el.actions]
+    assert len(plan) == 3
+    session = explore(tiny_taps, ExplorationConfig(seed=0, max_events=2), device_for(tiny_taps))
+    assert [(e.target, e.kind) for e in session.events] == plan[:2]
+    assert plan[2] not in session.visited
+
+
 def test_crash_halts_exploration_with_partial_coverage(crash_first):
     session = explore(crash_first, ExplorationConfig(seed=0, max_events=100),
                       device_for(crash_first))
@@ -395,13 +405,15 @@ def test_engines_on_a_crashed_device_send_nothing(crash_first, engine):
     assert session.events == []
 
 
-@pytest.mark.parametrize("engine", ("explore", "run_monkey"))
+@pytest.mark.parametrize("engine", ("explore", "run_monkey", "apply_event"))
 def test_engines_need_the_app_installed(login_gate, engine):
-    # Neither engine installs the app: a caller that forgot gets an error,
-    # not a session on a device the harness did not provision.
+    # Neither engine, nor one step, installs the app: a caller that forgot
+    # gets an error, not a session on a device the harness did not provision.
     with pytest.raises(AppNotInstalledError, match="com.fixture.logingate is not installed"):
         if engine == "explore":
             explore(login_gate, ExplorationConfig(seed=0, max_events=100), baseline_device())
+        elif engine == "apply_event":
+            apply_event(baseline_device(), login_gate, Event.app_switch())
         else:
             run_monkey(SessionRunner(login_gate, baseline_device()),
                        MonkeyConfig(seed=0, package=login_gate.package))

@@ -61,6 +61,8 @@ def test_run_monkey_equals_stepping_the_generated_stream(tiny_taps, login_gate, 
 def test_percent_bounds_validated():
     with pytest.raises(ValueError):
         MonkeyConfig(pct_syskeys=101)
+    with pytest.raises(ValueError, match="pct_appswitch must be in"):
+        MonkeyConfig(pct_appswitch=101)
     with pytest.raises(ValueError):
         MonkeyConfig(event_count=0)
     with pytest.raises(ValueError):

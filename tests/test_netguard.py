@@ -218,6 +218,11 @@ def test_pinned_identity_rejects_interception():
     assert not outcome.plaintext_available
 
 
+def test_pinned_identity_must_embed_its_root():
+    with pytest.raises(ValueError, match="must embed its root id"):
+        ServerIdentity("x", "", pinned=True)
+
+
 def test_unprovisioned_keystore_rejects_handshake():
     bare = Keystore(frozenset({PUBLIC_ROOT}))
     server = ServerIdentity("cfg.adsmogo.com", PUBLIC_ROOT, pinned=False)

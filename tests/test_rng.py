@@ -218,3 +218,8 @@ def test_mixed_calls_match_reference(seed):
 def test_randrange_rejects_non_positive_bounds(bound):
     with pytest.raises(ValueError):
         Xoshiro256StarStar(0).randrange(bound)
+
+
+def test_choice_rejects_an_empty_sequence():
+    with pytest.raises(ValueError, match="empty sequence"):
+        Xoshiro256StarStar(0).choice([])
