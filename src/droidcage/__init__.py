@@ -22,7 +22,7 @@ from .app_model import (
 from .coverage import AggregateRow, CoverageReport, aggregate, improvement_ratio, measure
 from .explorer import ExplorationConfig, categorize_textfield, cleanup, explore
 from .harness import ExperimentConfig, emit_results, run_experiment
-from .monkey import MonkeyConfig, generate_events, run_monkey
+from .monkey import MonkeyConfig, run_monkey
 from .netguard import (
     HttpTransaction,
     NetGuard,
@@ -36,6 +36,6 @@ from .netguard import (
 )
 from .session import Session
 from .telephony import filter_outgoing
-from .trace import TraceConfig, TraceEvent, TraceLog, record
+from .trace import TraceConfig, record
 
 __version__ = "0.1.0"

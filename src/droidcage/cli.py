@@ -30,6 +30,7 @@ from .harness import (
 )
 from .monkey import MonkeyConfig, run_monkey
 from .netguard import (
+    DEFAULT_REPUTATION_THRESHOLD,
     NetGuard,
     load_reputation,
     load_signature_db,
@@ -48,17 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--methods", default=",".join(METHODS),
                      help="comma-separated subset of monkey,smart,smart_monkey")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--monkey-events", type=int, default=500)
-    run.add_argument("--max-events", type=int, default=2000)
-    run.add_argument("--threshold", type=int, default=60)
-    run.add_argument("--formats", default="human,csv",
+    run.add_argument("--monkey-events", type=int, default=ExperimentConfig.monkey_events)
+    run.add_argument("--max-events", type=int, default=ExperimentConfig.max_events)
+    run.add_argument("--threshold", type=int, default=ExperimentConfig.reputation_threshold)
+    run.add_argument("--formats", default=",".join(ExperimentConfig.formats),
                      help="comma-separated subset of " + ",".join(FORMATS))
     run.add_argument("--out", type=Path, default=Path("results"))
 
     exp = sub.add_parser("explore", help="explore a single app model")
     exp.add_argument("--app", required=True, type=Path)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--max-events", type=int, default=2000)
+    exp.add_argument("--max-events", type=int, default=ExplorationConfig.max_events)
     exp.add_argument("--monkey-first", action="store_true")
 
     mk = sub.add_parser("monkey", help="random-event baseline for one app")
@@ -66,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mk.add_argument("-s", "--seed", type=int, default=0)
     mk.add_argument("--pct-syskeys", type=int, default=0)
     mk.add_argument("--pct-appswitch", type=int, default=0)
-    mk.add_argument("--throttle", type=int, default=50)
+    mk.add_argument("--throttle", type=int, default=MonkeyConfig.throttle_ms)
     mk.add_argument("-p", "--package", default="")
-    mk.add_argument("-v", "--events", type=int, default=500,
+    mk.add_argument("-v", "--events", type=int, default=MonkeyConfig.event_count,
                     help="number of events to send")
 
     px = sub.add_parser("proxy-check", help="pipeline verdict for a raw request")
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     px.add_argument("--protocol", default="http")
     px.add_argument("--signatures", type=Path)
     px.add_argument("--reputation", type=Path)
-    px.add_argument("--threshold", type=int, default=60)
+    px.add_argument("--threshold", type=int, default=DEFAULT_REPUTATION_THRESHOLD)
 
     dl = sub.add_parser("decode-log", help="decode a base64 capture log")
     dl.add_argument("--log", required=True, type=Path)

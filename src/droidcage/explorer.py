@@ -108,13 +108,11 @@ class _Explorer:
         self.tables = runner.tables
         self.rng = Xoshiro256StarStar(derive_seed(config.seed, "smart-fill"))
         self.budget = config.max_events
+        # The (key, action) pairs already sent by this exploration.
+        self.visited: set[tuple[ElementKey, str]] = set()
         # Seen screens that may still hold an unvisited pair. Visited pairs
         # are never forgotten, so a screen whose plan ran out leaves for good.
         self.open_screens: dict[tuple[str, str], Screen] = {}
-
-    @property
-    def session(self) -> Session:
-        return self.runner.session
 
     def issue(self, event: Event) -> None:
         self.budget -= 1
@@ -122,19 +120,19 @@ class _Explorer:
 
     def _pending_anywhere(self) -> bool:
         for name, screen in list(self.open_screens.items()):
-            if _plan(screen, self.session.visited):
+            if _plan(screen, self.visited):
                 return True
             del self.open_screens[name]
         return False
 
     def drain_ui(self) -> None:
         """Process screens until no unvisited pair is discoverable."""
-        runner, session = self.runner, self.session
+        runner, visited = self.runner, self.visited
         idle_switch = False
         while self.budget > 0 and not runner.device.crashed:
             screen = runner.current_screen()
             shown = self.app.screen(*screen)
-            plan = _plan(shown, session.visited)
+            plan = _plan(shown, visited)
             if not plan:
                 if not self._pending_anywhere():
                     return
@@ -149,7 +147,7 @@ class _Explorer:
             for n, (key, action, element) in enumerate(plan, 1):
                 if self.budget <= 0:
                     return
-                session.visited.add((key, action))
+                visited.add((key, action))
                 if action == "set_text":
                     category = categorize_textfield(element)
                     value = (self.rng.alnum(UNCATEGORIZED_FILL_LENGTH) if category == "uncategorized"
@@ -201,10 +199,10 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
     engine = _Explorer(runner, config)
     with gc_paused():
         engine.drain_ui()
-        if not engine.session.crashed and engine.budget > 0:
+        if not runner.device.crashed and engine.budget > 0:
             engine.inject()
             engine.drain_ui()
-    return engine.session
+    return runner.session
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .explorer import (
 )
 from .monkey import MonkeyConfig, run_monkey
 from .netguard import (
+    DEFAULT_REPUTATION_THRESHOLD,
     PUBLIC_ROOT,
     NetGuard,
     ReputationProvider,
@@ -86,9 +87,9 @@ class ExperimentConfig:
     corpus: Path
     methods: tuple[str, ...] = METHODS
     seed: int = 0
-    monkey_events: int = 500
-    max_events: int = 2000
-    reputation_threshold: int = 60
+    monkey_events: int = MonkeyConfig.event_count
+    max_events: int = ExplorationConfig.max_events
+    reputation_threshold: int = DEFAULT_REPUTATION_THRESHOLD
     formats: tuple[str, ...] = ("human", "csv")
 
     def __post_init__(self):
@@ -291,6 +292,6 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path,
         written.append(p)
     for name, session in traces.items():
         p = trace_dir / name
-        p.write_text(session.trace.to_text(), encoding="utf-8")
+        p.write_text("".join(call + "\n" for call in session.trace), encoding="utf-8")
         written.append(p)
     return written

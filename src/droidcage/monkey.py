@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .app_model import AppModel, DeviceState, Event, Screen, run_event_chain
+from .app_model import Event, Screen, run_event_chain
 from .gcpause import gc_paused
 from .rng import Xoshiro256StarStar
 from .session import Session, SessionRunner
+
+# run_event_chain is unused here: the benchmark's trace hooks wrap it by
+# this module's attribute.
+__all__ = ["MonkeyConfig", "run_event_chain", "run_monkey"]
 
 SCREEN_WIDTH = 1080
 SCREEN_HEIGHT = 1920
@@ -71,30 +75,6 @@ def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
     if target is None:
         return _MISSES[kind]
     return Event(kind, target=target)
-
-
-def generate_events(config: MonkeyConfig, app: AppModel,
-                    device: DeviceState) -> list[Event]:
-    """Produce exactly ``event_count`` events for the given seed.
-
-    Generation simulates forward from the given device (with the same
-    telephony-loopback semantics a session applies) because coordinate
-    hit-testing depends on whatever screen the previous event led to.
-    After a crash the hierarchy is gone and taps hit nothing.
-    """
-    rng = Xoshiro256StarStar(config.seed)
-    events = []
-    ctx = screen = None
-    for _ in range(config.event_count):
-        if device.crashed:
-            screen = None
-        elif (current := device.context(app.package)) is not ctx:
-            ctx, screen = current, app.screen(current.activity, current.state)
-        event = _generate_one(rng, config, screen)
-        events.append(event)
-        if not device.crashed:
-            device, _ = run_event_chain(device, app, event)
-    return events
 
 
 def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:

@@ -17,7 +17,6 @@ from .app_model import (
     UI_ACTIONS,
     AppModel,
     DeviceState,
-    ElementKey,
     Event,
     SideEffect,
     StepResult,
@@ -25,7 +24,7 @@ from .app_model import (
 )
 from .data_tables import DataTables, default_tables
 from .telephony import TELEPHONY_KINDS, filter_outgoing
-from .trace import TraceConfig, TraceLog, record
+from .trace import TraceConfig, record
 
 # pid assigned to the app under analysis; fixture side effects carrying a
 # different pid simulate noise from other processes.
@@ -49,9 +48,8 @@ class Session:
 
     events: list[Event] = field(default_factory=list)
     executed_blocks: set[str] = field(default_factory=set)
-    trace: TraceLog = field(default_factory=TraceLog)
+    trace: list[str] = field(default_factory=list)  # visible call names, in order
     effects: list[ObservedEffect] = field(default_factory=list)
-    visited: set[tuple[ElementKey, str]] = field(default_factory=set)
     device: Optional[DeviceState] = None  # device as the session left it
 
     @property
@@ -62,22 +60,15 @@ class Session:
     def copy(self) -> "Session":
         """A session that continues from this one without changing it.
 
-        Every container is duplicated; its elements (events, trace events,
+        Every container is duplicated; its elements (events, call names,
         observed effects, the device) are never mutated after creation, so
         they are shared.
         """
         return Session(events=list(self.events),
                        executed_blocks=set(self.executed_blocks),
-                       trace=TraceLog(list(self.trace.events)),
+                       trace=list(self.trace),
                        effects=list(self.effects),
-                       visited=set(self.visited),
                        device=self.device)
-
-    def telephony_deliveries(self) -> list[SideEffect]:
-        return [o.effect for o in self.effects if o.tag == "telephony_delivered"]
-
-    def telephony_rejections(self) -> list[SideEffect]:
-        return [o.effect for o in self.effects if o.tag == "telephony_rejected"]
 
 
 class SessionRunner:

@@ -10,11 +10,11 @@ from a separate debugger channel and are always visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .app_model import ORIGIN_FLAGS, SideEffect, StepResult
 
-__all__ = ["ORIGIN_FLAGS", "TraceConfig", "TraceEvent", "TraceLog", "record"]
+__all__ = ["ORIGIN_FLAGS", "TraceConfig", "record"]
 
 
 @dataclass(frozen=True)
@@ -25,63 +25,29 @@ class TraceConfig:
     target_pid: int = 0
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    kind: str  # java_call | system_call
-    signature: str
-    pid: int
-    origin_flags: tuple[str, ...] = ()
-
-
-@dataclass
-class TraceLog:
-    """Append-only, ordered record of trace events for one session."""
-
-    events: list[TraceEvent] = field(default_factory=list)
-
-    def extend(self, events: list[TraceEvent]) -> None:
-        self.events.extend(events)
-
-    def to_text(self) -> str:
-        """One call per line, java and system calls alike."""
-        return "".join(e.signature + "\n" for e in self.events)
-
-
-def _visible(event: TraceEvent, config: TraceConfig) -> bool:
-    if event.pid != config.target_pid:
+def _visible(eff: SideEffect, config: TraceConfig) -> bool:
+    """Whether the hook or the strace channel sees ``eff``; a call with no
+    pid is the target's."""
+    if eff.pid is not None and eff.pid != config.target_pid:
         return False
-    if event.kind == "system_call":
+    if eff.kind == "system_call":
         return True  # strace channel, independent of the runtime hook
-    if not config.disable_oat_compilation:
+    if eff.kind != "java_call" or not config.disable_oat_compilation:
         return False
-    if "framework_core" in event.origin_flags and not config.disable_direct_branching:
+    origin = eff.origin
+    if "framework_core" in origin and not config.disable_direct_branching:
         return False
-    if "inlined_candidate" in event.origin_flags and not config.disable_inlining:
+    if "inlined_candidate" in origin and not config.disable_inlining:
         return False
     return True
 
 
-def record(step: StepResult, config: TraceConfig) -> list[TraceEvent]:
-    """Trace events visible under `config` for one executed step.
+def record(step: StepResult, config: TraceConfig) -> list[str]:
+    """The names of the calls visible under `config` for one executed step:
+    a Java call's signature, a system call's name.
 
     Filtering never fails: invisible calls are silently dropped, order of
-    the remaining events matches the emission order of the step.
+    the remaining calls matches the emission order of the step.
     """
-    out = []
-    for eff in step.side_effects:
-        event = _to_event(eff, config)
-        if event is not None and _visible(event, config):
-            out.append(event)
-    return out
-
-
-def _to_event(eff: SideEffect, config: TraceConfig) -> TraceEvent | None:
-    kind, pid = eff.kind, eff.pid
-    if pid is None:
-        pid = config.target_pid
-    if kind == "java_call":
-        origin = eff.origin or ("app_code",)
-        return TraceEvent("java_call", eff.signature, pid, tuple(origin))
-    if kind == "system_call":
-        return TraceEvent("system_call", eff.name, pid)
-    return None
+    return [eff.signature if eff.kind == "java_call" else eff.name
+            for eff in step.side_effects if _visible(eff, config)]

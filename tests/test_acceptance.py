@@ -24,7 +24,7 @@ from droidcage.harness import (
     ExperimentConfig,
     run_experiment,
 )
-from droidcage.monkey import MonkeyConfig, generate_events
+from droidcage.monkey import MonkeyConfig
 from droidcage.netguard import (
     DEFAULT_CUSTOM_ROOT,
     Keystore,
@@ -41,6 +41,7 @@ from droidcage.netguard import (
 from droidcage.rng import Xoshiro256StarStar
 
 from conftest import FIXTURES
+from monkey_reference import generate_events
 
 CORPUS_SEED = 0
 CORPUS_SIZE = 20
@@ -223,10 +224,11 @@ def test_criterion_7_telephony_containment(experiment):
                    for a in build_corpus(CORPUS_SEED, CORPUS_SIZE)}
     deliveries = rejections = 0
     for (method, package), session in result.sessions.items():
-        for effect in session.telephony_deliveries():
-            assert effect.number == own_numbers[package]
-            deliveries += 1
-        rejected_here = session.telephony_rejections()
+        for observed in session.effects:
+            if observed.tag == "telephony_delivered":
+                assert observed.effect.number == own_numbers[package]
+                deliveries += 1
+        rejected_here = [o for o in session.effects if o.tag == "telephony_rejected"]
         rejections += len(rejected_here)
         if rejected_here:
             # rejections never crash a session; only the crasher app crashes

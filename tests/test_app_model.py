@@ -37,6 +37,7 @@ from droidcage.app_model import (
     install_app,
     live_receiver_action,
     load_app_model,
+    loopback_event,
     model_from_dict,
     reachable_blocks,
 )
@@ -303,7 +304,7 @@ def test_any_value_anywhere_in_every_field_is_a_model_error_or_runs(path, value)
         return
     for method in harness.METHODS:
         _, runner = harness._run_one(app, method, _SMALL_RUN, _SIGNATURES, _REPUTATION)
-        runner.session.trace.to_text()
+        "".join(call + "\n" for call in runner.session.trace).encode("utf-8")
         runner.netguard.capture_text()
         measure(runner.session, app)
 
@@ -830,6 +831,16 @@ def test_record_hashes_as_the_tuple_of_its_fields(record, names):
 def test_record_fields_cannot_be_assigned(record, names):
     with pytest.raises(AttributeError):
         setattr(record, names[0], None)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Event.broadcast(""), "broadcast needs a non-empty action"),
+    (lambda: TextMatch("bogus").accepts("x", default_tables()), "unknown match kind 'bogus'"),
+    (lambda: loopback_event(SideEffect.java_call("void a.b")), "no loopback for java_call"),
+], ids=["empty_broadcast", "unknown_match_kind", "loopback_of_a_java_call"])
+def test_record_helpers_reject_what_they_cannot_build(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_event_repr_names_every_field():

@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidcage import cli
 from droidcage.cli import main
 from droidcage.data_tables import DataTableError
-from droidcage.harness import default_reputation, default_signatures
-from droidcage.netguard import NetGuard, load_reputation, load_signature_db
+from droidcage.harness import (
+    ExperimentConfig,
+    default_reputation,
+    default_signatures,
+    run_experiment,
+)
+from droidcage.netguard import NetGuard, load_reputation, load_signature_db, write_log_entry
 
 from conftest import FIXTURES, WRONGLY_TYPED_EDITS, edited_login_gate
 
@@ -38,6 +44,17 @@ def test_run_writes_outputs(corpus_dir, tmp_path, capsys):
         assert (out / name).exists(), name
     stdout = capsys.readouterr().out
     assert "Blocks average coverage" in stdout
+    # Each trace file holds its session's visible calls, one per line, Java
+    # and system calls alike.
+    result = run_experiment(ExperimentConfig(corpus=corpus_dir, seed=0))
+    traced = set()
+    for (method, package), session in result.sessions.items():
+        text = (out / "traces" / f"{package}__{method}.trace").read_bytes().decode("utf-8")
+        assert text.split("\n") == session.trace + [""]
+        traced.update(session.trace)
+    effects = [o.effect for session in result.sessions.values() for o in session.effects]
+    assert {e.name for e in effects if e.kind == "system_call"} & traced
+    assert {e.signature for e in effects if e.kind == "java_call"} & traced
 
 
 def _files(root: Path) -> dict:
@@ -245,6 +262,19 @@ def test_proxy_check_and_decode_log_stdout(tmp_path, capsys):
         "GET https://telemetry.trusted.example:443/ [1 headers, 0 content bytes]\n"
         "GET http://h.example:80/p [1 headers, 0 content bytes]\n"
         "round-trip ok (4 records)\n")
+
+
+def test_decode_log_verify_reports_a_failed_round_trip(tmp_path, capsys, monkeypatch):
+    guard = NetGuard(default_signatures(), default_reputation())
+    guard.handle(*_REQUESTS[0])
+    log = tmp_path / "capture.log"
+    log.write_text(guard.capture_text(), encoding="utf-8")
+    monkeypatch.setattr(cli, "write_log_entry",
+                        lambda tx: write_log_entry(tx._replace(path="/tampered")))
+    assert main(["decode-log", "--log", str(log), "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "GET http://x.example:8080/a?b=1 [2 headers, 0 content bytes]\n"
+    assert captured.err == "round-trip FAILED\n"
 
 
 def test_decode_log_round_trip(corpus_dir, tmp_path, capsys):

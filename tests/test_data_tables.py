@@ -31,6 +31,11 @@ def test_broadcast_table_contents():
     assert len(events) == 10
 
 
+def test_unknown_table_is_a_key_error():
+    with pytest.raises(KeyError, match="no table for category 'nope'"):
+        default_tables().table("nope")
+
+
 def test_all_tables_non_empty():
     tables = default_tables()
     for category in TABLE_FILES:

@@ -75,6 +75,11 @@ def test_emit_rejects_empty_table():
         emit_results((), "human")
 
 
+def test_emit_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_results(PAPER_ROWS, "xml")
+
+
 def test_config_requires_methods(tmp_path):
     with pytest.raises(ExperimentError):
         ExperimentConfig(corpus=tmp_path, methods=())
@@ -103,6 +108,14 @@ def test_two_models_with_one_package_are_fatal(tmp_path):
                             f"{doc['package']!r}")
     with pytest.raises(ExperimentError):
         run_experiment(ExperimentConfig(corpus=tmp_path))
+
+
+def test_a_device_left_dirty_after_cleanup_is_fatal(small_corpus, monkeypatch):
+    # A cleanup that changes nothing leaves the app installed.
+    monkeypatch.setattr(droidcage.harness, "cleanup", lambda device: device)
+    first = load_corpus_dir(small_corpus)[0].package
+    with pytest.raises(ExperimentError, match=f"cleanup verification failed for {first}$"):
+        run_experiment(ExperimentConfig(corpus=small_corpus, methods=("monkey",)))
 
 
 def test_run_experiment_row_per_method(small_corpus):
@@ -172,7 +185,7 @@ def _rows(result, method):
 
 
 def _traces(result, method):
-    return {key: session.trace.to_text() for key, session in result.sessions.items()
+    return {key: session.trace for key, session in result.sessions.items()
             if key[0] == method}
 
 
@@ -196,7 +209,7 @@ def test_smart_monkey_leaves_the_monkey_session_unchanged(three_methods, one_met
     for (method, package), session in alone.sessions.items():
         shared = three_methods.sessions[(method, package)]
         assert shared.events == session.events
-        assert shared.trace.to_text() == session.trace.to_text()
+        assert shared.trace == session.trace
         assert shared.effects == session.effects
         assert shared == session
     assert _rows(alone, "monkey") == _rows(three_methods, "monkey")

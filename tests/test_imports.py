@@ -1,5 +1,6 @@
-"""Every name a droidcage module imports is used there or re-exported, and
-every function, class and method it defines is referenced somewhere.
+"""Every name a droidcage module or test file imports is used there or
+re-exported, and every function, class and method a droidcage module
+defines is referenced somewhere.
 
 No linter runs in CI, so this stands in for an unused-import check and a
 dead-code check. ``__init__.py`` is exempt from the first: it imports only
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "droidcage"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -39,7 +41,8 @@ def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"app_model", "explorer", "harness", "monkey"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not _imported(tree) - _referenced(tree)

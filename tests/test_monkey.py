@@ -1,10 +1,11 @@
 import pytest
 
 from droidcage.app_model import reachable_blocks
-from droidcage.monkey import MonkeyConfig, generate_events, run_monkey
+from droidcage.monkey import MonkeyConfig, run_monkey
 from droidcage.session import SessionRunner
 
 from conftest import device_for
+from monkey_reference import generate_events
 
 PAPER_CONFIG = dict(seed=0, pct_syskeys=0, pct_appswitch=0, throttle_ms=50,
                     event_count=500)

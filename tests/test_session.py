@@ -62,7 +62,8 @@ def test_delivered_self_sms_loops_back_to_receiver():
     runner.step(Event.click(btn))
     assert runner.session.executed_blocks == {"s1", "r1"}
     assert len(runner.session.events) == 1  # loopback is not an engine event
-    assert [e.number for e in runner.session.telephony_deliveries()] == ["5550199"]
+    assert [o.effect.number for o in runner.session.effects
+            if o.tag == "telephony_delivered"] == ["5550199"]
 
 
 def test_loopback_body_is_the_sent_body():
@@ -85,7 +86,8 @@ def test_self_texting_cycle_is_capped():
     assert [res.executed_blocks for _, res in steps] == [("s1",)] + [("r1",)] * LOOPBACK_LIMIT
     runner.step(Event.click(btn))
     assert len(runner.session.events) == 1
-    assert len(runner.session.telephony_deliveries()) == LOOPBACK_LIMIT + 1 == 9
+    delivered = [o for o in runner.session.effects if o.tag == "telephony_delivered"]
+    assert len(delivered) == LOOPBACK_LIMIT + 1 == 9
 
 
 def test_rejected_sms_tagged_and_session_alive():
@@ -94,7 +96,8 @@ def test_rejected_sms_tagged_and_session_alive():
     app, runner = _runner(doc)
     btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
     runner.step(Event.click(btn))
-    assert [e.number for e in runner.session.telephony_rejections()] == ["81001"]
+    assert [o.effect.number for o in runner.session.effects
+            if o.tag == "telephony_rejected"] == ["81001"]
     assert not runner.session.crashed
     assert runner.session.executed_blocks == {"s1"}  # no loopback
 
@@ -140,8 +143,7 @@ def test_trace_accumulates_only_target_pid_calls():
     app, runner = _runner(doc)
     btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
     runner.step(Event.click(btn))
-    signatures = [e.signature for e in runner.session.trace.events]
-    assert signatures == ["void c.Main.send", "sendto"]
+    assert runner.session.trace == ["void c.Main.send", "sendto"]
 
 
 @pytest.mark.parametrize("event", [
@@ -155,7 +157,7 @@ def test_ui_event_on_nothing_steps_like_apply_event(event):
     assert runner.device is device
     assert runner.session.events == [event]
     assert runner.session.executed_blocks == set()
-    assert runner.session.effects == [] and runner.session.trace.events == []
+    assert runner.session.effects == [] and runner.session.trace == []
 
 
 def test_ui_event_on_nothing_reports_the_device_it_left(login_gate):
@@ -216,7 +218,7 @@ def test_a_copied_runner_leaves_the_original_unchanged():
     send, more = [identify_element("Main", e) for e in app.ui_state("Main", "home").elements]
     runner.step(Event.click(send))
     session, guard = runner.session, runner.netguard
-    fields = ("events", "executed_blocks", "trace", "effects", "visited", "device")
+    fields = ("events", "executed_blocks", "trace", "effects", "device")
     logs = ("capture_log", "malformed_log", "forwarded")
     session_before = copy.deepcopy([getattr(session, f) for f in fields])
     guard_before = copy.deepcopy([getattr(guard, f) for f in logs])
@@ -228,12 +230,12 @@ def test_a_copied_runner_leaves_the_original_unchanged():
     explore(app, ExplorationConfig(seed=0, max_events=10), dup.device, runner=dup)
 
     # The copy reached handled, malformed and blocked requests, a delivered
-    # and a rejected SMS and a new block, and it visited pairs.
+    # and a rejected SMS and a new block, and it traced calls.
     assert dup.session.executed_blocks == {"s1", "r1", "m1"}
     assert {o.tag for o in dup.session.effects} >= {
         "net_handled", "net_malformed", "net_blocked_protocol",
         "telephony_delivered", "telephony_rejected"}
-    assert dup.session.visited and dup.session.trace.events
+    assert dup.session.trace
     for f in logs:
         assert len(getattr(dup.netguard, f)) > len(getattr(guard, f)), f
     assert [getattr(session, f) for f in fields] == session_before
