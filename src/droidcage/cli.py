@@ -85,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="re-encode and check the round trip")
 
     mc = sub.add_parser("make-corpus", help="write the synthetic corpus")
-    mc.add_argument("--out", required=True, type=Path)
+    mc.add_argument("--out", required=True, type=Path,
+                    help="directory for the .app files; .app files there that this "
+                         "call does not write are removed, other files kept")
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--count", type=int, default=20)
     return parser

@@ -13,9 +13,9 @@ partial-key collisions, crash reachable last if at all).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -57,10 +57,18 @@ _BROADCAST_INTENTS = (
 @dataclass(frozen=True)
 class CorpusApp:
     name: str
-    model: AppModel
     doc: dict
     gated: bool
     attainment_eligible: bool
+
+    @cached_property
+    def model(self) -> AppModel:
+        """The app's model, built from ``doc`` the first time it is read.
+
+        Building it validates the document; ``write_corpus`` never reads
+        it, since ``load_app_model`` checks each file when it is read.
+        """
+        return model_from_dict(self.doc, source=self.name)
 
 
 class _Blocks:
@@ -452,6 +460,8 @@ _BUILDERS = {
 
 
 def build_corpus(seed: int = 0, count: int = 20) -> list[CorpusApp]:
+    """The corpus's ``count`` app documents of ``seed``; each app's model is
+    built (and its document validated) only when ``CorpusApp.model`` is read."""
     if count < 1:
         raise ValueError("count must be >= 1")
     apps = []
@@ -461,22 +471,69 @@ def build_corpus(seed: int = 0, count: int = 20) -> list[CorpusApp]:
         name = f"app{i:02d}_{archetype}"
         pkg = f"com.corpus.{archetype}{i:02d}"
         doc = _BUILDERS[archetype](pkg, i, rng)
-        model = model_from_dict(doc, source=name)
         # logicbomb is equals-gated: the oracle can key in the magic phrase,
         # engines cannot.
-        apps.append(CorpusApp(name, model, doc, archetype in GATED_ARCHETYPES,
+        apps.append(CorpusApp(name, doc, archetype in GATED_ARCHETYPES,
                               archetype != "logicbomb"))
     return apps
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for plain ``str``/``int``/``bool``/
+    ``None``/``list``/``dict`` values (str keys only), byte for byte.
+
+    ``json.dumps`` with an indent runs json's pure-Python encoder; this
+    writer does only what plain values need and escapes strings with the
+    same C function. Any other type, subclasses included, raises
+    ``TypeError`` rather than being written some other way. ``indent`` is
+    the newline and indent of ``value``'s line.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            items.append(encode_basestring_ascii(key) + ": " + _json(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join([_json(item, inner) for item in value])
+                + indent + "]")
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def write_corpus(directory: str | Path, seed: int = 0, count: int = 20) -> list[Path]:
-    """Materialize the corpus as ``.app`` files for the CLI."""
+    """Materialize the corpus as ``.app`` files for the CLI.
+
+    Each file is written as ``json.dumps(doc, indent=2)`` would write it,
+    and is not validated here: ``load_app_model`` checks it when it is
+    read. A ``.app`` file in ``directory`` that this call does not write
+    is removed, so the directory holds one corpus; any other file is left
+    alone.
+    """
     apps = build_corpus(seed, count)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for app in apps:
-        path = directory / f"{app.name}.app"
-        path.write_text(json.dumps(app.doc, indent=2) + "\n", encoding="utf-8")
-        paths.append(path)
+    paths = [directory / f"{app.name}.app" for app in apps]
+    names = {path.name for path in paths}
+    for stale in directory.glob("*.app"):
+        if stale.name not in names:
+            stale.unlink()
+    for app, path in zip(apps, paths):
+        path.write_text(_json(app.doc) + "\n", encoding="utf-8")
     return paths

@@ -16,6 +16,7 @@ from droidcage.harness import (
     ExperimentConfig,
     default_reputation,
     default_signatures,
+    load_corpus_dir,
     run_experiment,
 )
 from droidcage.netguard import NetGuard, load_reputation, load_signature_db, write_log_entry
@@ -85,6 +86,18 @@ def test_run_into_an_earlier_runs_out_holds_only_the_new_run(corpus_dir, tmp_pat
                            "traces/notes.txt": b"mine too"}
     assert len(list((out / "traces").glob("*.trace"))) == 6
     assert not (out / "summary.csv").exists() and not (out / "results.json").exists()
+
+
+def test_make_corpus_into_an_earlier_corpus_holds_only_the_new_corpus(tmp_path, capsys):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["make-corpus", "--out", str(out), "--count", "20"]) == 0
+    # Files that are not .app models are not its to remove.
+    (out / "notes.txt").write_text("mine")
+    for target in (out, fresh):
+        assert main(["make-corpus", "--out", str(target), "--seed", "1", "--count", "3"]) == 0
+    assert "wrote 3 app models" in capsys.readouterr().out
+    assert _files(out) == {**_files(fresh), "notes.txt": b"mine"}
+    assert len(load_corpus_dir(out)) == 3
 
 
 def test_run_empty_corpus_fails_nonzero(tmp_path, capsys):

@@ -32,6 +32,9 @@ GOLDEN_CORPUS_DIGESTS = {
     0: "3d028c984ab11bf0b88687cc90a632af8ff0a6b6abdc43077a5436974d2f36a4",
     1: "41c5354be93b606c0221d9f174adfacc719b1d935316502fa5ccecc0a518fa47",
 }
+# The same for the 200 apps of seed 0 that perfbench's corpus200 writes
+# (it also covers the names from app100 on).
+GOLDEN_CORPUS200_DIGEST = "f96237ff37da52c67f4030b1ddfa0c0322ca13db86ab13d6ec6b98c4315e743a"
 
 PAPER_ROWS = (
     AggregateRow("monkey", 32.93, 35.05, 36.32, 16.0),
@@ -255,6 +258,11 @@ def test_seed0_outputs_are_byte_identical_to_golden(tmp_path):
 def test_corpus_files_are_byte_identical_to_golden(tmp_path, seed):
     write_corpus(tmp_path, seed, 20)
     assert _digest_dir(tmp_path) == GOLDEN_CORPUS_DIGESTS[seed]
+
+
+def test_corpus200_files_are_byte_identical_to_golden(tmp_path):
+    write_corpus(tmp_path, 0, 200)
+    assert _digest_dir(tmp_path) == GOLDEN_CORPUS200_DIGEST
 
 
 def test_run_output_is_the_same_under_any_hash_seed(corpus20, tmp_path):
