@@ -28,7 +28,6 @@ from .netguard import (
     NetGuard,
     Verdict,
     decide,
-    intercept_tls,
     parse_capture_log,
     parse_request,
     simulate_response,

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .data_tables import CATEGORIES, DataTables, default_tables
 from .gcpause import gc_paused
@@ -196,22 +196,6 @@ class SideEffect(NamedTuple):
     pid: Optional[int] = None    # java_call / system_call claimed pid
     name: str = ""               # system_call
     action: str = ""             # register_receiver
-
-    @classmethod
-    def outgoing_call(cls, number: str):
-        return cls("outgoing_call", number=number)
-
-    @classmethod
-    def outgoing_sms(cls, number: str, body: str):
-        return cls("outgoing_sms", number=number, body=body)
-
-    @classmethod
-    def java_call(cls, signature: str, origin: Iterable[str] = ("app_code",), pid: int | None = None):
-        return cls("java_call", signature=signature, origin=tuple(origin), pid=pid)
-
-    @classmethod
-    def system_call(cls, name: str, pid: int | None = None):
-        return cls("system_call", name=name, pid=pid)
 
 
 class Event(NamedTuple):
@@ -998,7 +982,7 @@ def _check_determinism(app: AppModel, source: str) -> None:
 
     for key, group in app._receiver_transitions.items():
         anchors = [t.source.anchor for t in group]
-        if anchors.count(None) > 1 or (None in anchors and len(group) > 1):
+        if None in anchors and len(group) > 1:
             raise ModelValidationError(
                 f"{source}: ambiguous receiver transitions for {key}"
             )

@@ -37,10 +37,8 @@ from .explorer import (
 from .monkey import MonkeyConfig, run_monkey
 from .netguard import (
     DEFAULT_REPUTATION_THRESHOLD,
-    PUBLIC_ROOT,
     NetGuard,
     ReputationProvider,
-    ServerIdentity,
     SignatureDb,
     check_threshold,
     load_reputation,
@@ -61,14 +59,11 @@ class ExperimentError(RuntimeError):
     """Fatal experiment problem (unreadable or empty corpus, bad config)."""
 
 
-# Server identities known to the TLS fixture set. Pinned identities model
-# banking-style apps that embed their own root.
+# The pinned servers of the TLS fixture set, each with the root its app
+# embeds: banking-style apps that reject the sandbox's leaf.
 DEFAULT_IDENTITIES = {
-    "secure.bank.example": ServerIdentity("secure.bank.example", "bank-embedded-root", pinned=True),
-    "pay.wallet.example": ServerIdentity("pay.wallet.example", "wallet-embedded-root", pinned=True),
-    "cfg.adsmogo.com": ServerIdentity("cfg.adsmogo.com", PUBLIC_ROOT, pinned=False),
-    "telemetry.trusted.example": ServerIdentity("telemetry.trusted.example", PUBLIC_ROOT, pinned=False),
-    "api.unknown.example": ServerIdentity("api.unknown.example", PUBLIC_ROOT, pinned=False),
+    "secure.bank.example": "bank-embedded-root",
+    "pay.wallet.example": "wallet-embedded-root",
 }
 
 

@@ -1,8 +1,8 @@
 """Network control pipeline.
 
-Every app request passes through here: HTTPS is intercepted by minting a
-leaf certificate signed by the sandbox's own root (defeated only by
-certificate pinning), the plaintext request is parsed and logged as
+Every app request passes through here: HTTPS is intercepted with a leaf
+signed by the sandbox's own root, which only an app that pins its server
+to another root rejects, the plaintext request is parsed and logged as
 base64-tagged capture records, known-malicious payloads are stripped,
 well-reputed destinations are diverted to a consistent services
 simulator, and only the remainder is forwarded: recorded on the guard and
@@ -48,7 +48,6 @@ BLOCKED_PROTOCOLS = ("pop", "pop3", "imap", "ftp")
 
 FIELD_TAGS = ("method", "scheme", "host", "port", "path", "http_version")
 
-PUBLIC_ROOT = "public-web-root"
 DEFAULT_CUSTOM_ROOT = "cage-custom-root"
 DEFAULT_REPUTATION_THRESHOLD = 60
 
@@ -195,58 +194,6 @@ def _host_score(host: str, text: str) -> tuple[str, int]:
 def load_reputation(path: str | Path) -> ReputationProvider:
     """Reputation file: one ``host<TAB>score`` per line, scores 0..100."""
     return ReputationProvider(dict(_read_tab_file(path, "reputation", _host_score)))
-
-
-# ---------------------------------------------------------------------------
-# TLS interception
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Keystore:
-    trusted_roots: frozenset[str]
-
-
-@dataclass(frozen=True)
-class ServerIdentity:
-    domain: str
-    root_id: str          # root of the server's legitimate chain
-    pinned: bool = False  # pinned apps validate only against root_id
-
-    def __post_init__(self):
-        if self.pinned and not self.root_id:
-            raise ValueError(f"pinned identity {self.domain!r} must embed its root id")
-
-
-class MintedCert(NamedTuple):
-    domain: str
-    signed_by: str
-
-
-class TlsInterception(NamedTuple):
-    outcome: str  # intercepted_plaintext | rejected_by_pinning | rejected_unprovisioned
-    leaf: Optional[MintedCert] = None
-
-    @property
-    def plaintext_available(self) -> bool:
-        return self.outcome == "intercepted_plaintext"
-
-
-def intercept_tls(keystore: Keystore, server: ServerIdentity,
-                  custom_root: str = DEFAULT_CUSTOM_ROOT) -> TlsInterception:
-    """Attempt man-in-the-middle interception of one TLS connection.
-
-    A leaf certificate for the server's domain is minted on the fly and
-    signed by the sandbox root. Clients trusting the device keystore
-    accept it (the root was provisioned there); pinning apps validate
-    only against their embedded root and reject the connection, leaving
-    no plaintext.
-    """
-    if custom_root not in keystore.trusted_roots:
-        return TlsInterception("rejected_unprovisioned")
-    leaf = MintedCert(domain=server.domain, signed_by=custom_root)
-    if server.pinned and server.root_id != custom_root:
-        return TlsInterception("rejected_by_pinning", leaf=leaf)
-    return TlsInterception("intercepted_plaintext", leaf=leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +472,30 @@ class GuardOutcome(NamedTuple):
     verdict: Optional[Verdict] = None
     transaction: Optional[HttpTransaction] = None
     response: Optional[bytes] = None
-    tls: Optional[TlsInterception] = None
 
 
+# Only a handled request carries data of its own, so the rest share these.
 BLOCKED_OUTCOME = GuardOutcome("blocked_protocol", BLOCK)
+MALFORMED_OUTCOME = GuardOutcome("malformed")
+TLS_REJECTED_OUTCOME = GuardOutcome("tls_rejected")
 
 
 class NetGuard:
-    """The full interception-and-filtering pipeline for one capture log."""
+    """The full interception-and-filtering pipeline for one capture log.
+
+    ``identities`` maps each pinned server domain to the root its app
+    embeds. HTTPS to a server pinned to a root other than ``custom_root``
+    is rejected; every other HTTPS request is intercepted as plaintext.
+    """
 
     def __init__(self, signatures: SignatureDb | None = None,
                  reputation: ReputationProvider | None = None, *,
                  threshold: int = DEFAULT_REPUTATION_THRESHOLD,
                  custom_root: str = DEFAULT_CUSTOM_ROOT,
-                 identities: dict[str, ServerIdentity] | None = None):
+                 identities: dict[str, str] | None = None):
         self.signatures = signatures or SignatureDb()
         self.reputation = reputation or ReputationProvider()
         self.threshold = check_threshold(threshold)
-        self.keystore = Keystore(frozenset({custom_root, PUBLIC_ROOT}))
         self.custom_root = custom_root
         self.identities = dict(identities or {})
         self.forwarded: list[HttpTransaction] = []
@@ -553,7 +506,7 @@ class NetGuard:
         """A guard that continues from this one's logs without changing them.
 
         The logs and the forwarded requests are duplicated; the read-only
-        inputs (signatures, reputation, keystore, identities) are shared.
+        inputs (signatures, reputation, custom root, pins) are shared.
         """
         dup = copy.copy(self)
         dup.forwarded = list(self.forwarded)
@@ -564,27 +517,21 @@ class NetGuard:
     def capture_text(self) -> str:
         return "".join(self.capture_log)
 
-    def _identity(self, server: str | None) -> ServerIdentity:
-        return self.identities.get(server) or ServerIdentity(server or "", PUBLIC_ROOT)
-
     def handle(self, raw: bytes, declared_protocol: str = "http",
                server: str | None = None) -> GuardOutcome:
         protocol = declared_protocol.lower()
         if protocol in BLOCKED_PROTOCOLS:
             return BLOCKED_OUTCOME
-
-        tls = None
-        if protocol == "https":
-            tls = intercept_tls(self.keystore, self._identity(server), self.custom_root)
-            if not tls.plaintext_available:
-                # no plaintext: nothing to parse, nothing to log
-                return GuardOutcome("tls_rejected", tls=tls)
+        root = self.custom_root
+        if protocol == "https" and self.identities.get(server, root) != root:
+            # the app rejects the sandbox's leaf: no plaintext, nothing to log
+            return TLS_REJECTED_OUTCOME
 
         try:
             tx = parse_request(raw, protocol)
         except RequestParseError:
             self.malformed_log.append(_b64(raw))
-            return GuardOutcome("malformed", tls=tls)
+            return MALFORMED_OUTCOME
 
         self.capture_log.append(write_log_entry(tx))
         verdict = decide(tx, self.signatures, self.reputation, self.threshold)
@@ -595,4 +542,4 @@ class NetGuard:
             response = simulate_response(strip_payload(tx, self.signatures))
         else:  # redirect_sim
             response = simulate_response(tx)
-        return GuardOutcome("handled", verdict, tx, response, tls)
+        return GuardOutcome("handled", verdict, tx, response)

@@ -19,7 +19,6 @@ from droidcage.app_model import (
 )
 from droidcage.data_tables import default_tables
 from droidcage.explorer import baseline_device
-from droidcage.harness import DEFAULT_IDENTITIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -190,6 +189,10 @@ _GEN_RECEIVER_ACTIONS = ("android.intent.action.BOOT_COMPLETED", SMS_RECEIVED_AC
                          PHONE_STATE_ACTION, OUTSIDE_ACTION)
 # An equals value no fill table holds and the monkey cannot type.
 _GEN_MAGIC = "open-sesame-42"
+# The HTTPS servers of the TLS fixture set: the two the harness pins and
+# three it intercepts.
+TLS_SERVERS = ("api.unknown.example", "cfg.adsmogo.com", "pay.wallet.example",
+               "secure.bank.example", "telemetry.trusted.example")
 
 
 @st.composite
@@ -243,7 +246,7 @@ def app_docs(draw) -> dict:
                                                      "https", "blocked", "malformed")),
                                     max_size=2)):
             number = choice((_GEN_OWN_NUMBER, "5550999"))
-            server = choice(sorted(DEFAULT_IDENTITIES))
+            server = choice(TLS_SERVERS)
             effects.append({
                 "sms": {"kind": "outgoing_sms", "number": number, "body": "ping"},
                 "call": {"kind": "outgoing_call", "number": number},

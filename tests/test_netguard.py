@@ -16,22 +16,18 @@ from droidcage.netguard import (
     BLOCKED_OUTCOME,
     BLOCKED_PROTOCOLS,
     DEFAULT_CUSTOM_ROOT,
-    PUBLIC_ROOT,
+    MALFORMED_OUTCOME,
+    TLS_REJECTED_OUTCOME,
     GuardOutcome,
     HttpTransaction,
-    Keystore,
     LogDecodeError,
-    MintedCert,
     NetGuard,
     ReputationProvider,
     RequestParseError,
-    ServerIdentity,
     Signature,
     SignatureDb,
-    TlsInterception,
     Verdict,
     decide,
-    intercept_tls,
     parse_capture_log,
     parse_request,
     simulate_response,
@@ -45,8 +41,6 @@ SIGS = SignatureDb((
 ))
 REP = ReputationProvider({"telemetry.trusted.example": 92,
                           "cfg.adsmogo.com": 30})
-
-KEYSTORE = Keystore(frozenset({DEFAULT_CUSTOM_ROOT, PUBLIC_ROOT}))
 
 
 def _raw(method="GET", path="/", host="example.com", port=None, version="HTTP/1.1",
@@ -152,7 +146,6 @@ def test_transaction_copies_keep_the_constructor_rules():
         HttpTransaction._make(["GET", "ftp", "h", "21", "/", "HTTP/1.1"])
 
 
-_LEAF = MintedCert("h.example", DEFAULT_CUSTOM_ROOT)
 # (record, its field names, its repr): the reprs are those the records had as
 # frozen dataclasses.
 _NET_RECORDS = [
@@ -163,16 +156,10 @@ _NET_RECORDS = [
      "http_version='HTTP/1.1', headers=(('Host', 'h.example'),), content=b'x')"),
     (Verdict("strip_and_redirect", signature_id="sig-a"), ("kind", "signature_id", "reason"),
      "Verdict(kind='strip_and_redirect', signature_id='sig-a', reason='')"),
-    (_LEAF, ("domain", "signed_by"),
-     "MintedCert(domain='h.example', signed_by='cage-custom-root')"),
-    (TlsInterception("intercepted_plaintext", leaf=_LEAF), ("outcome", "leaf"),
-     "TlsInterception(outcome='intercepted_plaintext', "
-     "leaf=MintedCert(domain='h.example', signed_by='cage-custom-root'))"),
     (GuardOutcome("blocked_protocol", verdict=BLOCK),
-     ("disposition", "verdict", "transaction", "response", "tls"),
+     ("disposition", "verdict", "transaction", "response"),
      "GuardOutcome(disposition='blocked_protocol', verdict=Verdict(kind='block', "
-     "signature_id='', reason='unsupported_protocol'), transaction=None, response=None, "
-     "tls=None)"),
+     "signature_id='', reason='unsupported_protocol'), transaction=None, response=None)"),
 ]
 
 
@@ -196,39 +183,6 @@ def test_every_blocked_request_shares_one_outcome():
     guard = NetGuard()
     assert guard.handle(b"x", "ftp") is guard.handle(b"y", "IMAP") is BLOCKED_OUTCOME
     assert BLOCKED_OUTCOME == GuardOutcome("blocked_protocol", verdict=BLOCK)
-
-
-# ---------------------------------------------------------------------------
-# TLS interception
-# ---------------------------------------------------------------------------
-
-def test_non_pinned_identity_is_intercepted():
-    server = ServerIdentity("cfg.adsmogo.com", PUBLIC_ROOT, pinned=False)
-    outcome = intercept_tls(KEYSTORE, server, DEFAULT_CUSTOM_ROOT)
-    assert outcome.outcome == "intercepted_plaintext"
-    assert outcome.plaintext_available
-    assert outcome.leaf.domain == "cfg.adsmogo.com"
-    assert outcome.leaf.signed_by == DEFAULT_CUSTOM_ROOT
-
-
-def test_pinned_identity_rejects_interception():
-    server = ServerIdentity("secure.bank.example", "bank-embedded-root", pinned=True)
-    outcome = intercept_tls(KEYSTORE, server, DEFAULT_CUSTOM_ROOT)
-    assert outcome.outcome == "rejected_by_pinning"
-    assert not outcome.plaintext_available
-
-
-def test_pinned_identity_must_embed_its_root():
-    with pytest.raises(ValueError, match="must embed its root id"):
-        ServerIdentity("x", "", pinned=True)
-
-
-def test_unprovisioned_keystore_rejects_handshake():
-    bare = Keystore(frozenset({PUBLIC_ROOT}))
-    server = ServerIdentity("cfg.adsmogo.com", PUBLIC_ROOT, pinned=False)
-    outcome = intercept_tls(bare, server, DEFAULT_CUSTOM_ROOT)
-    assert outcome.outcome == "rejected_unprovisioned"
-    assert not outcome.plaintext_available
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +626,7 @@ def test_pipeline_logs_every_parsed_transaction():
 def test_pipeline_drops_and_logs_malformed():
     guard = _guard()
     outcome = guard.handle(b"not-http at all")
-    assert outcome.disposition == "malformed"
+    assert outcome is MALFORMED_OUTCOME
     assert guard.capture_log == []
     assert len(guard.malformed_log) == 1
     assert base64.b64decode(guard.malformed_log[0]) == b"not-http at all"
@@ -749,13 +703,10 @@ def test_pipeline_blocks_ftp_without_logging():
 
 
 def test_pinned_https_leaves_no_plaintext_log():
-    guard = _guard(identities={"secure.bank.example":
-                               ServerIdentity("secure.bank.example",
-                                              "bank-embedded-root", pinned=True)})
+    guard = _guard(identities={"secure.bank.example": "bank-embedded-root"})
     outcome = guard.handle(_raw(host="secure.bank.example"), "https",
                            server="secure.bank.example")
-    assert outcome.disposition == "tls_rejected"
-    assert outcome.tls.outcome == "rejected_by_pinning"
+    assert outcome is TLS_REJECTED_OUTCOME
     assert guard.capture_log == []
     assert guard.forwarded == []
 
@@ -765,10 +716,36 @@ def test_non_pinned_https_is_intercepted_and_logged():
     outcome = guard.handle(_raw(host="cfg.adsmogo.com"), "https",
                            server="cfg.adsmogo.com")
     assert outcome.disposition == "handled"
-    assert outcome.tls.outcome == "intercepted_plaintext"
     decoded = parse_capture_log(guard.capture_text())
     assert decoded[0].host == "cfg.adsmogo.com"
     assert decoded[0].scheme == "https"
+
+
+_PIN_DOMAINS = ("a.example", "b.example", "c.example")
+_ROOTS = (DEFAULT_CUSTOM_ROOT, "bank-embedded-root", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pins=st.dictionaries(st.sampled_from(_PIN_DOMAINS), st.sampled_from(_ROOTS)),
+       custom_root=st.sampled_from(_ROOTS),
+       server=st.none() | st.sampled_from(_PIN_DOMAINS),
+       protocol=st.sampled_from(("http", "https", "HTTPS")),
+       path=st.sampled_from(("/", "/a?b=1", "/MAL-DROP-001")))
+def test_https_is_rejected_exactly_when_its_server_is_pinned_to_another_root(
+        pins, custom_root, server, protocol, path):
+    guard = _guard(custom_root=custom_root, identities=pins)
+    guard.handle(_raw(path="/earlier"))
+    guard.handle(b"not-http at all")
+    before = (list(guard.capture_log), list(guard.malformed_log), list(guard.forwarded))
+    outcome = guard.handle(_raw(path=path, host=server or "h.example"), protocol, server)
+    if protocol.lower() == "https" and server in pins and pins[server] != custom_root:
+        assert outcome is TLS_REJECTED_OUTCOME
+        assert (guard.capture_log, guard.malformed_log, guard.forwarded) == before
+    else:
+        assert outcome.disposition == "handled"
+        assert outcome.transaction.scheme == protocol.lower()
+        assert guard.capture_log[:-1] == before[0]
+        assert parse_capture_log(guard.capture_log[-1]) == [outcome.transaction]
 
 
 _request_starts = st.sampled_from([
@@ -785,9 +762,7 @@ _request_starts = st.sampled_from([
                           st.text(max_size=8)),
        server=st.sampled_from([None, "secure.bank.example", "cfg.adsmogo.com"]))
 def test_handle_returns_an_outcome_for_any_bytes_and_protocol(raw, protocol, server):
-    guard = _guard(identities={"secure.bank.example":
-                               ServerIdentity("secure.bank.example",
-                                              "bank-embedded-root", pinned=True)})
+    guard = _guard(identities={"secure.bank.example": "bank-embedded-root"})
     outcome = guard.handle(raw, protocol, server)
     assert isinstance(outcome, GuardOutcome)
     assert outcome.disposition in ("handled", "blocked_protocol", "malformed", "tls_rejected")

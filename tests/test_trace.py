@@ -19,43 +19,45 @@ def _config(oat=True, branch=True, inline=True):
 
 
 def test_all_disables_show_inlined_call():
-    step = _step(SideEffect.java_call("void a.b.c", origin=("app_code", "inlined_candidate")))
+    step = _step(SideEffect("java_call", signature="void a.b.c",
+                            origin=("app_code", "inlined_candidate")))
     assert record(step, _config()) == ["void a.b.c"]
 
 
 def test_inlining_enabled_hides_inlined_call():
-    step = _step(SideEffect.java_call("void a.b.c", origin=("app_code", "inlined_candidate")))
+    step = _step(SideEffect("java_call", signature="void a.b.c",
+                            origin=("app_code", "inlined_candidate")))
     assert record(step, _config(inline=False)) == []
 
 
 def test_direct_branching_enabled_hides_framework_call():
-    step = _step(SideEffect.java_call("void android.os.Handler.<init>",
-                                      origin=("framework_core",)))
+    step = _step(SideEffect("java_call", signature="void android.os.Handler.<init>",
+                            origin=("framework_core",)))
     assert record(step, _config(branch=False)) == []
     assert len(record(step, _config())) == 1
 
 
 def test_oat_enabled_hides_all_java_calls():
-    step = _step(SideEffect.java_call("void a.b.c"))
+    step = _step(SideEffect("java_call", signature="void a.b.c", origin=("app_code",)))
     assert record(step, _config(oat=False)) == []
 
 
 def test_foreign_pid_dropped():
-    step = _step(SideEffect.java_call("void a.b.c", pid=999))
+    step = _step(SideEffect("java_call", signature="void a.b.c", origin=("app_code",), pid=999))
     assert record(step, _config()) == []
 
 
 def test_system_calls_always_visible():
-    step = _step(SideEffect.system_call("openat"))
+    step = _step(SideEffect("system_call", name="openat"))
     for oat, branch, inline in itertools.product([False, True], repeat=3):
         assert record(step, _config(oat, branch, inline)) == ["openat"]
 
 
 def test_order_matches_emission_order():
     step = _step(
-        SideEffect.java_call("first"),
-        SideEffect.system_call("stat"),
-        SideEffect.java_call("second"),
+        SideEffect("java_call", signature="first", origin=("app_code",)),
+        SideEffect("system_call", name="stat"),
+        SideEffect("java_call", signature="second", origin=("app_code",)),
     )
     assert record(step, _config()) == ["first", "stat", "second"]
 
@@ -66,7 +68,7 @@ _flag_sets = st.sets(st.sampled_from(["app_code", "framework_core", "inlined_can
 @given(origin=_flag_sets, flags=st.tuples(st.booleans(), st.booleans(), st.booleans()))
 def test_monotone_visibility(origin, flags):
     # enabling an additional disable_* flag never hides a visible event
-    step = _step(SideEffect.java_call("void x.y", origin=tuple(sorted(origin))))
+    step = _step(SideEffect("java_call", signature="void x.y", origin=tuple(sorted(origin))))
     oat, branch, inline = flags
     base = record(step, _config(oat, branch, inline))
     for i in range(3):
