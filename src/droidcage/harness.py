@@ -97,6 +97,10 @@ class ExperimentConfig:
             if f not in FORMATS:
                 raise ExperimentError(f"unknown format {f!r}")
         check_threshold(self.reputation_threshold)
+        # Checked here, not only where the monkey runs, so that the flag's
+        # contract does not depend on the methods asked for.
+        if self.monkey_events < 1:
+            raise ExperimentError("monkey event_count must be >= 1")
 
 
 @dataclass(frozen=True)

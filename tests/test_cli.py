@@ -149,6 +149,8 @@ def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
      "pct_syskeys + pct_appswitch must be <= 100"),
     (["make-corpus", "--out", "{out}", "--count", "0"], "count must be >= 1"),
     (["make-corpus", "--out", "{out}", "--count", "-1"], "count must be >= 1"),
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--methods", "smart",
+      "--monkey-events", "0"], "event_count must be >= 1"),
 ])
 def test_out_of_range_numeric_flags_exit_1(corpus_dir, tmp_path, capsys, argv, message):
     request = tmp_path / "req.bin"

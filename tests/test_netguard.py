@@ -721,6 +721,30 @@ def test_non_pinned_https_is_intercepted_and_logged():
     assert decoded[0].scheme == "https"
 
 
+def test_non_pinned_identity_is_intercepted():
+    # A server the app pins to the guard's own root is intercepted like an
+    # unpinned one: its plaintext reaches the capture log.
+    guard = _guard(identities={"cfg.adsmogo.com": DEFAULT_CUSTOM_ROOT})
+    for server in ("cfg.adsmogo.com", "api.unknown.example"):
+        outcome = guard.handle(_raw(host=server), "https", server=server)
+        assert outcome.disposition == "handled"
+        assert outcome.transaction.host == server
+        assert parse_capture_log(guard.capture_log[-1]) == [outcome.transaction]
+    assert len(guard.capture_log) == 2
+
+
+def test_pinned_identity_rejects_interception():
+    guard = _guard(identities={"secure.bank.example": "bank-embedded-root"})
+    outcome = guard.handle(_raw(host="secure.bank.example"), "https",
+                           server="secure.bank.example")
+    assert outcome.disposition == "tls_rejected"
+    assert outcome.transaction is None
+    assert guard.capture_log == [] and guard.malformed_log == []
+    # The pin binds HTTPS only: plain HTTP to the same server is still seen.
+    assert guard.handle(_raw(host="secure.bank.example"), "http",
+                        server="secure.bank.example").disposition == "handled"
+
+
 _PIN_DOMAINS = ("a.example", "b.example", "c.example")
 _ROOTS = (DEFAULT_CUSTOM_ROOT, "bank-embedded-root", "")
 
