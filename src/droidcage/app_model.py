@@ -237,10 +237,6 @@ class Event(NamedTuple):
     def app_switch(cls):
         return cls("app_switch")
 
-    @property
-    def is_ui(self) -> bool:
-        return self.kind in UI_ACTIONS
-
 
 # ---------------------------------------------------------------------------
 # Transitions

@@ -6,6 +6,10 @@ behind categorized-textfield gates, broadcast/SMS/call-gated logic
 bombs, a crasher, a self-texting app, a premium-SMS sender and one
 network-chatty app that exercises every pipeline verdict.
 
+Each archetype builder adds its blocks, activities, transitions and
+receivers to one ``_App``; only ``_App.doc`` knows the document's key
+order, and ``build_corpus`` stores what it returns.
+
 ``attainment_eligible`` marks apps on which systematic exploration must
 reach exactly the oracle's block set (only non-empty/category gates, no
 partial-key collisions, crash reachable last if at all).
@@ -28,8 +32,6 @@ from .app_model import (
 from .data_tables import default_tables
 from .rng import Xoshiro256StarStar, derive_seed
 
-GATED_ARCHETYPES = ("textgate", "broadcastgate", "dynamicgate", "smsgate", "callgate")
-
 # cycled to build a corpus of any size; the default 20 covers each shape
 _ARCHETYPE_CYCLE = (
     "plain", "textgate", "plain", "broadcastgate", "textgate",
@@ -38,7 +40,6 @@ _ARCHETYPE_CYCLE = (
     "broadcastgate", "premium", "crasher", "logicbomb", "netchatty",
 )
 
-_GATE_CATEGORIES = ("password", "email", "iban", "first_name", "pin_code")
 _GATE_HINTS = {
     "password": "Password",
     "email": "Email address",
@@ -46,6 +47,7 @@ _GATE_HINTS = {
     "first_name": "First name",
     "pin_code": "PIN code",
 }
+_GATE_CATEGORIES = tuple(_GATE_HINTS)
 _BROADCAST_INTENTS = (
     "android.intent.action.BOOT_COMPLETED",
     "android.net.conn.CONNECTIVITY_CHANGE",
@@ -71,21 +73,69 @@ class CorpusApp:
         return model_from_dict(self.doc, source=self.name)
 
 
-class _Blocks:
-    def __init__(self, package: str):
+class _App:
+    """One app document under construction. Archetype builders add blocks,
+    activities, transitions and receivers to it; ``doc`` writes it out."""
+
+    def __init__(self, package: str, seq: int):
         self.package = package
-        self.entries: list[dict] = []
-        self._n = 0
+        self.own_number = f"55501{seq:04d}"
+        self.blocks: list[dict] = []
+        self.activities: list[dict] = []
+        self.transitions: list[dict] = []
+        self.declared: list[str] = []
+        self.dynamic: list[dict] = []
+        self.alphabet = ["filler"]
 
     def new(self, cls: str, method: str, count: int = 1) -> list[str]:
-        ids = []
-        for _ in range(count):
-            self._n += 1
-            bid = f"b{self._n}"
-            self.entries.append({"id": bid, "class": f"{self.package}.{cls}",
-                                 "method": method})
-            ids.append(bid)
+        first = len(self.blocks) + 1
+        ids = [f"b{n}" for n in range(first, first + count)]
+        self.blocks += [{"id": bid, "class": f"{self.package}.{cls}", "method": method}
+                        for bid in ids]
         return ids
+
+    def activity(self, name: str, states: dict[str, list[dict]]) -> None:
+        """Adds activity ``name`` with ``states`` (state id -> elements);
+        the first state is the initial one."""
+        self.activities.append({
+            "name": name, "initial_state": next(iter(states)),
+            "states": [{"id": state, "elements": elements}
+                       for state, elements in states.items()],
+        })
+
+    def ui(self, act, state, element, action, *, to=None, blocks=(), match=None,
+           effects=(), crash=False) -> None:
+        trigger = {"action": action}
+        if match is not None:
+            trigger["match"] = match
+        self.transitions.append({
+            "from": {"activity": act, "state": state, "element": element},
+            "trigger": trigger,
+            "to": None if to is None else {"activity": to[0], "state": to[1]},
+            "blocks": list(blocks),
+            "side_effects": list(effects),
+            "crash": crash,
+        })
+
+    def rx(self, action, *, blocks=(), effects=()) -> None:
+        self.transitions.append({
+            "from": {"receiver": action},
+            "to": None,
+            "blocks": list(blocks),
+            "side_effects": list(effects),
+        })
+
+    def doc(self) -> dict:
+        return {
+            "package": self.package,
+            "main_activity": "Main",
+            "own_number": self.own_number,
+            "activities": self.activities,
+            "transitions": self.transitions,
+            "blocks": self.blocks,
+            "receivers": {"declared": self.declared, "dynamic": self.dynamic},
+            "alphabet": self.alphabet,
+        }
 
 
 def _el(kind: str, *, id=None, text=None, desc=None, hint=None, row=0,
@@ -97,30 +147,6 @@ def _el(kind: str, *, id=None, text=None, desc=None, hint=None, row=0,
     }
 
 
-def _ui(act, state, element, action, *, to=None, blocks=(), match=None,
-        effects=(), crash=False) -> dict:
-    t = {
-        "from": {"activity": act, "state": state, "element": element},
-        "trigger": {"action": action},
-        "to": None if to is None else {"activity": to[0], "state": to[1]},
-        "blocks": list(blocks),
-        "side_effects": list(effects),
-        "crash": crash,
-    }
-    if match is not None:
-        t["trigger"]["match"] = match
-    return t
-
-
-def _rx(action, *, to=None, blocks=(), effects=()) -> dict:
-    return {
-        "from": {"receiver": action},
-        "to": None if to is None else {"activity": to[0], "state": to[1]},
-        "blocks": list(blocks),
-        "side_effects": list(effects),
-    }
-
-
 def _java(sig: str, origin=("app_code",)) -> dict:
     return {"kind": "java_call", "signature": sig, "origin": list(origin)}
 
@@ -129,135 +155,81 @@ def _sys(name: str) -> dict:
     return {"kind": "system_call", "name": name}
 
 
-def _base_doc(pkg: str, seq: int) -> dict:
-    return {
-        "package": pkg,
-        "main_activity": "Main",
-        "own_number": f"55501{seq:04d}",
-        "activities": [],
-        "transitions": [],
-        "blocks": [],
-        "receivers": {"declared": [], "dynamic": []},
-        "alphabet": ["filler"],
-    }
+def _home(app: _App, elements: list[dict]) -> list[dict]:
+    """Adds the one-screen ``Main`` activity (state ``home``) and returns
+    its element list, which the caller may still extend."""
+    app.activity("Main", {"home": elements})
+    return elements
 
 
-def _detail_screens(blocks, transitions, n: int) -> tuple[list[dict], list[dict]]:
-    """n home buttons, each opening a drainable detail screen with a back
-    button (kept last so systematic walks descend before returning)."""
-    home_elements = []
-    detail_states = []
+def _detail_screens(app: _App, n: int) -> list[dict]:
+    """Adds ``Main/home`` with n buttons, each opening a drainable detail
+    screen with a back button (kept last so systematic walks descend
+    before returning), and returns the home element list."""
+    home = _home(app, [])
+    detail_states = {}
     for j in range(n):
         btn = f"btn_open{j}"
-        home_elements.append(_el("button", id=btn, text=f"Open {j}",
-                                 row=j, actions=["click"]))
-        enter = blocks.new("Detail", f"open{j}")
-        work = blocks.new("Detail", f"work{j}")
-        flip = blocks.new("Detail", f"flip{j}")
-        back = blocks.new("Detail", f"close{j}")
+        home.append(_el("button", id=btn, text=f"Open {j}", row=j, actions=["click"]))
+        enter = app.new("Detail", f"open{j}")
+        work = app.new("Detail", f"work{j}")
+        flip = app.new("Detail", f"flip{j}")
+        back = app.new("Detail", f"close{j}")
         state = f"detail{j}"
-        detail_states.append({"id": state, "elements": [
+        detail_states[state] = [
             _el("checkbox", id=f"check{j}", text="Option", row=0, actions=["toggle"]),
             _el("button", id=f"btn_work{j}", text="Run", row=1, actions=["click"]),
             _el("button", id=f"btn_back{j}", text="Back", row=2, actions=["click"]),
-        ]})
-        transitions.append(_ui("Main", "home", btn, "click", to=("Detail", state),
-                               blocks=enter,
-                               effects=[_java(f"void {blocks.package}.Detail.onCreate")]))
-        transitions.append(_ui("Detail", state, f"check{j}", "toggle", blocks=flip))
-        transitions.append(_ui("Detail", state, f"btn_work{j}", "click", blocks=work,
-                               effects=[_sys("openat")]))
-        transitions.append(_ui("Detail", state, f"btn_back{j}", "click",
-                               to=("Main", "home"), blocks=back))
-    return home_elements, detail_states
+        ]
+        app.ui("Main", "home", btn, "click", to=("Detail", state), blocks=enter,
+               effects=[_java(f"void {app.package}.Detail.onCreate")])
+        app.ui("Detail", state, f"check{j}", "toggle", blocks=flip)
+        app.ui("Detail", state, f"btn_work{j}", "click", blocks=work,
+               effects=[_sys("openat")])
+        app.ui("Detail", state, f"btn_back{j}", "click", to=("Main", "home"), blocks=back)
+    app.activity("Detail", detail_states)
+    return home
 
 
-def _doc_plain(pkg, seq, rng):
-    doc = _base_doc(pkg, seq)
-    blocks = _Blocks(pkg)
-    transitions = []
+def _plain(app, seq, rng):
     n = 2 + rng.randrange(2)  # 2..3 detail screens
-    scroll = blocks.new("Main", "onScroll")
-    home_buttons, detail_states = _detail_screens(blocks, transitions, n)
-    home = home_buttons + [
-        _el("generic", desc="news feed", row=n, actions=["scroll"]),
-    ]
-    transitions.append(_ui("Main", "home", n, "scroll", blocks=scroll))
-    doc["activities"] = [
-        {"name": "Main", "initial_state": "home",
-         "states": [{"id": "home", "elements": home}]},
-        {"name": "Detail", "initial_state": detail_states[0]["id"],
-         "states": detail_states},
-    ]
-    doc["transitions"] = transitions
-    doc["blocks"] = blocks.entries
-    return doc
+    scroll = app.new("Main", "onScroll")
+    home = _detail_screens(app, n)
+    home.append(_el("generic", desc="news feed", row=n, actions=["scroll"]))
+    app.ui("Main", "home", n, "scroll", blocks=scroll)
 
 
-def _doc_textgate(pkg, seq, rng):
+def _textgate(app, seq, rng):
     category = _GATE_CATEGORIES[seq % len(_GATE_CATEGORIES)]
-    sample = default_tables().fill(category, itemgetter(0))
-    doc = _base_doc(pkg, seq)
-    doc["alphabet"] = [sample, "filler"]
-    blocks = _Blocks(pkg)
-    fill = blocks.new("Main", "onInput")
-    decor = blocks.new("Main", "onScroll")
-    enter = blocks.new("Vault", "unlock", 2)
-    vault_work = [blocks.new("Vault", f"step{i}")[0] for i in range(4)]
-    vault_flip = blocks.new("Vault", "flip")
+    app.alphabet.insert(0, default_tables().fill(category, itemgetter(0)))
+    fill = app.new("Main", "onInput")
+    decor = app.new("Main", "onScroll")
+    enter = app.new("Vault", "unlock", 2)
+    vault_work = [app.new("Vault", f"step{i}")[0] for i in range(4)]
+    vault_flip = app.new("Vault", "flip")
 
-    form_elements = [
+    form = [
         _el("textfield", id="edit_secret", hint=_GATE_HINTS[category], row=0,
             actions=["set_text"]),
         _el("button", id="btn_unlock", text="Unlock", row=1, actions=["click"]),
         _el("generic", desc="promo banner", row=2, actions=["scroll"]),
     ]
-    vault_elements = [
+    vault = [
         _el("checkbox", id="check_armed", text="Armed", row=0, actions=["toggle"]),
     ] + [
         _el("button", id=f"btn_step{i}", text=f"Step {i}", row=1 + i, actions=["click"])
         for i in range(4)
     ]
-    match = {"kind": "matches_category", "category": category}
-    transitions = [
-        _ui("Main", "form", "edit_secret", "set_text", to=("Main", "filled"),
-            blocks=fill, match=match),
-        _ui("Main", "form", "promo banner", "scroll", blocks=decor),
-        _ui("Main", "filled", "btn_unlock", "click", to=("Main", "vault"),
-            blocks=enter,
-            effects=[_java(f"void {pkg}.Vault.<init>", ("app_code", "framework_core"))]),
-        _ui("Main", "vault", "check_armed", "toggle", blocks=vault_flip),
-    ] + [
-        _ui("Main", "vault", f"btn_step{i}", "click", blocks=[vault_work[i]],
-            effects=[_sys("write")])
-        for i in range(4)
-    ]
-    doc["activities"] = [{
-        "name": "Main", "initial_state": "form",
-        "states": [
-            {"id": "form", "elements": form_elements},
-            {"id": "filled", "elements": form_elements},
-            {"id": "vault", "elements": vault_elements},
-        ],
-    }]
-    doc["transitions"] = transitions
-    doc["blocks"] = blocks.entries
-    return doc
-
-
-def _gated_base(pkg, seq):
-    """Small ungated surface shared by the receiver-gated archetypes."""
-    doc = _base_doc(pkg, seq)
-    blocks = _Blocks(pkg)
-    transitions = []
-    home_buttons, detail_states = _detail_screens(blocks, transitions, 1)
-    doc["activities"] = [
-        {"name": "Main", "initial_state": "home",
-         "states": [{"id": "home", "elements": home_buttons}]},
-        {"name": "Detail", "initial_state": detail_states[0]["id"],
-         "states": detail_states},
-    ]
-    return doc, blocks, transitions
+    app.activity("Main", {"form": form, "filled": form, "vault": vault})
+    app.ui("Main", "form", "edit_secret", "set_text", to=("Main", "filled"),
+           blocks=fill, match={"kind": "matches_category", "category": category})
+    app.ui("Main", "form", "promo banner", "scroll", blocks=decor)
+    app.ui("Main", "filled", "btn_unlock", "click", to=("Main", "vault"), blocks=enter,
+           effects=[_java(f"void {app.package}.Vault.<init>", ("app_code", "framework_core"))])
+    app.ui("Main", "vault", "check_armed", "toggle", blocks=vault_flip)
+    for i in range(4):
+        app.ui("Main", "vault", f"btn_step{i}", "click", blocks=[vault_work[i]],
+               effects=[_sys("write")])
 
 
 # The receiver-gated archetypes, each as (intent, receiver method, extra
@@ -270,141 +242,94 @@ _RECEIVER_GATES = {
     "smsgate": (SMS_RECEIVED_ACTION, "onSms", (), ()),
     "callgate": (PHONE_STATE_ACTION, "onCall", (), ()),
 }
+GATED_ARCHETYPES = ("textgate", *_RECEIVER_GATES)
 
 
-def _doc_receivergate(archetype, pkg, seq, rng):
+def _receivergate(archetype, app, seq, rng):
     intent, method, origin, syscalls = _RECEIVER_GATES[archetype]
     intent = intent or _BROADCAST_INTENTS[seq % len(_BROADCAST_INTENTS)]
-    doc, blocks, transitions = _gated_base(pkg, seq)
-    bomb = blocks.new("Receiver", method, 3)
+    _detail_screens(app, 1)
+    bomb = app.new("Receiver", method, 3)
     if archetype == "dynamicgate":
         # the receiver only exists once the detail screen was opened
-        doc["receivers"]["dynamic"] = [
-            {"activity": "Detail", "state": "detail0", "action": intent},
-        ]
+        app.dynamic.append({"activity": "Detail", "state": "detail0", "action": intent})
     else:
-        doc["receivers"]["declared"] = [intent]
-    effects = [_java(f"void {pkg}.Receiver.{method}", ("app_code", *origin))]
-    transitions.append(_rx(intent, blocks=bomb,
-                           effects=effects + [_sys(name) for name in syscalls]))
-    doc["transitions"] = transitions
-    doc["blocks"] = blocks.entries
-    return doc
+        app.declared.append(intent)
+    app.rx(intent, blocks=bomb,
+           effects=[_java(f"void {app.package}.Receiver.{method}", ("app_code", *origin)),
+                    *[_sys(name) for name in syscalls]])
 
 
-def _doc_selfsms(pkg, seq, rng):
-    doc = _base_doc(pkg, seq)
-    own = doc["own_number"]
-    blocks = _Blocks(pkg)
-    armed = blocks.new("Main", "enable")
-    sent = blocks.new("Main", "send")
-    recv = blocks.new("Receiver", "onSms", 2)
-    home = [
+def _selfsms(app, seq, rng):
+    armed = app.new("Main", "enable")
+    sent = app.new("Main", "send")
+    recv = app.new("Receiver", "onSms", 2)
+    _home(app, [
         _el("button", id="btn_enable", text="Enable", row=0, actions=["click"]),
         _el("button", id="btn_send", text="Send", row=1, actions=["click"]),
-    ]
-    doc["activities"] = [{"name": "Main", "initial_state": "home",
-                          "states": [{"id": "home", "elements": home}]}]
-    doc["transitions"] = [
-        _ui("Main", "home", "btn_enable", "click", blocks=armed,
-            effects=[{"kind": "register_receiver", "action": SMS_RECEIVED_ACTION}]),
-        _ui("Main", "home", "btn_send", "click", blocks=sent,
-            effects=[{"kind": "outgoing_sms", "number": own, "body": "ping-self"}]),
-        _rx(SMS_RECEIVED_ACTION, blocks=recv),
-    ]
-    doc["blocks"] = blocks.entries
-    return doc
+    ])
+    app.ui("Main", "home", "btn_enable", "click", blocks=armed,
+           effects=[{"kind": "register_receiver", "action": SMS_RECEIVED_ACTION}])
+    app.ui("Main", "home", "btn_send", "click", blocks=sent,
+           effects=[{"kind": "outgoing_sms", "number": app.own_number, "body": "ping-self"}])
+    app.rx(SMS_RECEIVED_ACTION, blocks=recv)
 
 
-def _doc_premium(pkg, seq, rng):
-    doc = _base_doc(pkg, seq)
-    blocks = _Blocks(pkg)
-    b_sms = blocks.new("Main", "sendPremium")
-    b_call = blocks.new("Main", "dialPremium")
-    b_info = blocks.new("Main", "showInfo")
-    home = [
+def _premium(app, seq, rng):
+    b_sms = app.new("Main", "sendPremium")
+    b_call = app.new("Main", "dialPremium")
+    b_info = app.new("Main", "showInfo")
+    _home(app, [
         _el("button", id="btn_txt", text="Claim prize", row=0, actions=["click"]),
         _el("button", id="btn_dial", text="Call support", row=1, actions=["click"]),
         _el("button", id="btn_info", text="Info", row=2, actions=["click"]),
-    ]
-    doc["activities"] = [{"name": "Main", "initial_state": "home",
-                          "states": [{"id": "home", "elements": home}]}]
-    doc["transitions"] = [
-        _ui("Main", "home", "btn_txt", "click", blocks=b_sms,
-            effects=[{"kind": "outgoing_sms", "number": "81001", "body": "SUB"}]),
-        _ui("Main", "home", "btn_dial", "click", blocks=b_call,
-            effects=[{"kind": "outgoing_call", "number": "0900555001"}]),
-        _ui("Main", "home", "btn_info", "click", blocks=b_info),
-    ]
-    doc["blocks"] = blocks.entries
-    return doc
+    ])
+    app.ui("Main", "home", "btn_txt", "click", blocks=b_sms,
+           effects=[{"kind": "outgoing_sms", "number": "81001", "body": "SUB"}])
+    app.ui("Main", "home", "btn_dial", "click", blocks=b_call,
+           effects=[{"kind": "outgoing_call", "number": "0900555001"}])
+    app.ui("Main", "home", "btn_info", "click", blocks=b_info)
 
 
-def _doc_crasher(pkg, seq, rng):
-    doc = _base_doc(pkg, seq)
-    blocks = _Blocks(pkg)
-    b_safe = blocks.new("Main", "safe")
-    b_open = blocks.new("Main", "openTools")
-    b_poke = blocks.new("Tools", "poke")
-    b_boom = blocks.new("Tools", "corruptState")
-    home = [
+def _crasher(app, seq, rng):
+    b_safe = app.new("Main", "safe")
+    b_open = app.new("Main", "openTools")
+    b_poke = app.new("Tools", "poke")
+    b_boom = app.new("Tools", "corruptState")
+    _home(app, [
         _el("button", id="btn_safe", text="Safe", row=0, actions=["click"]),
         _el("button", id="btn_tools", text="Tools", row=1, actions=["click"]),
-    ]
-    tools = [
+    ])
+    app.activity("Tools", {"tools": [
         _el("button", id="btn_poke", text="Poke", row=0, actions=["click"]),
         _el("button", id="btn_boom", text="Optimize", row=1, actions=["click"]),
-    ]
-    doc["activities"] = [
-        {"name": "Main", "initial_state": "home",
-         "states": [{"id": "home", "elements": home}]},
-        {"name": "Tools", "initial_state": "tools",
-         "states": [{"id": "tools", "elements": tools}]},
-    ]
-    doc["transitions"] = [
-        _ui("Main", "home", "btn_safe", "click", blocks=b_safe),
-        _ui("Main", "home", "btn_tools", "click", to=("Tools", "tools"), blocks=b_open),
-        _ui("Tools", "tools", "btn_poke", "click", blocks=b_poke),
-        _ui("Tools", "tools", "btn_boom", "click", blocks=b_boom, crash=True),
-    ]
-    doc["blocks"] = blocks.entries
-    return doc
+    ]})
+    app.ui("Main", "home", "btn_safe", "click", blocks=b_safe)
+    app.ui("Main", "home", "btn_tools", "click", to=("Tools", "tools"), blocks=b_open)
+    app.ui("Tools", "tools", "btn_poke", "click", blocks=b_poke)
+    app.ui("Tools", "tools", "btn_boom", "click", blocks=b_boom, crash=True)
 
 
-def _doc_logicbomb(pkg, seq, rng):
+def _logicbomb(app, seq, rng):
     magic = "open-sesame-42"
-    doc = _base_doc(pkg, seq)
-    doc["alphabet"] = [magic, "filler"]
-    blocks = _Blocks(pkg)
-    visible = blocks.new("Main", "onAbout")
-    armed = blocks.new("Main", "armBomb")
-    payload = blocks.new("Bomb", "detonate", 3)
+    app.alphabet.insert(0, magic)
+    visible = app.new("Main", "onAbout")
+    armed = app.new("Main", "armBomb")
+    payload = app.new("Bomb", "detonate", 3)
     form = [
         _el("textfield", id="edit_code", hint="Activation phrase", row=0,
             actions=["set_text"]),
         _el("button", id="btn_about", text="About", row=1, actions=["click"]),
         _el("button", id="btn_run", text="Run", row=2, actions=["click"]),
     ]
-    doc["activities"] = [{"name": "Main", "initial_state": "form",
-                          "states": [
-                              {"id": "form", "elements": form},
-                              {"id": "armed", "elements": form},
-                          ]}]
-    doc["transitions"] = [
-        _ui("Main", "form", "edit_code", "set_text", to=("Main", "armed"),
-            blocks=armed, match={"kind": "equals", "value": magic}),
-        _ui("Main", "form", "btn_about", "click", blocks=visible),
-        _ui("Main", "armed", "btn_run", "click", blocks=payload,
-            effects=[_sys("unlink")]),
-    ]
-    doc["blocks"] = blocks.entries
-    return doc
+    app.activity("Main", {"form": form, "armed": form})
+    app.ui("Main", "form", "edit_code", "set_text", to=("Main", "armed"),
+           blocks=armed, match={"kind": "equals", "value": magic})
+    app.ui("Main", "form", "btn_about", "click", blocks=visible)
+    app.ui("Main", "armed", "btn_run", "click", blocks=payload, effects=[_sys("unlink")])
 
 
-def _doc_netchatty(pkg, seq, rng):
-    doc = _base_doc(pkg, seq)
-    blocks = _Blocks(pkg)
-
+def _netchatty(app, seq, rng):
     def req(lines: list[str], body: bytes = b"") -> str:
         head = "\r\n".join(lines) + "\r\n\r\n"
         return head + body.decode("latin-1")
@@ -432,30 +357,23 @@ def _doc_netchatty(pkg, seq, rng):
         "btn_bad": {"kind": "network_request", "protocol": "http",
                     "data": "\x00\x01 not a request"},
     }
-    home = []
-    transitions = []
+    home = _home(app, [])
     for row, (btn, effect) in enumerate(effects.items()):
-        label = btn.removeprefix("btn_").title()
-        home.append(_el("button", id=btn, text=label, row=row, actions=["click"]))
-        bid = blocks.new("Net", btn.removeprefix("btn_"))
-        transitions.append(_ui("Main", "home", btn, "click", blocks=bid,
-                               effects=[effect, _java(f"void {pkg}.Net.request")]))
-    doc["activities"] = [{"name": "Main", "initial_state": "home",
-                          "states": [{"id": "home", "elements": home}]}]
-    doc["transitions"] = transitions
-    doc["blocks"] = blocks.entries
-    return doc
+        name = btn.removeprefix("btn_")
+        home.append(_el("button", id=btn, text=name.title(), row=row, actions=["click"]))
+        app.ui("Main", "home", btn, "click", blocks=app.new("Net", name),
+               effects=[effect, _java(f"void {app.package}.Net.request")])
 
 
 _BUILDERS = {
-    "plain": _doc_plain,
-    "textgate": _doc_textgate,
-    "selfsms": _doc_selfsms,
-    "premium": _doc_premium,
-    "crasher": _doc_crasher,
-    "logicbomb": _doc_logicbomb,
-    "netchatty": _doc_netchatty,
-    **{archetype: partial(_doc_receivergate, archetype) for archetype in _RECEIVER_GATES},
+    "plain": _plain,
+    "textgate": _textgate,
+    "selfsms": _selfsms,
+    "premium": _premium,
+    "crasher": _crasher,
+    "logicbomb": _logicbomb,
+    "netchatty": _netchatty,
+    **{archetype: partial(_receivergate, archetype) for archetype in _RECEIVER_GATES},
 }
 
 
@@ -469,11 +387,11 @@ def build_corpus(seed: int = 0, count: int = 20) -> list[CorpusApp]:
         archetype = _ARCHETYPE_CYCLE[i % len(_ARCHETYPE_CYCLE)]
         rng = Xoshiro256StarStar(derive_seed(seed, f"corpus-app-{i}"))
         name = f"app{i:02d}_{archetype}"
-        pkg = f"com.corpus.{archetype}{i:02d}"
-        doc = _BUILDERS[archetype](pkg, i, rng)
+        app = _App(f"com.corpus.{archetype}{i:02d}", i)
+        _BUILDERS[archetype](app, i, rng)
         # logicbomb is equals-gated: the oracle can key in the magic phrase,
         # engines cannot.
-        apps.append(CorpusApp(name, doc, archetype in GATED_ARCHETYPES,
+        apps.append(CorpusApp(name, app.doc(), archetype in GATED_ARCHETYPES,
                               archetype != "logicbomb"))
     return apps
 

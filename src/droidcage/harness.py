@@ -93,14 +93,18 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ExperimentError(f"unknown method {m!r}")
+            if self.methods.count(m) > 1:
+                raise ExperimentError(f"method {m!r} is listed twice")
         for f in self.formats:
             if f not in FORMATS:
                 raise ExperimentError(f"unknown format {f!r}")
         check_threshold(self.reputation_threshold)
-        # Checked here, not only where the monkey runs, so that the flag's
-        # contract does not depend on the methods asked for.
+        # Checked here, not only where the monkey or the explorer runs, so
+        # that a flag's contract does not depend on the methods asked for.
         if self.monkey_events < 1:
             raise ExperimentError("monkey event_count must be >= 1")
+        if self.max_events < 1:
+            raise ExperimentError("max_events must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ def _crash_pct(v: float) -> str:
     return f"{v:g}%"
 
 
-def emit_results(rows: tuple[AggregateRow, ...], format: str = "human") -> str:
+def emit_results(rows: tuple[AggregateRow, ...], format: str) -> str:
     """Render the aggregate rows (human, csv or structured text)."""
     if not rows:
         raise ValueError("results table is empty")
@@ -255,7 +259,7 @@ _RESULT_FILES = ("results.txt", "summary.csv", "per_app.csv", "results.json")
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path,
-                  formats: tuple[str, ...] = ("human", "csv")) -> list[Path]:
+                  formats: tuple[str, ...]) -> list[Path]:
     """Write all experiment artifacts; byte-identical for identical runs.
 
     A result file or trace an earlier run left in ``out_dir`` that this

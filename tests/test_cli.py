@@ -135,6 +135,15 @@ def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_a_method_listed_twice(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "results"
+    code = main(["run", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--methods", "monkey,monkey"])
+    assert code == 1
+    assert "method 'monkey' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--corpus", "{corpus}", "--out", "{out}", "--threshold", "-5"], "threshold"),
     (["run", "--corpus", "{corpus}", "--out", "{out}", "--threshold", "101"], "threshold"),
@@ -151,6 +160,8 @@ def test_run_rejects_unknown_format(corpus_dir, tmp_path, capsys):
     (["make-corpus", "--out", "{out}", "--count", "-1"], "count must be >= 1"),
     (["run", "--corpus", "{corpus}", "--out", "{out}", "--methods", "smart",
       "--monkey-events", "0"], "event_count must be >= 1"),
+    (["run", "--corpus", "{corpus}", "--out", "{out}", "--methods", "monkey",
+      "--max-events", "0"], "max_events must be >= 1"),
 ])
 def test_out_of_range_numeric_flags_exit_1(corpus_dir, tmp_path, capsys, argv, message):
     request = tmp_path / "req.bin"
@@ -447,8 +458,7 @@ def test_run_exits_0_or_1_on_any_file_and_flags(app, methods, formats, seed, mon
                                                 max_events, threshold):
     method_names = [m.strip() for m in methods.split(",") if m.strip()]
     broken = (not method_names or "bogus" in methods or formats == "bogus"
-              or not 0 <= threshold <= 100 or monkey_events < 1
-              or (max_events < 1 and {"smart", "smart_monkey"} & set(method_names)))
+              or not 0 <= threshold <= 100 or monkey_events < 1 or max_events < 1)
     with tempfile.TemporaryDirectory() as tmp:
         corpus, out = Path(tmp) / "corpus", Path(tmp) / "out"
         corpus.mkdir()

@@ -8,6 +8,7 @@ from droidcage.app_model import (
     DeviceState,
     Event,
     Settings,
+    UI_ACTIONS,
     UiElement,
     apply_event,
     install_app,
@@ -191,7 +192,7 @@ def test_explore_is_deterministic(login_gate):
 def test_no_pair_triggered_twice(login_gate):
     session = explore(login_gate, ExplorationConfig(seed=0, max_events=10_000),
                       device_for(login_gate))
-    ui = [(e.target, e.kind) for e in session.events if e.is_ui]
+    ui = [(e.target, e.kind) for e in session.events if e.kind in UI_ACTIONS]
     assert len(ui) == len(set(ui))
 
 
@@ -221,7 +222,7 @@ def test_fill_before_click_within_screen_pass(login_gate):
             clicked = True
         elif ev.kind == "set_text":
             assert not clicked, "set_text scheduled after a click on the same screen"
-        if (ctx.activity, ctx.state) != before or not ev.is_ui:
+        if (ctx.activity, ctx.state) != before or ev.kind not in UI_ACTIONS:
             clicked = False
 
 
@@ -297,7 +298,7 @@ def test_new_elements_on_revisited_screen_are_scheduled():
                       install_app(baseline_device(), app))
     assert session.executed_blocks == {"a1", "n1", "b1"}
     clicks_on_a = [e for e in session.events
-                   if e.is_ui and e.target.value == "btn_a"]
+                   if e.kind in UI_ACTIONS and e.target.value == "btn_a"]
     assert len(clicks_on_a) == 1  # the shared element is not re-triggered
 
 

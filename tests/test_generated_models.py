@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from droidcage import harness
 from droidcage.app_model import (
     LOOPBACK_LIMIT,
+    UI_ACTIONS,
     install_app,
     loopback_event,
     model_from_dict,
@@ -77,7 +78,7 @@ def test_every_capture_log_round_trips(doc):
 def test_smart_sends_each_targeted_ui_pair_at_most_once(doc):
     app = model_from_dict(doc)
     session = explore(app, ExplorationConfig(max_events=60), install_app(baseline_device(), app))
-    pairs = [(event.target, event.kind) for event in session.events if event.is_ui]
+    pairs = [(event.target, event.kind) for event in session.events if event.kind in UI_ACTIONS]
     assert len(pairs) == len(set(pairs))
 
 

@@ -88,6 +88,8 @@ def test_config_requires_methods(tmp_path):
         ExperimentConfig(corpus=tmp_path, methods=())
     with pytest.raises(ExperimentError):
         ExperimentConfig(corpus=tmp_path, methods=("jumper",))
+    with pytest.raises(ExperimentError, match="'monkey' is listed twice"):
+        ExperimentConfig(corpus=tmp_path, methods=("monkey", "smart", "monkey"))
 
 
 def test_empty_corpus_is_fatal(tmp_path):

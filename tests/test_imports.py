@@ -1,6 +1,7 @@
 """Every name a droidcage module or test file imports is used there or
-re-exported, and every function, class, method and module-level constant
-a droidcage module defines is referenced somewhere.
+re-exported, and every function, class, method, annotated class field
+(NamedTuple and dataclass fields) and module-level constant a droidcage
+module defines is referenced somewhere.
 
 No linter runs in CI, so this stands in for an unused-import check and a
 dead-code check. ``__init__.py`` is exempt from the first: it imports only
@@ -50,7 +51,7 @@ def test_no_unused_import(path):
 
 def _definitions(tree: ast.Module):
     """(qualified name, name) of each module-level function, class and
-    constant and each method, dunders excepted."""
+    constant and each method and annotated class field, dunders excepted."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
@@ -64,19 +65,24 @@ def _definitions(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("__"):
                     yield f"{node.name}.{item.name}", item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
 
 
 def _references(path: Path) -> set[str]:
-    """The names and attribute names ``path`` reads; in perfbench also every
-    string constant, since its trace hooks name the attributes they wrap.
-    A name only assigned is not read, so a constant's own definition does
-    not count."""
+    """The names, attribute names and keyword-argument names ``path`` reads
+    (``Settings(wifi=...)`` reads ``wifi``); in perfbench also every string
+    constant, since its trace hooks name the attributes they wrap. A name
+    only assigned is not read, so a constant's own definition does not
+    count."""
     refs = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            refs.add(node.arg)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and path.parent.name == "perfbench"):
             refs.add(node.value)

@@ -10,6 +10,7 @@ from droidcage.app_model import (
     ElementKey,
     Event,
     Transition,
+    UI_ACTIONS,
     UiElement,
     UiSource,
     UiState,
@@ -102,7 +103,7 @@ def test_monkey_tap_on_nothing_has_no_target(shadow):
 def test_oracle_and_explorer_plan_skip_the_shadowed_element(shadow):
     device = device_for(shadow)
     receivers = receiver_events(shadow, default_tables())
-    ui = [e for e in _candidate_events(shadow, device, receivers) if e.is_ui]
+    ui = [e for e in _candidate_events(shadow, device, receivers) if e.kind in UI_ACTIONS]
     assert ui == [Event.click(OK_KEY)]  # the second button's long_click is unreachable
     plan = _plan(shadow.screen("Main", "home"), set())
     assert [(key, action, el.bounds) for key, action, el in plan] == [
