@@ -152,26 +152,10 @@ class Screen:
         return None
 
 
-def _first_wins(pairs) -> dict:
-    # A dict that, like a linear scan, resolves a repeated key to its first value.
-    return dict(reversed(list(pairs)))
-
-
-@dataclass(frozen=True)
-class Activity:
+class Activity(NamedTuple):
     name: str
     initial_state: str
     states: tuple[UiState, ...]
-    _states: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_states", _first_wins((st.id, st) for st in self.states))
-
-    def state(self, state_id: str) -> UiState:
-        try:
-            return self._states[state_id]
-        except (KeyError, TypeError):
-            raise KeyError(state_id) from None
 
 
 class BasicBlock(NamedTuple):
@@ -206,36 +190,6 @@ class Event(NamedTuple):
     number: str = ""  # incoming sms / call
     body: str = ""    # incoming sms
     name: str = ""    # system_key
-
-    @classmethod
-    def click(cls, target):
-        return cls("click", target=target)
-
-    @classmethod
-    def set_text(cls, target, value: str):
-        return cls("set_text", target=target, value=value)
-
-    @classmethod
-    def broadcast(cls, action: str):
-        if not action:
-            raise ValueError("broadcast needs a non-empty action")
-        return cls("broadcast", action=action)
-
-    @classmethod
-    def incoming_sms(cls, number: str, body: str):
-        return cls("incoming_sms", number=number, body=body)
-
-    @classmethod
-    def incoming_call(cls, number: str):
-        return cls("incoming_call", number=number)
-
-    @classmethod
-    def system_key(cls, name: str):
-        return cls("system_key", name=name)
-
-    @classmethod
-    def app_switch(cls):
-        return cls("app_switch")
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +250,21 @@ class AppModel:
     declared_receivers: tuple[str, ...]
     dynamic_receivers: tuple[tuple[str, str, str], ...]  # (activity, state, action)
     alphabet: tuple[str, ...]
-    # Lookup tables built once per model by __post_init__; events, the
-    # oracle and the explorer only read them.
+    # Built once per model by __post_init__; events, the oracle and the
+    # explorer only read them. ``home`` is the main activity's initial
+    # (activity, state), where the app launches.
     block_index: dict[str, BasicBlock] = field(init=False, repr=False, compare=False)
-    _activities: dict[str, Activity] = field(init=False, repr=False, compare=False)
+    home: tuple[str, str] = field(init=False, repr=False, compare=False)
     _screens: dict[tuple[str, str], Screen] = field(init=False, repr=False, compare=False)
     _receiver_transitions: dict[tuple[str, str], tuple[Transition, ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        activities = _first_wins((a.name, a) for a in self.activities)
-        screens = {(name, sid): Screen(name, st)
-                   for name, act in activities.items()
-                   for sid, st in act._states.items()}
+        # Walked backwards so that, as in a linear scan, a repeated activity
+        # name or state id resolves to its first occurrence.
+        initial = {a.name: a.initial_state for a in reversed(self.activities)}
+        screens = {(a.name, st.id): Screen(a.name, st)
+                   for a in reversed(self.activities) for st in reversed(a.states)}
         # Transitions grouped by what they match, each group a tuple. A UI
         # transition goes straight into its screen's table; one on a state
         # the model lacks (possible only without the loader) never fires.
@@ -326,29 +282,16 @@ class AppModel:
                 rx[key] = rx.get(key, ()) + (t,)
         tables = {
             "block_index": {b.id: b for b in self.blocks},
-            "_activities": activities,
+            "home": (self.main_activity, initial[self.main_activity]),
             "_screens": screens,
             "_receiver_transitions": rx,
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
 
-    def activity(self, name: str) -> Activity:
-        try:
-            return self._activities[name]
-        except (KeyError, TypeError):
-            raise KeyError(name) from None
-
     def screen(self, activity: str, state_id: str) -> Screen:
-        """The indexed UI state; KeyError names the unknown activity or state."""
-        try:
-            return self._screens[activity, state_id]
-        except (KeyError, TypeError):
-            self.activity(activity).state(state_id)  # raises KeyError naming the unknown part
-            raise
-
-    def ui_state(self, activity: str, state_id: str) -> UiState:
-        return self.screen(activity, state_id).state
+        """The indexed UI state; KeyError for a pair the model lacks."""
+        return self._screens[activity, state_id]
 
     def receiver_actions(self) -> frozenset[str]:
         """All intent actions the app can ever be registered for."""
@@ -415,8 +358,7 @@ def _enter_state(app: AppModel, ctx: AppContext, activity: str, state: str) -> A
 
 def install_app(device: DeviceState, app: AppModel) -> DeviceState:
     """Install and launch the app: main activity, initial state."""
-    main = app.activity(app.main_activity)
-    ctx = _enter_state(app, AppContext(main.name, main.initial_state), main.name, main.initial_state)
+    ctx = _enter_state(app, AppContext(*app.home), *app.home)
     return DeviceState({**device.contexts, app.package: ctx},
                        device.installed_apps | {app.package},
                        device.running_processes | {app.package},
@@ -439,7 +381,7 @@ def dump_hierarchy(device: DeviceState, app: AppModel) -> tuple[UiElement, ...]:
     if device.crashed:
         raise SessionCrashedError(f"session for {app.package} has crashed")
     ctx = device.context(app.package)
-    return app.ui_state(ctx.activity, ctx.state).elements
+    return app.screen(ctx.activity, ctx.state).state.elements
 
 
 def live_receiver_action(app: AppModel, ctx: AppContext, event: Event) -> Optional[str]:
@@ -483,10 +425,9 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
                     transition = t
                     break
     elif kind == "app_switch":
-        main = app.activity(app.main_activity)
-        if (ctx.activity, ctx.state) == (main.name, main.initial_state):
+        if (ctx.activity, ctx.state) == app.home:
             return StepResult(device, (), (), False)
-        new_ctx = _enter_state(app, ctx, main.name, main.initial_state)
+        new_ctx = _enter_state(app, ctx, *app.home)
         dev = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
                           device.running_processes, device.settings, False)
         return StepResult(dev, (), (), True)
@@ -517,9 +458,9 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
 def loopback_event(effect: SideEffect) -> Event:
     """Incoming event produced when a telephony effect is delivered to self."""
     if effect.kind == "outgoing_sms":
-        return Event.incoming_sms(effect.number, effect.body)
+        return Event("incoming_sms", number=effect.number, body=effect.body)
     if effect.kind == "outgoing_call":
-        return Event.incoming_call(effect.number)
+        return Event("incoming_call", number=effect.number)
     raise ValueError(f"no loopback for {effect.kind}")
 
 
@@ -558,11 +499,11 @@ def receiver_events(app: AppModel, tables: DataTables) -> list[Event]:
     declares or registers, then the probe SMS, then the call, each to its
     own number."""
     actions = app.receiver_actions()
-    events = [Event.broadcast(a) for a in tables.table("broadcast") if a in actions]
+    events = [Event("broadcast", action=a) for a in tables.table("broadcast") if a in actions]
     if SMS_RECEIVED_ACTION in actions:
-        events.append(Event.incoming_sms(app.own_number, SMS_PROBE_BODY))
+        events.append(Event("incoming_sms", number=app.own_number, body=SMS_PROBE_BODY))
     if PHONE_STATE_ACTION in actions:
-        events.append(Event.incoming_call(app.own_number))
+        events.append(Event("incoming_call", number=app.own_number))
     return events
 
 
@@ -572,11 +513,11 @@ def _candidate_events(app: AppModel, device: DeviceState, receivers: list[Event]
     for key, el in app.screen(ctx.activity, ctx.state).entries():
         for action in el.actions:
             if action == "set_text":
-                events.extend(Event.set_text(key, v) for v in app.alphabet)
+                events.extend(Event("set_text", key, v) for v in app.alphabet)
             else:
                 events.append(Event(action, target=key))
     events.extend(receivers)
-    events.append(Event.app_switch())
+    events.append(Event("app_switch"))
     return events
 
 
@@ -722,17 +663,17 @@ def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _activity_state(obj: dict, where: str, activities: dict, what: str = "",
+def _activity_state(obj: dict, where: str, places: dict, what: str = "",
                     spec: tuple = _PLACE_FIELDS) -> list:
-    """The activity and UiState ``obj`` names, then its other ``spec`` fields."""
+    """The activity and UiState ``obj`` names, then its other ``spec`` fields;
+    ``places`` maps each activity to its {state id: UiState}."""
     values = _fields(obj, where, spec)
     act, st = values[0], values[1]
-    if act not in activities:
+    if act not in places:
         raise ModelValidationError(f"{where}: unknown {what}activity {act!r}")
-    try:
-        values[1] = activities[act].state(st)
-    except KeyError:
-        raise ModelValidationError(f"{where}: unknown {what}state {st!r}") from None
+    if st not in places[act]:
+        raise ModelValidationError(f"{where}: unknown {what}state {st!r}")
+    values[1] = places[act][st]
     return values
 
 
@@ -881,7 +822,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
         raise ModelValidationError(f"{source}: activity names must be unique")
     if main_activity not in names:
         raise ModelValidationError(f"{source}: main_activity {main_activity!r} not found")
-    act_by_name = {a.name: a for a in activities}
+    places = {a.name: {st.id: st for st in a.states} for a in activities}
 
     blocks = [BasicBlock(*_fields(_object(braw, source, "block"), source, _BLOCK_FIELDS))
               for braw in raw_blocks]
@@ -896,7 +837,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
     rwhere = f"{source}:receivers"
     for draw in _field(receivers, "receivers.dynamic", source, _ARRAY, ()):
         draw = _object(draw, rwhere, "dynamic receiver")
-        act, state, action = _activity_state(draw, rwhere, act_by_name, spec=_DYNAMIC_FIELDS)
+        act, state, action = _activity_state(draw, rwhere, places, spec=_DYNAMIC_FIELDS)
         dynamic.append((act, state.id, action))
 
     transitions = []
@@ -909,14 +850,14 @@ def _build_model(doc: dict, source: str) -> AppModel:
             action = _field(frm, "receiver", where)
             anchor = None
             if "activity" in frm:
-                act, state = _activity_state(frm, where, act_by_name, "anchor ")
+                act, state = _activity_state(frm, where, places, "anchor ")
                 anchor = (act, state.id)
             action_name = _RECEIVER_TRIGGERS.get(action, "broadcast")
             source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(action, anchor)
         else:
             raw_match, action_name = _fields(trigger, where, _UI_TRIGGER_FIELDS)
             match = _load_match(raw_match, where)
-            act, state, ref = _activity_state(frm, where, act_by_name, spec=_UI_SOURCE_FIELDS)
+            act, state, ref = _activity_state(frm, where, places, spec=_UI_SOURCE_FIELDS)
             idx = _resolve_element_ref(state, ref, where)
             # An action the element lists is a known one.
             if action_name not in state.elements[idx].actions:
@@ -928,7 +869,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
             raise ModelValidationError(f"{where}: text match is only valid on set_text")
 
         if to is not None:
-            act, state = _activity_state(to, where, act_by_name, "target ")
+            act, state = _activity_state(to, where, places, "target ")
             to = (act, state.id)
         for bid in tblocks:
             if type(bid) is not str or bid not in known_blocks:

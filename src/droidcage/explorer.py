@@ -20,7 +20,6 @@ from .app_model import (
     Settings,
     UiElement,
     dump_hierarchy,
-    identify_element,
     live_receiver_action,
     receiver_events,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "categorize_textfield",
     "cleanup",
     "explore",
-    "identify_element",
     # Unused here: the benchmark's trace hooks wrap these two by this
     # module's attribute.
     "dump_hierarchy",
@@ -138,7 +136,7 @@ class _Explorer:
                     return
                 if idle_switch:
                     return  # relaunching did not help; pending pairs unreachable
-                self.issue(Event.app_switch())
+                self.issue(Event("app_switch"))
                 idle_switch = True
                 continue
             idle_switch = False
@@ -152,7 +150,7 @@ class _Explorer:
                     category = categorize_textfield(element)
                     value = (self.rng.alnum(UNCATEGORIZED_FILL_LENGTH) if category == "uncategorized"
                              else self.tables.fill(category, self.rng.choice))
-                    event = Event.set_text(key, value)
+                    event = Event("set_text", key, value)
                 else:
                     event = Event(action, key)
                 self.issue(event)

@@ -98,7 +98,10 @@ class ExperimentConfig:
         for f in self.formats:
             if f not in FORMATS:
                 raise ExperimentError(f"unknown format {f!r}")
-        check_threshold(self.reputation_threshold)
+        try:
+            check_threshold(self.reputation_threshold)
+        except ValueError as e:
+            raise ExperimentError(str(e)) from None
         # Checked here, not only where the monkey or the explorer runs, so
         # that a flag's contract does not depend on the methods asked for.
         if self.monkey_events < 1:

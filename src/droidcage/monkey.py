@@ -61,9 +61,9 @@ def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
     """The next event, hit-tested against ``screen`` (None after a crash)."""
     roll = rng.percent()
     if roll < config.pct_syskeys:
-        return Event.system_key(rng.choice(SYSTEM_KEYS))
+        return Event("system_key", name=rng.choice(SYSTEM_KEYS))
     if roll < config.pct_syskeys + config.pct_appswitch:
-        return Event.app_switch()
+        return Event("app_switch")
 
     kind = rng.choice(NAV_KINDS)
     x = rng.randrange(SCREEN_WIDTH)
@@ -71,7 +71,7 @@ def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
     target = None if screen is None else screen.hit(x, y)
     if kind == "set_text":
         value = rng.alnum(TEXT_MIN_LEN + rng.randrange(TEXT_MAX_LEN - TEXT_MIN_LEN + 1))
-        return Event.set_text(target, value)
+        return Event("set_text", target, value)
     if target is None:
         return _MISSES[kind]
     return Event(kind, target=target)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .app_model import ORIGIN_FLAGS, SideEffect, StepResult
+from .app_model import SideEffect, StepResult
 
-__all__ = ["ORIGIN_FLAGS", "TraceConfig", "record"]
+__all__ = ["TraceConfig", "record"]
 
 
 @dataclass(frozen=True)

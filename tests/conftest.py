@@ -153,10 +153,10 @@ def edited_fixture(name: str, path: tuple, value) -> dict:
 def event_pool(app: AppModel) -> list:
     """Every engine event an app can take: each element action, each alphabet
     value (and one outside it), receiver events and system events."""
-    pool = [Event.app_switch(), Event.system_key("back"),
-            Event.broadcast("android.intent.action.BOOT_COMPLETED"),
-            Event.incoming_sms(app.own_number, "hi"),
-            Event.incoming_call(app.own_number)]
+    pool = [Event("app_switch"), Event("system_key", name="back"),
+            Event("broadcast", action="android.intent.action.BOOT_COMPLETED"),
+            Event("incoming_sms", number=app.own_number, body="hi"),
+            Event("incoming_call", number=app.own_number)]
     for act in app.activities:
         for state in act.states:
             for el in state.elements:
@@ -164,8 +164,8 @@ def event_pool(app: AppModel) -> list:
                 for action in el.actions:
                     if action == "set_text":
                         for v in app.alphabet:
-                            pool.append(Event.set_text(key, v))
-                        pool.append(Event.set_text(key, "random-ish"))
+                            pool.append(Event("set_text", key, v))
+                        pool.append(Event("set_text", key, "random-ish"))
                     else:
                         pool.append(Event(action, target=key))
     return pool

@@ -12,6 +12,7 @@ from droidcage import harness
 from droidcage.app_model import (
     SMS_RECEIVED_ACTION,
     UI_ACTIONS,
+    Activity,
     AppContext,
     AppModel,
     BasicBlock,
@@ -467,7 +468,7 @@ def test_dump_is_stable(login_gate):
 def test_dump_on_crashed_session_fails(crash_first):
     device = device_for(crash_first)
     key = identify_element("Main", dump_hierarchy(device, crash_first)[0])
-    device = apply_event(device, crash_first, Event.click(key)).device
+    device = apply_event(device, crash_first, Event("click", key)).device
     assert device.crashed
     with pytest.raises(SessionCrashedError):
         dump_hierarchy(device, crash_first)
@@ -478,7 +479,7 @@ def test_dump_on_crashed_session_fails(crash_first):
 # ---------------------------------------------------------------------------
 
 def _key(app, activity, state, id_string):
-    for el in app.ui_state(activity, state).elements:
+    for el in app.screen(activity, state).state.elements:
         if el.id_string == id_string:
             return identify_element(activity, el)
     raise AssertionError(f"element {id_string} not in {activity}/{state}")
@@ -490,9 +491,9 @@ def test_login_success_path(login_gate):
     pw = _key(login_gate, "LoginActivity", "form", "edit_password")
     login = _key(login_gate, "LoginActivity", "form", "btn_login")
 
-    device = apply_event(device, login_gate, Event.set_text(user, "alice")).device
-    device = apply_event(device, login_gate, Event.set_text(pw, "123456")).device
-    result = apply_event(device, login_gate, Event.click(login))
+    device = apply_event(device, login_gate, Event("set_text", user, "alice")).device
+    device = apply_event(device, login_gate, Event("set_text", pw, "123456")).device
+    result = apply_event(device, login_gate, Event("click", login))
     assert result.executed_blocks == ("b7", "b8")
     ctx = result.device.context(login_gate.package)
     assert (ctx.activity, ctx.state) == ("MainActivity", "menu")
@@ -502,8 +503,8 @@ def test_login_with_empty_password_hits_error_path(login_gate):
     device = device_for(login_gate)
     user = _key(login_gate, "LoginActivity", "form", "edit_username")
     login = _key(login_gate, "LoginActivity", "form", "btn_login")
-    device = apply_event(device, login_gate, Event.set_text(user, "alice")).device
-    result = apply_event(device, login_gate, Event.click(login))
+    device = apply_event(device, login_gate, Event("set_text", user, "alice")).device
+    result = apply_event(device, login_gate, Event("click", login))
     assert result.executed_blocks == ("b5",)
     ctx = result.device.context(login_gate.package)
     assert (ctx.activity, ctx.state) == ("LoginActivity", "form_u")
@@ -512,7 +513,7 @@ def test_login_with_empty_password_hits_error_path(login_gate):
 def test_non_matching_password_is_empty_step(login_gate):
     device = device_for(login_gate)
     pw = _key(login_gate, "LoginActivity", "form", "edit_password")
-    result = apply_event(device, login_gate, Event.set_text(pw, "zzz"))
+    result = apply_event(device, login_gate, Event("set_text", pw, "zzz"))
     assert result.executed_blocks == ()
     assert not result.matched
     assert result.device == device  # structural identity of the empty step
@@ -521,14 +522,14 @@ def test_non_matching_password_is_empty_step(login_gate):
 def test_declared_receiver_fires_on_broadcast(login_gate):
     device = device_for(login_gate)
     result = apply_event(device, login_gate,
-                         Event.broadcast("android.intent.action.BOOT_COMPLETED"))
+                         Event("broadcast", action="android.intent.action.BOOT_COMPLETED"))
     assert result.executed_blocks == ("b4",)
 
 
 def test_undeclared_broadcast_is_ignored(login_gate):
     device = device_for(login_gate)
     result = apply_event(device, login_gate,
-                         Event.broadcast("android.intent.action.USER_PRESENT"))
+                         Event("broadcast", action="android.intent.action.USER_PRESENT"))
     assert result.executed_blocks == ()
     assert result.device == device
 
@@ -542,22 +543,22 @@ def test_receiver_events_reach_their_trigger_only():
     app = model_from_dict(doc)
     device = device_for(app)
     ctx = device.context(app.package)
-    broadcast = Event.broadcast(SMS_RECEIVED_ACTION)
+    broadcast = Event("broadcast", action=SMS_RECEIVED_ACTION)
     assert live_receiver_action(app, ctx, broadcast) == SMS_RECEIVED_ACTION
     assert not apply_event(device, app, broadcast).matched
-    sms = Event.incoming_sms(app.own_number, "hi")
+    sms = Event("incoming_sms", number=app.own_number, body="hi")
     assert live_receiver_action(app, ctx, sms) == SMS_RECEIVED_ACTION
     assert apply_event(device, app, sms).executed_blocks == ("k1",)
-    assert live_receiver_action(app, ctx, Event.incoming_call(app.own_number)) is None
-    assert live_receiver_action(app, ctx, Event.system_key("back")) is None
+    assert live_receiver_action(app, ctx, Event("incoming_call", number=app.own_number)) is None
+    assert live_receiver_action(app, ctx, Event("system_key", name="back")) is None
 
 
 def test_crashed_session_accepts_no_events(crash_first):
     device = device_for(crash_first)
     key = identify_element("Main", dump_hierarchy(device, crash_first)[0])
-    device = apply_event(device, crash_first, Event.click(key)).device
+    device = apply_event(device, crash_first, Event("click", key)).device
     with pytest.raises(SessionCrashedError):
-        apply_event(device, crash_first, Event.click(key))
+        apply_event(device, crash_first, Event("click", key))
 
 
 @settings(max_examples=60, deadline=None)
@@ -637,11 +638,11 @@ def _registering_app() -> AppModel:
 
 
 def _click_home(app, id_string):
-    return Event.click(_key(app, "Main", "home", id_string))
+    return Event("click", _key(app, "Main", "home", id_string))
 
 
 @pytest.mark.parametrize("fixture, event", [
-    ("login_gate", lambda app: Event.click(_key(app, "LoginActivity", "form", "btn_login"))),
+    ("login_gate", lambda app: Event("click", _key(app, "LoginActivity", "form", "btn_login"))),
     ("tiny_taps", lambda app: _click_home(app, "btn_top")),   # to: null, no effects
     ("registering", lambda app: _click_home(app, "stay")),    # to: the state it is in
 ], ids=["login_gate", "tiny_taps", "stay"])
@@ -661,8 +662,8 @@ def test_registering_a_receiver_again_keeps_the_device():
 
 
 @pytest.mark.parametrize("fixture, event", [
-    ("login_gate", lambda app: Event.set_text(
-        _key(app, "LoginActivity", "form", "edit_username"), "alice")),   # moves
+    ("login_gate", lambda app: Event(
+        "set_text", _key(app, "LoginActivity", "form", "edit_username"), "alice")),   # moves
     ("registering", lambda app: _click_home(app, "go")),                 # moves
     ("registering", lambda app: _click_home(app, "reg")),                # registers a receiver
     ("registering", lambda app: _click_home(app, "boom")),               # crashes
@@ -766,14 +767,15 @@ _STEP_FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_
 def test_apply_event_equals_the_cloning_stepper_and_mutates_no_input(request, data):
     name = data.draw(st.sampled_from(_STEP_FIXTURES))
     app = _registering_app() if name == "registering" else request.getfixturevalue(name)
-    _check_against_the_cloning_stepper(app, data, Event.broadcast(PING))
+    _check_against_the_cloning_stepper(app, data, Event("broadcast", action=PING))
 
 
 @settings(max_examples=60, deadline=None)
 @given(app_docs(), st.data())
 def test_apply_event_equals_the_cloning_stepper_on_generated_models(doc, data):
     # Generated ids collide, so events hit shadowed elements.
-    _check_against_the_cloning_stepper(model_from_dict(doc), data, Event.broadcast(OUTSIDE_ACTION))
+    _check_against_the_cloning_stepper(model_from_dict(doc), data,
+                                       Event("broadcast", action=OUTSIDE_ACTION))
 
 
 def _check_against_the_cloning_stepper(app, data, *extra_events):
@@ -802,7 +804,7 @@ def _check_against_the_cloning_stepper(app, data, *extra_events):
 
 _KEY = ElementKey("strong_id", "Main", "btn")
 _RECORDS = [
-    (Event.set_text(_KEY, "v"), ("kind", "target", "value", "action", "number", "body", "name")),
+    (Event("set_text", _KEY, "v"), ("kind", "target", "value", "action", "number", "body", "name")),
     (ElementKey("partial_dims", None, (3, 4)), ("kind", "activity", "value")),
     (AppContext("Main", "home", frozenset({PING})), ("activity", "state", "receivers")),
     (Settings(False, False, 7), ("wifi", "data_network", "sound_volume")),
@@ -813,6 +815,7 @@ _RECORDS = [
     (UiElement("button", "btn", None, "Go", None, (0, 0, 10, 5), ("click",)),
      ("kind", "id_string", "content_description", "text", "hint", "bounds", "actions")),
     (UiState("home", (UiElement(),)), ("id", "elements")),
+    (Activity("Main", "home", (UiState("home", ()),)), ("name", "initial_state", "states")),
     (BasicBlock("k1", "com.t.Main", "m"), ("id", "class_name", "method")),
     (SideEffect("java_call", signature="void a.b", origin=("app_code",), pid=7),
      ("kind", "data", "protocol", "server", "number", "body", "signature", "origin", "pid",
@@ -836,11 +839,10 @@ def test_record_fields_cannot_be_assigned(record, names):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: Event.broadcast(""), "broadcast needs a non-empty action"),
     (lambda: TextMatch("bogus").accepts("x", default_tables()), "unknown match kind 'bogus'"),
     (lambda: loopback_event(SideEffect("java_call", signature="void a.b", origin=("app_code",))),
      "no loopback for java_call"),
-], ids=["empty_broadcast", "unknown_match_kind", "loopback_of_a_java_call"])
+], ids=["unknown_match_kind", "loopback_of_a_java_call"])
 def test_record_helpers_reject_what_they_cannot_build(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -849,7 +851,7 @@ def test_record_helpers_reject_what_they_cannot_build(call, message):
 def test_event_repr_names_every_field():
     assert repr(Event("click")) == (
         "Event(kind='click', target=None, value='', action='', number='', body='', name='')")
-    assert repr(Event.click(_KEY)).startswith(
+    assert repr(Event("click", _KEY)).startswith(
         "Event(kind='click', target=ElementKey(kind='strong_id', activity='Main', value='btn'),")
 
 

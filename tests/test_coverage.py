@@ -52,13 +52,13 @@ def test_measure_rejects_foreign_blocks(tiny_taps):
 def test_coverage_is_monotone_in_session_prefix(login_gate):
     # applying a prefix of an event sequence never yields higher coverage
     device = device_for(login_gate)
-    elements = login_gate.ui_state("LoginActivity", "form").elements
+    elements = login_gate.screen("LoginActivity", "form").state.elements
     keys = {e.id_string: identify_element("LoginActivity", e) for e in elements}
     events = [
-        Event.set_text(keys["edit_username"], "u"),
-        Event.set_text(keys["edit_password"], "123456"),
-        Event.click(keys["btn_login"]),
-        Event.broadcast("android.intent.action.BOOT_COMPLETED"),
+        Event("set_text", keys["edit_username"], "u"),
+        Event("set_text", keys["edit_password"], "123456"),
+        Event("click", keys["btn_login"]),
+        Event("broadcast", action="android.intent.action.BOOT_COMPLETED"),
     ]
     seen = set()
     previous = -1

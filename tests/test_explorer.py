@@ -11,6 +11,7 @@ from droidcage.app_model import (
     UI_ACTIONS,
     UiElement,
     apply_event,
+    identify_element,
     install_app,
     load_app_model,
     model_from_dict,
@@ -24,7 +25,6 @@ from droidcage.explorer import (
     categorize_textfield,
     cleanup,
     explore,
-    identify_element,
 )
 from droidcage.corpus import _ARCHETYPE_CYCLE, write_corpus
 from droidcage.monkey import MonkeyConfig, run_monkey
@@ -393,8 +393,8 @@ def test_crash_halts_exploration_with_partial_coverage(crash_first):
 
 @pytest.mark.parametrize("engine", ("explore", "run_monkey"))
 def test_engines_on_a_crashed_device_send_nothing(crash_first, engine):
-    update = identify_element("Main", crash_first.ui_state("Main", "home").elements[0])
-    device = apply_event(device_for(crash_first), crash_first, Event.click(update)).device
+    update = identify_element("Main", crash_first.screen("Main", "home").state.elements[0])
+    device = apply_event(device_for(crash_first), crash_first, Event("click", update)).device
     assert device.crashed
     runner = SessionRunner(crash_first, device)
     if engine == "explore":
@@ -414,7 +414,7 @@ def test_engines_need_the_app_installed(login_gate, engine):
         if engine == "explore":
             explore(login_gate, ExplorationConfig(seed=0, max_events=100), baseline_device())
         elif engine == "apply_event":
-            apply_event(baseline_device(), login_gate, Event.app_switch())
+            apply_event(baseline_device(), login_gate, Event("app_switch"))
         else:
             run_monkey(SessionRunner(login_gate, baseline_device()),
                        MonkeyConfig(seed=0, package=login_gate.package))

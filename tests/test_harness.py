@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -90,6 +91,13 @@ def test_config_requires_methods(tmp_path):
         ExperimentConfig(corpus=tmp_path, methods=("jumper",))
     with pytest.raises(ExperimentError, match="'monkey' is listed twice"):
         ExperimentConfig(corpus=tmp_path, methods=("monkey", "smart", "monkey"))
+
+
+@pytest.mark.parametrize("threshold", [-1, 101])
+def test_config_rejects_an_out_of_range_threshold(tmp_path, threshold):
+    with pytest.raises(ExperimentError,
+                       match=re.escape(f"reputation threshold must be in [0, 100], got {threshold}")):
+        ExperimentConfig(corpus=tmp_path, reputation_threshold=threshold)
 
 
 def test_empty_corpus_is_fatal(tmp_path):

@@ -1,7 +1,7 @@
 """Every name a droidcage module or test file imports is used there or
-re-exported, and every function, class, method, annotated class field
-(NamedTuple and dataclass fields) and module-level constant a droidcage
-module defines is referenced somewhere.
+re-exported for the benchmark's trace hooks, and every function, class,
+method, annotated class field (NamedTuple and dataclass fields) and
+module-level constant a droidcage module defines is referenced somewhere.
 
 No linter runs in CI, so this stands in for an unused-import check and a
 dead-code check. ``__init__.py`` is exempt from the first: it imports only
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "droidcage"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH_FILES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -29,13 +30,19 @@ def _imported(tree: ast.Module) -> set[str]:
     return names
 
 
-def _referenced(tree: ast.Module) -> set[str]:
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _exported(tree: ast.Module) -> set[str]:
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names.update(ast.literal_eval(node.value))
     return names
+
+
+def _strings(path: Path) -> set[str]:
+    """Every string constant in ``path``."""
+    return {n.value for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
 def test_every_module_is_checked():
@@ -45,8 +52,14 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES + TEST_FILES,
                          ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_import(path):
+    # A name used only in ``__all__`` is a re-export. It is kept only for a
+    # perfbench trace hook, which wraps it by this module's attribute and so
+    # names it in a string.
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert not _imported(tree) - _referenced(tree)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    wrapped = set().union(*map(_strings, PERFBENCH_FILES))
+    unused = _imported(tree) - used - (_exported(tree) & wrapped)
+    assert not unused
 
 
 def _definitions(tree: ast.Module):
@@ -83,9 +96,8 @@ def _references(path: Path) -> set[str]:
             refs.add(node.attr)
         elif isinstance(node, ast.keyword) and node.arg is not None:
             refs.add(node.arg)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and path.parent.name == "perfbench"):
-            refs.add(node.value)
+    if path.parent.name == "perfbench":
+        refs |= _strings(path)
     return refs
 
 

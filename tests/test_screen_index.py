@@ -5,8 +5,10 @@ import pytest
 
 from droidcage.app_model import (
     Activity,
+    AppContext,
     AppModel,
     BasicBlock,
+    DeviceState,
     ElementKey,
     Event,
     Transition,
@@ -16,6 +18,7 @@ from droidcage.app_model import (
     UiState,
     _candidate_events,
     apply_event,
+    install_app,
     model_from_dict,
     reachable_blocks,
     receiver_events,
@@ -88,7 +91,7 @@ def test_monkey_hit_on_shadowed_element_resolves_to_first(shadow):
     # no system keys, kind "click", tap inside the second button only
     event = _generate_one(_ScriptedRng(50, 0, 550, 550), MonkeyConfig(),
                           shadow.screen("Main", "home"))
-    assert event == Event.click(OK_KEY)
+    assert event == Event("click", OK_KEY)
     ctx = device.context(shadow.package)
     assert shadow.screen(ctx.activity, ctx.state).first_index.get(event.target) == 0
     assert apply_event(device, shadow, event).executed_blocks == ("first",)
@@ -104,7 +107,7 @@ def test_oracle_and_explorer_plan_skip_the_shadowed_element(shadow):
     device = device_for(shadow)
     receivers = receiver_events(shadow, default_tables())
     ui = [e for e in _candidate_events(shadow, device, receivers) if e.kind in UI_ACTIONS]
-    assert ui == [Event.click(OK_KEY)]  # the second button's long_click is unreachable
+    assert ui == [Event("click", OK_KEY)]  # the second button's long_click is unreachable
     plan = _plan(shadow.screen("Main", "home"), set())
     assert [(key, action, el.bounds) for key, action, el in plan] == [
         (OK_KEY, "click", (0, 0, 100, 100))]
@@ -112,20 +115,10 @@ def test_oracle_and_explorer_plan_skip_the_shadowed_element(shadow):
 
 
 def test_unknown_names_raise_key_error(shadow):
-    with pytest.raises(KeyError) as e:
-        shadow.activity("Nope")
-    assert e.value.args == ("Nope",)
-    with pytest.raises(KeyError) as e:
-        shadow.activity("Main").state("nope")
-    assert e.value.args == ("nope",)
-    with pytest.raises(KeyError) as e:
-        shadow.ui_state("Main", "nope")
-    assert e.value.args == ("nope",)
-    with pytest.raises(KeyError) as e:
-        shadow.ui_state("Nope", "home")
-    assert e.value.args == ("Nope",)
-    with pytest.raises(KeyError):
-        shadow.activity("Main").state(["unhashable"])
+    for activity, state in (("Main", "nope"), ("Nope", "home")):
+        with pytest.raises(KeyError) as e:
+            shadow.screen(activity, state)
+        assert e.value.args == ((activity, state),)
 
 
 def test_directly_constructed_model_has_working_lookups():
@@ -142,12 +135,13 @@ def test_directly_constructed_model_has_working_lookups():
         blocks=(BasicBlock("b1", "c.Main", "go"),),
         declared_receivers=(), dynamic_receivers=(), alphabet=(),
     )
-    assert app.activity("Main").state("done") is done
-    assert app.ui_state("Main", "home") is home
+    assert app.screen("Main", "done").state is done
+    assert app.screen("Main", "home").state is home
+    assert app.home == ("Main", "home")
     assert app.block_index == {"b1": app.blocks[0]}
     key = ElementKey("strong_id", "Main", "go")
     assert app.screen("Main", "home").hit(10, 10) == key
-    result = apply_event(device_for(app), app, Event.click(key))
+    result = apply_event(device_for(app), app, Event("click", key))
     assert result.executed_blocks == ("b1",)
     assert result.device.context(app.package).state == "done"
     assert reachable_blocks(app) == {"b1"}
@@ -156,3 +150,31 @@ def test_directly_constructed_model_has_working_lookups():
 def test_models_compare_equal_regardless_of_their_index():
     assert model_from_dict(_shadow_doc()) == model_from_dict(_shadow_doc())
     assert hash(model_from_dict(_shadow_doc())) == hash(model_from_dict(_shadow_doc()))
+
+
+def _direct_model(main_activity: str, *activities: Activity, dynamic_receivers=()) -> AppModel:
+    return AppModel(
+        package="com.t.direct", main_activity=main_activity, own_number="5550000",
+        activities=activities, transitions=(), blocks=(), declared_receivers=(),
+        dynamic_receivers=dynamic_receivers, alphabet=(),
+    )
+
+
+def test_a_direct_model_without_its_main_activity_is_not_built():
+    with pytest.raises(KeyError) as e:
+        _direct_model("Nope", Activity("Main", "home", (UiState("home", ()),)))
+    assert e.value.args == ("Nope",)
+
+
+def test_install_app_enters_home():
+    # Home is neither the first activity nor the first state, and a repeated
+    # activity name resolves to its first occurrence.
+    splash, home = UiState("splash", ()), UiState("home", ())
+    app = _direct_model("Main", Activity("Other", "splash", (splash,)),
+                        Activity("Main", "home", (splash, home)),
+                        Activity("Main", "splash", (splash,)),
+                        dynamic_receivers=(("Main", "home", "com.t.direct.PING"),))
+    assert app.home == ("Main", "home")
+    assert app.screen("Main", "home").state is home
+    ctx = install_app(DeviceState(), app).context(app.package)
+    assert ctx == AppContext("Main", "home", frozenset({"com.t.direct.PING"}))

@@ -58,8 +58,8 @@ def _runner(doc, **kw):
 
 def test_delivered_self_sms_loops_back_to_receiver():
     app, runner = _runner(_self_sms_doc())
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    runner.step(Event.click(btn))
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    runner.step(Event("click", btn))
     assert runner.session.executed_blocks == {"s1", "r1"}
     assert len(runner.session.events) == 1  # loopback is not an engine event
     assert [o.effect.number for o in runner.session.effects
@@ -71,20 +71,20 @@ def test_loopback_body_is_the_sent_body():
     # gate the receiver on the exact body that was sent
     doc["transitions"][1]["from"] = {"receiver": SMS_RECEIVED_ACTION}
     app, runner = _runner(doc)
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    runner.step(Event.click(btn))
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    runner.step(Event("click", btn))
     assert "r1" in runner.session.executed_blocks
 
 
 def test_self_texting_cycle_is_capped():
     app, runner = _runner(_self_sms_doc(receiver_sends_back=True))
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
     # The receiver texts itself forever; the chain stops after the click
     # and LOOPBACK_LIMIT loopbacks, each of which sent one more SMS.
-    _, steps = run_event_chain(runner.device, app, Event.click(btn))
+    _, steps = run_event_chain(runner.device, app, Event("click", btn))
     assert [ev.kind for ev, _ in steps] == ["click"] + ["incoming_sms"] * LOOPBACK_LIMIT
     assert [res.executed_blocks for _, res in steps] == [("s1",)] + [("r1",)] * LOOPBACK_LIMIT
-    runner.step(Event.click(btn))
+    runner.step(Event("click", btn))
     assert len(runner.session.events) == 1
     delivered = [o for o in runner.session.effects if o.tag == "telephony_delivered"]
     assert len(delivered) == LOOPBACK_LIMIT + 1 == 9
@@ -94,8 +94,8 @@ def test_rejected_sms_tagged_and_session_alive():
     doc = _self_sms_doc()
     doc["transitions"][0]["side_effects"][0]["number"] = "81001"
     app, runner = _runner(doc)
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    runner.step(Event.click(btn))
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    runner.step(Event("click", btn))
     assert [o.effect.number for o in runner.session.effects
             if o.tag == "telephony_rejected"] == ["81001"]
     assert not runner.session.crashed
@@ -110,8 +110,8 @@ def test_network_side_effects_flow_through_guard():
     ]
     guard = NetGuard()
     app, runner = _runner(doc, netguard=guard)
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    runner.step(Event.click(btn))
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    runner.step(Event("click", btn))
     tags = [o.tag for o in runner.session.effects]
     assert "net_handled" in tags
     logged = parse_capture_log(guard.capture_text())
@@ -125,8 +125,8 @@ def test_malformed_network_request_dropped_and_tagged():
     ]
     guard = NetGuard()
     app, runner = _runner(doc, netguard=guard)
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    runner.step(Event.click(btn))
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    runner.step(Event("click", btn))
     assert [o.tag for o in runner.session.effects] == ["net_malformed"]
     assert guard.capture_log == []
     assert len(guard.malformed_log) == 1
@@ -141,14 +141,14 @@ def test_trace_accumulates_only_target_pid_calls():
         {"kind": "system_call", "name": "sendto"},
     ]
     app, runner = _runner(doc)
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    runner.step(Event.click(btn))
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    runner.step(Event("click", btn))
     assert runner.session.trace == ["void c.Main.send", "sendto"]
 
 
 @pytest.mark.parametrize("event", [
     Event("click"), Event("long_click"), Event("scroll"), Event("toggle"),
-    Event.set_text(None, "abc"),
+    Event("set_text", None, "abc"),
 ])
 def test_ui_event_on_nothing_steps_like_apply_event(event):
     app, runner = _runner(_self_sms_doc())
@@ -163,9 +163,9 @@ def test_ui_event_on_nothing_steps_like_apply_event(event):
 def test_ui_event_on_nothing_reports_the_device_it_left(login_gate):
     runner = SessionRunner(login_gate, install_app(baseline_device(), login_gate))
     runner.step(Event("click"))
-    form = login_gate.ui_state("LoginActivity", "form").elements
+    form = login_gate.screen("LoginActivity", "form").state.elements
     user = next(identify_element("LoginActivity", e) for e in form if e.id_string == "edit_username")
-    runner.step(Event.set_text(user, "alice"))
+    runner.step(Event("set_text", user, "alice"))
     device = runner.device
     assert runner.step(Event("click")) == apply_event(device, login_gate, Event("click"))
     assert runner.step(Event("scroll")).device is device
@@ -174,7 +174,8 @@ def test_ui_event_on_nothing_reports_the_device_it_left(login_gate):
 def test_ui_event_on_nothing_still_fails_on_crashed_device(crash_first):
     device = install_app(baseline_device(), crash_first)
     runner = SessionRunner(crash_first, device)
-    runner.step(Event.click(identify_element("Main", crash_first.ui_state("Main", "home").elements[0])))
+    home = crash_first.screen("Main", "home").state
+    runner.step(Event("click", identify_element("Main", home.elements[0])))
     assert runner.session.crashed and runner.device.crashed
     with pytest.raises(SessionCrashedError):
         runner.step(Event("click"))
@@ -185,8 +186,8 @@ def test_a_crash_in_a_loopback_crashes_the_session():
     doc = _self_sms_doc()
     doc["transitions"][1]["crash"] = True  # the SMS receiver
     app, runner = _runner(doc)
-    btn = identify_element("Main", app.ui_state("Main", "home").elements[0])
-    assert not runner.step(Event.click(btn)).device.crashed  # the click itself did not crash
+    btn = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    assert not runner.step(Event("click", btn)).device.crashed  # the click itself did not crash
     assert runner.session.crashed and runner.device.crashed
     assert runner.session.executed_blocks == {"s1", "r1"}
 
@@ -215,8 +216,8 @@ def _copy_doc():
 
 def test_a_copied_runner_leaves_the_original_unchanged():
     app, runner = _runner(_copy_doc(), netguard=NetGuard())
-    send, more = [identify_element("Main", e) for e in app.ui_state("Main", "home").elements]
-    runner.step(Event.click(send))
+    send, more = [identify_element("Main", e) for e in app.screen("Main", "home").state.elements]
+    runner.step(Event("click", send))
     session, guard = runner.session, runner.netguard
     fields = ("events", "executed_blocks", "trace", "effects", "device")
     logs = ("capture_log", "malformed_log", "forwarded")
@@ -225,8 +226,8 @@ def test_a_copied_runner_leaves_the_original_unchanged():
 
     dup = runner.copy()
     assert dup.app is runner.app and dup.tables is runner.tables
-    dup.step(Event.click(send))
-    dup.step(Event.click(more))
+    dup.step(Event("click", send))
+    dup.step(Event("click", more))
     explore(app, ExplorationConfig(seed=0, max_events=10), dup.device, runner=dup)
 
     # The copy reached handled, malformed and blocked requests, a delivered
