@@ -409,10 +409,7 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     """
     if device.crashed:
         raise SessionCrashedError(f"session for {app.package} has crashed")
-    try:
-        ctx = device.contexts[app.package]
-    except KeyError:
-        raise AppNotInstalledError(f"{app.package} is not installed") from None
+    ctx = device.context(app.package)
     kind = event.kind
     transition = None
     if kind in UI_ACTIONS:

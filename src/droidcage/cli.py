@@ -13,17 +13,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .app_model import install_app, load_app_model
+from .app_model import ModelParseError, ModelValidationError, install_app, load_app_model
 from .corpus import write_corpus
 from .coverage import measure
+from .data_tables import ConfigError, DataTableError
 from .explorer import ExplorationConfig, baseline_device, explore
 from .harness import (
     FORMATS,
     METHODS,
     ExperimentConfig,
     ExperimentError,
-    default_reputation,
-    default_signatures,
     emit_results,
     run_experiment,
     write_outputs,
@@ -31,7 +30,10 @@ from .harness import (
 from .monkey import MonkeyConfig, run_monkey
 from .netguard import (
     DEFAULT_REPUTATION_THRESHOLD,
+    LogDecodeError,
     NetGuard,
+    default_reputation,
+    default_signatures,
     load_reputation,
     load_signature_db,
     parse_capture_log,
@@ -109,12 +111,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _coverage_line(report) -> str:
-    return (f"{report.package}: blocks {report.blocks_executed}/{report.blocks_total}"
-            f" ({100 * report.block_ratio:.2f}%)"
-            f" methods {report.methods_executed}/{report.methods_total}"
-            f" classes {report.classes_executed}/{report.classes_total}"
-            f"{' CRASHED' if report.crashed else ''}")
+def _print_session(session, app) -> int:
+    report = measure(session, app)
+    print(f"events sent: {len(session.events)}")
+    print(f"{report.package}: blocks {report.blocks_executed}/{report.blocks_total}"
+          f" ({100 * report.block_ratio:.2f}%)"
+          f" methods {report.methods_executed}/{report.methods_total}"
+          f" classes {report.classes_executed}/{report.classes_total}"
+          f"{' CRASHED' if report.crashed else ''}")
+    return 0
 
 
 def _cmd_explore(args) -> int:
@@ -123,11 +128,7 @@ def _cmd_explore(args) -> int:
     runner = SessionRunner(app, install_app(baseline_device(), app))
     if args.monkey_first:
         run_monkey(runner, MonkeyConfig(seed=args.seed, package=app.package))
-    session = explore(app, config, runner.device, runner=runner)
-    report = measure(session, app)
-    print(f"events sent: {len(session.events)}")
-    print(_coverage_line(report))
-    return 0
+    return _print_session(explore(app, config, runner.device, runner=runner), app)
 
 
 def _cmd_monkey(args) -> int:
@@ -141,10 +142,7 @@ def _cmd_monkey(args) -> int:
                           throttle_ms=args.throttle, event_count=args.events,
                           package=app.package)
     session = run_monkey(SessionRunner(app, install_app(baseline_device(), app)), config)
-    report = measure(session, app)
-    print(f"events sent: {len(session.events)}")
-    print(_coverage_line(report))
-    return 0
+    return _print_session(session, app)
 
 
 def _cmd_proxy_check(args) -> int:
@@ -194,7 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ExperimentError, OSError, ValueError) as e:
+    except (ExperimentError, ConfigError, ModelParseError, ModelValidationError,
+            LogDecodeError, DataTableError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,7 @@ from .app_model import (
     AppModel,
     model_from_dict,
 )
-from .data_tables import default_tables
+from .data_tables import ConfigError, default_tables
 from .rng import Xoshiro256StarStar, derive_seed
 
 # cycled to build a corpus of any size; the default 20 covers each shape
@@ -381,7 +381,7 @@ def build_corpus(seed: int = 0, count: int = 20) -> list[CorpusApp]:
     """The corpus's ``count`` app documents of ``seed``; each app's model is
     built (and its document validated) only when ``CorpusApp.model`` is read."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ConfigError("count must be >= 1")
     apps = []
     for i in range(count):
         archetype = _ARCHETYPE_CYCLE[i % len(_ARCHETYPE_CYCLE)]

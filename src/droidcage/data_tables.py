@@ -41,6 +41,10 @@ class DataTableError(ValueError):
     """A data file is missing, empty, or holds a line its reader rejects."""
 
 
+class ConfigError(ValueError):
+    """A setting out of its range; defined here, below every module that raises it."""
+
+
 @dataclass(frozen=True)
 class DataTables:
     tables: dict[str, tuple[str, ...]]
@@ -78,13 +82,6 @@ class DataTables:
         return value in self.table(category)
 
 
-def _read_lines(text: str, name: str) -> tuple[str, ...]:
-    lines = tuple(line for line in text.splitlines() if line.strip())
-    if not lines:
-        raise DataTableError(f"data table {name} is empty")
-    return lines
-
-
 def load_tables(directory: str | Path) -> DataTables:
     """Load all tables from a directory of newline-delimited files."""
     directory = Path(directory)
@@ -93,7 +90,10 @@ def load_tables(directory: str | Path) -> DataTables:
         path = directory / fname
         if not path.is_file():
             raise DataTableError(f"missing data table file: {path}")
-        loaded[key] = _read_lines(path.read_text(encoding="utf-8"), fname)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        loaded[key] = tuple(line for line in lines if line.strip())
+        if not loaded[key]:
+            raise DataTableError(f"data table {fname} is empty")
     return DataTables(loaded)
 
 

@@ -23,7 +23,7 @@ from .app_model import (
     live_receiver_action,
     receiver_events,
 )
-from .data_tables import DataTables
+from .data_tables import ConfigError
 from .gcpause import gc_paused
 from .monkey import run_monkey
 from .rng import Xoshiro256StarStar, derive_seed
@@ -83,7 +83,7 @@ class ExplorationConfig:
 
     def __post_init__(self):
         if self.max_events < 1:
-            raise ValueError("max_events must be >= 1")
+            raise ConfigError("max_events must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,6 @@ class _Explorer:
 
 
 def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
-            tables: DataTables | None = None,
             runner: SessionRunner | None = None) -> Session:
     """Run one grey-box exploration session.
 
@@ -189,11 +188,11 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
     The app must be installed on ``device``.
 
     When an existing runner is passed, its session is continued from the
-    runner's device (``device`` and ``tables`` are then the runner's own);
-    otherwise a fresh runner is created over ``device``.
+    runner's device and with its tables; otherwise a fresh runner with the
+    packaged tables and guard is created over ``device``.
     """
     if runner is None:
-        runner = SessionRunner(app, device, tables=tables)
+        runner = SessionRunner(app, device)
     engine = _Explorer(runner, config)
     with gc_paused():
         engine.drain_ui()

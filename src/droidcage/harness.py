@@ -1,14 +1,14 @@
 """Experiment driver: runs the testing methods over a corpus.
 
 For every app and method a fresh device is provisioned, the session is
-executed with the full platform wired in (tracing, telephony policy,
-network pipeline), coverage is measured, and the environment is cleaned
-and verified. All three methods share one per-app seed so the random
-sub-stream inside the combined engine equals the standalone random run.
-That is also why, when a run includes both monkey and smart_monkey, each
-smart_monkey session starts from a copy of the app's finished monkey
-session and its NetGuard, and only the explorer runs on top of it: the
-monkey phase would replay exactly the same events.
+executed with the full platform wired in (tracing, telephony and network
+control), coverage is measured, and the session's containment and the
+device's cleanup are verified. All three methods share one per-app seed
+so the random sub-stream inside the combined engine equals the standalone
+random run. That is also why, when a run includes both monkey and
+smart_monkey, each smart_monkey session starts from a copy of the app's
+finished monkey session and its NetGuard, and only the explorer runs on
+top of it: the monkey phase would replay exactly the same events.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .app_model import AppModel, install_app, load_app_model
@@ -28,6 +27,7 @@ from .coverage import (
     measure,
     per_app_csv,
 )
+from .data_tables import ConfigError
 from .explorer import (
     ExplorationConfig,
     baseline_device,
@@ -36,16 +36,15 @@ from .explorer import (
 )
 from .monkey import MonkeyConfig, run_monkey
 from .netguard import (
+    DEFAULT_IDENTITIES,
     DEFAULT_REPUTATION_THRESHOLD,
     NetGuard,
-    ReputationProvider,
-    SignatureDb,
     check_threshold,
-    load_reputation,
-    load_signature_db,
+    default_reputation,
+    default_signatures,
 )
 from .rng import derive_seed
-from .session import Session, SessionRunner
+from .session import Session, SessionRunner, contained
 
 METHODS = ("monkey", "smart", "smart_monkey")
 FORMATS = ("human", "csv", "structured")
@@ -57,24 +56,6 @@ RESULT_COLUMNS = ("Method", "Classes average coverage", "Methods average coverag
 
 class ExperimentError(RuntimeError):
     """Fatal experiment problem (unreadable or empty corpus, bad config)."""
-
-
-# The pinned servers of the TLS fixture set, each with the root its app
-# embeds: banking-style apps that reject the sandbox's leaf.
-DEFAULT_IDENTITIES = {
-    "secure.bank.example": "bank-embedded-root",
-    "pay.wallet.example": "wallet-embedded-root",
-}
-
-
-def default_signatures() -> SignatureDb:
-    with resources.as_file(resources.files("droidcage.data") / "signatures.txt") as p:
-        return load_signature_db(p)
-
-
-def default_reputation() -> ReputationProvider:
-    with resources.as_file(resources.files("droidcage.data") / "reputation.txt") as p:
-        return load_reputation(p)
 
 
 @dataclass(frozen=True)
@@ -100,7 +81,7 @@ class ExperimentConfig:
                 raise ExperimentError(f"unknown format {f!r}")
         try:
             check_threshold(self.reputation_threshold)
-        except ValueError as e:
+        except ConfigError as e:
             raise ExperimentError(str(e)) from None
         # Checked here, not only where the monkey or the explorer runs, so
         # that a flag's contract does not depend on the methods asked for.
@@ -136,26 +117,17 @@ def load_corpus_dir(path: str | Path) -> list[AppModel]:
     return models
 
 
-def _make_guard(config: ExperimentConfig, signatures: SignatureDb,
-                reputation: ReputationProvider) -> NetGuard:
-    return NetGuard(signatures, reputation,
-                    threshold=config.reputation_threshold,
-                    identities=DEFAULT_IDENTITIES)
-
-
-def _run_one(app: AppModel, method: str, config: ExperimentConfig,
-             signatures: SignatureDb, reputation: ReputationProvider,
+def _run_one(app: AppModel, method: str, config: ExperimentConfig, guard: NetGuard,
              start: SessionRunner | None = None) -> tuple[CoverageReport, SessionRunner]:
-    """One (method, app) session: run, measure, clean up.
+    """One (method, app) session: run, measure, check containment, clean up.
 
-    ``start`` is the runner of the app's finished monkey job; a
-    smart_monkey job given it continues from a copy of it instead of
-    running the monkey phase again.
+    A fresh job's runner gets a copy of ``guard``. ``start`` is the runner
+    of the app's finished monkey job; a smart_monkey job given it
+    continues from a copy of it instead of running the monkey phase again.
     """
     seed_app = derive_seed(config.seed, app.package)
     if start is None:
-        guard = _make_guard(config, signatures, reputation)
-        runner = SessionRunner(app, install_app(baseline_device(), app), netguard=guard)
+        runner = SessionRunner(app, install_app(baseline_device(), app), netguard=guard.copy())
         # smart_monkey is the monkey phase, then the explorer, on one runner.
         if method != "smart":
             run_monkey(runner, MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
@@ -167,8 +139,9 @@ def _run_one(app: AppModel, method: str, config: ExperimentConfig,
                 runner.device, runner=runner)
 
     report = measure(runner.session, app)
-    cleaned = cleanup(runner.device)
-    if cleaned != baseline_device():
+    if not contained(runner.session, app.own_number):
+        raise ExperimentError(f"containment breached by {app.package}")
+    if cleanup(runner.device) != baseline_device():
         raise ExperimentError(f"cleanup verification failed for {app.package}")
     return report, runner
 
@@ -187,9 +160,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     its own runs its monkey phase itself.
     """
     corpus = load_corpus_dir(config.corpus)
-    # Read once per run; every session still gets a NetGuard (and capture
-    # log) of its own.
-    signatures, reputation = default_signatures(), default_reputation()
+    # Built once per run; every session gets a copy, and capture log, of its own.
+    guard = NetGuard(default_signatures(), default_reputation(),
+                     threshold=config.reputation_threshold, identities=DEFAULT_IDENTITIES)
 
     chained = "monkey" in config.methods and "smart_monkey" in config.methods
     outcomes = {}
@@ -197,7 +170,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for i, app in enumerate(corpus):
             start = outcomes["monkey", i][1] if chained and method == "smart_monkey" else None
             # Through the module attribute, so a wrapper of _run_one sees every job.
-            outcomes[method, i] = _run_one(app, method, config, signatures, reputation, start)
+            outcomes[method, i] = _run_one(app, method, config, guard, start)
 
     rows, per_app, sessions, capture_parts = [], [], {}, []
     for method in config.methods:

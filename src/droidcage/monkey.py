@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .app_model import Event, Screen, run_event_chain
+from .data_tables import ConfigError
 from .gcpause import gc_paused
 from .rng import Xoshiro256StarStar
 from .session import Session, SessionRunner
@@ -45,15 +46,15 @@ class MonkeyConfig:
 
     def __post_init__(self):
         if not 0 <= self.pct_syskeys <= 100:
-            raise ValueError("pct_syskeys must be in [0, 100]")
+            raise ConfigError("pct_syskeys must be in [0, 100]")
         if not 0 <= self.pct_appswitch <= 100:
-            raise ValueError("pct_appswitch must be in [0, 100]")
+            raise ConfigError("pct_appswitch must be in [0, 100]")
         if self.pct_syskeys + self.pct_appswitch > 100:
-            raise ValueError("pct_syskeys + pct_appswitch must be <= 100")
+            raise ConfigError("pct_syskeys + pct_appswitch must be <= 100")
         if self.throttle_ms < 0:
-            raise ValueError("throttle_ms must be >= 0")
+            raise ConfigError("throttle_ms must be >= 0")
         if self.event_count < 1:
-            raise ValueError("event_count must be >= 1")
+            raise ConfigError("event_count must be >= 1")
 
 
 def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,

@@ -38,10 +38,11 @@ import copy
 import hashlib
 import re
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .data_tables import DataTableError
+from .data_tables import ConfigError, DataTableError
 from .gcpause import gc_paused
 
 BLOCKED_PROTOCOLS = ("pop", "pop3", "imap", "ftp")
@@ -196,6 +197,24 @@ def load_reputation(path: str | Path) -> ReputationProvider:
     return ReputationProvider(dict(_read_tab_file(path, "reputation", _host_score)))
 
 
+def default_signatures() -> SignatureDb:
+    with resources.as_file(resources.files("droidcage.data") / "signatures.txt") as p:
+        return load_signature_db(p)
+
+
+def default_reputation() -> ReputationProvider:
+    with resources.as_file(resources.files("droidcage.data") / "reputation.txt") as p:
+        return load_reputation(p)
+
+
+# The pinned servers of the TLS fixture set, each with the root its app
+# embeds: banking-style apps that reject the sandbox's leaf.
+DEFAULT_IDENTITIES = {
+    "secure.bank.example": "bank-embedded-root",
+    "pay.wallet.example": "wallet-embedded-root",
+}
+
+
 # ---------------------------------------------------------------------------
 # Request parsing
 # ---------------------------------------------------------------------------
@@ -308,7 +327,7 @@ def _check_port(port: str) -> None:
 def check_threshold(threshold: int) -> int:
     """A reputation threshold, on the 0..100 scale of the scores."""
     if not 0 <= threshold <= 100:
-        raise ValueError(f"reputation threshold must be in [0, 100], got {threshold}")
+        raise ConfigError(f"reputation threshold must be in [0, 100], got {threshold}")
     return threshold
 
 

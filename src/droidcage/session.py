@@ -23,6 +23,7 @@ from .app_model import (
     run_event_chain,
 )
 from .data_tables import DataTables, default_tables
+from .netguard import DEFAULT_IDENTITIES, NetGuard, default_reputation, default_signatures
 from .telephony import TELEPHONY_KINDS, filter_outgoing
 from .trace import TraceConfig, record
 
@@ -39,7 +40,7 @@ class ObservedEffect:
     """One side effect plus what the platform did with it."""
 
     effect: SideEffect
-    tag: str  # observed | telephony_delivered | telephony_rejected | net_<disposition>
+    tag: str  # net_<disposition> | telephony_<delivered|rejected> | observed (in-process only)
 
 
 @dataclass
@@ -75,11 +76,12 @@ class SessionRunner:
     """Applies events for one session, absorbing all platform plumbing."""
 
     def __init__(self, app: AppModel, device: DeviceState, *,
-                 netguard=None, tables: DataTables | None = None):
+                 netguard: NetGuard | None = None, tables: DataTables | None = None):
         self.app = app
         self.device = device
         self.session = Session(device=device)
-        self.netguard = netguard
+        self.netguard = netguard or NetGuard(default_signatures(), default_reputation(),
+                                             identities=DEFAULT_IDENTITIES)
         self.tables = tables or default_tables()
         self._no_match = StepResult(device, (), (), False)
 
@@ -91,8 +93,7 @@ class SessionRunner:
         """
         dup = copy.copy(self)
         dup.session = self.session.copy()
-        if self.netguard is not None:
-            dup.netguard = self.netguard.copy()
+        dup.netguard = self.netguard.copy()
         return dup
 
     def step(self, event: Event) -> StepResult:
@@ -128,7 +129,7 @@ class SessionRunner:
             decision = filter_outgoing(eff, self.app.own_number)
             tag = "telephony_delivered" if decision.delivered else "telephony_rejected"
             return ObservedEffect(eff, tag)
-        if eff.kind == "network_request" and self.netguard is not None:
+        if eff.kind == "network_request":
             outcome = self.netguard.handle(eff.data, eff.protocol, eff.server)
             return ObservedEffect(eff, f"net_{outcome.disposition}")
         return ObservedEffect(eff, "observed")
@@ -138,3 +139,13 @@ class SessionRunner:
             return None
         ctx = self.device.context(self.app.package)
         return (ctx.activity, ctx.state)
+
+
+def contained(session: Session, own_number: str) -> bool:
+    """Whether a call or SMS to any number but ``own_number`` was rejected
+    and an effect has a ``net_`` tag exactly when it is a network request."""
+    return all(
+        (o.effect.kind == "network_request") == o.tag.startswith("net_")
+        and (o.effect.kind not in TELEPHONY_KINDS or o.effect.number == own_number
+             or o.tag == "telephony_rejected")
+        for o in session.effects)

@@ -46,6 +46,7 @@ from droidcage.corpus import write_corpus
 from droidcage.coverage import measure
 from droidcage.data_tables import default_tables
 from droidcage.explorer import baseline_device
+from droidcage.netguard import NetGuard
 
 from conftest import (
     FIXTURES,
@@ -279,7 +280,9 @@ def test_package_inside_the_name_rule_loads(package):
 _EVERY_FIELD = json.loads((FIXTURES / "every_field.app").read_text(encoding="utf-8"))
 _EVERY_FIELD_PATHS = tuple(_paths(_EVERY_FIELD))
 _SMALL_RUN = harness.ExperimentConfig(corpus=FIXTURES, monkey_events=30, max_events=60)
-_SIGNATURES, _REPUTATION = harness.default_signatures(), harness.default_reputation()
+_GUARD = NetGuard(harness.default_signatures(), harness.default_reputation(),
+                  threshold=_SMALL_RUN.reputation_threshold,
+                  identities=harness.DEFAULT_IDENTITIES)
 
 
 def test_every_field_fixture_uses_every_kind():
@@ -306,7 +309,7 @@ def test_any_value_anywhere_in_every_field_is_a_model_error_or_runs(path, value)
     except ModelValidationError:
         return
     for method in harness.METHODS:
-        _, runner = harness._run_one(app, method, _SMALL_RUN, _SIGNATURES, _REPUTATION)
+        _, runner = harness._run_one(app, method, _SMALL_RUN, _GUARD)
         "".join(call + "\n" for call in runner.session.trace).encode("utf-8")
         runner.netguard.capture_text()
         measure(runner.session, app)

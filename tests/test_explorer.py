@@ -242,8 +242,9 @@ def test_explorer_and_oracle_send_the_broadcasts_of_custom_tables():
     app = model_from_dict(doc)
     custom = DataTables({**TABLES.tables,
                          "broadcast": TABLES.table("broadcast") + (OUTSIDE_ACTION,)})
-    session = explore(app, ExplorationConfig(seed=0, max_events=100), device_for(app),
-                      tables=custom)
+    runner = SessionRunner(app, device_for(app), tables=custom)
+    session = explore(app, ExplorationConfig(seed=0, max_events=100), runner.device,
+                      runner=runner)
     assert session.executed_blocks == reachable_blocks(app, tables=custom) == {"v1", "v2", "v3"}
     assert reachable_blocks(app) == {"v1"}
 

@@ -17,8 +17,8 @@ from droidcage.coverage import measure
 from droidcage.data_tables import DataTables, default_tables
 from droidcage.explorer import ExplorationConfig, baseline_device, cleanup, explore
 from droidcage.monkey import MonkeyConfig, run_monkey
-from droidcage.netguard import NetGuard, parse_capture_log, write_log_entry
-from droidcage.session import SessionRunner
+from droidcage.netguard import parse_capture_log, write_log_entry
+from droidcage.session import SessionRunner, contained
 from droidcage.telephony import TELEPHONY_KINDS, filter_outgoing
 
 from conftest import OUTSIDE_ACTION, app_docs, device_for, event_pool
@@ -28,19 +28,14 @@ _DEFAULT = default_tables()
 # The packaged tables with a broadcast table that also holds OUTSIDE_ACTION.
 _CUSTOM = DataTables({**_DEFAULT.tables,
                       "broadcast": _DEFAULT.table("broadcast") + (OUTSIDE_ACTION,)})
-_SIGNATURES, _REPUTATION = harness.default_signatures(), harness.default_reputation()
 
 
 def _runs(app, tables, seed=0):
     """The runners of the monkey, smart and smart_monkey sessions of ``app``
-    under ``tables``, each with a NetGuard that knows the harness's servers."""
-    def runner():
-        guard = NetGuard(_SIGNATURES, _REPUTATION, identities=harness.DEFAULT_IDENTITIES)
-        return SessionRunner(app, install_app(baseline_device(), app), netguard=guard,
-                             tables=tables)
-
+    under ``tables``, each with the packaged NetGuard a runner gets by default."""
     monkey_config = MonkeyConfig(seed=seed, event_count=40, package=app.package)
-    runs = {method: runner() for method in harness.METHODS}
+    runs = {method: SessionRunner(app, install_app(baseline_device(), app), tables=tables)
+            for method in harness.METHODS}
     for method, run in runs.items():
         if method != "smart":
             run_monkey(run, monkey_config)
@@ -62,6 +57,15 @@ def test_every_session_block_is_reachable_by_the_oracle(doc):
         reachable = reachable_blocks(app, tables=tables)
         for method, session in _sessions(app, tables).items():
             assert session.executed_blocks <= reachable, (method, tables is _CUSTOM)
+
+
+@settings(max_examples=30, deadline=None)
+@given(app_docs())
+def test_every_session_is_contained(doc):
+    app = model_from_dict(doc)
+    for tables in (_DEFAULT, _CUSTOM):
+        for method, run in _runs(app, tables).items():
+            assert contained(run.session, app.own_number), (method, tables is _CUSTOM)
 
 
 @settings(max_examples=20, deadline=None)

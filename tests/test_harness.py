@@ -12,16 +12,19 @@ from pathlib import Path
 import pytest
 
 import droidcage
-from droidcage.corpus import write_corpus
+from droidcage.corpus import build_corpus, write_corpus
 from droidcage.coverage import AggregateRow
 from droidcage.harness import (
     ExperimentConfig,
     ExperimentError,
+    _run_one,
     emit_results,
     load_corpus_dir,
     run_experiment,
     write_outputs,
 )
+from droidcage.netguard import NetGuard
+from droidcage.session import ObservedEffect, SessionRunner
 
 # SHA-256 of the output directory of `droidcage run` on the default 20-app
 # corpus of seed 0. A change that alters any output byte must say why and
@@ -129,6 +132,25 @@ def test_a_device_left_dirty_after_cleanup_is_fatal(small_corpus, monkeypatch):
     first = load_corpus_dir(small_corpus)[0].package
     with pytest.raises(ExperimentError, match=f"cleanup verification failed for {first}$"):
         run_experiment(ExperimentConfig(corpus=small_corpus, methods=("monkey",)))
+
+
+@pytest.mark.parametrize("index, breach", [
+    (16, {"telephony_rejected": "telephony_delivered"}),  # the premium-SMS sender
+    (19, {"net_handled": "observed"}),  # the network-chatty app
+])
+def test_a_session_that_breaches_containment_is_fatal(monkeypatch, index, breach):
+    app = build_corpus(0, 20)[index].model
+    config = ExperimentConfig(corpus=Path("corpus"), methods=("smart",))
+    _run_one(app, "smart", config, NetGuard())
+    dispose = SessionRunner._dispose
+
+    def breaching(self, eff):
+        observed = dispose(self, eff)
+        return ObservedEffect(eff, breach.get(observed.tag, observed.tag))
+
+    monkeypatch.setattr(SessionRunner, "_dispose", breaching)
+    with pytest.raises(ExperimentError, match=f"containment breached by {app.package}$"):
+        _run_one(app, "smart", config, NetGuard())
 
 
 def test_run_experiment_row_per_method(small_corpus):

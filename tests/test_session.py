@@ -9,15 +9,24 @@ from droidcage.app_model import (
     SMS_RECEIVED_ACTION,
     Event,
     SessionCrashedError,
+    SideEffect,
     apply_event,
     identify_element,
     install_app,
     model_from_dict,
     run_event_chain,
 )
+from droidcage.corpus import build_corpus
 from droidcage.explorer import ExplorationConfig, baseline_device, explore
-from droidcage.netguard import NetGuard, parse_capture_log
-from droidcage.session import SessionRunner
+from droidcage.netguard import (
+    DEFAULT_IDENTITIES,
+    DEFAULT_REPUTATION_THRESHOLD,
+    NetGuard,
+    default_reputation,
+    default_signatures,
+    parse_capture_log,
+)
+from droidcage.session import ObservedEffect, Session, SessionRunner, contained
 
 from conftest import app_docs, device_for, event_pool
 
@@ -245,9 +254,52 @@ def test_a_copied_runner_leaves_the_original_unchanged():
     assert runner.device is session.device
 
 
-def test_a_copied_runner_without_a_guard_has_none():
-    app, runner = _runner(_self_sms_doc())
-    assert runner.copy().netguard is None
+def test_a_runner_built_without_a_guard_holds_the_packaged_guard():
+    app, runner = _runner(_copy_doc())
+    guard = runner.netguard
+    assert (guard.signatures, guard.reputation, guard.identities, guard.threshold) == (
+        default_signatures(), default_reputation(), DEFAULT_IDENTITIES,
+        DEFAULT_REPUTATION_THRESHOLD)
+    dup = runner.copy()
+    assert dup.netguard is not guard
+    assert dup.netguard.signatures is guard.signatures
+    send = identify_element("Main", app.screen("Main", "home").state.elements[0])
+    dup.step(Event("click", send))
+    assert dup.netguard.capture_log and dup.netguard.malformed_log and dup.netguard.forwarded
+    assert not (guard.capture_log or guard.malformed_log or guard.forwarded)
+
+
+def test_exploring_a_network_app_without_a_guard_passes_every_request_through_one():
+    # app19 of the corpus is the network-chatty one: its requests reach
+    # every NetGuard disposition.
+    app = build_corpus(0, 20)[19].model
+    runner = SessionRunner(app, install_app(baseline_device(), app))
+    explore(app, ExplorationConfig(seed=0), runner.device, runner=runner)
+    tags = [o.tag for o in runner.session.effects if o.effect.kind == "network_request"]
+    assert len(tags) == 7 and all(tag.startswith("net_") for tag in tags)
+    guard = runner.netguard
+    assert len(parse_capture_log(guard.capture_text())) == tags.count("net_handled") > 0
+    assert len(guard.malformed_log) == tags.count("net_malformed") > 0
+    assert contained(runner.session, app.own_number)
+
+
+_OWN = "5550199"
+
+
+@pytest.mark.parametrize("effect, tag, holds", [
+    (SideEffect("outgoing_sms", number=_OWN), "telephony_delivered", True),
+    (SideEffect("outgoing_sms", number="81001"), "telephony_rejected", True),
+    (SideEffect("outgoing_call", number="81001"), "telephony_rejected", True),
+    (SideEffect("network_request"), "net_handled", True),
+    (SideEffect("java_call"), "observed", True),
+    (SideEffect("outgoing_sms", number="81001"), "telephony_delivered", False),
+    (SideEffect("outgoing_call", number="81001"), "observed", False),
+    (SideEffect("network_request"), "observed", False),
+    (SideEffect("system_call"), "net_handled", False),
+])
+def test_contained_flags_every_effect_that_skipped_its_control(effect, tag, holds):
+    fine = ObservedEffect(SideEffect("outgoing_sms", number="81001"), "telephony_rejected")
+    assert contained(Session(effects=[fine, ObservedEffect(effect, tag)]), _OWN) is holds
 
 
 _FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_bomb", "crash_first")
