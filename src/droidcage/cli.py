@@ -166,8 +166,9 @@ def _cmd_decode_log(args) -> int:
         print(f"{tx.method} {tx.scheme}://{tx.host}:{tx.port}{tx.path}"
               f" [{len(tx.headers)} headers, {len(tx.content)} content bytes]")
     if args.verify:
-        reencoded = "".join(write_log_entry(tx) for tx in transactions)
-        if parse_capture_log(reencoded) != transactions:
+        # Record by record, so no second copy of the log is built: records
+        # are self-delimiting, so the log round-trips when each record does.
+        if any(parse_capture_log(write_log_entry(tx)) != [tx] for tx in transactions):
             print("round-trip FAILED", file=sys.stderr)
             return 1
         print(f"round-trip ok ({len(transactions)} records)")
@@ -178,6 +179,11 @@ def _cmd_make_corpus(args) -> int:
     paths = write_corpus(args.out, seed=args.seed, count=args.count)
     print(f"wrote {len(paths)} app models to {args.out}")
     return 0
+
+
+# The errors a subcommand may end with: each is printed, and exits 1.
+FATAL_ERRORS = (ExperimentError, ConfigError, ModelParseError, ModelValidationError,
+                LogDecodeError, DataTableError, OSError, UnicodeDecodeError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -192,8 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ExperimentError, ConfigError, ModelParseError, ModelValidationError,
-            LogDecodeError, DataTableError, OSError, UnicodeDecodeError) as e:
+    except FATAL_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

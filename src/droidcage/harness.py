@@ -172,7 +172,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # Through the module attribute, so a wrapper of _run_one sees every job.
             outcomes[method, i] = _run_one(app, method, config, guard, start)
 
-    rows, per_app, sessions, capture_parts = [], [], {}, []
+    # The run's capture log is every job's entries, joined once.
+    rows, per_app, sessions, entries = [], [], {}, []
     for method in config.methods:
         reports = []
         for i, app in enumerate(corpus):
@@ -180,9 +181,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             reports.append(report)
             per_app.append((method, report))
             sessions[method, app.package] = runner.session
-            capture_parts.append(runner.netguard.capture_text())
+            entries += runner.netguard.capture_log
         rows.append(aggregate(reports, method))
-    return ExperimentResult(tuple(rows), per_app, sessions, "".join(capture_parts))
+    return ExperimentResult(tuple(rows), per_app, sessions, "".join(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -469,8 +469,15 @@ def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
 
 
 def parse_capture_log(text: str) -> list[HttpTransaction]:
-    """Decode every record of a capture log, in order."""
-    records, pos, end = [], 0, len(text.rstrip())
+    """Decode every record of a capture log, in order.
+
+    The text is read in place: nothing slices or strips it whole.
+    """
+    # The records end where the trailing whitespace starts: what str.rstrip()
+    # would remove, the str.isspace characters that \s matches.
+    records, pos, end = [], 0, len(text)
+    while end and text[end - 1].isspace():
+        end -= 1
     with gc_paused():
         while pos < end:
             tx, pos = _read_entry(text, pos)

@@ -303,6 +303,28 @@ def test_decode_log_verify_reports_a_failed_round_trip(tmp_path, capsys, monkeyp
     assert captured.err == "round-trip FAILED\n"
 
 
+def test_decode_log_verify_prints_every_record_before_a_failed_last_record(tmp_path, capsys,
+                                                                           monkeypatch):
+    guard = NetGuard(default_signatures(), default_reputation())
+    for request in _REQUESTS[:3]:
+        guard.handle(*request)
+    log = tmp_path / "capture.log"
+    log.write_text(guard.capture_text(), encoding="utf-8")
+    assert len(guard.capture_log) == 3
+    # Only the last record is written back wrong.
+    monkeypatch.setattr(cli, "write_log_entry",
+                        lambda tx: write_log_entry(tx._replace(path="/tampered")
+                                                   if tx.host == "telemetry.trusted.example"
+                                                   else tx))
+    assert main(["decode-log", "--log", str(log), "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "GET http://x.example:8080/a?b=1 [2 headers, 0 content bytes]\n"
+        "POST http://x.example:80/up [2 headers, 12 content bytes]\n"
+        "GET https://telemetry.trusted.example:443/ [1 headers, 0 content bytes]\n")
+    assert captured.err == "round-trip FAILED\n"
+
+
 def test_decode_log_round_trip(corpus_dir, tmp_path, capsys):
     out = tmp_path / "results"
     main(["run", "--corpus", str(corpus_dir), "--seed", "0", "--out", str(out)])
@@ -357,6 +379,40 @@ _COMMANDS = [["decode-log", "--log"], ["decode-log", "--verify", "--log"],
              ["proxy-check", "--protocol", "ftp", "--request"]]
 
 
+def _quiet_main(argv: list[str], *exit_1_errors: str) -> tuple[int, str]:
+    """Exit code and stdout of ``main``; an exception that escapes it fails the test.
+
+    Each exit 1 must have a known cause: the subcommand's handler raised one
+    of the errors ``main`` catches (and ``main`` printed it), or the handler
+    printed one of ``exit_1_errors`` to stderr itself. An exit 0 prints
+    nothing to stderr.
+    """
+    name = "_cmd_" + argv[0].replace("-", "_")
+    handler, raised = getattr(cli, name), []
+
+    def recording(args):
+        try:
+            return handler(args)
+        except Exception as e:
+            raised.append(e)
+            raise
+
+    setattr(cli, name, recording)
+    try:
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    finally:
+        setattr(cli, name, handler)
+    if raised:
+        assert code == 1 and isinstance(raised[0], cli.FATAL_ERRORS)
+        assert err.getvalue() == f"error: {raised[0]}\n"
+    elif code == 1:
+        assert err.getvalue() in exit_1_errors
+    else:
+        assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(_COMMANDS),
        data=st.one_of(st.binary(max_size=300), st.just(_LOG),
@@ -365,17 +421,8 @@ _COMMANDS = [["decode-log", "--log"], ["decode-log", "--verify", "--log"],
 def test_decode_log_and_proxy_check_exit_0_or_1_on_any_file(tmp_path_factory, command, data):
     path = tmp_path_factory.getbasetemp() / "cli_input.bin"
     path.write_bytes(data)
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-        code = main([*command, str(path)])
+    code, _ = _quiet_main([*command, str(path)], "round-trip FAILED\n")
     assert code in (0, 1)
-    assert "Traceback" not in err.getvalue()
-
-
-def _quiet_main(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``main``; an exception that escapes it fails the test."""
-    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
 
 
 _LOGIN_GATE_PACKAGE = "com.fixture.logingate"
@@ -393,7 +440,8 @@ def test_monkey_flags_exit_1_exactly_when_out_of_contract(seed, syskeys, appswit
     code, out = _quiet_main(["monkey", "--app", str(FIXTURES / "login_gate.app"),
                              "-s", str(seed), "--pct-syskeys", str(syskeys),
                              "--pct-appswitch", str(appswitch), "--throttle", str(throttle),
-                             "-p", package, "-v", str(events)])
+                             "-p", package, "-v", str(events)],
+                            f"package {package} does not match model {_LOGIN_GATE_PACKAGE}\n")
     assert code == (1 if broken else 0)
     if not broken:
         assert f"events sent: {events}" in out

@@ -15,6 +15,7 @@ import droidcage
 from droidcage.corpus import build_corpus, write_corpus
 from droidcage.coverage import AggregateRow
 from droidcage.harness import (
+    METHODS,
     ExperimentConfig,
     ExperimentError,
     _run_one,
@@ -237,6 +238,23 @@ def test_capture_log_is_each_method_alone_in_order(three_methods, one_method_run
     # the monkey guards they start from.
     parts = [one_method_runs[m].capture_log for m in ("monkey", "smart", "smart_monkey")]
     assert three_methods.capture_log == "".join(parts)
+
+
+def test_capture_log_is_every_runners_entries_in_method_then_corpus_order(corpus20,
+                                                                          monkeypatch):
+    runners, run_one = {}, droidcage.harness._run_one
+
+    def recording(app, method, *args):
+        report, runner = run_one(app, method, *args)
+        runners[method, app.package] = runner
+        return report, runner
+
+    monkeypatch.setattr(droidcage.harness, "_run_one", recording)
+    result = run_experiment(ExperimentConfig(corpus=corpus20, seed=0))
+    entries = [entry for method in METHODS for app in load_corpus_dir(corpus20)
+               for entry in runners[method, app.package].netguard.capture_log]
+    assert len(runners) == 3 * 20 and entries
+    assert result.capture_log == "".join(entries)
 
 
 def test_smart_monkey_leaves_the_monkey_session_unchanged(three_methods, one_method_runs):

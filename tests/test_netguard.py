@@ -4,6 +4,7 @@ import itertools
 import re
 import textwrap
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -521,6 +522,41 @@ def test_data_after_a_single_record_is_a_log_decode_error(tail):
     assert parse_capture_log(entry + "\n \t") == [_log_tx()]
     with pytest.raises(LogDecodeError):
         parse_capture_log(entry + tail)
+
+
+@pytest.mark.parametrize("text, records", [
+    ("", []),
+    (" \n\x1c\x85\xa0\u2028\u3000", []),
+    (write_log_entry(_log_tx()) + "\x1c\x85\xa0\u2028\u3000", [_log_tx()]),
+], ids=["empty", "whitespace_only", "record_then_unicode_whitespace"])
+def test_trailing_whitespace_of_every_kind_ends_the_log(text, records):
+    # The str.isspace set: what str.rstrip() removes and \s matches.
+    assert parse_capture_log(text) == records
+
+
+def test_text_after_leading_unicode_whitespace_is_rejected_at_offset_0():
+    with pytest.raises(LogDecodeError, match="offset 0"):
+        parse_capture_log("\u3000x")
+
+
+def test_decoder_reads_the_log_in_place():
+    """A decode allocates far less than the log it reads: nothing copies,
+    slices or strips the whole text, even when most of it is whitespace."""
+    tx = _log_tx()
+    text = (write_log_entry(tx) + " " * 20_000) * 50
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        records = parse_capture_log(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert records == [tx] * 50
+    assert peak < len(text) // 4
 
 
 @pytest.mark.parametrize("text", [
