@@ -192,6 +192,10 @@ class Event(NamedTuple):
     name: str = ""    # system_key
 
 
+# The relaunch carries nothing but its kind: every engine sends this one.
+APP_SWITCH = Event("app_switch")
+
+
 # ---------------------------------------------------------------------------
 # Transitions
 # ---------------------------------------------------------------------------
@@ -514,7 +518,7 @@ def _candidate_events(app: AppModel, device: DeviceState, receivers: list[Event]
             else:
                 events.append(Event(action, target=key))
     events.extend(receivers)
-    events.append(Event("app_switch"))
+    events.append(APP_SWITCH)
     return events
 
 

@@ -29,6 +29,7 @@ from .harness import (
 )
 from .monkey import MonkeyConfig, run_monkey
 from .netguard import (
+    DEFAULT_IDENTITIES,
     DEFAULT_REPUTATION_THRESHOLD,
     LogDecodeError,
     NetGuard,
@@ -77,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     px = sub.add_parser("proxy-check", help="pipeline verdict for a raw request")
     px.add_argument("--request", required=True, type=Path)
     px.add_argument("--protocol", default="http")
+    px.add_argument("--server", help="the server the app contacts; an HTTPS request to a "
+                                     "pinned server is rejected")
     px.add_argument("--signatures", type=Path)
     px.add_argument("--reputation", type=Path)
     px.add_argument("--threshold", type=int, default=DEFAULT_REPUTATION_THRESHOLD)
@@ -148,14 +151,16 @@ def _cmd_monkey(args) -> int:
 def _cmd_proxy_check(args) -> int:
     sigs = load_signature_db(args.signatures) if args.signatures else default_signatures()
     rep = load_reputation(args.reputation) if args.reputation else default_reputation()
-    guard = NetGuard(sigs, rep, threshold=args.threshold)
-    outcome = guard.handle(args.request.read_bytes(), args.protocol)
+    guard = NetGuard(sigs, rep, threshold=args.threshold, identities=DEFAULT_IDENTITIES)
+    outcome = guard.handle(args.request.read_bytes(), args.protocol, args.server)
     if outcome.disposition == "malformed":
         print("malformed request (dropped)")
-        return 0
-    verdict = outcome.verdict
-    detail = verdict.signature_id or verdict.reason
-    print(f"verdict: {verdict.kind}" + (f" ({detail})" if detail else ""))
+    elif outcome.disposition == "tls_rejected":
+        print("tls rejected")
+    else:
+        verdict = outcome.verdict
+        detail = verdict.signature_id or verdict.reason
+        print(f"verdict: {verdict.kind}" + (f" ({detail})" if detail else ""))
     return 0
 
 

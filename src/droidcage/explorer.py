@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .app_model import (
+    APP_SWITCH,
     AppModel,
     DeviceState,
     ElementKey,
@@ -136,7 +137,7 @@ class _Explorer:
                     return
                 if idle_switch:
                     return  # relaunching did not help; pending pairs unreachable
-                self.issue(Event("app_switch"))
+                self.issue(APP_SWITCH)
                 idle_switch = True
                 continue
             idle_switch = False

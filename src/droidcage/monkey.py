@@ -9,8 +9,9 @@ element identity or textfield semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .app_model import Event, Screen, run_event_chain
+from .app_model import APP_SWITCH, Event, Screen, run_event_chain
 from .data_tables import ConfigError
 from .gcpause import gc_paused
 from .rng import Xoshiro256StarStar
@@ -29,10 +30,13 @@ SYSTEM_KEYS = ("home", "back", "volume_up", "volume_down", "call", "endcall")
 TEXT_MIN_LEN = 1
 TEXT_MAX_LEN = 8
 
-# Taps that hit no element carry nothing but their kind, so one shared
-# (immutable) event per kind serves them all; set_text misses keep their
-# own, since each carries its typed value.
-_MISSES = {kind: Event(kind) for kind in NAV_KINDS if kind != "set_text"}
+# Events are immutable, so equal ones are one shared object. A tap carries
+# nothing but its kind and the element it hit (None for a miss), so one
+# bounded cache serves every hit and miss; the system keys and the relaunch
+# are constants. set_text events keep their own, since each carries its
+# typed value.
+_tap = lru_cache(maxsize=4096)(Event)
+_SYSTEM_KEY_EVENTS = tuple(Event("system_key", name=key) for key in SYSTEM_KEYS)
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,9 @@ def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
     """The next event, hit-tested against ``screen`` (None after a crash)."""
     roll = rng.percent()
     if roll < config.pct_syskeys:
-        return Event("system_key", name=rng.choice(SYSTEM_KEYS))
+        return rng.choice(_SYSTEM_KEY_EVENTS)
     if roll < config.pct_syskeys + config.pct_appswitch:
-        return Event("app_switch")
+        return APP_SWITCH
 
     kind = rng.choice(NAV_KINDS)
     x = rng.randrange(SCREEN_WIDTH)
@@ -73,9 +77,7 @@ def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
     if kind == "set_text":
         value = rng.alnum(TEXT_MIN_LEN + rng.randrange(TEXT_MAX_LEN - TEXT_MIN_LEN + 1))
         return Event("set_text", target, value)
-    if target is None:
-        return _MISSES[kind]
-    return Event(kind, target=target)
+    return _tap(kind, target)
 
 
 def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .app_model import (
     UI_ACTIONS,
@@ -35,8 +35,7 @@ TARGET_PID = 4242
 TRACE_CONFIG = TraceConfig(target_pid=TARGET_PID)
 
 
-@dataclass(frozen=True)
-class ObservedEffect:
+class ObservedEffect(NamedTuple):
     """One side effect plus what the platform did with it."""
 
     effect: SideEffect

@@ -47,6 +47,7 @@ from droidcage.coverage import measure
 from droidcage.data_tables import default_tables
 from droidcage.explorer import baseline_device
 from droidcage.netguard import NetGuard
+from droidcage.session import ObservedEffect
 
 from conftest import (
     FIXTURES,
@@ -826,6 +827,9 @@ _RECORDS = [
     (TextMatch("equals", value="v"), ("kind", "value", "category")),
     (UiSource("Main", "home", 0), ("activity", "state", "element_index")),
     (ReceiverSource(PING, ("Main", "home")), ("action", "anchor")),
+    # The session's record of what the platform did with a side effect.
+    (ObservedEffect(SideEffect("outgoing_sms", number="81001"), "telephony_rejected"),
+     ("effect", "tag")),
 ]
 
 

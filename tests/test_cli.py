@@ -227,6 +227,22 @@ def test_proxy_check_verdicts(tmp_path, capsys):
     assert "block (unsupported_protocol)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("server, out", [
+    ("secure.bank.example", "tls rejected\n"),
+    ("pay.wallet.example", "tls rejected\n"),
+    ("telemetry.trusted.example", "verdict: redirect_sim (good_reputation)\n"),
+], ids=["pinned_bank", "pinned_wallet", "unpinned"])
+def test_proxy_check_applies_the_packaged_pins_to_the_named_server(tmp_path, capsys, server, out):
+    req = tmp_path / "req.bin"
+    req.write_bytes(f"GET / HTTP/1.1\r\nHost: {server}\r\n\r\n".encode())
+    assert main(["proxy-check", "--request", str(req), "--protocol", "https",
+                 "--server", server]) == 0
+    assert capsys.readouterr() == (out, "")
+    # A pin holds for HTTPS only: plain HTTP to the same server is filtered.
+    assert main(["proxy-check", "--request", str(req), "--server", server]) == 0
+    assert capsys.readouterr().out.startswith("verdict: ")
+
+
 @pytest.mark.parametrize("flag, text, message", [
     ("--signatures", "sig-a\tzz\n", ":1: bad signature line"),
     ("--signatures", "# comment\nsig-a 4142\n", ":2: bad signature line"),
@@ -376,6 +392,8 @@ def _capture_log() -> bytes:
 _LOG = _capture_log()
 _COMMANDS = [["decode-log", "--log"], ["decode-log", "--verify", "--log"],
              ["proxy-check", "--request"], ["proxy-check", "--protocol", "https", "--request"],
+             ["proxy-check", "--protocol", "https", "--server", "secure.bank.example",
+              "--request"],
              ["proxy-check", "--protocol", "ftp", "--request"]]
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import droidcage
+from droidcage.app_model import APP_SWITCH
 from droidcage.corpus import build_corpus, write_corpus
 from droidcage.coverage import AggregateRow
 from droidcage.harness import (
@@ -255,6 +256,18 @@ def test_capture_log_is_every_runners_entries_in_method_then_corpus_order(corpus
                for entry in runners[method, app.package].netguard.capture_log]
     assert len(runners) == 3 * 20 and entries
     assert result.capture_log == "".join(entries)
+
+
+def test_monkey_events_are_one_object_per_distinct_value_across_sessions(three_methods,
+                                                                        one_method_runs):
+    # Equal monkey events share one object across every app's session; a
+    # set_text event keeps its own, since it carries its typed value.
+    events = [e for session in one_method_runs["monkey"].sessions.values()
+              for e in session.events if e.kind != "set_text"]
+    assert len({id(e) for e in events}) == len(set(events)) < len(events)
+    relaunches = [e for session in three_methods.sessions.values()
+                  for e in session.events if e.kind == "app_switch"]
+    assert relaunches and all(e is APP_SWITCH for e in relaunches)
 
 
 def test_smart_monkey_leaves_the_monkey_session_unchanged(three_methods, one_method_runs):

@@ -1,10 +1,11 @@
 import pytest
 
-from droidcage.app_model import reachable_blocks
+from droidcage.app_model import APP_SWITCH, load_app_model, reachable_blocks
+from droidcage.corpus import build_corpus
 from droidcage.monkey import MonkeyConfig, run_monkey
 from droidcage.session import SessionRunner
 
-from conftest import device_for
+from conftest import FIXTURES, device_for
 from monkey_reference import generate_events
 
 PAPER_CONFIG = dict(seed=0, pct_syskeys=0, pct_appswitch=0, throttle_ms=50,
@@ -41,12 +42,17 @@ def test_nonzero_percentages_produce_those_kinds(tiny_taps):
     assert kinds.count("app_switch") > 0
 
 
+def _fixture_and_corpus_apps():
+    return ([load_app_model(path) for path in sorted(FIXTURES.glob("*.app"))]
+            + [app.model for app in build_corpus(seed=0, count=20)])
+
+
 @pytest.mark.parametrize("seed", (0, 5))
-def test_run_monkey_equals_stepping_the_generated_stream(tiny_taps, login_gate, crash_first,
-                                                         seed):
+def test_run_monkey_equals_stepping_the_generated_stream(seed):
     # With system keys and app switches, which move the app off its screen
-    # and so exercise run_monkey's cached screen.
-    for app in (tiny_taps, login_gate, crash_first):
+    # and so exercise run_monkey's cached screen. Events compare value for
+    # value, whichever objects carry them.
+    for app in _fixture_and_corpus_apps():
         config = MonkeyConfig(seed=seed, pct_syskeys=30, pct_appswitch=30,
                               event_count=300, package=app.package)
         device = device_for(app)
@@ -57,6 +63,20 @@ def test_run_monkey_equals_stepping_the_generated_stream(tiny_taps, login_gate, 
                 break
             stepped.step(event)
         assert session == stepped.session
+
+
+def test_monkey_sends_one_object_per_distinct_event_but_typed_text(login_gate):
+    config = MonkeyConfig(seed=5, pct_syskeys=30, pct_appswitch=30, event_count=500,
+                          package=login_gate.package)
+    events = run_monkey(SessionRunner(login_gate, device_for(login_gate)), config).events
+    shared = [e for e in events if e.kind != "set_text"]
+    typed = [e for e in events if e.kind == "set_text"]
+    assert {"system_key", "app_switch", "click"} <= {e.kind for e in shared}
+    assert any(e.target is not None for e in shared) and any(e.target is None for e in shared)
+    assert len({id(e) for e in shared}) == len(set(shared)) < len(shared)
+    assert all(e is APP_SWITCH for e in shared if e.kind == "app_switch")
+    # Each typed event carries its own value, so each is its own object.
+    assert len({id(e) for e in typed}) == len(typed) > 1
 
 
 def test_percent_bounds_validated():

@@ -302,6 +302,15 @@ def test_contained_flags_every_effect_that_skipped_its_control(effect, tag, hold
     assert contained(Session(effects=[fine, ObservedEffect(effect, tag)]), _OWN) is holds
 
 
+def test_observed_effect_repr_names_every_field():
+    # The repr it had as a frozen dataclass.
+    observed = ObservedEffect(SideEffect("outgoing_call", number="81001"), "telephony_rejected")
+    assert repr(observed) == (
+        "ObservedEffect(effect=SideEffect(kind='outgoing_call', data=b'', protocol='http', "
+        "server=None, number='81001', body='', signature='', origin=(), pid=None, name='', "
+        "action=''), tag='telephony_rejected')")
+
+
 _FIXTURES = ("login_gate", "tiny_taps", "one_button", "boot_gate", "sealed_bomb", "crash_first")
 
 
