@@ -827,6 +827,8 @@ def _build_model(doc: dict, source: str) -> AppModel:
 
     blocks = [BasicBlock(*_fields(_object(braw, source, "block"), source, _BLOCK_FIELDS))
               for braw in raw_blocks]
+    if not blocks:
+        raise ModelValidationError(f"{source}: at least one block required")
     known_blocks = {b.id for b in blocks}
     if len(known_blocks) != len(blocks):
         raise ModelValidationError(f"{source}: block ids must be unique")

@@ -168,8 +168,10 @@ def _cmd_decode_log(args) -> int:
     text = args.log.read_text(encoding="utf-8")
     transactions = parse_capture_log(text)
     for tx in transactions:
-        print(f"{tx.method} {tx.scheme}://{tx.host}:{tx.port}{tx.path}"
-              f" [{len(tx.headers)} headers, {len(tx.content)} content bytes]")
+        line = (f"{tx.method} {tx.scheme}://{tx.host}:{tx.port}{tx.path}"
+                f" [{len(tx.headers)} headers, {len(tx.content)} content bytes]")
+        # The log holds what the app sent: never echo a control character.
+        print(line if line.isprintable() else line.encode("unicode_escape").decode("ascii"))
     if args.verify:
         # Record by record, so no second copy of the log is built: records
         # are self-delimiting, so the log round-trips when each record does.

@@ -109,39 +109,31 @@ class _Explorer:
         self.budget = config.max_events
         # The (key, action) pairs already sent by this exploration.
         self.visited: set[tuple[ElementKey, str]] = set()
-        # Seen screens that may still hold an unvisited pair. Visited pairs
-        # are never forgotten, so a screen whose plan ran out leaves for good.
-        self.open_screens: dict[tuple[str, str], Screen] = {}
+        # The pairs a plan left unsent when the screen changed under it. A
+        # plan lists every pair of its screen not yet visited, and visited
+        # pairs are never forgotten, so ``left - visited`` is all the work
+        # still pending on screens seen so far.
+        self.left: set[tuple[ElementKey, str]] = set()
 
     def issue(self, event: Event) -> None:
         self.budget -= 1
         self.runner.step(event)
 
-    def _pending_anywhere(self) -> bool:
-        for name, screen in list(self.open_screens.items()):
-            if _plan(screen, self.visited):
-                return True
-            del self.open_screens[name]
-        return False
-
     def drain_ui(self) -> None:
         """Process screens until no unvisited pair is discoverable."""
-        runner, visited = self.runner, self.visited
+        runner, visited, left = self.runner, self.visited, self.left
         idle_switch = False
         while self.budget > 0 and not runner.device.crashed:
             screen = runner.current_screen()
-            shown = self.app.screen(*screen)
-            plan = _plan(shown, visited)
+            plan = _plan(self.app.screen(*screen), visited)
             if not plan:
-                if not self._pending_anywhere():
-                    return
-                if idle_switch:
-                    return  # relaunching did not help; pending pairs unreachable
+                left -= visited  # a sibling state sharing a key may have sent some
+                if not left or idle_switch:
+                    return  # nothing pending, or relaunching did not reach it
                 self.issue(APP_SWITCH)
                 idle_switch = True
                 continue
             idle_switch = False
-            self.open_screens[screen] = shown
             device = runner.device
             for n, (key, action, element) in enumerate(plan, 1):
                 if self.budget <= 0:
@@ -159,9 +151,8 @@ class _Explorer:
                 if runner.device is not device:
                     device = runner.device
                     if runner.current_screen() != screen:
+                        left.update(pair[:2] for pair in plan[n:])
                         break  # screen changed: replan there
-            if n == len(plan):  # every planned pair is now visited
-                del self.open_screens[screen]
 
     def inject(self) -> None:
         """One-shot broadcast, SMS and call injection.
@@ -197,9 +188,8 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
     engine = _Explorer(runner, config)
     with gc_paused():
         engine.drain_ui()
-        if not runner.device.crashed and engine.budget > 0:
-            engine.inject()
-            engine.drain_ui()
+        engine.inject()
+        engine.drain_ui()
     return runner.session
 
 

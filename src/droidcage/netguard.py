@@ -156,15 +156,18 @@ def _read_tab_file(path: str | Path, what: str, parse) -> list:
     """``parse(key, value)`` for each ``key<TAB>value`` line of a data file.
 
     Blank lines and lines starting with ``#`` are skipped. A line that does
-    not split in two, or that ``parse`` rejects with a ``ValueError``, raises
-    :class:`DataTableError` naming the file and the line number.
+    not split in two, that repeats an earlier line's key, or that ``parse``
+    rejects with a ``ValueError``, raises :class:`DataTableError` naming the
+    file and the line number.
     """
-    out = []
+    out, seen_on = [], {}
     for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
             key, value = line.split("\t")
+            if seen_on.setdefault(key, n) != n:
+                raise ValueError(f"{key!r} already listed on line {seen_on[key]}")
             out.append(parse(key, value))
         except ValueError as e:
             raise DataTableError(f"{path}:{n}: bad {what} line: {e}") from e

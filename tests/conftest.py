@@ -4,6 +4,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from droidcage.app_model import (
@@ -298,6 +299,7 @@ def app_docs(draw) -> dict:
         transition({"receiver": action, **(anchor or {})}, {})
     dynamic = [{**choice(places), "action": choice(_GEN_RECEIVER_ACTIONS)}
                for _ in range(draw(st.integers(0, 2)))]
+    assume(blocks)  # a model runs at least one block
     return {
         "package": "com.gen.app",
         "main_activity": "A0",

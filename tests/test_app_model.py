@@ -255,6 +255,7 @@ BROKEN_RULE_EDITS = [
      "letters, digits or '_', got '../../escaped'"),
     (("transitions",), [_BOOT, _BOOT],
      "ambiguous receiver transitions for ('broadcast', 'android.intent.action.BOOT_COMPLETED')"),
+    (("blocks",), [], "login_gate.app: at least one block required"),
 ]
 
 

@@ -254,8 +254,14 @@ def test_proxy_check_applies_the_packaged_pins_to_the_named_server(tmp_path, cap
     ("--reputation", "x.example\t\u0669\u0660\n", ":1: bad reputation line"),
     ("--reputation", "a.example\t100\nx.example\t200\n",
      ":2: bad reputation line: score out of range 0..100: 200"),
+    # A dict would keep the last score: 10 forwards what 90 alone redirects.
+    ("--reputation", "a.example\t90\n# later\na.example\t10\n",
+     ":3: bad reputation line: 'a.example' already listed on line 1"),
+    ("--signatures", "sig-a\t41\nsig-b\t42\nsig-a\t43\n",
+     ":3: bad signature line: 'sig-a' already listed on line 1"),
 ], ids=["bad_hex", "signature_without_tab", "empty_pattern", "non_integer_score", "reputation_without_tab",
-        "underscored_score", "arabic_indic_score", "score_over_100"])
+        "underscored_score", "arabic_indic_score", "score_over_100", "host_listed_twice",
+        "signature_id_listed_twice"])
 def test_proxy_check_with_a_bad_data_file_line_exits_1(tmp_path, capsys, flag, text, message):
     data = tmp_path / "data.txt"
     data.write_text(text, encoding="utf-8")
@@ -341,6 +347,20 @@ def test_decode_log_verify_prints_every_record_before_a_failed_last_record(tmp_p
     assert captured.err == "round-trip FAILED\n"
 
 
+def test_decode_log_escapes_control_characters_the_app_sent(tmp_path, capsys):
+    guard = NetGuard(default_signatures(), default_reputation())
+    guard.handle(b"GET /\x1b[2J\x07 HTTP/1.1\r\nHost: x.example\r\n\r\n", "http")
+    guard.handle(*_REQUESTS[0])
+    log = tmp_path / "capture.log"
+    log.write_text(guard.capture_text(), encoding="utf-8")
+    assert main(["decode-log", "--log", str(log), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("GET http://x.example:80/\\x1b[2J\\x07 [1 headers, 0 content bytes]\n"
+                   "GET http://x.example:8080/a?b=1 [2 headers, 0 content bytes]\n"
+                   "round-trip ok (2 records)\n")
+    assert all(c == "\n" or c >= " " for c in out)
+
+
 def test_decode_log_round_trip(corpus_dir, tmp_path, capsys):
     out = tmp_path / "results"
     main(["run", "--corpus", str(corpus_dir), "--seed", "0", "--out", str(out)])
@@ -370,6 +390,29 @@ def test_explore_rejects_wrongly_typed_value_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+_NO_BLOCKS = {
+    "package": "com.t.noblocks", "main_activity": "Main", "own_number": "5550000",
+    "activities": [{"name": "Main", "initial_state": "home",
+                    "states": [{"id": "home", "elements": []}]}],
+    "blocks": [], "transitions": [],
+}
+
+
+@pytest.mark.parametrize("command", ["explore", "monkey", "run"])
+def test_a_model_with_no_blocks_exits_1_without_traceback(tmp_path, capsys, command):
+    # Coverage ratios are over the model's blocks: none would divide by zero.
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    app = corpus / "noblocks.app"
+    app.write_text(json.dumps(_NO_BLOCKS), encoding="utf-8")
+    argv = {"explore": ["explore", "--app", str(app)], "monkey": ["monkey", "--app", str(app)],
+            "run": ["run", "--corpus", str(corpus), "--out", str(out)]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: noblocks.app: at least one block required\n"
+    assert not out.exists()
 
 
 def test_run_rejects_lone_surrogate_before_writing_output(tmp_path, capsys):
@@ -439,8 +482,9 @@ def _quiet_main(argv: list[str], *exit_1_errors: str) -> tuple[int, str]:
 def test_decode_log_and_proxy_check_exit_0_or_1_on_any_file(tmp_path_factory, command, data):
     path = tmp_path_factory.getbasetemp() / "cli_input.bin"
     path.write_bytes(data)
-    code, _ = _quiet_main([*command, str(path)], "round-trip FAILED\n")
+    code, out = _quiet_main([*command, str(path)], "round-trip FAILED\n")
     assert code in (0, 1)
+    assert all(c == "\n" or c >= " " for c in out)
 
 
 _LOGIN_GATE_PACKAGE = "com.fixture.logingate"

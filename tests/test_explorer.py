@@ -347,6 +347,48 @@ def test_relaunch_that_reaches_no_pending_pair_ends_the_sweep():
     assert reachable_blocks(app) == {"x1", "a1", "b1", "z1"}
 
 
+def _one_activity_app(states: dict, transitions: list, blocks: tuple) -> dict:
+    return {
+        "package": "com.t.left", "main_activity": "Main", "own_number": "5550000",
+        "activities": [{"name": "Main", "initial_state": "home",
+                        "states": [{"id": sid, "elements": els} for sid, els in states.items()]}],
+        "blocks": [{"id": b, "class": "c.Main", "method": b} for b in blocks],
+        "transitions": transitions,
+    }
+
+
+def _sent(session) -> list:
+    return [(e.kind, e.target and e.target.value) for e in session.events]
+
+
+def test_pair_left_unsent_by_a_screen_change_is_reached_by_a_relaunch():
+    # btn_go leaves home before btn_b is sent; the dead end holds one pair
+    # and no way back, so only a relaunch reaches btn_b.
+    app = model_from_dict(_one_activity_app(
+        {"home": [_button("btn_go", 0), _button("btn_b", 1)], "dead": [_button("btn_z", 0)]},
+        [_click("home", "btn_go", "go1", to="dead"), _click("home", "btn_b", "b1"),
+         _click("dead", "btn_z", "z1")],
+        ("go1", "b1", "z1")))
+    session = explore(app, ExplorationConfig(seed=0, max_events=100), device_for(app))
+    assert _sent(session) == [("click", "btn_go"), ("click", "btn_z"), ("app_switch", None),
+                              ("click", "btn_b")]
+    assert session.executed_blocks == reachable_blocks(app) == {"go1", "b1", "z1"}
+
+
+def test_pair_left_unsent_but_sent_from_a_sibling_state_needs_no_relaunch():
+    # btn_go leaves home before btn_b is sent, but mid, a state of the same
+    # activity, holds a btn_b with the same key: sending it there spends the
+    # pair, so nothing is left to relaunch for.
+    app = model_from_dict(_one_activity_app(
+        {"home": [_button("btn_go", 0), _button("btn_b", 1)], "mid": [_button("btn_b", 0)]},
+        [_click("home", "btn_go", "go1", to="mid"), _click("home", "btn_b", "hb1"),
+         _click("mid", "btn_b", "mb1")],
+        ("go1", "hb1", "mb1")))
+    session = explore(app, ExplorationConfig(seed=0, max_events=100), device_for(app))
+    assert _sent(session) == [("click", "btn_go"), ("click", "btn_b")]
+    assert session.executed_blocks == {"go1", "mb1"}
+
+
 @pytest.fixture(scope="module")
 def corpus_by_archetype(tmp_path_factory):
     """The first app of each archetype in the 20-app corpus of seed 0."""
