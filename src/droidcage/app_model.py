@@ -69,6 +69,12 @@ class OracleBudgetError(RuntimeError):
         self.max_states = max_states
 
 
+# ``_make(Record, fields)`` is ``Record._make(fields)`` without its arity
+# check: the loader builds its per-element records with it, from the tuple
+# of all their fields, and tests check their arity.
+_make = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # UI structure
 # ---------------------------------------------------------------------------
@@ -103,13 +109,13 @@ def identify_element(activity: str, element: UiElement) -> ElementKey:
     the activity), printed text, then raw dimensions.
     """
     if element.id_string:
-        return ElementKey("strong_id", activity, element.id_string)
+        return _make(ElementKey, ("strong_id", activity, element.id_string))
     if element.content_description:
-        return ElementKey("strong_desc", activity, element.content_description)
+        return _make(ElementKey, ("strong_desc", activity, element.content_description))
     if element.text:
-        return ElementKey("partial_text", None, element.text)
+        return _make(ElementKey, ("partial_text", None, element.text))
     _, _, width, height = element.bounds
-    return ElementKey("partial_dims", None, (width, height))
+    return _make(ElementKey, ("partial_dims", None, (width, height)))
 
 
 class UiState(NamedTuple):
@@ -226,8 +232,7 @@ class ReceiverSource(NamedTuple):
     anchor: Optional[tuple[str, str]] = None  # restrict to (activity, state)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: Union[UiSource, ReceiverSource]
     # A UI action, or the event kind a receiver transition fires on:
     # broadcast | incoming_sms | incoming_call.
@@ -441,19 +446,20 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     if transition is None:
         return StepResult(device, (), (), False)
 
+    _, _, _, to, blocks, effects, crash = transition
     new_ctx = ctx
-    for eff in transition.side_effects:
+    for eff in effects:
         if eff.kind == "register_receiver":
             new_ctx = AppContext(new_ctx.activity, new_ctx.state,
                                  new_ctx.receivers | {eff.action})
-    if transition.to is not None and transition.to != (new_ctx.activity, new_ctx.state):
-        new_ctx = _enter_state(app, new_ctx, *transition.to)
+    if to is not None and to != (new_ctx.activity, new_ctx.state):
+        new_ctx = _enter_state(app, new_ctx, *to)
     # A transition that leaves the context equal (registering a receiver
     # that is already live, say) and does not crash keeps the device it got.
-    if transition.crash or new_ctx != ctx:
+    if crash or new_ctx != ctx:
         device = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
-                             device.running_processes, device.settings, transition.crash)
-    return StepResult(device, transition.blocks, transition.side_effects, True)
+                             device.running_processes, device.settings, crash)
+    return StepResult(device, blocks, effects, True)
 
 
 def loopback_event(effect: SideEffect) -> Event:
@@ -573,17 +579,20 @@ def _object(raw, where: str, what: str) -> dict:
     return raw
 
 
-# A field kind: the words its message uses, and the exact types json.loads
-# gives for it (so ``true`` is neither a number nor an element index).
+# A field kind: the exact types json.loads gives for it (so ``true`` is
+# neither a number nor an element index), and the words its message uses.
 _NONE = type(None)
-_STRING = ("a string", (str,))
-_OPT_STRING = ("a string or null", (str, _NONE))
-_ARRAY = ("a JSON array", (list,))
-_OBJECT = ("a JSON object", (dict,))
-_OPT_OBJECT = ("a JSON object or null", (dict, _NONE))
-_BOOL = ("a boolean", (bool,))
-_OPT_INT = ("an int or null", (int, _NONE))
-_ELEMENT_REF = ("an int or a string", (int, str))
+_STRING = (str,)
+_OPT_STRING = (str, _NONE)
+_ARRAY = (list,)
+_OBJECT = (dict,)
+_OPT_OBJECT = (dict, _NONE)
+_BOOL = (bool,)
+_OPT_INT = (int, _NONE)
+_ELEMENT_REF = (int, str)
+_KIND_WORDS = {_STRING: "a string", _OPT_STRING: "a string or null", _ARRAY: "a JSON array",
+               _OBJECT: "a JSON object", _OPT_OBJECT: "a JSON object or null", _BOOL: "a boolean",
+               _OPT_INT: "an int or null", _ELEMENT_REF: "an int or a string"}
 
 _REQUIRED = object()
 
@@ -598,12 +607,12 @@ def _fields(obj: dict, where: str, spec: tuple) -> list:
     values = []
     for key, kind, default in spec:
         value = obj.get(key, default)
-        if type(value) in kind[1]:
+        if type(value) in kind:
             if type(value) is str and not value.isascii():
                 _check_text(value, key, where)
         elif key in obj:
             raise ModelValidationError(
-                f"{where}: {key} must be {kind[0]}, got {type(value).__name__}")
+                f"{where}: {key} must be {_KIND_WORDS[kind]}, got {type(value).__name__}")
         elif default is _REQUIRED:
             raise ModelValidationError(f"{where}: missing field {key!r}")
         values.append(value)
@@ -701,7 +710,8 @@ def _load_element(raw, where: str) -> UiElement:
         raise ModelValidationError(f"{where}: textfield must list set_text")
     if kind == "checkbox" and "toggle" not in actions:
         raise ModelValidationError(f"{where}: checkbox must list toggle")
-    return UiElement(kind, id_string, description, text, hint, (x, y, w, h), tuple(actions))
+    return _make(UiElement, (kind, id_string, description, text, hint, (x, y, w, h),
+                             tuple(actions)))
 
 
 # Each side-effect kind's fields, named as SideEffect names them.
@@ -825,7 +835,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
         raise ModelValidationError(f"{source}: main_activity {main_activity!r} not found")
     places = {a.name: {st.id: st for st in a.states} for a in activities}
 
-    blocks = [BasicBlock(*_fields(_object(braw, source, "block"), source, _BLOCK_FIELDS))
+    blocks = [_make(BasicBlock, _fields(_object(braw, source, "block"), source, _BLOCK_FIELDS))
               for braw in raw_blocks]
     if not blocks:
         raise ModelValidationError(f"{source}: at least one block required")
@@ -867,7 +877,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
                 _one_of(action_name, where, UI_ACTIONS, "trigger action")
                 raise ModelValidationError(
                     f"{where}: element {idx} does not list {action_name!r}")
-            source_obj = UiSource(act, state.id, idx)
+            source_obj = _make(UiSource, (act, state.id, idx))
         if match is not None and action_name != "set_text":
             raise ModelValidationError(f"{where}: text match is only valid on set_text")
 
@@ -877,9 +887,9 @@ def _build_model(doc: dict, source: str) -> AppModel:
         for bid in tblocks:
             if type(bid) is not str or bid not in known_blocks:
                 raise ModelValidationError(f"{where}: unknown block {bid!r}")
-        transitions.append(Transition(source_obj, action_name, match, to, tuple(tblocks),
-                                      tuple([_load_side_effect(e, where) for e in effects]),
-                                      crash))
+        effects = tuple([_load_side_effect(e, where) for e in effects]) if effects else ()
+        transitions.append(_make(Transition, (source_obj, action_name, match, to,
+                                              tuple(tblocks), effects, crash)))
 
     app = AppModel(
         package=package,

@@ -28,6 +28,7 @@ from droidcage.app_model import (
     SideEffect,
     StepResult,
     TextMatch,
+    Transition,
     UiElement,
     UiSource,
     UiState,
@@ -435,6 +436,43 @@ def test_loaded_corpus_repr_is_golden(tmp_path, seed):
     assert _repr_digest(harness.load_corpus_dir(tmp_path)) == GOLDEN_CORPUS_REPR_DIGESTS[seed]
 
 
+def _records_built_without_a_constructor(app):
+    """The records the loader builds with ``tuple.__new__``, which checks no arity."""
+    for activity in app.activities:
+        for state in activity.states:
+            yield from state.elements
+            yield from app.screen(activity.name, state.id).keys
+    yield from app.blocks
+    for t in app.transitions:
+        yield t
+        if isinstance(t.source, UiSource):
+            yield t.source
+
+
+def _check_record_arity(app):
+    for record in _records_built_without_a_constructor(app):
+        assert len(record) == len(type(record)._fields)
+        assert record == type(record)(*record)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODEL_REPR_DIGESTS))
+def test_fixture_records_have_their_arity(name):
+    _check_record_arity(load_app_model(FIXTURES / name))
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CORPUS_REPR_DIGESTS))
+def test_corpus_records_have_their_arity(tmp_path, seed):
+    write_corpus(tmp_path, seed, 20)
+    for app in harness.load_corpus_dir(tmp_path):
+        _check_record_arity(app)
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_docs())
+def test_generated_model_records_have_their_arity(doc):
+    _check_record_arity(model_from_dict(doc))
+
+
 def test_distinct_equals_values_are_allowed(tmp_path):
     doc = _minimal_doc()
     doc["activities"][0]["states"][0]["elements"].append(
@@ -685,6 +723,25 @@ def test_changing_transition_returns_a_new_device_and_leaves_the_input(request, 
     assert device == snapshot
 
 
+def test_transition_that_registers_moves_and_crashes_does_all_three():
+    doc = _minimal_doc()
+    doc["activities"][0]["states"].append({"id": "away"})
+    doc["receivers"]["dynamic"] = [{"activity": "Main", "state": "away", "action": OUTSIDE_ACTION}]
+    doc["transitions"][0].update(to={"activity": "Main", "state": "away"}, crash=True,
+                                 side_effects=[{"kind": "register_receiver", "action": PING}])
+    app = model_from_dict(doc)
+    (transition,) = app.transitions
+    device = device_for(app)
+    result = apply_event(device, app, _click_home(app, "b"))
+    assert result.matched
+    ctx = AppContext("Main", "away", frozenset({PING, OUTSIDE_ACTION}))
+    assert result.device == device._replace(contexts={**device.contexts, app.package: ctx},
+                                            crashed=True)
+    assert result.executed_blocks is transition.blocks
+    assert result.side_effects is transition.side_effects
+    assert not device.crashed
+
+
 @pytest.mark.parametrize("record", [DeviceState(), Settings()], ids=lambda r: type(r).__name__)
 def test_no_device_field_can_be_assigned(record):
     for name in record._fields:
@@ -828,6 +885,10 @@ _RECORDS = [
     (TextMatch("equals", value="v"), ("kind", "value", "category")),
     (UiSource("Main", "home", 0), ("activity", "state", "element_index")),
     (ReceiverSource(PING, ("Main", "home")), ("action", "anchor")),
+    # The field order apply_event unpacks.
+    (Transition(UiSource("Main", "home", 0), "click", None, ("Main", "away"), ("k1",),
+                (SideEffect("register_receiver", action=PING),), True),
+     ("source", "action", "match", "to", "blocks", "side_effects", "crash")),
     # The session's record of what the platform did with a side effect.
     (ObservedEffect(SideEffect("outgoing_sms", number="81001"), "telephony_rejected"),
      ("effect", "tag")),
