@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .data_tables import CATEGORIES, DataTables, default_tables
 from .gcpause import gc_paused
@@ -70,8 +70,8 @@ class OracleBudgetError(RuntimeError):
 
 
 # ``_make(Record, fields)`` is ``Record._make(fields)`` without its arity
-# check: the loader builds its per-element records with it, from the tuple
-# of all their fields, and tests check their arity.
+# check: the loader builds its per-element records with it, and each step
+# its result, from the tuple of all their fields; tests check their arity.
 _make = tuple.__new__
 
 
@@ -134,7 +134,7 @@ class Screen:
     (element index, action) in model order; :class:`AppModel` fills it.
     """
 
-    __slots__ = ("state", "keys", "first_index", "transitions", "_bounds")
+    __slots__ = ("state", "keys", "first_index", "transitions", "_bounds", "_pairs")
 
     def __init__(self, activity: str, state: UiState):
         self.state = state
@@ -144,11 +144,18 @@ class Screen:
             self.first_index.setdefault(key, i)
         self.transitions: dict[tuple[int, str], tuple[Transition, ...]] = {}
         self._bounds = tuple([el.bounds for el in state.elements])
+        self._pairs = None  # built by pairs()
 
-    def entries(self) -> Iterator[tuple[ElementKey, UiElement]]:
-        """The unshadowed elements with their keys, in screen order."""
-        elements = self.state.elements
-        return ((key, elements[i]) for key, i in self.first_index.items())
+    def pairs(self) -> tuple[tuple[tuple[ElementKey, str], UiElement, Optional[Event]], ...]:
+        """The unshadowed (key, action) pairs in screen order, each with its element
+        and its one shared event (none for set_text, whose value varies); built on first use."""
+        if self._pairs is None:
+            elements = self.state.elements
+            self._pairs = tuple([((key, action), elements[i],
+                                  None if action == "set_text" else Event(action, key))
+                                 for key, i in self.first_index.items()
+                                 for action in elements[i].actions])
+        return self._pairs
 
     def hit(self, x: int, y: int) -> Optional[ElementKey]:
         """Key of the first element containing (x, y), or None."""
@@ -431,12 +438,11 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
                     transition = t
                     break
     elif kind == "app_switch":
-        if (ctx.activity, ctx.state) == app.home:
-            return StepResult(device, (), (), False)
-        new_ctx = _enter_state(app, ctx, *app.home)
-        dev = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
-                          device.running_processes, device.settings, False)
-        return StepResult(dev, (), (), True)
+        if (ctx.activity, ctx.state) != app.home:
+            new_ctx = _enter_state(app, ctx, *app.home)
+            dev = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
+                              device.running_processes, device.settings, False)
+            return _make(StepResult, (dev, (), (), True))
     elif (action := live_receiver_action(app, ctx, event)) is not None:
         for t in app._receiver_transitions.get((kind, action), ()):
             anchor = t.source.anchor
@@ -444,7 +450,7 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
                 transition = t
                 break
     if transition is None:
-        return StepResult(device, (), (), False)
+        return _make(StepResult, (device, (), (), False))
 
     _, _, _, to, blocks, effects, crash = transition
     new_ctx = ctx
@@ -459,7 +465,7 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     if crash or new_ctx != ctx:
         device = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
                              device.running_processes, device.settings, crash)
-    return StepResult(device, blocks, effects, True)
+    return _make(StepResult, (device, blocks, effects, True))
 
 
 def loopback_event(effect: SideEffect) -> Event:
@@ -517,20 +523,14 @@ def receiver_events(app: AppModel, tables: DataTables) -> list[Event]:
 def _candidate_events(app: AppModel, device: DeviceState, receivers: list[Event]) -> list[Event]:
     ctx = device.context(app.package)
     events: list[Event] = []
-    for key, el in app.screen(ctx.activity, ctx.state).entries():
-        for action in el.actions:
-            if action == "set_text":
-                events.extend(Event("set_text", key, v) for v in app.alphabet)
-            else:
-                events.append(Event(action, target=key))
+    for (key, _), _, event in app.screen(ctx.activity, ctx.state).pairs():
+        if event is None:
+            events.extend([Event("set_text", key, v) for v in app.alphabet])
+        else:
+            events.append(event)
     events.extend(receivers)
     events.append(APP_SWITCH)
     return events
-
-
-def _state_key(app: AppModel, device: DeviceState):
-    ctx = device.context(app.package)
-    return ctx.activity, ctx.state, ctx.receivers
 
 
 def reachable_blocks(app: AppModel, *, max_states: int = 10_000,
@@ -545,7 +545,7 @@ def reachable_blocks(app: AppModel, *, max_states: int = 10_000,
     receivers = receiver_events(app, tables)
 
     start = install_app(DeviceState(), app)
-    seen = {_state_key(app, start)}
+    seen = {start.contexts[app.package]}  # a context is (activity, state, receivers)
     frontier = deque([start])
     blocks: set[str] = set()
 
@@ -556,13 +556,14 @@ def reachable_blocks(app: AppModel, *, max_states: int = 10_000,
                 new_device, steps = run_event_chain(device, app, event, tables)
                 for _, res in steps:
                     blocks.update(res.executed_blocks)
-                if new_device.crashed:
-                    continue  # terminal: crashed sessions accept nothing further
-                key = _state_key(app, new_device)
-                if key not in seen:
+                # An unchanged device is the one expanded; a crashed one takes no events.
+                if new_device is device or new_device.crashed:
+                    continue
+                ctx = new_device.contexts[app.package]
+                if ctx not in seen:
                     if len(seen) >= max_states:
                         raise OracleBudgetError(len(seen), max_states)
-                    seen.add(key)
+                    seen.add(ctx)
                     frontier.append(new_device)
     return frozenset(blocks)
 
@@ -725,6 +726,8 @@ _SIDE_EFFECT_FIELDS = {
     "system_call": (("name", _STRING, _REQUIRED), ("pid", _OPT_INT, None)),
     "register_receiver": (("action", _STRING, _REQUIRED),),
 }
+# The field naming each call kind's call: a trace file holds one call per line.
+_CALL_NAME_FIELDS = {"java_call": "signature", "system_call": "name"}
 
 
 def _load_side_effect(raw, where: str) -> SideEffect:
@@ -734,9 +737,11 @@ def _load_side_effect(raw, where: str) -> SideEffect:
     fields = dict(zip([key for key, _, _ in spec], _fields(raw, where, spec)))
     if kind == "network_request":
         fields["data"] = fields["data"].encode("utf-8")
+    name = _CALL_NAME_FIELDS.get(kind)
+    # Every str.splitlines() boundary counts as a line break.
+    if name is not None and fields[name].splitlines() != [fields[name]]:
+        raise ModelValidationError(f"{where}: {kind} {name} must be non-empty and one line")
     if kind == "java_call":
-        if not fields["signature"]:
-            raise ModelValidationError(f"{where}: java_call signature must be non-empty")
         fields["origin"] = tuple([_one_of(flag, where, ORIGIN_FLAGS, "origin flag")
                                   for flag in fields["origin"]])
     return SideEffect(kind, **fields)

@@ -91,12 +91,13 @@ class ExplorationConfig:
 # Exploration
 # ---------------------------------------------------------------------------
 
-def _plan(screen: Screen, visited: set) -> list[tuple[ElementKey, str, UiElement]]:
-    """Unvisited (key, action) pairs for one screen, fills scheduled first."""
-    entries = [(key, action, el) for key, el in screen.entries()
-               for action in el.actions if (key, action) not in visited]
-    first = [e for e in entries if e[1] in ("set_text", "toggle")]
-    rest = [e for e in entries if e[1] not in ("set_text", "toggle")]
+def _plan(screen: Screen, visited: set) -> list[tuple[tuple[ElementKey, str], UiElement,
+                                                      Event | None]]:
+    """The entries of ``screen.pairs()`` whose (key, action) pair is unvisited,
+    fills scheduled first."""
+    entries = [e for e in screen.pairs() if e[0] not in visited]
+    first = [e for e in entries if e[0][1] in ("set_text", "toggle")]
+    rest = [e for e in entries if e[0][1] not in ("set_text", "toggle")]
     return first + rest
 
 
@@ -135,23 +136,21 @@ class _Explorer:
                 continue
             idle_switch = False
             device = runner.device
-            for n, (key, action, element) in enumerate(plan, 1):
+            for n, (pair, element, event) in enumerate(plan, 1):
                 if self.budget <= 0:
                     return
-                visited.add((key, action))
-                if action == "set_text":
+                visited.add(pair)
+                if event is None:  # set_text
                     category = categorize_textfield(element)
                     value = (self.rng.alnum(UNCATEGORIZED_FILL_LENGTH) if category == "uncategorized"
                              else self.tables.fill(category, self.rng.choice))
-                    event = Event("set_text", key, value)
-                else:
-                    event = Event(action, key)
+                    event = Event("set_text", pair[0], value)
                 self.issue(event)
                 # Devices are never mutated: the same device shows the same screen.
                 if runner.device is not device:
                     device = runner.device
                     if runner.current_screen() != screen:
-                        left.update(pair[:2] for pair in plan[n:])
+                        left.update(e[0] for e in plan[n:])
                         break  # screen changed: replan there
 
     def inject(self) -> None:

@@ -257,6 +257,11 @@ BROKEN_RULE_EDITS = [
     (("transitions",), [_BOOT, _BOOT],
      "ambiguous receiver transitions for ('broadcast', 'android.intent.action.BOOT_COMPLETED')"),
     (("blocks",), [], "login_gate.app: at least one block required"),
+    # A trace file holds one call per line: two calls must not read back as three.
+    (("transitions", 7, "side_effects", 0, "signature"), "La;->x()V\nLb;->y()V",
+     "transition[7]: java_call signature must be non-empty and one line"),
+    (("transitions", 15, "side_effects", 0), {"kind": "system_call", "name": ""},
+     "transition[15]: system_call name must be non-empty and one line"),
 ]
 
 
@@ -264,6 +269,24 @@ BROKEN_RULE_EDITS = [
 def test_each_broken_rule_is_validation_error(path, value, message):
     with pytest.raises(ModelValidationError, match=re.escape(message)):
         model_from_dict(edited_login_gate(path, value), source="login_gate.app")
+
+
+# Every boundary str.splitlines() breaks at.
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029")
+
+
+@pytest.mark.parametrize("kind, key", [("java_call", "signature"), ("system_call", "name")])
+@pytest.mark.parametrize("brk", _LINE_BREAKS)
+def test_a_call_name_is_one_line_at_every_line_boundary(kind, key, brk):
+    for value in (f"a{brk}b", f"a{brk}", f"{brk}a", brk):
+        effect = {"kind": kind, key: value}
+        with pytest.raises(ModelValidationError, match=f"{kind} {key} must be non-empty and one"):
+            model_from_dict(edited_login_gate(("transitions", 15, "side_effects", 0), effect))
+    # A tab or a space is no line break.
+    effect = {"kind": kind, key: "a\tb c"}
+    app = model_from_dict(edited_login_gate(("transitions", 15, "side_effects", 0), effect))
+    assert getattr(app.transitions[15].side_effects[0], key) == "a\tb c"
 
 
 @pytest.mark.parametrize("package", [
@@ -471,6 +494,30 @@ def test_corpus_records_have_their_arity(tmp_path, seed):
 @given(app_docs())
 def test_generated_model_records_have_their_arity(doc):
     _check_record_arity(model_from_dict(doc))
+
+
+def _check_step_result_arity(app):
+    """apply_event builds its results with ``tuple.__new__`` too: check every
+    result of every pooled event on every screen of ``app``."""
+    launched = device_for(app)
+    for activity in app.activities:
+        for state in activity.states:
+            device = launched._replace(contexts={app.package: AppContext(activity.name, state.id)})
+            for event in event_pool(app):
+                result = apply_event(device, app, event)
+                assert len(result) == len(StepResult._fields) == 4
+                assert result == StepResult(*result)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODEL_REPR_DIGESTS))
+def test_fixture_step_results_have_their_arity(name):
+    _check_step_result_arity(load_app_model(FIXTURES / name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_docs())
+def test_generated_model_step_results_have_their_arity(doc):
+    _check_step_result_arity(model_from_dict(doc))
 
 
 def test_distinct_equals_values_are_allowed(tmp_path):

@@ -425,6 +425,19 @@ def test_run_rejects_lone_surrogate_before_writing_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, key", [("java_call", "signature"), ("system_call", "name")])
+def test_run_rejects_a_call_name_that_is_not_one_line(tmp_path, capsys, kind, key):
+    # A trace file holds one call per line: this name would read back as two calls.
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    effect = {"kind": kind, key: "La;->x()V\nLb;->y()V"}
+    doc = edited_login_gate(("transitions", 15, "side_effects", 0), effect)
+    (corpus / "bad.app").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert f"{kind} {key} must be non-empty and one line" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _capture_log() -> bytes:
     guard = NetGuard()
     guard.handle(b"GET /a HTTP/1.1\r\nHost: h.example\r\nheader: x\r\n\r\n")

@@ -421,7 +421,7 @@ def test_budget_stops_the_explorer_mid_plan(tiny_taps):
     # Three clicks that all stay on the first screen; a budget of two stops
     # the explorer inside that screen's plan.
     home = tiny_taps.screen("Main", "home")
-    plan = [(key, action) for key, el in home.entries() for action in el.actions]
+    plan = [pair for pair, _, _ in home.pairs()]
     assert len(plan) == 3
     session = explore(tiny_taps, ExplorationConfig(seed=0, max_events=2), device_for(tiny_taps))
     assert [(e.target, e.kind) for e in session.events] == plan[:2]

@@ -1,13 +1,21 @@
-"""Properties of every engine on generated app models (see ``conftest.app_docs``)."""
+"""Properties of every engine on generated app models (see ``conftest.app_docs``).
 
+The two reference properties (``-k "explorer_reference or oracle_reference"``)
+compare each engine with a plain reference kept in the tests; the oracle's
+is also checked on every hand-written fixture.
+"""
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidcage import harness
 from droidcage.app_model import (
     LOOPBACK_LIMIT,
+    OracleBudgetError,
     UI_ACTIONS,
     install_app,
+    load_app_model,
     loopback_event,
     model_from_dict,
     reachable_blocks,
@@ -21,8 +29,10 @@ from droidcage.netguard import parse_capture_log, write_log_entry
 from droidcage.session import SessionRunner, contained
 from droidcage.telephony import TELEPHONY_KINDS, filter_outgoing
 
-from conftest import OUTSIDE_ACTION, app_docs, device_for, event_pool
+from conftest import FIXTURES, OUTSIDE_ACTION, app_docs, device_for, event_pool
+from explorer_reference import explore_reference
 from monkey_reference import generate_events
+from oracle_reference import reachable_reference
 
 _DEFAULT = default_tables()
 # The packaged tables with a broadcast table that also holds OUTSIDE_ACTION.
@@ -156,3 +166,55 @@ def test_engine_contracts(doc):
         assert 0 <= report.methods_executed <= report.methods_total
         assert 0 <= report.classes_executed <= report.classes_total
         assert cleanup(session.device) == baseline_device()
+
+
+@settings(max_examples=50, deadline=None)
+@given(app_docs(), st.integers(0, 3), st.integers(1, 60))
+def test_explore_equals_explorer_reference(doc, seed, budget):
+    app = model_from_dict(doc)
+    config = ExplorationConfig(seed=seed, max_events=budget)
+    # 30 monkey events first, with system keys and relaunches among them, or none.
+    monkey_config = MonkeyConfig(seed=seed, pct_syskeys=10, pct_appswitch=10, event_count=30,
+                                 package=app.package)
+    for monkey_first in (False, True):
+        runner = SessionRunner(app, install_app(baseline_device(), app))
+        if monkey_first:
+            run_monkey(runner, monkey_config)
+        reference = runner.copy()
+        session = explore(app, config, runner.device, runner=runner)
+        expected = explore_reference(app, config, reference.device, runner=reference)
+        assert session.events == expected.events, monkey_first
+        assert session.executed_blocks == expected.executed_blocks, monkey_first
+        assert session.device == expected.device, monkey_first
+
+
+# Budgets small enough that some models exceed them.
+_SMALL_BUDGETS = (1, 2, 3, 5, 8)
+
+
+def _oracle_outcome(oracle, app, **kwargs):
+    try:
+        return oracle(app, **kwargs)
+    except OracleBudgetError as e:
+        return "over budget", e.states_explored, e.max_states
+
+
+def _check_oracle_against_reference(app, tables):
+    assert reachable_blocks(app, tables=tables) == reachable_reference(app, tables=tables)
+    for max_states in _SMALL_BUDGETS:
+        kwargs = {"max_states": max_states, "tables": tables}
+        assert (_oracle_outcome(reachable_blocks, app, **kwargs)
+                == _oracle_outcome(reachable_reference, app, **kwargs)), max_states
+
+
+@settings(max_examples=50, deadline=None)
+@given(app_docs())
+def test_reachable_blocks_equals_oracle_reference(doc):
+    app = model_from_dict(doc)
+    for tables in (_DEFAULT, _CUSTOM):
+        _check_oracle_against_reference(app, tables)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.app")))
+def test_reachable_blocks_equals_oracle_reference_on_fixtures(name):
+    _check_oracle_against_reference(load_app_model(FIXTURES / name), _DEFAULT)

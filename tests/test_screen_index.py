@@ -3,6 +3,7 @@ unchanged lookup errors, and models built without the loader."""
 
 import pytest
 
+from droidcage import harness
 from droidcage.app_model import (
     Activity,
     AppContext,
@@ -22,12 +23,15 @@ from droidcage.app_model import (
     model_from_dict,
     reachable_blocks,
     receiver_events,
+    run_event_chain,
 )
+from droidcage.corpus import write_corpus
 from droidcage.data_tables import default_tables
 from droidcage.explorer import _plan
 from droidcage.monkey import MonkeyConfig, _generate_one
+from droidcage.netguard import NetGuard
 
-from conftest import device_for
+from conftest import FIXTURES, device_for
 
 OK_KEY = ElementKey("partial_text", None, "OK")
 
@@ -83,7 +87,7 @@ def test_screen_keys_and_first_index(shadow):
     screen = shadow.screen("Main", "home")
     assert screen.keys == (OK_KEY, OK_KEY)
     assert screen.first_index == {OK_KEY: 0}
-    assert [el.bounds for _, el in screen.entries()] == [(0, 0, 100, 100)]
+    assert [el.bounds for _, el, _ in screen.pairs()] == [(0, 0, 100, 100)]
 
 
 def test_monkey_hit_on_shadowed_element_resolves_to_first(shadow):
@@ -109,7 +113,7 @@ def test_oracle_and_explorer_plan_skip_the_shadowed_element(shadow):
     ui = [e for e in _candidate_events(shadow, device, receivers) if e.kind in UI_ACTIONS]
     assert ui == [Event("click", OK_KEY)]  # the second button's long_click is unreachable
     plan = _plan(shadow.screen("Main", "home"), set())
-    assert [(key, action, el.bounds) for key, action, el in plan] == [
+    assert [(key, action, el.bounds) for (key, action), el, _ in plan] == [
         (OK_KEY, "click", (0, 0, 100, 100))]
     assert reachable_blocks(shadow) == {"first"}
 
@@ -178,3 +182,67 @@ def test_install_app_enters_home():
     assert app.screen("Main", "home").state is home
     ctx = install_app(DeviceState(), app).context(app.package)
     assert ctx == AppContext("Main", "home", frozenset({"com.t.direct.PING"}))
+
+
+# ---------------------------------------------------------------------------
+# One event per (element, action): the screen's table is shared
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus20(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("corpus")
+    write_corpus(corpus, 0, 20)
+    return corpus
+
+
+def _table_events(screen):
+    return [event for _, _, event in screen.pairs() if event is not None]
+
+
+def _sent_on(app, events):
+    """Each of ``events`` with the screen it was sent on, replayed from the
+    launch (None once the app has crashed)."""
+    device = device_for(app)
+    for event in events:
+        ctx = None if device.crashed else device.context(app.package)
+        yield ctx and app.screen(ctx.activity, ctx.state), event
+        device, _ = run_event_chain(device, app, event)
+
+
+def test_explorer_sends_the_events_of_its_screen_table(corpus20):
+    config = harness.ExperimentConfig(corpus=corpus20, seed=0)
+    guard = NetGuard(harness.default_signatures(), harness.default_reputation(),
+                     identities=harness.DEFAULT_IDENTITIES)
+    shared = 0
+    for app in harness.load_corpus_dir(corpus20):
+        monkey = harness._run_one(app, "monkey", config, guard)[1].session
+        # smart_monkey's explorer starts where its monkey phase, this very session, stopped.
+        for method, first in (("smart", 0), ("smart_monkey", len(monkey.events))):
+            session = harness._run_one(app, method, config, guard)[1].session
+            for screen, event in list(_sent_on(app, session.events))[first:]:
+                if event.kind in UI_ACTIONS and event.kind != "set_text":
+                    assert any(event is e for e in _table_events(screen)), (method, event)
+                    shared += 1
+    assert shared > 100
+
+
+def test_oracle_candidates_are_the_events_of_the_screen_table(corpus20):
+    apps = harness.load_corpus_dir(corpus20) + harness.load_corpus_dir(FIXTURES)
+    for app in apps:
+        receivers = receiver_events(app, default_tables())
+        for activity in app.activities:
+            for state in activity.states:
+                device = DeviceState({app.package: AppContext(activity.name, state.id)})
+                candidates = [e for e in _candidate_events(app, device, receivers)
+                              if e.kind in UI_ACTIONS and e.kind != "set_text"]
+                table = _table_events(app.screen(activity.name, state.id))
+                assert len(candidates) == len(table)
+                assert all(c is t for c, t in zip(candidates, table))
+
+
+def test_a_screen_builds_its_table_once_and_lists_set_text_without_an_event(login_gate):
+    screen = login_gate.screen("LoginActivity", "form")
+    assert screen.pairs() is screen.pairs()
+    for (key, action), element, event in screen.pairs():
+        assert action in element.actions
+        assert event == (None if action == "set_text" else Event(action, key))
