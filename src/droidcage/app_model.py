@@ -14,6 +14,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
@@ -309,8 +310,20 @@ class AppModel:
         """The indexed UI state; KeyError for a pair the model lacks."""
         return self._screens[activity, state_id]
 
+    @cached_property
+    def coverage_totals(self) -> tuple[int, int]:
+        """How many distinct methods and classes the blocks belong to; counted on first use."""
+        blocks = self.blocks
+        return (len({(b.class_name, b.method) for b in blocks}),
+                len({b.class_name for b in blocks}))
+
     def receiver_actions(self) -> frozenset[str]:
         """All intent actions the app can ever be registered for."""
+        return self._receiver_actions
+
+    @cached_property
+    def _receiver_actions(self) -> frozenset[str]:
+        # Collected on first use, so loading a model does not pay for it.
         actions = set(self.declared_receivers)
         actions.update(a for _, _, a in self.dynamic_receivers)
         for t in self.transitions:

@@ -58,13 +58,12 @@ class AggregateRow:
 def measure(session: Session, app: AppModel) -> CoverageReport:
     """Coverage of one session against its app model."""
     index = app.block_index
-    unknown = session.executed_blocks - set(index)
-    if unknown:
+    if not session.executed_blocks <= index.keys():
+        unknown = session.executed_blocks.difference(index)
         raise CoverageIntegrityError(
             f"blocks not in {app.package}: {sorted(unknown)}"
         )
-    methods_total = {(b.class_name, b.method) for b in app.blocks}
-    classes_total = {b.class_name for b in app.blocks}
+    methods_total, classes_total = app.coverage_totals
     executed = [index[bid] for bid in session.executed_blocks]
     methods_hit = {(b.class_name, b.method) for b in executed}
     classes_hit = {b.class_name for b in executed}
@@ -73,9 +72,9 @@ def measure(session: Session, app: AppModel) -> CoverageReport:
         blocks_executed=len(session.executed_blocks),
         blocks_total=len(app.blocks),
         methods_executed=len(methods_hit),
-        methods_total=len(methods_total),
+        methods_total=methods_total,
         classes_executed=len(classes_hit),
-        classes_total=len(classes_total),
+        classes_total=classes_total,
         crashed=session.crashed,
     )
 

@@ -10,6 +10,7 @@ device clean afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .app_model import (
     APP_SWITCH,
@@ -62,10 +63,13 @@ CATEGORY_KEYWORDS: tuple[tuple[str, tuple[str, ...]], ...] = (
 UNCATEGORIZED_FILL_LENGTH = 12
 
 
+@lru_cache(maxsize=4096)
 def categorize_textfield(element: UiElement) -> str:
     """The category of a textfield from its hint/ID/description.
 
     A textfield no keyword names, and any other element, is "uncategorized".
+    An element is immutable, so each distinct one is categorized once, not
+    at every fill of every session.
     """
     if element.kind == "textfield":
         sources = [s.lower() for s in (element.hint, element.id_string,
@@ -85,6 +89,16 @@ class ExplorationConfig:
     def __post_init__(self):
         if self.max_events < 1:
             raise ConfigError("max_events must be >= 1")
+
+    @cached_property
+    def _fill_stream(self) -> Xoshiro256StarStar:
+        """The start of the fill values' stream, built on first use.
+
+        Never drawn from: each exploration draws from a copy, so every
+        exploration run with this config, such as the smart and
+        smart_monkey sessions of one app, shares the building.
+        """
+        return Xoshiro256StarStar(derive_seed(self.seed, "smart-fill"))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +120,7 @@ class _Explorer:
         self.app = runner.app
         self.runner = runner
         self.tables = runner.tables
-        self.rng = Xoshiro256StarStar(derive_seed(config.seed, "smart-fill"))
+        self.config = config
         self.budget = config.max_events
         # The (key, action) pairs already sent by this exploration.
         self.visited: set[tuple[ElementKey, str]] = set()
@@ -115,6 +129,11 @@ class _Explorer:
         # pairs are never forgotten, so ``left - visited`` is all the work
         # still pending on screens seen so far.
         self.left: set[tuple[ElementKey, str]] = set()
+
+    @cached_property
+    def rng(self) -> Xoshiro256StarStar:
+        """The fill generator, made at the first fill: most apps have no textfield."""
+        return self.config._fill_stream.copy()
 
     def issue(self, event: Event) -> None:
         self.budget -= 1

@@ -18,8 +18,9 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .app_model import AppModel, install_app, load_app_model
+from .app_model import AppModel, DeviceState, install_app, load_app_model
 from .coverage import (
     AggregateRow,
     CoverageReport,
@@ -117,7 +118,26 @@ def load_corpus_dir(path: str | Path) -> list[AppModel]:
     return models
 
 
-def _run_one(app: AppModel, method: str, config: ExperimentConfig, guard: NetGuard,
+class AppSetup(NamedTuple):
+    """What every job of one app starts from, built once per app."""
+
+    app: AppModel
+    device: DeviceState  # the clean device with the app installed
+    monkey: MonkeyConfig
+    explore: ExplorationConfig
+
+
+def app_setup(app: AppModel, config: ExperimentConfig) -> AppSetup:
+    """The app's setup under ``config``. All three methods give the app one
+    seed, derived from the run seed and the package name."""
+    seed_app = derive_seed(config.seed, app.package)
+    return AppSetup(app, install_app(baseline_device(), app),
+                    MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
+                                 package=app.package),
+                    ExplorationConfig(seed=seed_app, max_events=config.max_events))
+
+
+def _run_one(setup: AppSetup, method: str, guard: NetGuard,
              start: SessionRunner | None = None) -> tuple[CoverageReport, SessionRunner]:
     """One (method, app) session: run, measure, check containment, clean up.
 
@@ -125,18 +145,16 @@ def _run_one(app: AppModel, method: str, config: ExperimentConfig, guard: NetGua
     of the app's finished monkey job; a smart_monkey job given it
     continues from a copy of it instead of running the monkey phase again.
     """
-    seed_app = derive_seed(config.seed, app.package)
+    app = setup.app
     if start is None:
-        runner = SessionRunner(app, install_app(baseline_device(), app), netguard=guard.copy())
+        runner = SessionRunner(app, setup.device, netguard=guard.copy())
         # smart_monkey is the monkey phase, then the explorer, on one runner.
         if method != "smart":
-            run_monkey(runner, MonkeyConfig(seed=seed_app, event_count=config.monkey_events,
-                                            package=app.package))
+            run_monkey(runner, setup.monkey)
     else:
         runner = start.copy()
     if method != "monkey":
-        explore(app, ExplorationConfig(seed=seed_app, max_events=config.max_events),
-                runner.device, runner=runner)
+        explore(app, setup.explore, runner.device, runner=runner)
 
     report = measure(runner.session, app)
     if not contained(runner.session, app.own_number):
@@ -164,13 +182,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     guard = NetGuard(default_signatures(), default_reputation(),
                      threshold=config.reputation_threshold, identities=DEFAULT_IDENTITIES)
 
+    # Built once per app, not once per job.
+    setups = [app_setup(app, config) for app in corpus]
+
     chained = "monkey" in config.methods and "smart_monkey" in config.methods
     outcomes = {}
     for method in sorted(config.methods, key=lambda m: chained and m == "smart_monkey"):
-        for i, app in enumerate(corpus):
+        for i, setup in enumerate(setups):
             start = outcomes["monkey", i][1] if chained and method == "smart_monkey" else None
             # Through the module attribute, so a wrapper of _run_one sees every job.
-            outcomes[method, i] = _run_one(app, method, config, guard, start)
+            outcomes[method, i] = _run_one(setup, method, guard, start)
 
     # The run's capture log is every job's entries, joined once.
     rows, per_app, sessions, entries = [], [], {}, []

@@ -34,7 +34,6 @@ against the path's latin-1 bytes, the bytes it was parsed from.
 from __future__ import annotations
 
 import binascii
-import copy
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -537,7 +536,8 @@ class NetGuard:
         The logs and the forwarded requests are duplicated; the read-only
         inputs (signatures, reputation, custom root, pins) are shared.
         """
-        dup = copy.copy(self)
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
         dup.forwarded = list(self.forwarded)
         dup.capture_log = list(self.capture_log)
         dup.malformed_log = list(self.malformed_log)

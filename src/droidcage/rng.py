@@ -173,6 +173,16 @@ class Xoshiro256StarStar:
         self._buf = out
         return out
 
+    def copy(self) -> "Xoshiro256StarStar":
+        """A generator that draws what this one would draw next; the two
+        then go on independently. An empty buffer is refilled first (the
+        stream is unchanged), so copies of one generator share that work.
+        """
+        dup = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
+        dup._buf = list(self._buf or self._refill())
+        dup._state = self._state
+        return dup
+
     def next_u64(self) -> int:
         return (self._buf or self._refill()).pop()
 
@@ -181,7 +191,9 @@ class Xoshiro256StarStar:
 
         A draw ``v`` is kept when it lies below the largest multiple of
         ``n`` that fits in 2**64, i.e. when ``v - v % n + n <= 2**64``;
-        that needs no per-bound limit.
+        that needs no per-bound limit below 2**64. Above it no draw is ever
+        kept, so such a bound is a ``ValueError``, raised at the first
+        rejection so that a kept draw costs no extra test.
         """
         if n <= 0:
             raise ValueError("randrange bound must be positive")
@@ -190,6 +202,8 @@ class Xoshiro256StarStar:
             r = v % n
             if v - r + n <= _SPAN:
                 return r
+            if n > _SPAN:
+                raise ValueError(f"randrange bound {n} is above 2**64")
 
     def choice(self, seq: Sequence[T]) -> T:
         if not seq:

@@ -9,7 +9,6 @@ incoming events, so self-texting apps trigger their own receivers.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -90,7 +89,8 @@ class SessionRunner:
         The session and the guard are copied; the app and tables are
         shared.
         """
-        dup = copy.copy(self)
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
         dup.session = self.session.copy()
         dup.netguard = self.netguard.copy()
         return dup

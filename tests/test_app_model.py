@@ -334,8 +334,9 @@ def test_any_value_anywhere_in_every_field_is_a_model_error_or_runs(path, value)
         app = model_from_dict(edited_fixture("every_field.app", path, value))
     except ModelValidationError:
         return
+    setup = harness.app_setup(app, _SMALL_RUN)
     for method in harness.METHODS:
-        _, runner = harness._run_one(app, method, _SMALL_RUN, _GUARD)
+        _, runner = harness._run_one(setup, method, _GUARD)
         "".join(call + "\n" for call in runner.session.trace).encode("utf-8")
         runner.netguard.capture_text()
         measure(runner.session, app)

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import given, settings
 
-from droidcage.app_model import Event, apply_event, identify_element
+from droidcage.app_model import (
+    Event,
+    ReceiverSource,
+    apply_event,
+    identify_element,
+    load_app_model,
+    model_from_dict,
+)
 from droidcage.coverage import (
     AggregateRow,
     CoverageIntegrityError,
@@ -12,7 +20,7 @@ from droidcage.coverage import (
 )
 from droidcage.session import Session
 
-from conftest import device_for
+from conftest import FIXTURES, app_docs, device_for
 
 
 def _report(package, blocks, crashed=False, totals=10_000):
@@ -47,6 +55,41 @@ def test_measure_derived_method_and_class_counts(login_gate):
 def test_measure_rejects_foreign_blocks(tiny_taps):
     with pytest.raises(CoverageIntegrityError):
         measure(Session(executed_blocks={"zz"}), tiny_taps)
+
+
+def _check_per_app_facts(app):
+    """The facts a model keeps for every session equal a fresh computation,
+    are built on first use only, and ``measure`` reads them."""
+    assert "coverage_totals" not in vars(app) and "_receiver_actions" not in vars(app)
+    assert app.coverage_totals == (len({(b.class_name, b.method) for b in app.blocks}),
+                                   len({b.class_name for b in app.blocks}))
+    actions = set(app.declared_receivers) | {action for _, _, action in app.dynamic_receivers}
+    for t in app.transitions:
+        if isinstance(t.source, ReceiverSource):
+            actions.add(t.source.action)
+        actions.update(e.action for e in t.side_effects if e.kind == "register_receiver")
+    assert app.receiver_actions() == frozenset(actions)
+    assert app.receiver_actions() is app.receiver_actions()
+
+    report = measure(Session(executed_blocks={b.id for b in app.blocks}), app)
+    assert (report.methods_executed, report.classes_executed) == app.coverage_totals
+    assert (report.methods_total, report.classes_total) == app.coverage_totals
+
+    unknown = {"zz10", "zz9", "aa", "b~"} - app.block_index.keys()
+    with pytest.raises(CoverageIntegrityError) as raised:
+        measure(Session(executed_blocks={app.blocks[0].id, *unknown}), app)
+    assert str(raised.value) == f"blocks not in {app.package}: {sorted(unknown)}"
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.app")), ids=lambda p: p.name)
+def test_per_app_facts_of_every_fixture(path):
+    _check_per_app_facts(load_app_model(path))
+
+
+@settings(max_examples=40, deadline=None)
+@given(app_docs())
+def test_per_app_facts_of_generated_models(doc):
+    _check_per_app_facts(model_from_dict(doc))
 
 
 def test_coverage_is_monotone_in_session_prefix(login_gate):

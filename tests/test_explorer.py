@@ -3,6 +3,7 @@ from operator import itemgetter
 
 import pytest
 
+from droidcage import explorer as explorer_module
 from droidcage.app_model import (
     AppNotInstalledError,
     DeviceState,
@@ -20,6 +21,7 @@ from droidcage.app_model import (
 from droidcage.data_tables import CATEGORIES, DataTables, default_tables
 from droidcage.explorer import (
     CATEGORY_KEYWORDS,
+    UNCATEGORIZED_FILL_LENGTH,
     ExplorationConfig,
     baseline_device,
     categorize_textfield,
@@ -28,7 +30,7 @@ from droidcage.explorer import (
 )
 from droidcage.corpus import _ARCHETYPE_CYCLE, write_corpus
 from droidcage.monkey import MonkeyConfig, run_monkey
-from droidcage.rng import Xoshiro256StarStar
+from droidcage.rng import Xoshiro256StarStar, derive_seed
 from droidcage.session import SessionRunner
 
 from conftest import OUTSIDE_ACTION, device_for, edited_fixture
@@ -142,6 +144,47 @@ def test_fill_values_satisfy_their_category_gates():
     for category in sorted(CATEGORIES):
         value = TABLES.fill(category, rng.choice)
         assert TABLES.matches(category, value), (category, value)
+
+
+def _count_fill_generators(monkeypatch) -> list:
+    """The generators `explore` builds from now on, in build order."""
+    built, real = [], explorer_module.Xoshiro256StarStar
+
+    def counting(seed):
+        built.append(real(seed))
+        return built[-1]
+    monkeypatch.setattr(explorer_module, "Xoshiro256StarStar", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ("boot_gate", "crash_first", "one_button", "tiny_taps"))
+def test_an_app_without_textfields_builds_no_fill_generator(monkeypatch, request, name):
+    app = request.getfixturevalue(name)
+    assert not any(el.kind == "textfield" or "set_text" in el.actions
+                   for a in app.activities for st in a.states for el in st.elements)
+    built = _count_fill_generators(monkeypatch)
+    session = explore(app, ExplorationConfig(seed=0, max_events=100), device_for(app))
+    assert session.events and built == []
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_the_generator_built_at_the_first_fill_draws_as_one_built_up_front(monkeypatch,
+                                                                          login_gate, seed):
+    built = _count_fill_generators(monkeypatch)
+    config = ExplorationConfig(seed=seed, max_events=10_000)
+    elements = {key: el for a in login_gate.activities for st in a.states
+                for key, el in zip(login_gate.screen(a.name, st.id).keys, st.elements)}
+    # Two explorations with one config build one generator between them.
+    for _ in range(2):
+        session = explore(login_gate, config, device_for(login_gate))
+        up_front = Xoshiro256StarStar(derive_seed(seed, "smart-fill"))
+        fills = [event for event in session.events if event.kind == "set_text"]
+        assert len(built) == 1 and len(fills) >= 2
+        for event in fills:
+            category = categorize_textfield(elements[event.target])
+            assert event.value == (up_front.alnum(UNCATEGORIZED_FILL_LENGTH)
+                                   if category == "uncategorized"
+                                   else TABLES.fill(category, up_front.choice))
 
 
 # ---------------------------------------------------------------------------

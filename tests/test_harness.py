@@ -20,6 +20,7 @@ from droidcage.harness import (
     ExperimentConfig,
     ExperimentError,
     _run_one,
+    app_setup,
     emit_results,
     load_corpus_dir,
     run_experiment,
@@ -142,8 +143,8 @@ def test_a_device_left_dirty_after_cleanup_is_fatal(small_corpus, monkeypatch):
 ])
 def test_a_session_that_breaches_containment_is_fatal(monkeypatch, index, breach):
     app = build_corpus(0, 20)[index].model
-    config = ExperimentConfig(corpus=Path("corpus"), methods=("smart",))
-    _run_one(app, "smart", config, NetGuard())
+    setup = app_setup(app, ExperimentConfig(corpus=Path("corpus"), methods=("smart",)))
+    _run_one(setup, "smart", NetGuard())
     dispose = SessionRunner._dispose
 
     def breaching(self, eff):
@@ -152,7 +153,7 @@ def test_a_session_that_breaches_containment_is_fatal(monkeypatch, index, breach
 
     monkeypatch.setattr(SessionRunner, "_dispose", breaching)
     with pytest.raises(ExperimentError, match=f"containment breached by {app.package}$"):
-        _run_one(app, "smart", config, NetGuard())
+        _run_one(setup, "smart", NetGuard())
 
 
 def test_run_experiment_row_per_method(small_corpus):
@@ -245,9 +246,9 @@ def test_capture_log_is_every_runners_entries_in_method_then_corpus_order(corpus
                                                                           monkeypatch):
     runners, run_one = {}, droidcage.harness._run_one
 
-    def recording(app, method, *args):
-        report, runner = run_one(app, method, *args)
-        runners[method, app.package] = runner
+    def recording(setup, method, *args):
+        report, runner = run_one(setup, method, *args)
+        runners[method, setup.app.package] = runner
         return report, runner
 
     monkeypatch.setattr(droidcage.harness, "_run_one", recording)

@@ -214,10 +214,33 @@ def test_mixed_calls_match_reference(seed):
         assert rng.next_u64() == ref.next_u64()
 
 
+@pytest.mark.parametrize("drawn", [0, 1, 63, 64, 65])
+def test_copy_draws_what_the_original_would_draw_next(drawn):
+    rng, ref = Xoshiro256StarStar(5), ReferenceXoshiro(5)
+    for _ in range(drawn):
+        assert rng.next_u64() == ref.next_u64()
+    dup = rng.copy()
+    expected = [ref.next_u64() for _ in range(200)]
+    assert [dup.next_u64() for _ in range(200)] == expected
+    assert [rng.next_u64() for _ in range(200)] == expected
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_randrange_rejects_non_positive_bounds(bound):
     with pytest.raises(ValueError):
         Xoshiro256StarStar(0).randrange(bound)
+
+
+@pytest.mark.parametrize("bound", [2**64 + 1, 2**200])
+def test_randrange_rejects_bounds_above_2_64(bound):
+    # Every draw would be rejected: without the check the call never returns.
+    with pytest.raises(ValueError, match=rf"^randrange bound {bound} is above 2\*\*64$"):
+        Xoshiro256StarStar(1).randrange(bound)
+
+
+def test_randrange_2_64_is_the_raw_output():
+    ref, rng = ReferenceXoshiro(1), Xoshiro256StarStar(1)
+    assert [rng.randrange(2**64) for _ in range(200)] == [ref.next_u64() for _ in range(200)]
 
 
 def test_choice_rejects_an_empty_sequence():

@@ -215,10 +215,11 @@ def test_explorer_sends_the_events_of_its_screen_table(corpus20):
                      identities=harness.DEFAULT_IDENTITIES)
     shared = 0
     for app in harness.load_corpus_dir(corpus20):
-        monkey = harness._run_one(app, "monkey", config, guard)[1].session
+        setup = harness.app_setup(app, config)
+        monkey = harness._run_one(setup, "monkey", guard)[1].session
         # smart_monkey's explorer starts where its monkey phase, this very session, stopped.
         for method, first in (("smart", 0), ("smart_monkey", len(monkey.events))):
-            session = harness._run_one(app, method, config, guard)[1].session
+            session = harness._run_one(setup, method, guard)[1].session
             for screen, event in list(_sent_on(app, session.events))[first:]:
                 if event.kind in UI_ACTIONS and event.kind != "set_text":
                     assert any(event is e for e in _table_events(screen)), (method, event)
