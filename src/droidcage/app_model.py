@@ -148,14 +148,19 @@ class Screen:
         self._pairs = None  # built by pairs()
 
     def pairs(self) -> tuple[tuple[tuple[ElementKey, str], UiElement, Optional[Event]], ...]:
-        """The unshadowed (key, action) pairs in screen order, each with its element
-        and its one shared event (none for set_text, whose value varies); built on first use."""
+        """The unshadowed (key, action) pairs, each with its element and its one
+        shared event (none for set_text, whose value varies); built on first use.
+
+        Fills (set_text and toggle) come first, then the rest, each part in
+        screen order: the order the explorer sends them in.
+        """
         if self._pairs is None:
             elements = self.state.elements
-            self._pairs = tuple([((key, action), elements[i],
-                                  None if action == "set_text" else Event(action, key))
-                                 for key, i in self.first_index.items()
-                                 for action in elements[i].actions])
+            pairs = [((key, action), elements[i],
+                      None if action == "set_text" else Event(action, key))
+                     for key, i in self.first_index.items()
+                     for action in elements[i].actions]
+            self._pairs = tuple(sorted(pairs, key=lambda e: e[0][1] not in ("set_text", "toggle")))
         return self._pairs
 
     def hit(self, x: int, y: int) -> Optional[ElementKey]:
@@ -317,13 +322,10 @@ class AppModel:
         return (len({(b.class_name, b.method) for b in blocks}),
                 len({b.class_name for b in blocks}))
 
-    def receiver_actions(self) -> frozenset[str]:
-        """All intent actions the app can ever be registered for."""
-        return self._receiver_actions
-
     @cached_property
-    def _receiver_actions(self) -> frozenset[str]:
-        # Collected on first use, so loading a model does not pay for it.
+    def receiver_actions(self) -> frozenset[str]:
+        """All intent actions the app can ever be registered for; collected on
+        first use, so loading a model does not pay for it."""
         actions = set(self.declared_receivers)
         actions.update(a for _, _, a in self.dynamic_receivers)
         for t in self.transitions:
@@ -524,7 +526,7 @@ def receiver_events(app: AppModel, tables: DataTables) -> list[Event]:
     """The receiver events ``app`` may take: the broadcasts of ``tables`` it
     declares or registers, then the probe SMS, then the call, each to its
     own number."""
-    actions = app.receiver_actions()
+    actions = app.receiver_actions
     events = [Event("broadcast", action=a) for a in tables.table("broadcast") if a in actions]
     if SMS_RECEIVED_ACTION in actions:
         events.append(Event("incoming_sms", number=app.own_number, body=SMS_PROBE_BODY))

@@ -15,19 +15,20 @@ from pathlib import Path
 
 from .app_model import ModelParseError, ModelValidationError, install_app, load_app_model
 from .corpus import write_corpus
-from .coverage import measure
 from .data_tables import ConfigError, DataTableError
-from .explorer import ExplorationConfig, baseline_device, explore
+from .explorer import ExplorationConfig, baseline_device
 from .harness import (
     FORMATS,
     METHODS,
+    AppSetup,
     ExperimentConfig,
     ExperimentError,
+    _run_one,
     emit_results,
     run_experiment,
     write_outputs,
 )
-from .monkey import MonkeyConfig, run_monkey
+from .monkey import MonkeyConfig
 from .netguard import (
     DEFAULT_IDENTITIES,
     DEFAULT_REPUTATION_THRESHOLD,
@@ -40,7 +41,6 @@ from .netguard import (
     parse_capture_log,
     write_log_entry,
 )
-from .session import SessionRunner
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,9 +114,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _print_session(session, app) -> int:
-    report = measure(session, app)
-    print(f"events sent: {len(session.events)}")
+def _run_single(app, method: str, monkey: MonkeyConfig, exploration: ExplorationConfig) -> int:
+    """Run one session of ``app`` through the experiment's checked path and print it."""
+    guard = NetGuard(default_signatures(), default_reputation(), identities=DEFAULT_IDENTITIES)
+    report, runner = _run_one(AppSetup(app, install_app(baseline_device(), app), monkey,
+                                       exploration), method, guard)
+    print(f"events sent: {len(runner.session.events)}")
     print(f"{report.package}: blocks {report.blocks_executed}/{report.blocks_total}"
           f" ({100 * report.block_ratio:.2f}%)"
           f" methods {report.methods_executed}/{report.methods_total}"
@@ -127,11 +130,9 @@ def _print_session(session, app) -> int:
 
 def _cmd_explore(args) -> int:
     app = load_app_model(args.app)
-    config = ExplorationConfig(seed=args.seed, max_events=args.max_events)
-    runner = SessionRunner(app, install_app(baseline_device(), app))
-    if args.monkey_first:
-        run_monkey(runner, MonkeyConfig(seed=args.seed, package=app.package))
-    return _print_session(explore(app, config, runner.device, runner=runner), app)
+    return _run_single(app, "smart_monkey" if args.monkey_first else "smart",
+                       MonkeyConfig(seed=args.seed, package=app.package),
+                       ExplorationConfig(seed=args.seed, max_events=args.max_events))
 
 
 def _cmd_monkey(args) -> int:
@@ -144,8 +145,7 @@ def _cmd_monkey(args) -> int:
                           pct_appswitch=args.pct_appswitch,
                           throttle_ms=args.throttle, event_count=args.events,
                           package=app.package)
-    session = run_monkey(SessionRunner(app, install_app(baseline_device(), app)), config)
-    return _print_session(session, app)
+    return _run_single(app, "monkey", config, ExplorationConfig())
 
 
 def _cmd_proxy_check(args) -> int:

@@ -18,7 +18,6 @@ from .app_model import (
     DeviceState,
     ElementKey,
     Event,
-    Screen,
     Settings,
     UiElement,
     dump_hierarchy,
@@ -105,16 +104,6 @@ class ExplorationConfig:
 # Exploration
 # ---------------------------------------------------------------------------
 
-def _plan(screen: Screen, visited: set) -> list[tuple[tuple[ElementKey, str], UiElement,
-                                                      Event | None]]:
-    """The entries of ``screen.pairs()`` whose (key, action) pair is unvisited,
-    fills scheduled first."""
-    entries = [e for e in screen.pairs() if e[0] not in visited]
-    first = [e for e in entries if e[0][1] in ("set_text", "toggle")]
-    rest = [e for e in entries if e[0][1] not in ("set_text", "toggle")]
-    return first + rest
-
-
 class _Explorer:
     def __init__(self, runner: SessionRunner, config: ExplorationConfig):
         self.app = runner.app
@@ -145,7 +134,7 @@ class _Explorer:
         idle_switch = False
         while self.budget > 0 and not runner.device.crashed:
             screen = runner.current_screen()
-            plan = _plan(self.app.screen(*screen), visited)
+            plan = [e for e in self.app.screen(*screen).pairs() if e[0] not in visited]
             if not plan:
                 left -= visited  # a sibling state sharing a key may have sent some
                 if not left or idle_switch:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidcage import cli
+from droidcage import cli, harness
 from droidcage.cli import main
 from droidcage.data_tables import DataTableError
 from droidcage.harness import (
@@ -20,6 +20,7 @@ from droidcage.harness import (
     run_experiment,
 )
 from droidcage.netguard import NetGuard, load_reputation, load_signature_db, write_log_entry
+from droidcage.session import ObservedEffect, SessionRunner
 
 from conftest import FIXTURES, WRONGLY_TYPED_EDITS, edited_login_gate
 
@@ -183,17 +184,80 @@ def test_explore_single_app(capsys):
     assert "blocks 12/14" in out
 
 
-@pytest.mark.parametrize("fixture, expected", [
-    ("login_gate.app", "events sent: 511\n"
-     "com.fixture.logingate: blocks 13/14 (92.86%) methods 11/12 classes 3/3\n"),
-    # The monkey phase crashes the app, so the explorer sends nothing.
-    ("crash_first.app", "events sent: 11\n"
-     "com.fixture.crashfirst: blocks 1/2 (50.00%) methods 1/2 classes 1/1 CRASHED\n"),
+# Each fixture's one-line summary under explore, explore --monkey-first and
+# monkey, all at seed 0.
+_SINGLE_APP_STDOUT = {
+    "boot_gate.app": (
+        (2, "com.fixture.bootgate: blocks 3/3 (100.00%) methods 2/2 classes 2/2"),
+        (502, "com.fixture.bootgate: blocks 3/3 (100.00%) methods 2/2 classes 2/2"),
+        (500, "com.fixture.bootgate: blocks 1/3 (33.33%) methods 1/2 classes 1/2")),
+    # The monkey phase crashes the app, so the explorer sends nothing after it.
+    "crash_first.app": (
+        (1, "com.fixture.crashfirst: blocks 1/2 (50.00%) methods 1/2 classes 1/1 CRASHED"),
+        (11, "com.fixture.crashfirst: blocks 1/2 (50.00%) methods 1/2 classes 1/1 CRASHED"),
+        (11, "com.fixture.crashfirst: blocks 1/2 (50.00%) methods 1/2 classes 1/1 CRASHED")),
+    "every_field.app": (
+        (7, "com.fixture.everyfield: blocks 7/14 (50.00%) methods 7/13 classes 3/5 CRASHED"),
+        (134, "com.fixture.everyfield: blocks 6/14 (42.86%) methods 6/13 classes 3/5 CRASHED"),
+        (134, "com.fixture.everyfield: blocks 6/14 (42.86%) methods 6/13 classes 3/5 CRASHED")),
+    "login_gate.app": (
+        (11, "com.fixture.logingate: blocks 12/14 (85.71%) methods 11/12 classes 3/3"),
+        (511, "com.fixture.logingate: blocks 13/14 (92.86%) methods 11/12 classes 3/3"),
+        (500, "com.fixture.logingate: blocks 2/14 (14.29%) methods 2/12 classes 1/3")),
+    "one_button.app": (
+        (1, "com.fixture.onebutton: blocks 2/2 (100.00%) methods 1/1 classes 1/1"),
+        (501, "com.fixture.onebutton: blocks 2/2 (100.00%) methods 1/1 classes 1/1"),
+        (500, "com.fixture.onebutton: blocks 2/2 (100.00%) methods 1/1 classes 1/1")),
+    "sealed_bomb.app": (
+        (2, "com.fixture.sealedbomb: blocks 1/3 (33.33%) methods 1/3 classes 1/2"),
+        (502, "com.fixture.sealedbomb: blocks 1/3 (33.33%) methods 1/3 classes 1/2"),
+        (500, "com.fixture.sealedbomb: blocks 1/3 (33.33%) methods 1/3 classes 1/2")),
+    "tiny_taps.app": (
+        (3, "com.fixture.tinytaps: blocks 3/3 (100.00%) methods 3/3 classes 1/1"),
+        (503, "com.fixture.tinytaps: blocks 3/3 (100.00%) methods 3/3 classes 1/1"),
+        (500, "com.fixture.tinytaps: blocks 3/3 (100.00%) methods 3/3 classes 1/1")),
+}
+_SINGLE_APP_COMMANDS = ("explore --seed 0", "explore --seed 0 --monkey-first", "monkey -s 0")
+
+
+@pytest.mark.parametrize("command, fixture, expected", [
+    pytest.param(command, fixture, f"events sent: {events}\n{summary}\n",
+                 id=f"{command}-{fixture}")
+    for fixture, outputs in _SINGLE_APP_STDOUT.items()
+    for command, (events, summary) in zip(_SINGLE_APP_COMMANDS, outputs)
 ])
-def test_explore_monkey_first_stdout(capsys, fixture, expected):
-    code = main(["explore", "--app", str(FIXTURES / fixture), "--seed", "0", "--monkey-first"])
+def test_explore_monkey_first_stdout(capsys, command, fixture, expected):
+    name, *flags = command.split()
+    code = main([name, "--app", str(FIXTURES / fixture), *flags])
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("check, message", [
+    ("containment", "containment breached by com.fixture.everyfield"),
+    ("cleanup", "cleanup verification failed for com.fixture.everyfield"),
+])
+@pytest.mark.parametrize("command", _SINGLE_APP_COMMANDS)
+def test_a_single_app_session_that_fails_a_check_exits_1(monkeypatch, capsys, command, check,
+                                                         message):
+    if check == "containment":
+        # every_field's button calls a number that is not its own in each session.
+        dispose = SessionRunner._dispose
+
+        def breaching(self, eff):
+            observed = dispose(self, eff)
+            tag = {"telephony_rejected": "telephony_delivered"}.get(observed.tag, observed.tag)
+            return ObservedEffect(eff, tag)
+
+        monkeypatch.setattr(SessionRunner, "_dispose", breaching)
+    else:
+        # A cleanup that changes nothing leaves the app installed.
+        monkeypatch.setattr(harness, "cleanup", lambda device: device)
+    name, *flags = command.split()
+    assert main([name, "--app", str(FIXTURES / "every_field.app"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_monkey_mirrors_annex_flags(capsys):

@@ -60,7 +60,7 @@ def test_measure_rejects_foreign_blocks(tiny_taps):
 def _check_per_app_facts(app):
     """The facts a model keeps for every session equal a fresh computation,
     are built on first use only, and ``measure`` reads them."""
-    assert "coverage_totals" not in vars(app) and "_receiver_actions" not in vars(app)
+    assert "coverage_totals" not in vars(app) and "receiver_actions" not in vars(app)
     assert app.coverage_totals == (len({(b.class_name, b.method) for b in app.blocks}),
                                    len({b.class_name for b in app.blocks}))
     actions = set(app.declared_receivers) | {action for _, _, action in app.dynamic_receivers}
@@ -68,8 +68,8 @@ def _check_per_app_facts(app):
         if isinstance(t.source, ReceiverSource):
             actions.add(t.source.action)
         actions.update(e.action for e in t.side_effects if e.kind == "register_receiver")
-    assert app.receiver_actions() == frozenset(actions)
-    assert app.receiver_actions() is app.receiver_actions()
+    assert app.receiver_actions == frozenset(actions)
+    assert app.receiver_actions is app.receiver_actions
 
     report = measure(Session(executed_blocks={b.id for b in app.blocks}), app)
     assert (report.methods_executed, report.classes_executed) == app.coverage_totals

@@ -2,6 +2,7 @@
 unchanged lookup errors, and models built without the loader."""
 
 import pytest
+from hypothesis import given, settings
 
 from droidcage import harness
 from droidcage.app_model import (
@@ -19,7 +20,9 @@ from droidcage.app_model import (
     UiState,
     _candidate_events,
     apply_event,
+    identify_element,
     install_app,
+    load_app_model,
     model_from_dict,
     reachable_blocks,
     receiver_events,
@@ -27,11 +30,10 @@ from droidcage.app_model import (
 )
 from droidcage.corpus import write_corpus
 from droidcage.data_tables import default_tables
-from droidcage.explorer import _plan
 from droidcage.monkey import MonkeyConfig, _generate_one
 from droidcage.netguard import NetGuard
 
-from conftest import FIXTURES, device_for
+from conftest import FIXTURES, app_docs, device_for
 
 OK_KEY = ElementKey("partial_text", None, "OK")
 
@@ -112,7 +114,7 @@ def test_oracle_and_explorer_plan_skip_the_shadowed_element(shadow):
     receivers = receiver_events(shadow, default_tables())
     ui = [e for e in _candidate_events(shadow, device, receivers) if e.kind in UI_ACTIONS]
     assert ui == [Event("click", OK_KEY)]  # the second button's long_click is unreachable
-    plan = _plan(shadow.screen("Main", "home"), set())
+    plan = shadow.screen("Main", "home").pairs()
     assert [(key, action, el.bounds) for (key, action), el, _ in plan] == [
         (OK_KEY, "click", (0, 0, 100, 100))]
     assert reachable_blocks(shadow) == {"first"}
@@ -247,3 +249,34 @@ def test_a_screen_builds_its_table_once_and_lists_set_text_without_an_event(logi
     for (key, action), element, event in screen.pairs():
         assert action in element.actions
         assert event == (None if action == "set_text" else Event(action, key))
+
+
+def _fill_first_pairs(activity, state):
+    """The unshadowed (key, action) pairs of a UI state in element order,
+    set_text and toggle moved to the front, each part keeping its order."""
+    seen, pairs = set(), []
+    for element in state.elements:
+        key = identify_element(activity, element)
+        if key not in seen:
+            seen.add(key)
+            pairs += [(key, action) for action in element.actions]
+    fills = [p for p in pairs if p[1] in ("set_text", "toggle")]
+    return fills + [p for p in pairs if p[1] not in ("set_text", "toggle")]
+
+
+def _check_table_order(app):
+    for activity in app.activities:
+        for state in activity.states:
+            screen = app.screen(activity.name, state.id)
+            assert [p for p, _, _ in screen.pairs()] == _fill_first_pairs(activity.name, state)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.app")), ids=lambda p: p.name)
+def test_a_fixture_screen_table_lists_fills_first(path):
+    _check_table_order(load_app_model(path))
+
+
+@settings(max_examples=40, deadline=None)
+@given(app_docs())
+def test_a_generated_screen_table_lists_fills_first(doc):
+    _check_table_order(model_from_dict(doc))
