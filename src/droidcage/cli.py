@@ -4,7 +4,8 @@ Subcommands: ``run`` (full corpus experiment), ``explore`` (single app),
 ``monkey`` (random baseline, flags mirroring the real tool), ``proxy-check``
 (pipeline verdict for a raw request file), ``decode-log`` (capture-log
 round trip) and ``make-corpus`` (materialize the synthetic corpus).
-Exit code is nonzero only for fatal errors.
+A command exits 1, printing ``error: <message>``, exactly when it raises one
+of ``FATAL_ERRORS``; ``main`` is the one place that picks the exit code.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the experiment over a corpus")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("--corpus", required=True, type=Path)
     run.add_argument("--methods", default=",".join(METHODS),
-                     help="comma-separated subset of monkey,smart,smart_monkey")
+                     help="comma-separated subset of " + ",".join(METHODS))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--monkey-events", type=int, default=ExperimentConfig.monkey_events)
     run.add_argument("--max-events", type=int, default=ExperimentConfig.max_events)
@@ -60,12 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=Path("results"))
 
     exp = sub.add_parser("explore", help="explore a single app model")
+    exp.set_defaults(handler=_cmd_explore)
     exp.add_argument("--app", required=True, type=Path)
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--max-events", type=int, default=ExplorationConfig.max_events)
     exp.add_argument("--monkey-first", action="store_true")
 
     mk = sub.add_parser("monkey", help="random-event baseline for one app")
+    mk.set_defaults(handler=_cmd_monkey)
     mk.add_argument("--app", required=True, type=Path)
     mk.add_argument("-s", "--seed", type=int, default=0)
     mk.add_argument("--pct-syskeys", type=int, default=0)
@@ -76,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="number of events to send")
 
     px = sub.add_parser("proxy-check", help="pipeline verdict for a raw request")
+    px.set_defaults(handler=_cmd_proxy_check)
     px.add_argument("--request", required=True, type=Path)
     px.add_argument("--protocol", default="http")
     px.add_argument("--server", help="the server the app contacts; an HTTPS request to a "
@@ -85,11 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     px.add_argument("--threshold", type=int, default=DEFAULT_REPUTATION_THRESHOLD)
 
     dl = sub.add_parser("decode-log", help="decode a base64 capture log")
+    dl.set_defaults(handler=_cmd_decode_log)
     dl.add_argument("--log", required=True, type=Path)
     dl.add_argument("--verify", action="store_true",
                     help="re-encode and check the round trip")
 
     mc = sub.add_parser("make-corpus", help="write the synthetic corpus")
+    mc.set_defaults(handler=_cmd_make_corpus)
     mc.add_argument("--out", required=True, type=Path,
                     help="directory for the .app files; .app files there that this "
                          "call does not write are removed, other files kept")
@@ -98,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     config = ExperimentConfig(
         corpus=args.corpus,
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
@@ -111,10 +118,9 @@ def _cmd_run(args) -> int:
     result = run_experiment(config)
     write_outputs(result, args.out, config.formats)
     sys.stdout.write(emit_results(result.rows, "human"))
-    return 0
 
 
-def _run_single(app, method: str, monkey: MonkeyConfig, exploration: ExplorationConfig) -> int:
+def _run_single(app, method: str, monkey: MonkeyConfig, exploration: ExplorationConfig) -> None:
     """Run one session of ``app`` through the experiment's checked path and print it."""
     guard = NetGuard(default_signatures(), default_reputation(), identities=DEFAULT_IDENTITIES)
     report, runner = _run_one(AppSetup(app, install_app(baseline_device(), app), monkey,
@@ -125,30 +131,25 @@ def _run_single(app, method: str, monkey: MonkeyConfig, exploration: Exploration
           f" methods {report.methods_executed}/{report.methods_total}"
           f" classes {report.classes_executed}/{report.classes_total}"
           f"{' CRASHED' if report.crashed else ''}")
-    return 0
 
 
-def _cmd_explore(args) -> int:
+def _cmd_explore(args) -> None:
     app = load_app_model(args.app)
-    return _run_single(app, "smart_monkey" if args.monkey_first else "smart",
-                       MonkeyConfig(seed=args.seed, package=app.package),
-                       ExplorationConfig(seed=args.seed, max_events=args.max_events))
+    _run_single(app, "smart_monkey" if args.monkey_first else "smart",
+                MonkeyConfig(seed=args.seed, package=app.package),
+                ExplorationConfig(seed=args.seed, max_events=args.max_events))
 
 
-def _cmd_monkey(args) -> int:
+def _cmd_monkey(args) -> None:
     app = load_app_model(args.app)
-    if args.package and args.package != app.package:
-        print(f"package {args.package} does not match model {app.package}",
-              file=sys.stderr)
-        return 1
     config = MonkeyConfig(seed=args.seed, pct_syskeys=args.pct_syskeys,
                           pct_appswitch=args.pct_appswitch,
                           throttle_ms=args.throttle, event_count=args.events,
-                          package=app.package)
-    return _run_single(app, "monkey", config, ExplorationConfig())
+                          package=args.package or app.package)
+    _run_single(app, "monkey", config, ExplorationConfig())
 
 
-def _cmd_proxy_check(args) -> int:
+def _cmd_proxy_check(args) -> None:
     sigs = load_signature_db(args.signatures) if args.signatures else default_signatures()
     rep = load_reputation(args.reputation) if args.reputation else default_reputation()
     guard = NetGuard(sigs, rep, threshold=args.threshold, identities=DEFAULT_IDENTITIES)
@@ -161,10 +162,9 @@ def _cmd_proxy_check(args) -> int:
         verdict = outcome.verdict
         detail = verdict.signature_id or verdict.reason
         print(f"verdict: {verdict.kind}" + (f" ({detail})" if detail else ""))
-    return 0
 
 
-def _cmd_decode_log(args) -> int:
+def _cmd_decode_log(args) -> None:
     text = args.log.read_text(encoding="utf-8")
     transactions = parse_capture_log(text)
     for tx in transactions:
@@ -176,16 +176,13 @@ def _cmd_decode_log(args) -> int:
         # Record by record, so no second copy of the log is built: records
         # are self-delimiting, so the log round-trips when each record does.
         if any(parse_capture_log(write_log_entry(tx)) != [tx] for tx in transactions):
-            print("round-trip FAILED", file=sys.stderr)
-            return 1
+            raise LogDecodeError("round-trip FAILED")
         print(f"round-trip ok ({len(transactions)} records)")
-    return 0
 
 
-def _cmd_make_corpus(args) -> int:
+def _cmd_make_corpus(args) -> None:
     paths = write_corpus(args.out, seed=args.seed, count=args.count)
     print(f"wrote {len(paths)} app models to {args.out}")
-    return 0
 
 
 # The errors a subcommand may end with: each is printed, and exits 1.
@@ -194,20 +191,14 @@ FATAL_ERRORS = (ExperimentError, ConfigError, ModelParseError, ModelValidationEr
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Built here, so the parser holds the handlers as they are at the call.
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "explore": _cmd_explore,
-        "monkey": _cmd_monkey,
-        "proxy-check": _cmd_proxy_check,
-        "decode-log": _cmd_decode_log,
-        "make-corpus": _cmd_make_corpus,
-    }
     try:
-        return handlers[args.command](args)
+        args.handler(args)
     except FATAL_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

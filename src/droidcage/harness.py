@@ -47,9 +47,17 @@ from .netguard import (
 from .rng import derive_seed
 from .session import Session, SessionRunner, contained
 
-METHODS = ("monkey", "smart", "smart_monkey")
-FORMATS = ("human", "csv", "structured")
 METHOD_LABELS = {"monkey": "Monkey", "smart": "Smart", "smart_monkey": "Smart Monkey"}
+METHODS = tuple(METHOD_LABELS)
+# Each format's result files, each with what renders it from an
+# ExperimentResult; capture.log and the traces are always written.
+_FORMAT_FILES = {
+    "human": {"results.txt": lambda result: emit_results(result.rows, "human")},
+    "csv": {"summary.csv": lambda result: emit_results(result.rows, "csv"),
+            "per_app.csv": lambda result: per_app_csv(result.per_app)},
+    "structured": {"results.json": lambda result: emit_results(result.rows, "structured")},
+}
+FORMATS = tuple(_FORMAT_FILES)
 
 RESULT_COLUMNS = ("Method", "Classes average coverage", "Methods average coverage",
                   "Blocks average coverage", "Crash rate")
@@ -82,14 +90,13 @@ class ExperimentConfig:
                 raise ExperimentError(f"unknown format {f!r}")
         try:
             check_threshold(self.reputation_threshold)
+            # Checked here by the engines' own configs, not only where the
+            # monkey or the explorer runs, so that a flag's contract does
+            # not depend on the methods asked for.
+            MonkeyConfig(event_count=self.monkey_events)
+            ExplorationConfig(max_events=self.max_events)
         except ConfigError as e:
             raise ExperimentError(str(e)) from None
-        # Checked here, not only where the monkey or the explorer runs, so
-        # that a flag's contract does not depend on the methods asked for.
-        if self.monkey_events < 1:
-            raise ExperimentError("monkey event_count must be >= 1")
-        if self.max_events < 1:
-            raise ExperimentError("max_events must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -252,26 +259,16 @@ def emit_results(rows: tuple[AggregateRow, ...], format: str) -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-# Every result file a format can write; capture.log and the traces are always written.
-_RESULT_FILES = ("results.txt", "summary.csv", "per_app.csv", "results.json")
-
-
 def write_outputs(result: ExperimentResult, out_dir: str | Path,
-                  formats: tuple[str, ...]) -> list[Path]:
+                  formats: tuple[str, ...]) -> None:
     """Write all experiment artifacts; byte-identical for identical runs.
 
     A result file or trace an earlier run left in ``out_dir`` that this
     run does not write is removed first, so the directory holds one run;
     any other file is left alone.
     """
-    files = {}
-    if "human" in formats:
-        files["results.txt"] = emit_results(result.rows, "human")
-    if "csv" in formats:
-        files["summary.csv"] = emit_results(result.rows, "csv")
-        files["per_app.csv"] = per_app_csv(result.per_app)
-    if "structured" in formats:
-        files["results.json"] = emit_results(result.rows, "structured")
+    files = {name: render(result) for f, renderers in _FORMAT_FILES.items() if f in formats
+             for name, render in renderers.items()}
     files["capture.log"] = result.capture_log
     traces = {f"{package}__{method}.trace": session
               for (method, package), session in sorted(result.sessions.items())}
@@ -279,20 +276,15 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path,
     out = Path(out_dir)
     trace_dir = out / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
-    for name in _RESULT_FILES:
-        if name not in files:
+    for renderers in _FORMAT_FILES.values():
+        for name in renderers.keys() - files.keys():
             (out / name).unlink(missing_ok=True)
     for p in trace_dir.glob("*.trace"):
         if p.name not in traces:
             p.unlink()
 
-    written = []
     for name, text in files.items():
-        p = out / name
-        p.write_text(text, encoding="utf-8")
-        written.append(p)
+        (out / name).write_text(text, encoding="utf-8")
     for name, session in traces.items():
-        p = trace_dir / name
-        p.write_text("".join(call + "\n" for call in session.trace), encoding="utf-8")
-        written.append(p)
-    return written
+        (trace_dir / name).write_text("".join(call + "\n" for call in session.trace),
+                                      encoding="utf-8")

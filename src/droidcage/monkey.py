@@ -84,9 +84,11 @@ def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
     """Drive the runner's session with the random stream; stop on a crash.
 
     A later phase on the same runner continues from where the monkey left
-    the app.
+    the app. A ``config.package`` other than ``""`` must be the app's.
     """
     app = runner.app
+    if config.package not in ("", app.package):
+        raise ConfigError(f"package {config.package} does not match model {app.package}")
     rng = Xoshiro256StarStar(config.seed)
     ctx = screen = None
     with gc_paused():

@@ -27,8 +27,12 @@ header: each of those frames the request ambiguously (RFC 9112 3.2, 6.1,
 6.3), so it is malformed. So is a request whose version is not HTTP/1.0 or
 HTTP/1.1 (RFC 9112 2.3), or whose host is empty, holds a character outside
 an RFC 3986 reg-name or a "%" that does not open a %HH escape (RFC 9112 3.2):
-it has nowhere valid to go. Signatures are matched against the body bytes and
-against the path's latin-1 bytes, the bytes it was parsed from.
+it has nowhere valid to go. A header line is a name, a colon and a value: the
+name must be a token, so whitespace before its colon (RFC 9112 5.1) or before
+the name, as on an obs-fold continuation line (RFC 9112 5.2), makes the
+request malformed, and the value loses only its leading and trailing SP and
+HTAB (RFC 9110 5.6.3), no other byte. Signatures are matched against the body
+bytes and against the path's latin-1 bytes, the bytes it was parsed from.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class RequestParseError(ValueError):
 
 
 class LogDecodeError(ValueError):
-    """A capture-log record is not decodable."""
+    """A capture-log record is not decodable, or does not round-trip."""
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +246,8 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     head, sep, rest = raw.partition(b"\r\n\r\n")
     if not sep:
         head, sep, rest = raw.partition(b"\n\n")
+        # A CR before a bare LF ends the line with it (RFC 9112 2.2).
+        head = head.removesuffix(b"\r")
     request_line, newline, block = head.partition(b"\n")
     if newline and request_line.endswith(b"\r"):
         request_line = request_line[:-1]
@@ -261,10 +267,9 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
         if not line.strip(_ASCII_WHITESPACE):
             continue
         name, colon, value = line.partition(":")
-        name = name.strip()
         if not colon or not _TOKEN_RE.fullmatch(name):
             raise RequestParseError(f"bad header line: {line.encode('latin-1')!r}")
-        value = value.strip()
+        value = value.strip(" \t")
         headers.append((name, value))
         key = name.lower()
         if key == "host":

@@ -2,6 +2,7 @@ import pytest
 
 from droidcage.app_model import APP_SWITCH, load_app_model, reachable_blocks
 from droidcage.corpus import build_corpus
+from droidcage.data_tables import ConfigError
 from droidcage.monkey import MonkeyConfig, run_monkey
 from droidcage.session import SessionRunner
 
@@ -92,6 +93,19 @@ def test_percent_bounds_validated():
     with pytest.raises(ValueError, match="pct_syskeys \\+ pct_appswitch"):
         MonkeyConfig(pct_syskeys=60, pct_appswitch=60)
     assert MonkeyConfig(pct_syskeys=60, pct_appswitch=40).pct_appswitch == 40
+
+
+def test_monkey_rejects_another_apps_package_before_the_first_event(login_gate):
+    runner = SessionRunner(login_gate, device_for(login_gate))
+    with pytest.raises(ConfigError) as e:
+        run_monkey(runner, MonkeyConfig(package="com.other.app"))
+    assert str(e.value) == "package com.other.app does not match model com.fixture.logingate"
+    assert runner.session.events == []
+    # No package, or the app's own, is the app's.
+    for package in ("", login_gate.package):
+        runner = SessionRunner(login_gate, device_for(login_gate))
+        run_monkey(runner, MonkeyConfig(event_count=3, package=package))
+        assert len(runner.session.events) == 3
 
 
 def test_monkey_saturates_ungated_tiny_app(tiny_taps):

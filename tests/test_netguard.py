@@ -980,6 +980,42 @@ def test_every_reg_name_character_and_both_versions_still_parse(raw, host, versi
 
 
 # ---------------------------------------------------------------------------
+# A header line is parsed by its grammar
+# ---------------------------------------------------------------------------
+
+# A parser that strips a header name, or strips more than SP and HTAB from
+# a value, routes or frames each of these.
+_BAD_HEADER_LINES = {
+    "nel_before_colon": b"GET / HTTP/1.1\r\nHost\x85: evil.example\r\n\r\n",
+    "separator_before_name": b"GET / HTTP/1.1\r\n\x1cHost: evil.example\r\n\r\n",
+    "space_before_colon": b"GET / HTTP/1.1\r\nHost : a.example\r\n\r\n",
+    "obs_fold": b"GET / HTTP/1.1\r\nX-A: 1\r\n Host: evil.example\r\n\r\n",
+    "nel_after_length": b"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 3\x85\r\n\r\nabc",
+}
+
+
+@pytest.mark.parametrize("raw", _BAD_HEADER_LINES.values(), ids=_BAD_HEADER_LINES.keys())
+def test_a_header_line_outside_its_grammar_is_malformed(raw):
+    with pytest.raises(RequestParseError):
+        parse_request(raw)
+    guard = _guard()
+    assert guard.handle(raw).disposition == "malformed"
+    assert guard.capture_log == [] and guard.forwarded == []
+    assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
+
+
+@pytest.mark.parametrize("tail", ["\x85", "\xa0", "\x1c"])
+def test_a_header_value_loses_only_sp_and_htab(tail):
+    raw = f"GET / HTTP/1.1\r\nHost: a\r\nX-A: \t v{tail} \t\r\n\r\n".encode("latin-1")
+    assert parse_request(raw).headers == (("Host", "a"), ("X-A", f"v{tail}"))
+
+
+def test_a_cr_before_a_bare_lf_ends_the_last_header_line():
+    tx = parse_request(b"GET / HTTP/1.1\r\nHost: a\r\n\n")
+    assert (tx.host, tx.headers) == ("a", (("Host", "a"),))
+
+
+# ---------------------------------------------------------------------------
 # The one-pass parser against the two-pass parser it replaced
 # ---------------------------------------------------------------------------
 
@@ -992,6 +1028,7 @@ def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> Htt
     head, sep, rest = raw.partition(b"\r\n\r\n")
     if not sep:
         head, sep, rest = raw.partition(b"\n\n")
+        head = head.removesuffix(b"\r")
     lines = head.replace(b"\r\n", b"\n").split(b"\n")
     if not lines or not lines[0].strip():
         raise RequestParseError("empty request")
@@ -1007,10 +1044,10 @@ def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> Htt
         if not line.strip():
             continue
         name, colon, value = line.partition(b":")
-        name = name.decode("latin-1").strip()
+        name = name.decode("latin-1")
         if not colon or not _REFERENCE_TOKEN_RE.fullmatch(name):
             raise RequestParseError(f"bad header line: {line!r}")
-        headers.append((name, value.decode("latin-1").strip()))
+        headers.append((name, value.decode("latin-1").strip(" \t")))
 
     host, port, path = _reference_split_target(target, headers, protocol)
 
