@@ -15,6 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
@@ -703,10 +704,61 @@ def _activity_state(obj: dict, where: str, places: dict, what: str = "",
     return values
 
 
+# The action an element of each kind must list, or None.
+_KIND_ACTION = {**dict.fromkeys(ELEMENT_KINDS), "textfield": "set_text", "checkbox": "toggle"}
+
+# Every action list whose actions are known and listed once each.
+_ACTION_LISTS = frozenset([actions for n in range(len(UI_ACTIONS) + 1)
+                           for actions in permutations(UI_ACTIONS, n)])
+
+# What a direct reader reads an absent array or activity as; nothing mutates them.
+_NO_ITEMS: list = []
+_NO_PLACES: dict = {}
+
+# The direct readers below build the common records the checked readers
+# build, without their spec walk or their ``where`` text. Each takes only a
+# record whose fields all have their exact JSON types and whose text is
+# ASCII, and returns None for any other: the checked reader then reads it
+# and reports any fault, so every message comes from one place.
+
+
+def _direct_element(raw) -> Optional[UiElement]:
+    """The element :func:`_load_element` builds from ``raw`` when its bounds
+    are ints; None when it is not such a plain element."""
+    if type(raw) is not dict:
+        return None
+    get = raw.get
+    kind, bounds, actions = get("kind", "generic"), get("bounds"), get("actions", _NO_ITEMS)
+    if type(kind) is not str or type(bounds) is not list or type(actions) is not list:
+        return None
+    actions = tuple(actions)
+    try:
+        required = _KIND_ACTION[kind]
+        if (len(bounds) != 4 or actions not in _ACTION_LISTS
+                or required is not None and required not in actions):
+            return None
+    except (KeyError, TypeError):  # an unknown kind, an unhashable action
+        return None
+    x, y, w, h = bounds
+    id_string = raw["id_string"] if "id_string" in raw else get("id")
+    description = (raw["content_description"] if "content_description" in raw
+                   else get("description"))
+    text, hint = get("text"), get("hint")
+    if (type(x) is int and type(y) is int and type(w) is int and type(h) is int
+            and w > 0 and h > 0
+            and (id_string is None or type(id_string) is str and id_string.isascii())
+            and (description is None or type(description) is str and description.isascii())
+            and (text is None or type(text) is str and text.isascii())
+            and (hint is None or type(hint) is str and hint.isascii())):
+        return _make(UiElement, (kind, id_string, description, text, hint, (x, y, w, h), actions))
+    return None
+
+
 _NUMBERS = frozenset({int, float})
 
 
 def _load_element(raw, where: str) -> UiElement:
+    """The checked element reader."""
     raw = _object(raw, where, "element")
     kind, bounds, actions, id_string, description, text, hint = _fields(
         raw, where, _ELEMENT_FIELDS["id_string" in raw, "content_description" in raw])
@@ -722,12 +774,27 @@ def _load_element(raw, where: str) -> UiElement:
     for action in actions:
         if actions.count(_one_of(action, where, UI_ACTIONS, "action")) > 1:
             raise ModelValidationError(f"{where}: action {action!r} is listed twice")
-    if kind == "textfield" and "set_text" not in actions:
-        raise ModelValidationError(f"{where}: textfield must list set_text")
-    if kind == "checkbox" and "toggle" not in actions:
-        raise ModelValidationError(f"{where}: checkbox must list toggle")
+    required = _KIND_ACTION[kind]
+    if required is not None and required not in actions:
+        raise ModelValidationError(f"{where}: {kind} must list {required}")
     return _make(UiElement, (kind, id_string, description, text, hint, (x, y, w, h),
                              tuple(actions)))
+
+
+def _direct_block(raw) -> Optional[BasicBlock]:
+    """The block :func:`_load_block` builds from a plain ``raw``, or None."""
+    if type(raw) is dict:
+        get = raw.get
+        bid, class_name, method = get("id"), get("class"), get("method")
+        if (type(bid) is str and type(class_name) is str and type(method) is str
+                and bid.isascii() and class_name.isascii() and method.isascii()):
+            return _make(BasicBlock, (bid, class_name, method))
+    return None
+
+
+def _load_block(raw, where: str) -> BasicBlock:
+    """The checked block reader."""
+    return _make(BasicBlock, _fields(_object(raw, where, "block"), where, _BLOCK_FIELDS))
 
 
 # Each side-effect kind's fields, named as SideEffect names them.
@@ -790,6 +857,83 @@ def _load_match(raw: dict | None, where: str) -> Optional[TextMatch]:
     return TextMatch("non_empty")
 
 
+def _direct_state(obj: dict, places: dict) -> Optional[UiState]:
+    """The UiState a plain {activity, state} object names, or None."""
+    act, st = obj.get("activity"), obj.get("state")
+    if type(act) is str and type(st) is str:
+        return places.get(act, _NO_PLACES).get(st)
+    return None
+
+
+def _direct_transition(raw, places: dict, known_blocks: set) -> Optional[Transition]:
+    """The transition :func:`_load_transition` builds from ``raw`` when it is
+    a plain UI transition: an int element index, no match and no side
+    effects; None for any other. The names it finds among the model's
+    activities, states, actions and blocks are valid text already."""
+    if type(raw) is not dict:
+        return None
+    get = raw.get
+    frm, trigger, to = get("from"), get("trigger"), get("to")
+    blocks, effects = get("blocks", _NO_ITEMS), get("side_effects", _NO_ITEMS)
+    crash = get("crash", False)
+    if (type(frm) is not dict or type(trigger) is not dict or type(blocks) is not list
+            or type(effects) is not list or effects or type(crash) is not bool
+            or "receiver" in frm or trigger.get("match") is not None):
+        return None
+    state, idx, action = _direct_state(frm, places), frm.get("element"), trigger.get("action")
+    if (state is None or type(idx) is not int or type(action) is not str
+            or not 0 <= idx < len(state.elements) or action not in state.elements[idx].actions):
+        return None
+    if to is not None:
+        to_state = _direct_state(to, places) if type(to) is dict else None
+        if to_state is None:
+            return None
+        to = (to["activity"], to_state.id)
+    for bid in blocks:
+        if type(bid) is not str or bid not in known_blocks:
+            return None
+    return _make(Transition, (_make(UiSource, (frm["activity"], state.id, idx)), action, None,
+                              to, tuple(blocks), (), crash))
+
+
+def _load_transition(raw, where: str, places: dict, known_blocks: set) -> Transition:
+    """The checked transition reader; ``places`` maps each activity to its
+    {state id: UiState}, ``known_blocks`` holds the block ids."""
+    frm, trigger, to, tblocks, effects, crash = _fields(
+        _object(raw, where, "transition"), where, _TRANSITION_FIELDS)
+    if "receiver" in frm:
+        match = _load_match(_field(trigger, "match", where, _OPT_OBJECT, None), where)
+        action = _field(frm, "receiver", where)
+        anchor = None
+        if "activity" in frm:
+            act, state = _activity_state(frm, where, places, "anchor ")
+            anchor = (act, state.id)
+        action_name = _RECEIVER_TRIGGERS.get(action, "broadcast")
+        source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(action, anchor)
+    else:
+        raw_match, action_name = _fields(trigger, where, _UI_TRIGGER_FIELDS)
+        match = _load_match(raw_match, where)
+        act, state, ref = _activity_state(frm, where, places, spec=_UI_SOURCE_FIELDS)
+        idx = _resolve_element_ref(state, ref, where)
+        # An action the element lists is a known one.
+        if action_name not in state.elements[idx].actions:
+            _one_of(action_name, where, UI_ACTIONS, "trigger action")
+            raise ModelValidationError(
+                f"{where}: element {idx} does not list {action_name!r}")
+        source_obj = _make(UiSource, (act, state.id, idx))
+    if match is not None and action_name != "set_text":
+        raise ModelValidationError(f"{where}: text match is only valid on set_text")
+
+    if to is not None:
+        act, state = _activity_state(to, where, places, "target ")
+        to = (act, state.id)
+    for bid in tblocks:
+        if type(bid) is not str or bid not in known_blocks:
+            raise ModelValidationError(f"{where}: unknown block {bid!r}")
+    effects = tuple([_load_side_effect(e, where) for e in effects]) if effects else ()
+    return _make(Transition, (source_obj, action_name, match, to, tuple(tblocks), effects, crash))
+
+
 def load_app_model(path: str | Path) -> AppModel:
     """Load and validate an app model file.
 
@@ -837,8 +981,9 @@ def _build_model(doc: dict, source: str) -> AppModel:
             sraw = _object(sraw, awhere, "state")
             sid = _field(sraw, "id", awhere)
             where = f"{awhere}/{sid}"
-            states.append(UiState(sid, tuple([_load_element(e, where) for e in
-                                               _field(sraw, "elements", where, _ARRAY, ())])))
+            elements = _field(sraw, "elements", where, _ARRAY, ())
+            states.append(UiState(sid, tuple([_direct_element(e) or _load_element(e, where)
+                                               for e in elements])))
         ids = [s.id for s in states]
         if len(set(ids)) != len(ids):
             raise ModelValidationError(f"{awhere}: state ids must be unique")
@@ -855,8 +1000,7 @@ def _build_model(doc: dict, source: str) -> AppModel:
         raise ModelValidationError(f"{source}: main_activity {main_activity!r} not found")
     places = {a.name: {st.id: st for st in a.states} for a in activities}
 
-    blocks = [_make(BasicBlock, _fields(_object(braw, source, "block"), source, _BLOCK_FIELDS))
-              for braw in raw_blocks]
+    blocks = [_direct_block(braw) or _load_block(braw, source) for braw in raw_blocks]
     if not blocks:
         raise ModelValidationError(f"{source}: at least one block required")
     known_blocks = {b.id for b in blocks}
@@ -873,43 +1017,9 @@ def _build_model(doc: dict, source: str) -> AppModel:
         act, state, action = _activity_state(draw, rwhere, places, spec=_DYNAMIC_FIELDS)
         dynamic.append((act, state.id, action))
 
-    transitions = []
-    for i, traw in enumerate(raw_transitions):
-        where = f"{source}:transition[{i}]"
-        frm, trigger, to, tblocks, effects, crash = _fields(
-            _object(traw, where, "transition"), where, _TRANSITION_FIELDS)
-        if "receiver" in frm:
-            match = _load_match(_field(trigger, "match", where, _OPT_OBJECT, None), where)
-            action = _field(frm, "receiver", where)
-            anchor = None
-            if "activity" in frm:
-                act, state = _activity_state(frm, where, places, "anchor ")
-                anchor = (act, state.id)
-            action_name = _RECEIVER_TRIGGERS.get(action, "broadcast")
-            source_obj: Union[UiSource, ReceiverSource] = ReceiverSource(action, anchor)
-        else:
-            raw_match, action_name = _fields(trigger, where, _UI_TRIGGER_FIELDS)
-            match = _load_match(raw_match, where)
-            act, state, ref = _activity_state(frm, where, places, spec=_UI_SOURCE_FIELDS)
-            idx = _resolve_element_ref(state, ref, where)
-            # An action the element lists is a known one.
-            if action_name not in state.elements[idx].actions:
-                _one_of(action_name, where, UI_ACTIONS, "trigger action")
-                raise ModelValidationError(
-                    f"{where}: element {idx} does not list {action_name!r}")
-            source_obj = _make(UiSource, (act, state.id, idx))
-        if match is not None and action_name != "set_text":
-            raise ModelValidationError(f"{where}: text match is only valid on set_text")
-
-        if to is not None:
-            act, state = _activity_state(to, where, places, "target ")
-            to = (act, state.id)
-        for bid in tblocks:
-            if type(bid) is not str or bid not in known_blocks:
-                raise ModelValidationError(f"{where}: unknown block {bid!r}")
-        effects = tuple([_load_side_effect(e, where) for e in effects]) if effects else ()
-        transitions.append(_make(Transition, (source_obj, action_name, match, to,
-                                              tuple(tblocks), effects, crash)))
+    transitions = [_direct_transition(traw, places, known_blocks)
+                   or _load_transition(traw, f"{source}:transition[{i}]", places, known_blocks)
+                   for i, traw in enumerate(raw_transitions)]
 
     app = AppModel(
         package=package,

@@ -233,11 +233,12 @@ _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
     """Parse raw HTTP/1.x request bytes into a transaction.
 
-    Malformed HTTP, ambiguous framing (a second ``Host`` or
-    ``Content-Length`` header, any ``Transfer-Encoding``), a version other
-    than HTTP/1.0 or HTTP/1.1, an empty host or one that is not a reg-name,
-    and any protocol but http/https (``NetGuard.handle`` blocks POP/IMAP/FTP
-    before parsing) raise :class:`RequestParseError`.
+    Malformed HTTP (a CR or NUL in a header value too), ambiguous framing
+    (a second ``Host`` or ``Content-Length`` header, any
+    ``Transfer-Encoding``), a version other than HTTP/1.0 or HTTP/1.1, an
+    empty host or one that is not a reg-name, and any protocol but
+    http/https (``NetGuard.handle`` blocks POP/IMAP/FTP before parsing)
+    raise :class:`RequestParseError`.
     """
     protocol = declared_protocol.lower()
     if protocol not in ("http", "https"):
@@ -270,6 +271,9 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
         if not colon or not _TOKEN_RE.fullmatch(name):
             raise RequestParseError(f"bad header line: {line.encode('latin-1')!r}")
         value = value.strip(" \t")
+        # RFC 9110 5.5: a field value holds no CR or NUL (an LF ends its line).
+        if "\r" in value or "\x00" in value:
+            raise RequestParseError(f"bad header value: {line.encode('latin-1')!r}")
         headers.append((name, value))
         key = name.lower()
         if key == "host":

@@ -2,8 +2,12 @@
 
 The three reference properties (``-k "explorer_reference or oracle_reference
 or monkey_reference"``) compare each engine with a plain reference kept in
-the tests; the oracle's is also checked on every hand-written fixture.
+the tests; the oracle's is also checked on every hand-written fixture. A
+fourth compares the loader's direct readers with its checked readers on
+whole and damaged records.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +15,17 @@ from hypothesis import strategies as st
 
 from droidcage import harness
 from droidcage.app_model import (
+    ELEMENT_KINDS,
     LOOPBACK_LIMIT,
+    ModelValidationError,
     OracleBudgetError,
     UI_ACTIONS,
+    _direct_block,
+    _direct_element,
+    _direct_transition,
+    _load_block,
+    _load_element,
+    _load_transition,
     install_app,
     load_app_model,
     loopback_event,
@@ -21,6 +33,7 @@ from droidcage.app_model import (
     reachable_blocks,
     run_event_chain,
 )
+from droidcage.corpus import build_corpus
 from droidcage.coverage import measure
 from droidcage.data_tables import DataTables, default_tables
 from droidcage.explorer import ExplorationConfig, baseline_device, cleanup, explore
@@ -276,3 +289,146 @@ def test_reachable_blocks_equals_oracle_reference(doc):
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.app")))
 def test_reachable_blocks_equals_oracle_reference_on_fixtures(name):
     _check_oracle_against_reference(load_app_model(FIXTURES / name), _DEFAULT)
+
+
+# ---------------------------------------------------------------------------
+# The loader's direct readers against its checked readers
+# ---------------------------------------------------------------------------
+
+_READERS = {"element": (_direct_element, _load_element),
+            "block": (_direct_block, _load_block),
+            "transition": (_direct_transition, _load_transition)}
+
+# The hand-written fixtures and the 20-app corpora of seeds 0 and 1.
+_KNOWN_DOCS = ([json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted(FIXTURES.glob("*.app"))]
+               + [app.doc for seed in (0, 1) for app in build_corpus(seed, 20)])
+
+
+def _records(doc):
+    """(kind, raw record) of every element, block and transition of ``doc``."""
+    for activity in doc["activities"]:
+        for state in activity["states"]:
+            for element in state.get("elements", ()):
+                yield "element", element
+    for block in doc["blocks"]:
+        yield "block", block
+    for transition in doc["transitions"]:
+        yield "transition", transition
+
+
+def _check_readers_agree(doc, records) -> list:
+    """Read each record of ``records`` with its direct and its checked reader,
+    in the context of the valid ``doc``: a record the direct reader builds
+    equals the checked reader's, and one the checked reader rejects, the
+    direct reader hands on. Returns, per record, whether the direct reader
+    built it."""
+    app = model_from_dict(doc)
+    places = {a.name: {state.id: state for state in a.states} for a in app.activities}
+    known_blocks = {b.id for b in app.blocks}
+    taken = []
+    for what, raw in records:
+        direct, checked = _READERS[what]
+        context = (places, known_blocks) if what == "transition" else ()
+        record = direct(raw, *context)
+        try:
+            expected = checked(raw, "<record>", *context)
+        except ModelValidationError:
+            assert record is None, (what, raw)
+        else:
+            assert record is None or (type(record), repr(record)) == (
+                type(expected), repr(expected)), (what, raw)
+        taken.append(record is not None)
+    return taken
+
+
+def test_direct_readers_take_every_fixture_and_corpus_element_and_block():
+    taken = {what: [] for what in _READERS}
+    for doc in _KNOWN_DOCS:
+        records = list(_records(doc))
+        for (what, _), took in zip(records, _check_readers_agree(doc, records)):
+            taken[what].append(took)
+    assert all(taken["element"]) and all(taken["block"]) and any(taken["transition"])
+
+
+_DROP = object()
+# Every field name a record or an object inside it may hold.
+_FIELD_NAMES = ("kind", "bounds", "actions", "id", "id_string", "description",
+                "content_description", "text", "hint", "class", "method", "from", "trigger",
+                "to", "blocks", "side_effects", "crash", "activity", "state", "element",
+                "receiver", "action", "match")
+
+
+def _replacements(value) -> list:
+    """Values that damage a field holding ``value``: another JSON type (a
+    bool for an int, a tuple for a list, a dict for a string), a lone
+    surrogate or other non-ASCII text, a number out of range, and names the
+    model lacks or the element does not list."""
+    kind = type(value)
+    if kind is bool:
+        return [1, None, "true"]
+    if kind is int:
+        return [True, 1.0, 0, -1, 10**6, "1"]
+    if kind is float:
+        return [True, 0.0, "1"]
+    if kind is str:
+        return [{}, None, 7, "\ud800", value + "\u00e9", "nowhere", *UI_ACTIONS, *ELEMENT_KINDS]
+    if kind is list:
+        return [tuple(value), value + value, value[:-1], {}, None]
+    if kind is dict:
+        return [[], None, "x", {}]
+    # null, or a field the object lacks
+    return [None, "x", 0, True, [], (), {}, ["click"], {"kind": "non_empty"},
+            [{"kind": "outgoing_call", "number": "5550100"}]]
+
+
+def _damages(value, path=()):
+    """(path, replacement) of every one-field damage of ``value``: each
+    field or item inside it dropped or replaced, each field name an object
+    inside it lacks added, and ``value`` itself replaced."""
+    for replacement in _replacements(value):
+        yield path, replacement
+    if type(value) is dict:
+        for key, item in value.items():
+            yield path + (key,), _DROP
+            yield from _damages(item, path + (key,))
+        for key in _FIELD_NAMES:
+            if key not in value:
+                for replacement in _replacements(None):
+                    yield path + (key,), replacement
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield path + (i,), _DROP
+            yield from _damages(item, path + (i,))
+
+
+def _damaged(value, path: tuple, replacement):
+    """``value`` with the field at ``path`` dropped or replaced; the objects
+    along the path are copied, and ``value`` is left as it was."""
+    if not path:
+        return replacement
+    key, rest = path[0], path[1:]
+    value = type(value)(value)
+    if rest:
+        value[key] = _damaged(value[key], rest, replacement)
+    elif replacement is _DROP:
+        del value[key]
+    else:
+        value[key] = replacement
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(_KNOWN_DOCS), app_docs()), st.data())
+def test_direct_readers_agree_with_the_checked_path(doc, data):
+    """Each reader pair agrees on every record of ``doc``, and on every
+    one-field damage of one of its elements, blocks and transitions."""
+    records = list(_records(doc))
+    damaged = []
+    for what in _READERS:
+        kind_records = [record for kind, record in records if kind == what]
+        if kind_records:
+            raw = data.draw(st.sampled_from(kind_records))
+            damaged += [(what, _damaged(raw, path, replacement))
+                        for path, replacement in _damages(raw)]
+    _check_readers_agree(doc, records + damaged)

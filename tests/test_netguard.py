@@ -991,6 +991,9 @@ _BAD_HEADER_LINES = {
     "space_before_colon": b"GET / HTTP/1.1\r\nHost : a.example\r\n\r\n",
     "obs_fold": b"GET / HTTP/1.1\r\nX-A: 1\r\n Host: evil.example\r\n\r\n",
     "nel_after_length": b"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 3\x85\r\n\r\nabc",
+    # RFC 9110 5.5: a field value holding CR or NUL is rejected.
+    "bare_cr_in_value": b"GET / HTTP/1.1\r\nHost: a\r\nX: 1\r\r\n\r\n",
+    "nul_in_value": b"GET / HTTP/1.1\r\nHost: a\r\nY: a\x00b\r\n\r\n",
 }
 
 
@@ -1004,7 +1007,7 @@ def test_a_header_line_outside_its_grammar_is_malformed(raw):
     assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
 
 
-@pytest.mark.parametrize("tail", ["\x85", "\xa0", "\x1c"])
+@pytest.mark.parametrize("tail", ["\x85", "\xa0", "\x1c", "\x01", "\x7f"])
 def test_a_header_value_loses_only_sp_and_htab(tail):
     raw = f"GET / HTTP/1.1\r\nHost: a\r\nX-A: \t v{tail} \t\r\n\r\n".encode("latin-1")
     assert parse_request(raw).headers == (("Host", "a"), ("X-A", f"v{tail}"))
@@ -1020,7 +1023,8 @@ def test_a_cr_before_a_bare_lf_ends_the_last_header_line():
 # ---------------------------------------------------------------------------
 
 def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
-    """parse_request as it was before it read the request in one pass."""
+    """parse_request as it was before it read the request in one pass, with
+    the rule it gained since: a header value holds no CR or NUL."""
     protocol = declared_protocol.lower()
     if protocol not in ("http", "https"):
         raise RequestParseError(f"unknown protocol {declared_protocol!r}")
@@ -1047,6 +1051,8 @@ def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> Htt
         name = name.decode("latin-1")
         if not colon or not _REFERENCE_TOKEN_RE.fullmatch(name):
             raise RequestParseError(f"bad header line: {line!r}")
+        if b"\r" in value or b"\x00" in value:
+            raise RequestParseError(f"bad header value: {line!r}")
         headers.append((name, value.decode("latin-1").strip(" \t")))
 
     host, port, path = _reference_split_target(target, headers, protocol)
