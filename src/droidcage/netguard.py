@@ -31,8 +31,11 @@ it has nowhere valid to go. A header line is a name, a colon and a value: the
 name must be a token, so whitespace before its colon (RFC 9112 5.1) or before
 the name, as on an obs-fold continuation line (RFC 9112 5.2), makes the
 request malformed, and the value loses only its leading and trailing SP and
-HTAB (RFC 9110 5.6.3), no other byte. Signatures are matched against the body
-bytes and against the path's latin-1 bytes, the bytes it was parsed from.
+HTAB (RFC 9110 5.6.3), no other byte. A target in absolute form, whose scheme
+``http`` or ``https`` is matched in any case (RFC 3986 3.1), names the host,
+port and path, and the Host header is not read for them (RFC 9112 3.2.2).
+Signatures are matched against the body bytes and against the path's latin-1
+bytes, the bytes it was parsed from.
 """
 
 from __future__ import annotations
@@ -121,6 +124,12 @@ class Verdict(NamedTuple):
 FORWARD = Verdict("forward")
 REDIRECT_SIM = Verdict("redirect_sim", reason="good_reputation")
 BLOCK = Verdict("block", reason="unsupported_protocol")
+
+# ``_make(Record, fields)`` is ``Record._make(fields)`` without its arity
+# check: parse_request and strip_payload build their transactions with it
+# once their own checks have run (so HttpTransaction's are skipped), and
+# handle its handled outcome; tests check that each passes its constructor.
+_make = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +261,14 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     request_line, newline, block = head.partition(b"\n")
     if newline and request_line.endswith(b"\r"):
         request_line = request_line[:-1]
-    if not request_line.strip():
-        raise RequestParseError("empty request")
     parts = request_line.split()
     if len(parts) != 3:
-        raise RequestParseError(f"bad request line: {request_line!r}")
-    method, target, version = [p.decode("latin-1") for p in parts]
+        raise RequestParseError(f"bad request line: {request_line!r}" if parts
+                                else "empty request")
+    # Decoded one by one: a comprehension here costs as much as the decoding.
+    method, target, version = parts
+    method, target, version = (method.decode("latin-1"), target.decode("latin-1"),
+                               version.decode("latin-1"))
     if not version.startswith("HTTP/"):
         raise RequestParseError(f"bad HTTP version: {version!r}")
 
@@ -265,9 +276,10 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     headers = []
     authority = length = None
     for line in block.decode("latin-1").replace("\r\n", "\n").split("\n"):
-        if not line.strip(_ASCII_WHITESPACE):
-            continue
         name, colon, value = line.partition(":")
+        # A line with a colon is not blank, so only one without is stripped.
+        if not colon and not line.strip(_ASCII_WHITESPACE):
+            continue
         if not colon or not _TOKEN_RE.fullmatch(name):
             raise RequestParseError(f"bad header line: {line.encode('latin-1')!r}")
         value = value.strip(" \t")
@@ -287,7 +299,9 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
         elif key == "transfer-encoding":
             raise RequestParseError(f"unsupported Transfer-Encoding: {value!r}")
 
-    if target.startswith("http://") or target.startswith("https://"):
+    # An origin-form target starts with "/"; an absolute-form scheme is
+    # case-insensitive (RFC 3986 3.1).
+    if target[0] != "/" and target[:8].lower().startswith(("http://", "https://")):
         authority, slash, tail = target.split("://", 1)[1].partition("/")
         path = slash + tail if slash else "/"
     elif authority is None:
@@ -295,8 +309,10 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     else:
         path = target
     host, _, port = authority.partition(":")
-    port = port or ("443" if protocol == "https" else "80")
-    _check_port(port)
+    if port:
+        _check_port(port)
+    else:
+        port = "443" if protocol == "https" else "80"
 
     content = b""
     if length is not None:
@@ -310,8 +326,9 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
         raise RequestParseError(f"unsupported HTTP version: {version!r}")
     if not _REG_NAME_RE.fullmatch(host):
         raise RequestParseError(f"bad host: {host!r}")
-    return HttpTransaction(method, protocol, host, port, path, version,
-                           tuple(headers), content)
+    # method is a non-empty split() part, protocol and port are checked above.
+    return _make(HttpTransaction, (method, protocol, host, port, path, version,
+                                   tuple(headers), content))
 
 
 def _decimal(text: str, what: str) -> int:
@@ -372,8 +389,8 @@ def strip_payload(tx: HttpTransaction, sigs: SignatureDb) -> HttpTransaction:
             if text in path:
                 path = path.replace(text, "")
                 changed = True
-    return HttpTransaction(tx.method, tx.scheme, tx.host, tx.port, path,
-                           tx.http_version, tx.headers, content)
+    method, scheme, host, port, _, version, headers, _ = tx
+    return _make(HttpTransaction, (method, scheme, host, port, path, version, headers, content))
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +427,31 @@ def _b64(data: bytes) -> str:
     return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
+# The base64 text of the values method, scheme, port and http_version nearly
+# always hold: the RFC 9110 methods, both schemes, their default ports and
+# both versions. Built once; write_log_entry encodes any other value.
+_B64_TEXT = {value: _b64(value.encode()) for value in (
+    "GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS", "TRACE",
+    "http", "https", "80", "443", *_HTTP_VERSIONS)}
+
+
 def write_log_entry(tx: HttpTransaction) -> str:
     """Tagged capture record with every field value base64-encoded."""
-    b64 = binascii.b2a_base64
+    b64, fixed = binascii.b2a_base64, _B64_TEXT.get
+    method, scheme, host, port, path, version, headers, content = tx
     headers = "".join([f"  <{name}>{b64(value.encode(), newline=False).decode()}</{name}>\n"
-                       for name, value in tx.headers])
-    content = (f"<content>{b64(tx.content, newline=False).decode()}</content>"
-               if tx.content else "<content />")
+                       for name, value in headers])
+    content = (f"<content>{b64(content, newline=False).decode()}</content>"
+               if content else "<content />")
     return (f"<header>\n"
-            f"  <method>{b64(tx.method.encode(), newline=False).decode()}</method>\n"
-            f"  <scheme>{b64(tx.scheme.encode(), newline=False).decode()}</scheme>\n"
-            f"  <host>{b64(tx.host.encode(), newline=False).decode()}</host>\n"
-            f"  <port>{b64(tx.port.encode(), newline=False).decode()}</port>\n"
-            f"  <path>{b64(tx.path.encode(), newline=False).decode()}</path>\n"
-            f"  <http_version>{b64(tx.http_version.encode(), newline=False).decode()}"
+            f"  <method>{fixed(method) or b64(method.encode(), newline=False).decode()}"
+            f"</method>\n"
+            f"  <scheme>{fixed(scheme) or b64(scheme.encode(), newline=False).decode()}"
+            f"</scheme>\n"
+            f"  <host>{b64(host.encode(), newline=False).decode()}</host>\n"
+            f"  <port>{fixed(port) or b64(port.encode(), newline=False).decode()}</port>\n"
+            f"  <path>{b64(path.encode(), newline=False).decode()}</path>\n"
+            f"  <http_version>{fixed(version) or b64(version.encode(), newline=False).decode()}"
             f"</http_version>\n"
             f"{headers}</header>\n{content}\n")
 
@@ -580,4 +608,4 @@ class NetGuard:
             response = simulate_response(strip_payload(tx, self.signatures))
         else:  # redirect_sim
             response = simulate_response(tx)
-        return GuardOutcome("handled", verdict, tx, response)
+        return _make(GuardOutcome, ("handled", verdict, tx, response))

@@ -301,6 +301,13 @@ def test_proxy_check_verdicts(tmp_path, capsys):
     assert main(["proxy-check", "--request", str(req)]) == 0
     assert "redirect_sim (good_reputation)" in capsys.readouterr().out
 
+    # An absolute-form target names the host, whatever the case of its scheme.
+    for scheme in (b"http", b"HTTP"):
+        req.write_bytes(b"GET " + scheme + b"://c2.evil.example/x HTTP/1.1\r\n"
+                        b"Host: telemetry.trusted.example\r\n\r\n")
+        assert main(["proxy-check", "--request", str(req)]) == 0
+        assert capsys.readouterr().out == "verdict: forward\n"
+
     req.write_bytes(b"USER x\r\n")
     assert main(["proxy-check", "--request", str(req), "--protocol", "ftp"]) == 0
     assert "block (unsupported_protocol)" in capsys.readouterr().out

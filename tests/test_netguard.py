@@ -17,6 +17,8 @@ from droidcage.netguard import (
     BLOCKED_OUTCOME,
     BLOCKED_PROTOCOLS,
     DEFAULT_CUSTOM_ROOT,
+    FIELD_TAGS,
+    FORWARD,
     MALFORMED_OUTCOME,
     TLS_REJECTED_OUTCOME,
     GuardOutcome,
@@ -1018,13 +1020,39 @@ def test_a_cr_before_a_bare_lf_ends_the_last_header_line():
     assert (tx.host, tx.headers) == ("a", (("Host", "a"),))
 
 
+@pytest.mark.parametrize("scheme", ["http", "HTTP", "Http", "hTtP"])
+def test_an_absolute_form_target_is_routed_by_its_own_host_in_either_case(scheme):
+    # RFC 3986 3.1: a scheme is case-insensitive; RFC 9112 3.2.2: with an
+    # absolute-form target the Host header is ignored.
+    raw = (f"GET {scheme}://c2.evil.example/x HTTP/1.1\r\n"
+           f"Host: telemetry.trusted.example\r\n\r\n").encode()
+    tx = parse_request(raw)
+    assert (tx.scheme, tx.host, tx.port, tx.path) == ("http", "c2.evil.example", "80", "/x")
+    out = NetGuard(SIGS, REP).handle(raw)
+    assert (out.verdict, out.transaction) == (FORWARD, tx)
+
+
+@pytest.mark.parametrize("scheme", ["https", "HTTPS", "hTTps"])
+def test_an_absolute_form_https_target_takes_its_port_in_either_case(scheme):
+    tx = parse_request(f"GET {scheme}://h.example:8443 HTTP/1.1\r\n\r\n".encode(), "https")
+    assert (tx.scheme, tx.host, tx.port, tx.path) == ("https", "h.example", "8443", "/")
+
+
+@pytest.mark.parametrize("target", ["/HTTP://c2.evil.example/x", "HTTPX://c2.evil.example/x",
+                                    "HTTP:/c2.evil.example/x", "*"])
+def test_a_target_that_is_not_absolute_form_is_routed_by_the_host_header(target):
+    tx = parse_request(f"GET {target} HTTP/1.1\r\nHost: a.example\r\n\r\n".encode())
+    assert (tx.host, tx.path) == ("a.example", target)
+
+
 # ---------------------------------------------------------------------------
 # The one-pass parser against the two-pass parser it replaced
 # ---------------------------------------------------------------------------
 
 def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
     """parse_request as it was before it read the request in one pass, with
-    the rule it gained since: a header value holds no CR or NUL."""
+    the rules it gained since: a header value holds no CR or NUL, and an
+    absolute-form target's scheme is matched case-insensitively."""
     protocol = declared_protocol.lower()
     if protocol not in ("http", "https"):
         raise RequestParseError(f"unknown protocol {declared_protocol!r}")
@@ -1073,7 +1101,7 @@ _REFERENCE_TOKEN_RE = re.compile(r"[A-Za-z0-9!#$%&'*+.^_`|~-]+")
 
 
 def _reference_split_target(target: str, headers, protocol: str) -> tuple[str, str, str]:
-    if target.startswith("http://") or target.startswith("https://"):
+    if target.lower().startswith(("http://", "https://")):
         rest = target.split("://", 1)[1]
         authority, slash, tail = rest.partition("/")
         path = slash + tail if slash else "/"
@@ -1106,6 +1134,7 @@ _WELL_FORMED = [
          headers=(("Connection", "Keep-Alive"), ("User-Agent", "Apache-HttpClient (java 1.4)"))),
     _raw(method="POST", host="h.example", port=8080, body=b"a=1&b=MAL-DROP-001"),
     b"GET http://h.example:80/p?q=1 HTTP/1.0\r\nAccept: */*\r\n\r\n",
+    b"GET HTTPS://h.example/p HTTP/1.1\r\nHost: other.example\r\n\r\n",
     b"POST /up HTTP/1.1\nHost: h.example\nContent-Length: 4\n\nbody",
     b"PUT /x HTTP/1.1\r\nHost: a\r\nX-A: \xe9\xa0\r\n \r\nX-B:v\r\n\t\n\r\n\r\n",
     b"GET / HTTP/1.1\r\nHost: a\r\n\r\n",
@@ -1150,3 +1179,90 @@ def test_one_byte_edit_parses_as_the_two_pass_parser_did(raw, protocol):
                                     r"(?:%[0-9A-Fa-f]{2}[A-Za-z0-9._~!$&'()*+,;=-]*)*", ref.host)
         return
     assert (tx, error) == _parse_result(_reference_parse_request, raw, protocol)
+
+
+# ---------------------------------------------------------------------------
+# Records built without their constructor, and the log writer's table
+# ---------------------------------------------------------------------------
+
+def _check_transaction(tx):
+    # parse_request and strip_payload build with tuple.__new__: what they
+    # build must be what the constructor, with its rules, builds.
+    assert type(tx) is HttpTransaction and len(tx) == len(HttpTransaction._fields)
+    assert HttpTransaction(*tx) == tx
+
+
+def _check_handled_outcome(out):
+    assert type(out) is GuardOutcome and len(out) == len(GuardOutcome._fields) == 4
+    assert GuardOutcome(*out) == out
+    assert out.disposition == "handled"
+    assert type(out.verdict) is Verdict and type(out.response) is bytes
+    _check_transaction(out.transaction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.sampled_from(_WELL_FORMED), one_byte_edits()),
+       protocol=st.sampled_from(["http", "https"]))
+def test_parsed_records_built_without_a_constructor_pass_it(raw, protocol):
+    tx, _ = _parse_result(parse_request, raw, protocol)
+    if tx is not None:
+        _check_transaction(tx)
+        _check_transaction(strip_payload(tx, SIGS))
+    out = NetGuard(SIGS, REP).handle(raw, protocol)
+    assert (out.disposition == "handled") == (tx is not None)
+    if tx is not None:
+        _check_handled_outcome(out)
+        assert out.transaction == tx
+
+
+@settings(max_examples=150, deadline=None)
+@given(tx=transactions(), pattern=st.sampled_from([s.pattern for s in SIGS.signatures]),
+       where=st.sampled_from(["path", "content", "both"]))
+def test_stripped_records_built_without_a_constructor_pass_it(tx, pattern, where):
+    if where != "content":
+        tx = tx._replace(path=tx.path + pattern.decode("latin-1"))
+    if where != "path":
+        tx = tx._replace(content=pattern + tx.content)
+    stripped = strip_payload(tx, SIGS)
+    _check_transaction(stripped)
+    assert stripped[:4] == tx[:4] and stripped[5:7] == tx[5:7]
+
+
+def _reference_log_entry(tx: HttpTransaction) -> str:
+    """A capture record as the module docstring lays it out, every value
+    encoded on its own."""
+    def b64(data: bytes) -> str:
+        return binascii.b2a_base64(data).decode().removesuffix("\n")
+
+    lines = ["<header>"]
+    lines += [f"  <{tag}>{b64(getattr(tx, tag).encode())}</{tag}>" for tag in FIELD_TAGS]
+    lines += [f"  <{name}>{b64(value.encode())}</{name}>" for name, value in tx.headers]
+    lines.append("</header>")
+    lines.append(f"<content>{b64(tx.content)}</content>" if tx.content else "<content />")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(transactions())
+def test_log_entry_equals_the_reference_encoder(tx):
+    assert write_log_entry(tx) == _reference_log_entry(tx)
+
+
+# The values the writer takes from its table: the RFC 9110 methods, both
+# schemes, their default ports and both versions.
+_TABLE_VALUES = {"GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS", "TRACE",
+                 "http", "https", "80", "443", "HTTP/1.0", "HTTP/1.1"}
+_NEAR_MISSES = ["get", "Get", "GET ", "PATCH", "HTTP", "Http", "HTTPS", "http ",
+                "080", "8080", "0", "4430", "HTTP/2", "HTTP/1.2", "http/1.1", "HTTP/1.1 ", ""]
+
+
+@pytest.mark.parametrize("value", sorted(_TABLE_VALUES) + _NEAR_MISSES)
+def test_log_entry_equals_the_reference_encoder_for_table_values_and_near_misses(value):
+    base = HttpTransaction("OPTIONS", "https", "h.example", "443", "/", "HTTP/1.0")
+    for tag in ("method", "scheme", "port", "http_version"):
+        try:
+            tx = base._replace(**{tag: value})
+        except ValueError:
+            continue  # a value this field cannot hold
+        assert write_log_entry(tx) == _reference_log_entry(tx)
+    assert netguard._B64_TEXT.keys() == _TABLE_VALUES  # never grows at run time
