@@ -21,6 +21,13 @@ which on such values gives what ``base64.b64decode(validate=True)`` gives on
 every CPython from 3.10 to 3.13: the same bytes, or an error for both. Any
 other value makes the record undecodable.
 
+A record in exactly the layout ``write_log_entry`` writes, with no other
+whitespace, is read through one exact pattern, which takes the method, scheme,
+port and version strings from the inverse of the writer's table. Every other
+layout, a record with a value outside that table, and every record that
+pattern matches but cannot decode, goes to the general reader, which alone
+reports a ``LogDecodeError``; both give the same records.
+
 ``parse_request`` takes a request with at most one ``Host`` header and at
 most one ``Content-Length`` header, and none with a ``Transfer-Encoding``
 header: each of those frames the request ambiguously (RFC 9112 3.2, 6.1,
@@ -33,7 +40,9 @@ the name, as on an obs-fold continuation line (RFC 9112 5.2), makes the
 request malformed, and the value loses only its leading and trailing SP and
 HTAB (RFC 9110 5.6.3), no other byte. A target in absolute form, whose scheme
 ``http`` or ``https`` is matched in any case (RFC 3986 3.1), names the host,
-port and path, and the Host header is not read for them (RFC 9112 3.2.2).
+port and path, and the Host header is not read for them (RFC 9112 3.2.2). Its
+authority ends at the first "/" or "?" (RFC 3986 3.2), so
+``http://h.example?q=1`` names the path ``/?q=1``.
 Signatures are matched against the body bytes and against the path's latin-1
 bytes, the bytes it was parsed from.
 """
@@ -149,18 +158,22 @@ class Signature:
 @dataclass(frozen=True)
 class SignatureDb:
     signatures: tuple[Signature, ...] = ()
-    # (signature, pattern, pattern as the latin-1 text a parsed path holds)
+    # (pattern, pattern as the latin-1 text a parsed path holds, the verdict
+    # for a request it matches, shared like FORWARD)
     _scan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_scan", tuple(
-            (sig, sig.pattern, sig.pattern.decode("latin-1")) for sig in self.signatures))
+            (sig.pattern, sig.pattern.decode("latin-1"),
+             Verdict("strip_and_redirect", signature_id=sig.id))
+            for sig in self.signatures))
 
-    def first_match(self, tx: HttpTransaction) -> Optional[Signature]:
+    def strip_verdict(self, tx: HttpTransaction) -> Optional[Verdict]:
+        """The verdict of the first signature found in the content or path."""
         content, path = tx.content, tx.path
-        for sig, pattern, text in self._scan:
+        for pattern, text, verdict in self._scan:
             if pattern in content or text in path:
-                return sig
+                return verdict
         return None
 
 
@@ -302,8 +315,10 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     # An origin-form target starts with "/"; an absolute-form scheme is
     # case-insensitive (RFC 3986 3.1).
     if target[0] != "/" and target[:8].lower().startswith(("http://", "https://")):
+        # The authority ends at the first "/" or "?" (RFC 3986 3.2).
         authority, slash, tail = target.split("://", 1)[1].partition("/")
-        path = slash + tail if slash else "/"
+        authority, query, search = authority.partition("?")
+        path = "/" + query + search + slash + tail if query else (slash + tail or "/")
     elif authority is None:
         raise RequestParseError("no Host header and no absolute request target")
     else:
@@ -367,9 +382,9 @@ def decide(tx: HttpTransaction, sigs: SignatureDb, rep: ReputationProvider,
     diverted), then reputation gating protects well-reputed hosts by
     diverting to the simulator. Unknown hosts are forwarded.
     """
-    sig = sigs.first_match(tx)
-    if sig is not None:
-        return Verdict("strip_and_redirect", signature_id=sig.id)
+    verdict = sigs.strip_verdict(tx)
+    if verdict is not None:
+        return verdict
     score = rep.score(tx.host)
     if score is not None and score >= threshold:
         return REDIRECT_SIM
@@ -382,7 +397,7 @@ def strip_payload(tx: HttpTransaction, sigs: SignatureDb) -> HttpTransaction:
     changed = True
     while changed:
         changed = False
-        for _, pattern, text in sigs._scan:
+        for pattern, text, _ in sigs._scan:
             if pattern in content:
                 content = content.replace(pattern, b"")
                 changed = True
@@ -427,12 +442,20 @@ def _b64(data: bytes) -> str:
     return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
-# The base64 text of the values method, scheme, port and http_version nearly
-# always hold: the RFC 9110 methods, both schemes, their default ports and
-# both versions. Built once; write_log_entry encodes any other value.
-_B64_TEXT = {value: _b64(value.encode()) for value in (
-    "GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS", "TRACE",
-    "http", "https", "80", "443", *_HTTP_VERSIONS)}
+# The values method, scheme, port and http_version nearly always hold: the
+# RFC 9110 methods, both schemes, their default ports and both versions.
+_FIXED_VALUES = {
+    "method": ("GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS", "TRACE"),
+    "scheme": ("http", "https"),
+    "port": ("80", "443"),
+    "http_version": _HTTP_VERSIONS,
+}
+# Their base64 text, built once: write_log_entry encodes any other value.
+_B64_TEXT = {value: _b64(value.encode())
+             for values in _FIXED_VALUES.values() for value in values}
+# Per field, the inverse: _read_written leaves any other value to _read_entry.
+_METHOD_TEXT, _SCHEME_TEXT, _PORT_TEXT, _VERSION_TEXT = (
+    {_B64_TEXT[value]: value for value in values} for values in _FIXED_VALUES.values())
 
 
 def write_log_entry(tx: HttpTransaction) -> str:
@@ -507,6 +530,51 @@ def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
     return tx, m.end()
 
 
+# Exactly the layout write_log_entry writes: the six field tags, one header
+# per line, then the content. A value is base64 with at most two "=", at its
+# end, so only its length is left to check after a match.
+_WRITTEN_VALUE = r"[A-Za-z0-9+/]*={0,2}"
+_WRITTEN_HEADER_RE = re.compile(f"  <({_TOKEN})>({_WRITTEN_VALUE})</({_TOKEN})>\n")
+_WRITTEN_RE = re.compile(
+    r"\s*<header>\n"
+    + "".join(f"  <{tag}>({_WRITTEN_VALUE})</{tag}>\n" for tag in FIELD_TAGS)
+    + f"((?:  <{_TOKEN}>{_WRITTEN_VALUE}</{_TOKEN}>\n)*)"
+    + f"</header>\n(?:<content>({_WRITTEN_VALUE})</content>|<content />)")
+
+
+def _read_written(text: str, pos: int) -> Optional[tuple[HttpTransaction, int]]:
+    """What ``_read_entry(text, pos)`` returns, when the record there is in
+    exactly the layout write_log_entry writes, its method, scheme, port and
+    version are in the writer's table, and it decodes; otherwise None, and
+    _read_entry, the reference, reads it."""
+    m = _WRITTEN_RE.match(text, pos)
+    if m is None:
+        return None
+    method, scheme, host, port, path, version, block, content = m.groups()
+    # The strings of the tables, shared by every record that holds them. Each
+    # table holds only values its field may hold, so the record is valid as
+    # built; a value outside its table is left to _read_entry.
+    method, scheme = _METHOD_TEXT.get(method), _SCHEME_TEXT.get(scheme)
+    port, version = _PORT_TEXT.get(port), _VERSION_TEXT.get(version)
+    if method is None or scheme is None or port is None or version is None:
+        return None
+    a2b = binascii.a2b_base64
+    try:
+        headers = []
+        for name, value, close in _WRITTEN_HEADER_RE.findall(block):
+            if name != close or len(value) % 4:
+                return None
+            headers.append((name, a2b(value).decode()))
+        if len(host) % 4 or len(path) % 4 or content and len(content) % 4:
+            return None
+        host, path = a2b(host).decode(), a2b(path).decode()
+        content = a2b(content) if content else b""
+    except ValueError:  # not UTF-8
+        return None
+    return _make(HttpTransaction, (method, scheme, host, port, path, version,
+                                   tuple(headers), content)), m.end()
+
+
 def parse_capture_log(text: str) -> list[HttpTransaction]:
     """Decode every record of a capture log, in order.
 
@@ -519,7 +587,7 @@ def parse_capture_log(text: str) -> list[HttpTransaction]:
         end -= 1
     with gc_paused():
         while pos < end:
-            tx, pos = _read_entry(text, pos)
+            tx, pos = _read_written(text, pos) or _read_entry(text, pos)
             records.append(tx)
     return records
 

@@ -132,13 +132,21 @@ def test_decoders_run_with_gc_paused(inputs, restore_gc, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    # One record as write_log_entry wrote it, which _read_written reads, and
+    # one re-indented, which only _read_entry reads.
+    entry = inputs["log"][:inputs["log"].index("<header>", 1)]
+    log = entry + entry.replace("\n  ", "\n\t")
     spy(json, "loads")
     spy(app_model, "_check_determinism")
+    spy(netguard, "_read_written")
     spy(netguard, "_read_entry")
     gc.enable()
     load_app_model(FIXTURES / "one_button.app")
-    parse_capture_log(inputs["log"])
-    assert {name for name, _ in seen} == {"loads", "_check_determinism", "_read_entry"}
+    assert len(parse_capture_log(log)) == 2
+    assert {name for name, _ in seen} == {"loads", "_check_determinism", "_read_written",
+                                          "_read_entry"}
+    assert [name for name, _ in seen if name.startswith("_read")] == [
+        "_read_written", "_read_written", "_read_entry"]
     assert not any(enabled for _, enabled in seen)
     assert gc.isenabled()
 

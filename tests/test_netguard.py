@@ -221,6 +221,20 @@ def test_unknown_host_forwards():
     assert decide(tx, SIGS, REP).kind == "forward"
 
 
+def test_requests_stripped_by_one_signature_share_its_verdict():
+    in_content = parse_request(_raw(method="POST", body=b"x=MAL-DROP-001"))
+    in_path = parse_request(_raw(path="/drop/MAL-DROP-001"))
+    other = parse_request(_raw(path="/drop?payload=KEYLOG-XFIL"))
+    verdict = decide(in_content, SIGS, REP)
+    assert decide(in_path, SIGS, REP) is verdict
+    assert verdict == Verdict("strip_and_redirect", signature_id="sig-dropper-01")
+    assert decide(other, SIGS, REP) == Verdict("strip_and_redirect", signature_id="sig-keylog-02")
+    guard = _guard()
+    outcomes = [guard.handle(_raw(method="POST", body=b"MAL-DROP-001")),
+                guard.handle(_raw(path="/x/MAL-DROP-001"))]
+    assert outcomes[0].verdict is outcomes[1].verdict is verdict
+
+
 def test_signature_beats_reputation():
     tx = parse_request(_raw(host="telemetry.trusted.example",
                             method="POST", body=b"MAL-DROP-001"))
@@ -564,7 +578,10 @@ def test_decoder_reads_the_log_in_place():
 @pytest.mark.parametrize("text", [
     "<header>" + "<a>QQ==</a>\n" * 20_000,
     "<header><method>" + "A" * 200_000 + "</x>",
-], ids=["20k_fields_no_close_header", "200kB_value_wrong_close_tag"])
+    # In the layout write_log_entry writes, up to the missing </header>.
+    write_log_entry(_log_tx(headers=())).split("</header>")[0] + "  <a>QQ==</a>\n" * 20_000,
+], ids=["20k_fields_no_close_header", "200kB_value_wrong_close_tag",
+        "written_20k_headers_no_close_header"])
 def test_hostile_capture_log_is_rejected_quickly(text):
     t0 = time.perf_counter()
     with pytest.raises(LogDecodeError):
@@ -603,15 +620,16 @@ def test_one_character_mutation_decodes_or_is_a_log_decode_error(at, op, char):
     _decodes_or_log_decode_error(text)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(alphabet=_WHITESPACE, max_size=3), min_size=1, max_size=6),
-       st.integers(1, 9))
-def test_whitespace_reformatted_log_decodes_to_the_same_records(fills, width):
-    """Whitespace between elements, inside <content />, and every ``width``
-    characters of a base64 value."""
+_fills = st.lists(st.text(alphabet=_WHITESPACE, max_size=3), min_size=1, max_size=6)
+
+
+def _reformatted(text, fills, width):
+    """``text`` with the whitespace between elements and inside <content />
+    replaced from ``fills``, which also go after every ``width`` characters
+    of a base64 value."""
     fill = itertools.cycle(fills)
     out = []
-    for piece in re.split(r"(<[^>]*>)", _LOG_TEXT):
+    for piece in re.split(r"(<[^>]*>)", text):
         if piece.startswith("<"):
             out.append(piece.replace(" ", next(fill)))  # only <content />
         elif piece.isspace() or not piece:
@@ -619,7 +637,114 @@ def test_whitespace_reformatted_log_decodes_to_the_same_records(fills, width):
         else:
             out.append("".join(piece[i:i + width] + next(fill)
                                for i in range(0, len(piece), width)))
-    assert parse_capture_log("".join(out)) == parse_capture_log(_LOG_TEXT)
+    return "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fills, st.integers(1, 9))
+def test_whitespace_reformatted_log_decodes_to_the_same_records(fills, width):
+    assert parse_capture_log(_reformatted(_LOG_TEXT, fills, width)) == parse_capture_log(_LOG_TEXT)
+
+
+# ---------------------------------------------------------------------------
+# The reader of the written layout against the general reader
+# ---------------------------------------------------------------------------
+
+def _general_reader(text):
+    """parse_capture_log with _read_entry alone, the reference reader."""
+    records, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
+        tx, pos = netguard._read_entry(text, pos)
+        records.append(tx)
+    return records
+
+
+def _decode_result(decode, text):
+    try:
+        return decode(text), None
+    except LogDecodeError as e:
+        return None, str(e)
+
+
+def _mutated(text, at, op, char):
+    return text[:at] + ("" if op == "delete" else char) + text[at + (op != "insert"):]
+
+
+@st.composite
+def capture_logs(draw):
+    """Records written from generated transactions, each left as written,
+    with one character inserted, deleted or replaced, or reformatted."""
+    entries = []
+    for tx in draw(st.lists(transactions(), min_size=1, max_size=3)):
+        entry = write_log_entry(tx)
+        edit = draw(st.sampled_from(["written", "mutated", "reformatted"]))
+        if edit == "mutated":
+            entry = _mutated(entry, draw(st.integers(0, len(entry))),
+                             draw(st.sampled_from(["insert", "delete", "replace"])),
+                             draw(st.one_of(st.sampled_from(_LOG_CHARS), st.characters())))
+        elif edit == "reformatted":
+            entry = _reformatted(entry, draw(_fills), draw(st.integers(1, 9)))
+        entries.append(entry)
+    return "".join(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(capture_logs(),
+                 st.builds(_mutated, st.just(_LOG_TEXT), st.integers(0, len(_LOG_TEXT)),
+                           st.sampled_from(["insert", "delete", "replace"]),
+                           st.one_of(st.sampled_from(_LOG_CHARS), st.characters()))))
+@example(write_log_entry(_log_tx(body=_BODY)))
+@example(_LOG_TEXT + _reformatted(_LOG_TEXT, ["\t"], 4) + _LOG_TEXT)
+@example(_LOG_TEXT.replace("<host>Y2ZnLmFkc21vZ28uY29t<", "<host>Y2ZnLmFkc21vZ28uY29t=<", 1))
+@example(_LOG_TEXT.replace("</Connection>", "</Connectio>", 1))
+def test_written_layout_reader_agrees_with_the_general_reader(text):
+    assert _decode_result(parse_capture_log, text) == _decode_result(_general_reader, text)
+
+
+# Records in the written layout whose values then fail a check. An "=" after
+# a full quantum is one binascii.a2b_base64 would take.
+_WRITTEN_BUT_UNDECODABLE = {
+    "header_close_tag": ("</X-A>", "</X-B>"),
+    "header_extra_pad": ("<X-A>YWJj<", "<X-A>YWJj=<"),
+    "host_extra_pad": ("<host>Y2ZnLmFkc21vZ28uY29t<", "<host>Y2ZnLmFkc21vZ28uY29t=<"),
+    "path_extra_pad": ("<path>L3A/cT0x<", "<path>L3A/cT0x==<"),
+    "content_extra_pad": ("<content>eHl6<", "<content>eHl6=<"),
+    "method_extra_pad": ("<method>UE9TVA==<", "<method>UE9T=<"),
+    "host_not_utf8": ("<host>Y2ZnLmFkc21vZ28uY29t<", "<host>//4=<"),
+    "header_not_utf8": ("<X-A>YWJj<", "<X-A>//4=<"),
+    "empty_method": ("<method>UE9TVA==<", "<method><"),
+    "unknown_scheme": ("<scheme>aHR0cA==<", "<scheme>ZnRw<"),
+    "port_over_65535": ("<port>ODA=<", "<port>NzAwMDA=<"),
+}
+
+
+@pytest.mark.parametrize("old, new", _WRITTEN_BUT_UNDECODABLE.values(),
+                         ids=_WRITTEN_BUT_UNDECODABLE.keys())
+def test_written_record_failing_a_check_goes_to_the_general_reader(old, new):
+    entry = write_log_entry(_log_tx(headers=(("X-A", "abc"),), body=b"xyz"))
+    assert entry.count(old) == 1
+    bad = entry.replace(old, new)
+    assert netguard._WRITTEN_RE.match(bad) and netguard._read_written(bad, 0) is None
+    with pytest.raises(LogDecodeError) as raised:
+        parse_capture_log(entry + bad)
+    assert _decode_result(_general_reader, entry + bad) == (None, str(raised.value))
+
+
+@pytest.mark.parametrize("field, value", [("method", "PATCH"), ("port", "8080"),
+                                          ("http_version", "HTTP/2")])
+def test_written_record_outside_the_tables_goes_to_the_general_reader(field, value):
+    tx = _log_tx()._replace(**{field: value})
+    entry = write_log_entry(tx)
+    assert netguard._WRITTEN_RE.match(entry) and netguard._read_written(entry, 0) is None
+    assert parse_capture_log(entry) == [netguard._read_entry(entry, 0)[0]] == [tx]
+
+
+def test_written_records_share_the_table_strings():
+    first, second = parse_capture_log(write_log_entry(_log_tx()) * 2)
+    assert first.method is second.method is netguard._METHOD_TEXT["R0VU"]
+    assert first.scheme is second.scheme is netguard._SCHEME_TEXT["aHR0cA=="]
+    assert first.port is second.port is netguard._PORT_TEXT["ODA="]
+    assert first.http_version is second.http_version is netguard._VERSION_TEXT["SFRUUC8xLjE="]
 
 
 # ---------------------------------------------------------------------------
@@ -1038,6 +1163,25 @@ def test_an_absolute_form_https_target_takes_its_port_in_either_case(scheme):
     assert (tx.scheme, tx.host, tx.port, tx.path) == ("https", "h.example", "8443", "/")
 
 
+@pytest.mark.parametrize("target, port, path", [
+    ("http://h.example?q=1", "80", "/?q=1"),
+    ("http://h.example:8080?q=/a/b", "8080", "/?q=/a/b"),
+    ("http://h.example/p?q=1", "80", "/p?q=1"),
+    ("http://h.example", "80", "/"),
+])
+def test_an_absolute_form_authority_ends_at_a_slash_or_a_question_mark(target, port, path):
+    # RFC 3986 3.2: the authority ends at the next "/", "?" or "#".
+    tx = parse_request(f"GET {target} HTTP/1.1\r\nHost: other.example\r\n\r\n".encode())
+    assert (tx.host, tx.port, tx.path) == ("h.example", port, path)
+
+
+def test_a_fragment_mark_in_an_absolute_form_authority_is_malformed():
+    raw = b"GET http://h.example#f HTTP/1.1\r\nHost: other.example\r\n\r\n"
+    with pytest.raises(RequestParseError, match="bad host"):
+        parse_request(raw)
+    assert NetGuard(SIGS, REP).handle(raw) is MALFORMED_OUTCOME
+
+
 @pytest.mark.parametrize("target", ["/HTTP://c2.evil.example/x", "HTTPX://c2.evil.example/x",
                                     "HTTP:/c2.evil.example/x", "*"])
 def test_a_target_that_is_not_absolute_form_is_routed_by_the_host_header(target):
@@ -1052,7 +1196,8 @@ def test_a_target_that_is_not_absolute_form_is_routed_by_the_host_header(target)
 def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
     """parse_request as it was before it read the request in one pass, with
     the rules it gained since: a header value holds no CR or NUL, and an
-    absolute-form target's scheme is matched case-insensitively."""
+    absolute-form target's scheme is matched case-insensitively and its
+    authority ends at "?" as well as at "/"."""
     protocol = declared_protocol.lower()
     if protocol not in ("http", "https"):
         raise RequestParseError(f"unknown protocol {declared_protocol!r}")
@@ -1103,8 +1248,9 @@ _REFERENCE_TOKEN_RE = re.compile(r"[A-Za-z0-9!#$%&'*+.^_`|~-]+")
 def _reference_split_target(target: str, headers, protocol: str) -> tuple[str, str, str]:
     if target.lower().startswith(("http://", "https://")):
         rest = target.split("://", 1)[1]
-        authority, slash, tail = rest.partition("/")
-        path = slash + tail if slash else "/"
+        authority, path = re.fullmatch(r"([^/?]*)(.*)", rest, re.DOTALL).groups()
+        if not path.startswith("/"):
+            path = "/" + path
     else:
         authority = next((v for n, v in headers if n.lower() == "host"), None)
         if authority is None:
@@ -1134,6 +1280,7 @@ _WELL_FORMED = [
          headers=(("Connection", "Keep-Alive"), ("User-Agent", "Apache-HttpClient (java 1.4)"))),
     _raw(method="POST", host="h.example", port=8080, body=b"a=1&b=MAL-DROP-001"),
     b"GET http://h.example:80/p?q=1 HTTP/1.0\r\nAccept: */*\r\n\r\n",
+    b"GET http://h.example:8080?q=/a HTTP/1.1\r\n\r\n",
     b"GET HTTPS://h.example/p HTTP/1.1\r\nHost: other.example\r\n\r\n",
     b"POST /up HTTP/1.1\nHost: h.example\nContent-Length: 4\n\nbody",
     b"PUT /x HTTP/1.1\r\nHost: a\r\nX-A: \xe9\xa0\r\n \r\nX-B:v\r\n\t\n\r\n\r\n",
@@ -1208,11 +1355,15 @@ def test_parsed_records_built_without_a_constructor_pass_it(raw, protocol):
     if tx is not None:
         _check_transaction(tx)
         _check_transaction(strip_payload(tx, SIGS))
-    out = NetGuard(SIGS, REP).handle(raw, protocol)
+    guard = NetGuard(SIGS, REP)
+    out = guard.handle(raw, protocol)
     assert (out.disposition == "handled") == (tx is not None)
     if tx is not None:
         _check_handled_outcome(out)
         assert out.transaction == tx
+        [decoded] = parse_capture_log(guard.capture_text())
+        _check_transaction(decoded)
+        assert decoded == tx
 
 
 @settings(max_examples=150, deadline=None)
@@ -1226,6 +1377,16 @@ def test_stripped_records_built_without_a_constructor_pass_it(tx, pattern, where
     stripped = strip_payload(tx, SIGS)
     _check_transaction(stripped)
     assert stripped[:4] == tx[:4] and stripped[5:7] == tx[5:7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(capture_logs())
+def test_decoded_records_built_without_a_constructor_pass_it(text):
+    # _read_written builds a record whose four fixed fields all come from
+    # its tables with tuple.__new__.
+    records, _ = _decode_result(parse_capture_log, text)
+    for tx in records or ():
+        _check_transaction(tx)
 
 
 def _reference_log_entry(tx: HttpTransaction) -> str:
