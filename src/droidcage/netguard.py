@@ -28,6 +28,17 @@ layout, a record with a value outside that table, and every record that
 pattern matches but cannot decode, goes to the general reader, which alone
 reports a ``LogDecodeError``; both give the same records.
 
+Three per-header steps run once per distinct line, not once per line: reading
+a request header line (``_header_line``), writing a header's record line
+(``_header_text``) and reading one back in the written layout
+(``_written_header``). Each is a pure function of that one line, memoised in
+a module-level dict (``_HEADER_LINES``, ``_HEADER_TEXTS``,
+``_WRITTEN_HEADERS``) that keeps the first ``_LINE_MEMO_SIZE`` distinct lines
+it meets and evicts none. So a hit gives what a first call gives, equal lines
+share one immutable tuple, and a full memo allocates nothing. A line that
+raises is never memoised. The rules on a whole request (one ``Host``, one
+``Content-Length``, no ``Transfer-Encoding``) run on every request.
+
 ``parse_request`` takes a request with at most one ``Host`` header and at
 most one ``Content-Length`` header, and none with a ``Transfer-Encoding``
 header: each of those frames the request ambiguously (RFC 9112 3.2, 6.1,
@@ -76,6 +87,11 @@ _TOKEN_RE = re.compile(_TOKEN)
 _REG_NAME_RE = re.compile(r"(?=.)[A-Za-z0-9._~!$&'()*+,;=-]*"
                           r"(?:%[0-9A-Fa-f]{2}[A-Za-z0-9._~!$&'()*+,;=-]*)*")
 _HTTP_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
+# The lines each per-header-line memo keeps (see the module docstring). A memo
+# that evicted lines to take new ones would rebuild its table again and again
+# wherever the heap had room, and a long run's peak memory would depend on
+# where those blocks fell; a memo that only fills builds its table once.
+_LINE_MEMO_SIZE = 4096
 
 
 class RequestParseError(ValueError):
@@ -262,9 +278,12 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     http/https (``NetGuard.handle`` blocks POP/IMAP/FTP before parsing)
     raise :class:`RequestParseError`.
     """
-    protocol = declared_protocol.lower()
+    protocol = declared_protocol
+    # NetGuard.handle passes it lowercased already; any other caller may not.
     if protocol not in ("http", "https"):
-        raise RequestParseError(f"unknown protocol {declared_protocol!r}")
+        protocol = protocol.lower()
+        if protocol not in ("http", "https"):
+            raise RequestParseError(f"unknown protocol {declared_protocol!r}")
 
     head, sep, rest = raw.partition(b"\r\n\r\n")
     if not sep:
@@ -288,29 +307,26 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     # Latin-1 maps each byte to one character, so these are the byte lines.
     headers = []
     authority = length = None
+    # Here and in the other two memos' readers, a memoised result is never
+    # empty, so a line goes past the memo's get only when it is not there.
+    memo = _HEADER_LINES.get
     for line in block.decode("latin-1").replace("\r\n", "\n").split("\n"):
-        name, colon, value = line.partition(":")
-        # A line with a colon is not blank, so only one without is stripped.
-        if not colon and not line.strip(_ASCII_WHITESPACE):
+        parsed = memo(line) or _header_line(line)
+        if parsed is None:  # a blank line
             continue
-        if not colon or not _TOKEN_RE.fullmatch(name):
-            raise RequestParseError(f"bad header line: {line.encode('latin-1')!r}")
-        value = value.strip(" \t")
-        # RFC 9110 5.5: a field value holds no CR or NUL (an LF ends its line).
-        if "\r" in value or "\x00" in value:
-            raise RequestParseError(f"bad header value: {line.encode('latin-1')!r}")
-        headers.append((name, value))
-        key = name.lower()
+        # The rules on the whole request run on every request, memo or not.
+        header, key = parsed
+        headers.append(header)
         if key == "host":
             if authority is not None:
                 raise RequestParseError("more than one Host header")
-            authority = value
+            authority = header[1]
         elif key == "content-length":
             if length is not None:
                 raise RequestParseError("more than one Content-Length header")
-            length = value
+            length = header[1]
         elif key == "transfer-encoding":
-            raise RequestParseError(f"unsupported Transfer-Encoding: {value!r}")
+            raise RequestParseError(f"unsupported Transfer-Encoding: {header[1]!r}")
 
     # An origin-form target starts with "/"; an absolute-form scheme is
     # case-insensitive (RFC 3986 3.1).
@@ -344,6 +360,30 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
     # method is a non-empty split() part, protocol and port are checked above.
     return _make(HttpTransaction, (method, protocol, host, port, path, version,
                                    tuple(headers), content))
+
+
+# Request header line -> ((name, value), lowered name), by _header_line.
+_HEADER_LINES: dict[str, tuple[tuple[str, str], str]] = {}
+
+
+def _header_line(line: str) -> Optional[tuple[tuple[str, str], str]]:
+    """``((name, value), lowered name)`` of one request header line, kept in
+    _HEADER_LINES while it has room, or None for a blank line; a line outside
+    the grammar raises RequestParseError."""
+    name, colon, value = line.partition(":")
+    # A line with a colon is not blank, so only one without is stripped.
+    if not colon and not line.strip(_ASCII_WHITESPACE):
+        return None
+    if not colon or not _TOKEN_RE.fullmatch(name):
+        raise RequestParseError(f"bad header line: {line.encode('latin-1')!r}")
+    value = value.strip(" \t")
+    # RFC 9110 5.5: a field value holds no CR or NUL (an LF ends its line).
+    if "\r" in value or "\x00" in value:
+        raise RequestParseError(f"bad header value: {line.encode('latin-1')!r}")
+    parsed = (name, value), name.lower()
+    if len(_HEADER_LINES) < _LINE_MEMO_SIZE:
+        _HEADER_LINES[line] = parsed
+    return parsed
 
 
 def _decimal(text: str, what: str) -> int:
@@ -458,12 +498,26 @@ _METHOD_TEXT, _SCHEME_TEXT, _PORT_TEXT, _VERSION_TEXT = (
     {_B64_TEXT[value]: value for value in values} for values in _FIXED_VALUES.values())
 
 
+# (name, value) request header -> its capture-record line, by _header_text.
+_HEADER_TEXTS: dict[tuple[str, str], str] = {}
+
+
+def _header_text(header: tuple[str, str]) -> str:
+    """The capture-record line of one ``(name, value)`` request header, kept
+    in _HEADER_TEXTS while it has room."""
+    name, value = header
+    text = f"  <{name}>{_b64(value.encode())}</{name}>\n"
+    if len(_HEADER_TEXTS) < _LINE_MEMO_SIZE:
+        _HEADER_TEXTS[header] = text
+    return text
+
+
 def write_log_entry(tx: HttpTransaction) -> str:
     """Tagged capture record with every field value base64-encoded."""
     b64, fixed = binascii.b2a_base64, _B64_TEXT.get
     method, scheme, host, port, path, version, headers, content = tx
-    headers = "".join([f"  <{name}>{b64(value.encode(), newline=False).decode()}</{name}>\n"
-                       for name, value in headers])
+    memo = _HEADER_TEXTS.get
+    headers = "".join([memo(header) or _header_text(header) for header in headers])
     content = (f"<content>{b64(content, newline=False).decode()}</content>"
                if content else "<content />")
     return (f"<header>\n"
@@ -534,7 +588,6 @@ def _read_entry(text: str, pos: int) -> tuple[HttpTransaction, int]:
 # per line, then the content. A value is base64 with at most two "=", at its
 # end, so only its length is left to check after a match.
 _WRITTEN_VALUE = r"[A-Za-z0-9+/]*={0,2}"
-_WRITTEN_HEADER_RE = re.compile(f"  <({_TOKEN})>({_WRITTEN_VALUE})</({_TOKEN})>\n")
 _WRITTEN_RE = re.compile(
     r"\s*<header>\n"
     + "".join(f"  <{tag}>({_WRITTEN_VALUE})</{tag}>\n" for tag in FIELD_TAGS)
@@ -558,13 +611,16 @@ def _read_written(text: str, pos: int) -> Optional[tuple[HttpTransaction, int]]:
     port, version = _PORT_TEXT.get(port), _VERSION_TEXT.get(version)
     if method is None or scheme is None or port is None or version is None:
         return None
+    headers = []
+    memo = _WRITTEN_HEADERS.get
+    # The block holds no other line boundary than "\n".
+    for line in block.splitlines():
+        header = memo(line) or _written_header(line)
+        if header is None:
+            return None
+        headers.append(header)
     a2b = binascii.a2b_base64
     try:
-        headers = []
-        for name, value, close in _WRITTEN_HEADER_RE.findall(block):
-            if name != close or len(value) % 4:
-                return None
-            headers.append((name, a2b(value).decode()))
         if len(host) % 4 or len(path) % 4 or content and len(content) % 4:
             return None
         host, path = a2b(host).decode(), a2b(path).decode()
@@ -573,6 +629,29 @@ def _read_written(text: str, pos: int) -> Optional[tuple[HttpTransaction, int]]:
         return None
     return _make(HttpTransaction, (method, scheme, host, port, path, version,
                                    tuple(headers), content)), m.end()
+
+
+# Record header line -> (name, value), by _written_header.
+_WRITTEN_HEADERS: dict[str, tuple[str, str]] = {}
+
+
+def _written_header(line: str) -> Optional[tuple[str, str]]:
+    """``(name, value)`` of one ``  <name>value</name>`` line of a block
+    ``_WRITTEN_RE`` matched, kept in _WRITTEN_HEADERS while it has room, or
+    None when its close tag names another header or its value does not
+    decode."""
+    # No name holds ">" and no value "<", so these find the tags.
+    name, _, rest = line[3:].partition(">")
+    value, _, close = rest.partition("</")
+    if close[:-1] != name or len(value) % 4:
+        return None
+    try:
+        header = name, binascii.a2b_base64(value).decode()
+    except ValueError:  # not UTF-8
+        return None
+    if len(_WRITTEN_HEADERS) < _LINE_MEMO_SIZE:
+        _WRITTEN_HEADERS[line] = header
+    return header
 
 
 def parse_capture_log(text: str) -> list[HttpTransaction]:

@@ -220,6 +220,50 @@ def test_explore_equals_explorer_reference(doc, seed, budget):
     _check_explore_against_reference(model_from_dict(doc), seed, budget)
 
 
+class _BlocksPerEvent(SessionRunner):
+    """A runner that also keeps its session's executed blocks after each
+    event: ``blocks_after[n]`` is the set the first n events ran."""
+
+    def __init__(self, app, device):
+        super().__init__(app, device)
+        self.blocks_after = [frozenset()]
+
+    def step(self, event):
+        result = super().step(event)
+        self.blocks_after.append(frozenset(self.session.executed_blocks))
+        return result
+
+
+@settings(max_examples=40, deadline=None)
+@given(app_docs(), st.integers(0, 2**64 - 1), st.integers(0, 50), st.integers(0, 50),
+       st.integers(1, 80), st.integers(1, 80))
+def test_sessions_at_a_smaller_budget_are_prefixes_of_those_at_a_larger_one(
+        doc, seed, pct_syskeys, pct_appswitch, k, big_k):
+    # The premise of coverage at every budget from one run, for the monkey
+    # and the explorer (not smart_monkey, whose explorer starts where its
+    # monkey phase left the device).
+    k, big_k = sorted((k, big_k))
+    app = model_from_dict(doc)
+    device = install_app(baseline_device(), app)
+
+    def monkey(budget, runner):
+        return run_monkey(runner, MonkeyConfig(seed=seed, pct_syskeys=pct_syskeys,
+                                               pct_appswitch=pct_appswitch,
+                                               event_count=budget, package=app.package))
+
+    def smart(budget, runner):
+        return explore(app, ExplorationConfig(seed=seed, max_events=budget), runner.device,
+                       runner=runner)
+
+    for engine in (monkey, smart):
+        full_runner = _BlocksPerEvent(app, device)
+        full = engine(big_k, full_runner)
+        short = engine(k, SessionRunner(app, device))
+        assert short.events == full.events[:k], engine.__name__
+        assert short.executed_blocks == full_runner.blocks_after[len(short.events)], \
+            engine.__name__
+
+
 def _text_button(text: str, row: int) -> dict:
     return {"kind": "button", "text": text, "bounds": [0, 200 * row, 100, 100],
             "actions": ["click"]}

@@ -1,10 +1,13 @@
 import base64
 import binascii
+import contextlib
 import itertools
 import re
+import sys
 import textwrap
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +76,20 @@ def test_parse_get_with_explicit_port():
 def test_parse_defaults_port_from_scheme():
     assert parse_request(_raw(), "http").port == "80"
     assert parse_request(_raw(), "https").port == "443"
+
+
+@pytest.mark.parametrize("protocol, scheme, port", [("HTTP", "http", "80"),
+                                                    ("Https", "https", "443")])
+def test_declared_protocol_is_matched_in_any_case(protocol, scheme, port):
+    tx = parse_request(_raw(), protocol)
+    assert (tx.scheme, tx.port) == (scheme, port)
+
+
+@pytest.mark.parametrize("protocol", ["ftp", "gopher", "FTP", ""])
+def test_an_unknown_declared_protocol_is_a_parse_error(protocol):
+    with pytest.raises(RequestParseError) as raised:
+        parse_request(_raw(), protocol)
+    assert str(raised.value) == f"unknown protocol {protocol!r}"
 
 
 def test_parse_reads_body_per_content_length():
@@ -1427,3 +1444,91 @@ def test_log_entry_equals_the_reference_encoder_for_table_values_and_near_misses
             continue  # a value this field cannot hold
         assert write_log_entry(tx) == _reference_log_entry(tx)
     assert netguard._B64_TEXT.keys() == _TABLE_VALUES  # never grows at run time
+
+
+# ---------------------------------------------------------------------------
+# The per-header-line memos
+# ---------------------------------------------------------------------------
+
+_LINE_MEMOS = ("_HEADER_LINES", "_HEADER_TEXTS", "_WRITTEN_HEADERS")
+# One full memo for each, of keys no request or record line equals.
+_FULL_MEMOS = ({f"\x00{i}": (("X", "x"), "x") for i in range(netguard._LINE_MEMO_SIZE)},
+               {("\x00", str(i)): "x" for i in range(netguard._LINE_MEMO_SIZE)},
+               {f"\x00{i}": ("X", "x") for i in range(netguard._LINE_MEMO_SIZE)})
+
+
+def _memos():
+    return [getattr(netguard, name) for name in _LINE_MEMOS]
+
+
+def _clear_memos():
+    for memo in _memos():
+        memo.clear()
+
+
+@pytest.fixture
+def empty_line_memos():
+    """The memos, empty, and emptied again afterwards: a memo keeps the first
+    lines it meets, so what one test leaves there would last."""
+    _clear_memos()
+    yield _memos()
+    _clear_memos()
+
+
+def _outcome(step, arg):
+    try:
+        return step(arg), None
+    except ValueError as e:
+        return None, (type(e), str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.sampled_from(_WELL_FORMED), one_byte_edits()),
+       protocol=st.sampled_from(["http", "https"]), tx=transactions(), text=capture_logs())
+def test_line_memos_change_no_result(raw, protocol, tx, text):
+    steps = ((lambda r: parse_request(r, protocol), raw), (write_log_entry, tx),
+             (parse_capture_log, text))
+    first = [_outcome(step, arg) for step, arg in steps]
+    # Every line the first call memoised is now a hit.
+    assert [_outcome(step, arg) for step, arg in steps] == first
+    _clear_memos()
+    assert [_outcome(step, arg) for step, arg in steps] == first
+    # Full memos take no line, so every line is read afresh.
+    with contextlib.ExitStack() as stack:
+        for name, full in zip(_LINE_MEMOS, _FULL_MEMOS):
+            stack.enter_context(mock.patch.object(netguard, name, full))
+        assert [_outcome(step, arg) for step, arg in steps] == first
+    assert [len(full) for full in _FULL_MEMOS] == [netguard._LINE_MEMO_SIZE] * 3
+
+
+def test_equal_header_lines_share_one_tuple(empty_line_memos):
+    accept = (("Accept", "*/*"),)
+    a = parse_request(_raw(path="/a", headers=accept))
+    b = parse_request(_raw(path="/b", host="other.example", headers=accept))
+    assert a.headers[1] == b.headers[1] == accept[0] and a.headers[1] is b.headers[1]
+    assert a.headers[0] != b.headers[0]
+    first, second = parse_capture_log(write_log_entry(a) + write_log_entry(b))
+    assert (first, second) == (a, b) and first.headers[1] is second.headers[1]
+
+
+@pytest.mark.parametrize("line", ["X Y: z", "no colon", " X-A: folded", "X-A: a\rb", "X-A: \x00"])
+def test_a_bad_header_line_is_never_memoised(line, empty_line_memos):
+    for _ in range(2):
+        with pytest.raises(RequestParseError, match="bad header"):
+            netguard._header_line(line)
+    assert netguard._HEADER_LINES == {}
+
+
+def test_line_memos_keep_their_first_lines_and_then_stay_as_they_are(empty_line_memos):
+    size = netguard._LINE_MEMO_SIZE
+    txs = [parse_request(_raw(host=f"h{i}.example")) for i in range(size + 10)]
+    assert parse_capture_log("".join(map(write_log_entry, txs))) == txs
+    assert [len(memo) for memo in empty_line_memos] == [size] * 3
+    lines = netguard._HEADER_LINES
+    assert "Host: h0.example" in lines and f"Host: h{size - 1}.example" in lines
+    assert f"Host: h{size}.example" not in lines
+    # A full memo never rebuilds its table: the memory it holds stays put.
+    tables = [sys.getsizeof(memo) for memo in empty_line_memos]
+    more = [parse_request(_raw(host=f"more{i}.example")) for i in range(size)]
+    assert parse_capture_log("".join(map(write_log_entry, more))) == more
+    assert [sys.getsizeof(memo) for memo in empty_line_memos] == tables
