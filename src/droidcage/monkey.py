@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .app_model import APP_SWITCH, Event, Screen, run_event_chain
 from .data_tables import ConfigError
 from .gcpause import gc_paused
-from .rng import Xoshiro256StarStar
+from .rng import ALNUM, raw_stream
 from .session import Session, SessionRunner
 
 # run_event_chain is unused here: the benchmark's trace hooks wrap it by
@@ -39,6 +40,29 @@ _tap = lru_cache(maxsize=4096)(Event)
 _SYSTEM_KEY_EVENTS = tuple(Event("system_key", name=key) for key in SYSTEM_KEYS)
 
 
+def _limit(n: int) -> int:
+    """The largest multiple of ``n`` that fits in 2**64."""
+    return 2**64 - 2**64 % n
+
+
+# The monkey reads the raw stream in order. ``randrange(n)`` keeps the first
+# draw ``v`` below ``_limit(n)`` and returns ``v % n``, so with each bound's
+# limit at hand a kept draw is one compare and one modulo, with no Python
+# call. A rejected draw, fewer than one in 2**55 at these bounds, goes to
+# ``_redraw``, which applies the same rule to the next draws.
+_KEYS = len(SYSTEM_KEYS)
+_KINDS = len(NAV_KINDS)
+_TEXT_LENGTHS = TEXT_MAX_LEN - TEXT_MIN_LEN + 1
+_CHARS = len(ALNUM)
+_PCT_LIMIT = _limit(100)
+_KEY_LIMIT = _limit(_KEYS)
+_KIND_LIMIT = _limit(_KINDS)
+_X_LIMIT = _limit(SCREEN_WIDTH)
+_Y_LIMIT = _limit(SCREEN_HEIGHT)
+_LENGTH_LIMIT = _limit(_TEXT_LENGTHS)
+_CHAR_LIMIT = _limit(_CHARS)
+
+
 @dataclass(frozen=True)
 class MonkeyConfig:
     seed: int = 0
@@ -61,21 +85,42 @@ class MonkeyConfig:
             raise ConfigError("event_count must be >= 1")
 
 
-def _generate_one(rng: Xoshiro256StarStar, config: MonkeyConfig,
+def _redraw(draw: Callable[[], int], n: int) -> int:
+    """``randrange(n)`` after a rejected draw: the first later draw kept, mod ``n``."""
+    limit = _limit(n)
+    while (v := draw()) >= limit:
+        pass
+    return v % n
+
+
+def _generate_one(draw: Callable[[], int], config: MonkeyConfig,
                   screen: Screen | None) -> Event:
-    """The next event, hit-tested against ``screen`` (None after a crash)."""
-    roll = rng.percent()
+    """The next event, hit-tested against ``screen`` (None after a crash).
+
+    ``draw`` is the raw stream's ``__next__``; each ``v % n if v < limit
+    else _redraw(draw, n)`` below is one ``randrange(n)``.
+    """
+    v = draw()
+    roll = v % 100 if v < _PCT_LIMIT else _redraw(draw, 100)
     if roll < config.pct_syskeys:
-        return rng.choice(_SYSTEM_KEY_EVENTS)
+        v = draw()
+        return _SYSTEM_KEY_EVENTS[v % _KEYS if v < _KEY_LIMIT else _redraw(draw, _KEYS)]
     if roll < config.pct_syskeys + config.pct_appswitch:
         return APP_SWITCH
 
-    kind = rng.choice(NAV_KINDS)
-    x = rng.randrange(SCREEN_WIDTH)
-    y = rng.randrange(SCREEN_HEIGHT)
+    v = draw()
+    kind = NAV_KINDS[v % _KINDS if v < _KIND_LIMIT else _redraw(draw, _KINDS)]
+    v = draw()
+    x = v % SCREEN_WIDTH if v < _X_LIMIT else _redraw(draw, SCREEN_WIDTH)
+    v = draw()
+    y = v % SCREEN_HEIGHT if v < _Y_LIMIT else _redraw(draw, SCREEN_HEIGHT)
     target = None if screen is None else screen.hit(x, y)
     if kind == "set_text":
-        value = rng.alnum(TEXT_MIN_LEN + rng.randrange(TEXT_MAX_LEN - TEXT_MIN_LEN + 1))
+        v = draw()
+        length = TEXT_MIN_LEN + (v % _TEXT_LENGTHS if v < _LENGTH_LIMIT
+                                 else _redraw(draw, _TEXT_LENGTHS))
+        value = "".join([ALNUM[v % _CHARS if (v := draw()) < _CHAR_LIMIT
+                               else _redraw(draw, _CHARS)] for _ in range(length)])
         return Event("set_text", target, value)
     return _tap(kind, target)
 
@@ -89,16 +134,19 @@ def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
     app = runner.app
     if config.package not in ("", app.package):
         raise ConfigError(f"package {config.package} does not match model {app.package}")
-    rng = Xoshiro256StarStar(config.seed)
-    ctx = screen = None
+    draw = raw_stream(config.seed).__next__
+    device = ctx = screen = None
     with gc_paused():
         for _ in range(config.event_count):
-            if runner.device.crashed:
-                break
-            # An uncrashed device shows the app's screen; it changes only
-            # with the app's context.
-            if (current := runner.device.context(app.package)) is not ctx:
-                ctx, screen = current, app.screen(current.activity, current.state)
-            event = _generate_one(rng, config, screen)
-            runner.step(event)
+            # Devices are immutable, and a step that changes nothing returns
+            # the device it got, so the crash flag and the screen are read
+            # again only for a new device. An uncrashed device shows the
+            # app's screen; it changes only with the app's context.
+            if runner.device is not device:
+                device = runner.device
+                if device.crashed:
+                    break
+                if (current := device.context(app.package)) is not ctx:
+                    ctx, screen = current, app.screen(current.activity, current.state)
+            runner.step(_generate_one(draw, config, screen))
     return runner.session

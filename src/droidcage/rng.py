@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import chain, repeat
 from typing import Iterator, Sequence, TypeVar
 
 MASK64 = (1 << 64) - 1
 _SPAN = MASK64 + 1
 
-_ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 T = TypeVar("T")
 
@@ -210,13 +211,21 @@ class Xoshiro256StarStar:
             raise ValueError("cannot choose from an empty sequence")
         return seq[self.randrange(len(seq))]
 
-    def percent(self) -> int:
-        """Integer in [0, 100), for percentage mix decisions."""
-        return self.randrange(100)
-
     def alnum(self, length: int) -> str:
         randrange = self.randrange
-        return "".join([_ALNUM[randrange(62)] for _ in range(length)])
+        return "".join([ALNUM[randrange(62)] for _ in range(length)])
+
+
+def raw_stream(seed: int) -> Iterator[int]:
+    """The outputs ``Xoshiro256StarStar(seed).next_u64()`` gives, in order.
+
+    Each batch is refilled into a generator only this stream holds and read
+    back to front, the order ``next_u64`` pops it in. The whole stream is
+    C-level iterators over one Python call per batch, so a draw is a
+    ``next()`` with no Python frame.
+    """
+    gen = Xoshiro256StarStar(seed)
+    return chain.from_iterable(map(reversed, map(Xoshiro256StarStar._refill, repeat(gen))))
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -1,5 +1,6 @@
 import pytest
 
+from droidcage import monkey
 from droidcage.app_model import APP_SWITCH, load_app_model, reachable_blocks
 from droidcage.corpus import build_corpus
 from droidcage.data_tables import ConfigError
@@ -7,7 +8,7 @@ from droidcage.monkey import MonkeyConfig, run_monkey
 from droidcage.session import SessionRunner
 
 from conftest import FIXTURES, device_for
-from monkey_reference import generate_events
+from monkey_reference import draw_event, generate_events
 
 PAPER_CONFIG = dict(seed=0, pct_syskeys=0, pct_appswitch=0, throttle_ms=50,
                     event_count=500)
@@ -158,3 +159,79 @@ def test_generated_set_text_strings_are_short_alnum(login_gate):
     texts = [e.value for e in stream if e.kind == "set_text"]
     assert texts, "expected some set_text events in 500 draws"
     assert all(1 <= len(t) <= 8 and t.isalnum() for t in texts)
+
+
+# Every bound the monkey draws below: the roll, the system key, the kind,
+# x, y, the text length and each character.
+MONKEY_BOUNDS = (100, 6, 4, 1080, 1920, 8, 62)
+
+
+def _limit(n):
+    return 2**64 - 2**64 % n
+
+
+class _ReferenceDraws:
+    """Stands in for the generator in ``draw_event``: ``randrange(n)`` takes
+    the first scripted draw below the largest multiple of ``n`` that fits in
+    2**64, mod ``n``, and notes each draw it reads against its bound."""
+
+    def __init__(self, script, seen):
+        self.draws = iter(script)
+        self.seen = seen
+
+    def randrange(self, n):
+        while True:
+            v = next(self.draws)
+            self.seen.add((n, v))
+            if v < _limit(n):
+                return v % n
+
+
+def test_rejected_draws_are_redrawn_as_randrange_does(login_gate):
+    # Real seeds never draw a value the monkey rejects, so every rejection
+    # is scripted. The base script is a system key, then a set_text of
+    # eight characters; each of its draws is below its own bound. Every
+    # edge draw goes in at every place, alone and after a rejected draw.
+    config = MonkeyConfig(pct_syskeys=30, pct_appswitch=20, package=login_gate.package)
+    ctx = device_for(login_gate).context(login_gate.package)
+    place = (ctx.activity, ctx.state)
+    screen = login_gate.screen(*place)
+    base = [0, 1, 99, 3, 540, 960, 7, *range(8), *range(10, 30)]
+    edges = {v for n in MONKEY_BOUNDS for v in (_limit(n) - 1, _limit(n), 2**64 - 1)
+             if v < 2**64}
+    seen = set()
+    for i in range(len(base) - 20):
+        for edge in sorted(edges):
+            for inserted in ([edge], [2**64 - 1, edge]):
+                script = base[:i] + inserted + base[i:]
+                draws, reference = iter(script), _ReferenceDraws(script, seen)
+                for _ in range(2):  # the second event starts where the first stopped
+                    assert (monkey._generate_one(draws.__next__, config, screen)
+                            == draw_event(reference, config, login_gate, place))
+                # both read the same number of draws
+                assert list(draws) == list(reference.draws)
+    # Each bound read each of its edge draws: the last kept one, and the
+    # first and last rejected ones where 2**64 is not a multiple of it.
+    assert all((n, v) in seen for n in MONKEY_BOUNDS
+               for v in (_limit(n) - 1, _limit(n), 2**64 - 1) if v < 2**64)
+
+
+@pytest.mark.parametrize("fixture, crashes", [("crash_first", True), ("login_gate", False)])
+def test_run_monkey_generates_each_event_through_the_module_function(
+        fixture, crashes, request, monkeypatch):
+    # The benchmark counts monkey events by wrapping this module attribute,
+    # so run_monkey must call it once per event, crash or not.
+    app = request.getfixturevalue(fixture)
+    calls = []
+    generate = monkey._generate_one
+
+    def counted(*args):
+        calls.append(1)
+        return generate(*args)
+
+    monkeypatch.setattr(monkey, "_generate_one", counted)
+    config = MonkeyConfig(**PAPER_CONFIG, package=app.package)
+    session = run_monkey(SessionRunner(app, device_for(app)), config)
+    assert session.crashed is crashes
+    assert len(calls) == len(session.events)
+    assert (len(calls) < 500) is crashes

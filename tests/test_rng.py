@@ -1,5 +1,6 @@
 import sys
 from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from droidcage.rng import (
     _scramble_lanes,
     _split,
     derive_seed,
+    raw_stream,
     splitmix64_stream,
 )
 
@@ -133,6 +135,17 @@ def test_lane_scrambler_keeps_carries_out_of_the_next_lane():
         (rotl((w * 5) & MASK64, 7) * 9) & MASK64 for w in lanes]
 
 
+@example(seed=0, count=64)
+@example(seed=1, count=65)
+@example(seed=2**64 - 1, count=129)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 300))
+def test_raw_stream_yields_the_reference_outputs(seed, count):
+    # up to four batches, so the stream crosses refills
+    ref = ReferenceXoshiro(seed)
+    assert list(islice(raw_stream(seed), count)) == [ref.next_u64() for _ in range(count)]
+
+
 @pytest.mark.parametrize("byteorder", ("little", "big"))
 def test_batch_scrambler_works_for_either_byte_order(byteorder):
     # The refill packs a batch through native bytes, so on a big-endian
@@ -210,7 +223,7 @@ def test_mixed_calls_match_reference(seed):
         length = i % 13
         assert rng.choice(seq) == seq[ref.randrange(len(seq))]
         assert rng.alnum(length) == "".join(ALNUM[ref.randrange(62)] for _ in range(length))
-        assert rng.percent() == ref.randrange(100)
+        assert rng.randrange(100) == ref.randrange(100)
         assert rng.next_u64() == ref.next_u64()
 
 

@@ -65,19 +65,14 @@ def _shadow_doc():
 
 
 class _ScriptedRng:
-    """Stands in for the generator: hands out the given draws in order."""
+    """Stands in for the raw stream's ``__next__``: hands out the given
+    draws in order. Each is below its bound, so it reduces to itself."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
 
-    def randrange(self, n):
+    def __call__(self):
         return self.draws.pop(0)
-
-    def percent(self):
-        return self.randrange(100)
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
 
 
 @pytest.fixture
