@@ -14,6 +14,7 @@ from .app_model import (
     StepResult,
     apply_event,
     dump_hierarchy,
+    filter_outgoing,
     identify_element,
     install_app,
     load_app_model,
@@ -34,7 +35,6 @@ from .netguard import (
     write_log_entry,
 )
 from .session import Session
-from .telephony import filter_outgoing
 from .trace import TraceConfig, record
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 from .data_tables import CATEGORIES, DataTables, default_tables
 from .gcpause import gc_paused
-from .telephony import TELEPHONY_KINDS, filter_outgoing
 
 UI_ACTIONS = ("click", "long_click", "scroll", "set_text", "toggle")
 ELEMENT_KINDS = ("button", "textfield", "checkbox", "generic")
@@ -32,16 +31,35 @@ ORIGIN_FLAGS = ("app_code", "framework_core", "inlined_candidate")
 SMS_RECEIVED_ACTION = "android.provider.Telephony.SMS_RECEIVED"
 PHONE_STATE_ACTION = "android.intent.action.PHONE_STATE"
 
-# The event kind that fires a receiver of each telephony action; any other
-# action is a broadcast.
-_RECEIVER_TRIGGERS = {SMS_RECEIVED_ACTION: "incoming_sms", PHONE_STATE_ACTION: "incoming_call"}
-_TELEPHONY_ACTIONS = {kind: action for action, kind in _RECEIVER_TRIGGERS.items()}
-
 # Body used when the platform sends the probe SMS to the device itself.
 SMS_PROBE_BODY = "probe"
 
 # Most telephony loopback events one event's chain may apply.
 LOOPBACK_LIMIT = 8
+
+# The telephony vocabulary: each outgoing kind, the incoming event it loops
+# back as when sent to the device's own number, and the manifest action a
+# receiver of that event is declared under (any other action is a broadcast).
+_TELEPHONY = {
+    "outgoing_call": ("incoming_call", PHONE_STATE_ACTION),
+    "outgoing_sms": ("incoming_sms", SMS_RECEIVED_ACTION),
+}
+TELEPHONY_KINDS = tuple(_TELEPHONY)
+_TELEPHONY_ACTIONS = dict(_TELEPHONY.values())
+_RECEIVER_TRIGGERS = {action: kind for kind, action in _TELEPHONY.values()}
+
+
+@dataclass(frozen=True)
+class TelephonyDecision:
+    delivered: bool
+
+
+def filter_outgoing(effect: SideEffect, own_number: str) -> TelephonyDecision:
+    """Whether an outgoing call/SMS may leave the device: only to its own
+    number. A rejection is a UI flash, logged and never fatal to the app."""
+    if getattr(effect, "kind", None) not in _TELEPHONY:
+        raise ValueError(f"not a telephony side effect: {effect!r}")
+    return TelephonyDecision(delivered=effect.number == own_number)
 
 
 class ModelParseError(ValueError):
@@ -485,12 +503,11 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
 
 
 def loopback_event(effect: SideEffect) -> Event:
-    """Incoming event produced when a telephony effect is delivered to self."""
-    if effect.kind == "outgoing_sms":
-        return Event("incoming_sms", number=effect.number, body=effect.body)
-    if effect.kind == "outgoing_call":
-        return Event("incoming_call", number=effect.number)
-    raise ValueError(f"no loopback for {effect.kind}")
+    """Incoming event produced when a telephony effect is delivered to self
+    (a call's body is always empty)."""
+    if effect.kind not in _TELEPHONY:
+        raise ValueError(f"no loopback for {effect.kind}")
+    return Event(_TELEPHONY[effect.kind][0], number=effect.number, body=effect.body)
 
 
 def run_event_chain(device: DeviceState, app: AppModel, event: Event,

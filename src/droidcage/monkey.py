@@ -15,7 +15,7 @@ from typing import Callable
 from .app_model import APP_SWITCH, Event, Screen, run_event_chain
 from .data_tables import ConfigError
 from .gcpause import gc_paused
-from .rng import ALNUM, raw_stream
+from .rng import ALNUM, _limit, _redraw, raw_stream
 from .session import Session, SessionRunner
 
 # run_event_chain is unused here: the benchmark's trace hooks wrap it by
@@ -40,16 +40,11 @@ _tap = lru_cache(maxsize=4096)(Event)
 _SYSTEM_KEY_EVENTS = tuple(Event("system_key", name=key) for key in SYSTEM_KEYS)
 
 
-def _limit(n: int) -> int:
-    """The largest multiple of ``n`` that fits in 2**64."""
-    return 2**64 - 2**64 % n
-
-
-# The monkey reads the raw stream in order. ``randrange(n)`` keeps the first
-# draw ``v`` below ``_limit(n)`` and returns ``v % n``, so with each bound's
-# limit at hand a kept draw is one compare and one modulo, with no Python
-# call. A rejected draw, fewer than one in 2**55 at these bounds, goes to
-# ``_redraw``, which applies the same rule to the next draws.
+# The monkey reads the raw stream in order and draws by ``randrange``'s
+# rejection rule, ``rng._redraw``: the first draw ``v`` below ``_limit(n)``
+# is kept as ``v % n``. With each bound's limit at hand a kept draw is one
+# compare and one modulo, with no Python call. A rejected draw, fewer than
+# one in 2**55 at these bounds, goes to ``_redraw`` for the next draws.
 _KEYS = len(SYSTEM_KEYS)
 _KINDS = len(NAV_KINDS)
 _TEXT_LENGTHS = TEXT_MAX_LEN - TEXT_MIN_LEN + 1
@@ -83,14 +78,6 @@ class MonkeyConfig:
             raise ConfigError("throttle_ms must be >= 0")
         if self.event_count < 1:
             raise ConfigError("event_count must be >= 1")
-
-
-def _redraw(draw: Callable[[], int], n: int) -> int:
-    """``randrange(n)`` after a rejected draw: the first later draw kept, mod ``n``."""
-    limit = _limit(n)
-    while (v := draw()) >= limit:
-        pass
-    return v % n
 
 
 def _generate_one(draw: Callable[[], int], config: MonkeyConfig,

@@ -42,10 +42,10 @@ raises is never memoised. The rules on a whole request (one ``Host``, one
 ``parse_request`` takes a request with at most one ``Host`` header and at
 most one ``Content-Length`` header, and none with a ``Transfer-Encoding``
 header: each of those frames the request ambiguously (RFC 9112 3.2, 6.1,
-6.3), so it is malformed. So is a request whose version is not HTTP/1.0 or
-HTTP/1.1 (RFC 9112 2.3), or whose host is empty, holds a character outside
-an RFC 3986 reg-name or a "%" that does not open a %HH escape (RFC 9112 3.2):
-it has nowhere valid to go. A header line is a name, a colon and a value: the
+6.3), so it is malformed. So is a request whose method is not a token (RFC
+9110 9.1), whose version is not HTTP/1.0 or HTTP/1.1 (RFC 9112 2.3), or whose
+host is empty, holds a character outside an RFC 3986 reg-name or a "%" that
+does not open a %HH escape (RFC 9112 3.2): it has nowhere valid to go. A header line is a name, a colon and a value: the
 name must be a token, so whitespace before its colon (RFC 9112 5.1) or before
 the name, as on an obs-fold continuation line (RFC 9112 5.2), makes the
 request malformed, and the value loses only its leading and trailing SP and
@@ -81,6 +81,9 @@ DEFAULT_REPUTATION_THRESHOLD = 60
 # An HTTP token (RFC 9110): what a header name, and so a capture-log tag, may be.
 _TOKEN = r"[A-Za-z0-9!#$%&'*+.^_`|~-]+"
 _TOKEN_RE = re.compile(_TOKEN)
+# Any token is a method (RFC 9110 9.1); the 9.3 methods skip the pattern.
+_RFC9110_METHODS = ("GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS", "TRACE")
+_KNOWN_METHODS = frozenset(_RFC9110_METHODS)
 # A host parse_request routes: a non-empty RFC 3986 reg-name, where "%" only
 # opens a %HH escape. Each run of other characters stops at a "%", so a
 # failed match backtracks in linear time.
@@ -271,8 +274,8 @@ _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
     """Parse raw HTTP/1.x request bytes into a transaction.
 
-    Malformed HTTP (a CR or NUL in a header value too), ambiguous framing
-    (a second ``Host`` or ``Content-Length`` header, any
+    Malformed HTTP (a non-token method, a CR or NUL in a header value too),
+    ambiguous framing (a second ``Host`` or ``Content-Length`` header, any
     ``Transfer-Encoding``), a version other than HTTP/1.0 or HTTP/1.1, an
     empty host or one that is not a reg-name, and any protocol but
     http/https (``NetGuard.handle`` blocks POP/IMAP/FTP before parsing)
@@ -303,6 +306,8 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
                                version.decode("latin-1"))
     if not version.startswith("HTTP/"):
         raise RequestParseError(f"bad HTTP version: {version!r}")
+    if method not in _KNOWN_METHODS and not _TOKEN_RE.fullmatch(method):
+        raise RequestParseError(f"bad method: {method!r}")
 
     # Latin-1 maps each byte to one character, so these are the byte lines.
     headers = []
@@ -357,7 +362,7 @@ def parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransactio
         raise RequestParseError(f"unsupported HTTP version: {version!r}")
     if not _REG_NAME_RE.fullmatch(host):
         raise RequestParseError(f"bad host: {host!r}")
-    # method is a non-empty split() part, protocol and port are checked above.
+    # method, protocol and port are checked above.
     return _make(HttpTransaction, (method, protocol, host, port, path, version,
                                    tuple(headers), content))
 
@@ -485,7 +490,7 @@ def _b64(data: bytes) -> str:
 # The values method, scheme, port and http_version nearly always hold: the
 # RFC 9110 methods, both schemes, their default ports and both versions.
 _FIXED_VALUES = {
-    "method": ("GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS", "TRACE"),
+    "method": _RFC9110_METHODS,
     "scheme": ("http", "https"),
     "port": ("80", "443"),
     "http_version": _HTTP_VERSIONS,

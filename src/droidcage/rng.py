@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, repeat
-from typing import Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 MASK64 = (1 << 64) - 1
 _SPAN = MASK64 + 1
@@ -150,6 +150,20 @@ def _jump(state: int, tables: tuple[tuple[int, ...], ...]) -> int:
 _TABLES = _build_tables(sys.byteorder)
 
 
+def _limit(n: int) -> int:
+    """The largest multiple of ``n`` that fits in 2**64."""
+    return _SPAN - _SPAN % n
+
+
+def _redraw(draw: Callable[[], int], n: int) -> int:
+    """``randrange(n)`` over ``draw``'s outputs, for ``0 < n <= 2**64``: the
+    first draw below ``_limit(n)``, mod ``n``. The one rejection rule."""
+    limit = _limit(n)
+    while (v := draw()) >= limit:
+        pass
+    return v % n
+
+
 class Xoshiro256StarStar:
     """xoshiro256** with its state seeded from splitmix64.
 
@@ -188,23 +202,13 @@ class Xoshiro256StarStar:
         return (self._buf or self._refill()).pop()
 
     def randrange(self, n: int) -> int:
-        """Unbiased draw from [0, n) via rejection sampling.
-
-        A draw ``v`` is kept when it lies below the largest multiple of
-        ``n`` that fits in 2**64, i.e. when ``v - v % n + n <= 2**64``;
-        that needs no per-bound limit below 2**64. Above it no draw is ever
-        kept, so such a bound is a ``ValueError``, raised at the first
-        rejection so that a kept draw costs no extra test.
-        """
+        """Unbiased draw from [0, n) by ``_redraw``'s rejection rule; a bound
+        above 2**64, where no draw is ever kept, raises before any draw."""
         if n <= 0:
             raise ValueError("randrange bound must be positive")
-        while True:
-            v = (self._buf or self._refill()).pop()
-            r = v % n
-            if v - r + n <= _SPAN:
-                return r
-            if n > _SPAN:
-                raise ValueError(f"randrange bound {n} is above 2**64")
+        if n > _SPAN:
+            raise ValueError(f"randrange bound {n} is above 2**64")
+        return _redraw(self.next_u64, n)
 
     def choice(self, seq: Sequence[T]) -> T:
         if not seq:

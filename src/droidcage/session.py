@@ -13,17 +13,18 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .app_model import (
+    TELEPHONY_KINDS,
     UI_ACTIONS,
     AppModel,
     DeviceState,
     Event,
     SideEffect,
     StepResult,
+    filter_outgoing,
     run_event_chain,
 )
 from .data_tables import DataTables, default_tables
 from .netguard import DEFAULT_IDENTITIES, NetGuard, default_reputation, default_signatures
-from .telephony import TELEPHONY_KINDS, filter_outgoing
 from .trace import TraceConfig, record
 
 # pid assigned to the app under analysis; fixture side effects carrying a

@@ -40,7 +40,7 @@ from droidcage.explorer import ExplorationConfig, baseline_device, cleanup, expl
 from droidcage.monkey import MonkeyConfig, run_monkey
 from droidcage.netguard import parse_capture_log, write_log_entry
 from droidcage.session import SessionRunner, contained
-from droidcage.telephony import TELEPHONY_KINDS, filter_outgoing
+from droidcage.app_model import TELEPHONY_KINDS, filter_outgoing
 
 from conftest import FIXTURES, OUTSIDE_ACTION, app_docs, device_for, event_pool
 from explorer_reference import explore_reference

@@ -3,6 +3,7 @@ import binascii
 import contextlib
 import itertools
 import re
+import string
 import sys
 import textwrap
 import time
@@ -1212,9 +1213,9 @@ def test_a_target_that_is_not_absolute_form_is_routed_by_the_host_header(target)
 
 def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> HttpTransaction:
     """parse_request as it was before it read the request in one pass, with
-    the rules it gained since: a header value holds no CR or NUL, and an
-    absolute-form target's scheme is matched case-insensitively and its
-    authority ends at "?" as well as at "/"."""
+    the rules it gained since: a method is a token, a header value holds no
+    CR or NUL, and an absolute-form target's scheme is matched
+    case-insensitively and its authority ends at "?" as well as at "/"."""
     protocol = declared_protocol.lower()
     if protocol not in ("http", "https"):
         raise RequestParseError(f"unknown protocol {declared_protocol!r}")
@@ -1232,6 +1233,8 @@ def _reference_parse_request(raw: bytes, declared_protocol: str = "http") -> Htt
     method, target, version = (p.decode("latin-1") for p in parts)
     if not version.startswith("HTTP/"):
         raise RequestParseError(f"bad HTTP version: {version!r}")
+    if not _REFERENCE_TOKEN_RE.fullmatch(method):
+        raise RequestParseError(f"bad method: {method!r}")
 
     headers = []
     for line in lines[1:]:
@@ -1343,6 +1346,49 @@ def test_one_byte_edit_parses_as_the_two_pass_parser_did(raw, protocol):
                                     r"(?:%[0-9A-Fa-f]{2}[A-Za-z0-9._~!$&'()*+,;=-]*)*", ref.host)
         return
     assert (tx, error) == _parse_result(_reference_parse_request, raw, protocol)
+
+
+# ---------------------------------------------------------------------------
+# A method is a token (RFC 9110 9.1)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", [b"G(T", b"G\xffT"])
+def test_a_method_that_is_not_a_token_is_malformed(method):
+    raw = method + b" / HTTP/1.1\r\nHost: a.example\r\n\r\n"
+    with pytest.raises(RequestParseError, match="^bad method: "):
+        parse_request(raw)
+    guard = _guard()
+    assert guard.handle(raw).disposition == "malformed"
+    assert guard.capture_log == [] and guard.forwarded == []
+    assert [base64.b64decode(e) for e in guard.malformed_log] == [raw]
+
+
+@pytest.mark.parametrize("method", ["PATCH", "M-SEARCH"])
+def test_a_token_method_outside_the_rfc_9110_set_is_handled(method):
+    guard = _guard()
+    outcome = guard.handle(f"{method} / HTTP/1.1\r\nHost: a.example\r\n\r\n".encode())
+    assert outcome.disposition == "handled"
+    assert outcome.transaction.method == method
+    assert parse_capture_log(guard.capture_text()) == [outcome.transaction]
+
+
+# What bytes.split() splits the request line at; every other latin-1
+# character may stand in a method.
+_LINE_SPACE = " \t\n\r\x0b\x0c"
+_methods = st.text(st.one_of(
+    st.sampled_from("!#$%&'*+-.^_`|~" + string.ascii_letters + string.digits),
+    st.characters(max_codepoint=0xFF, exclude_characters=_LINE_SPACE)), min_size=1, max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(method=_methods)
+def test_a_request_parses_exactly_when_its_method_is_a_token(method):
+    raw = method.encode("latin-1") + b" / HTTP/1.1\r\nHost: a.example\r\n\r\n"
+    tx, error = _parse_result(parse_request, raw, "http")
+    if _REFERENCE_TOKEN_RE.fullmatch(method):
+        assert error is None and tx.method == method
+    else:
+        assert tx is None and error == f"bad method: {method!r}"
 
 
 # ---------------------------------------------------------------------------

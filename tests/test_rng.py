@@ -247,8 +247,11 @@ def test_randrange_rejects_non_positive_bounds(bound):
 @pytest.mark.parametrize("bound", [2**64 + 1, 2**200])
 def test_randrange_rejects_bounds_above_2_64(bound):
     # Every draw would be rejected: without the check the call never returns.
+    # The check comes before any draw, so the stream is where it was.
+    rng = Xoshiro256StarStar(1)
     with pytest.raises(ValueError, match=rf"^randrange bound {bound} is above 2\*\*64$"):
-        Xoshiro256StarStar(1).randrange(bound)
+        rng.randrange(bound)
+    assert rng.next_u64() == ReferenceXoshiro(1).next_u64()
 
 
 def test_randrange_2_64_is_the_raw_output():
