@@ -89,16 +89,6 @@ class ExplorationConfig:
         if self.max_events < 1:
             raise ConfigError("max_events must be >= 1")
 
-    @cached_property
-    def _fill_stream(self) -> Xoshiro256StarStar:
-        """The start of the fill values' stream, built on first use.
-
-        Never drawn from: each exploration draws from a copy, so every
-        exploration run with this config, such as the smart and
-        smart_monkey sessions of one app, shares the building.
-        """
-        return Xoshiro256StarStar(derive_seed(self.seed, "smart-fill"))
-
 
 # ---------------------------------------------------------------------------
 # Exploration
@@ -122,7 +112,7 @@ class _Explorer:
     @cached_property
     def rng(self) -> Xoshiro256StarStar:
         """The fill generator, made at the first fill: most apps have no textfield."""
-        return self.config._fill_stream.copy()
+        return Xoshiro256StarStar(derive_seed(self.config.seed, "smart-fill"))
 
     def issue(self, event: Event) -> None:
         self.budget -= 1

@@ -19,7 +19,8 @@ every "=" is among its last two characters (in a header value, every "="
 is also followed only by "="). It is decoded with ``binascii.a2b_base64``,
 which on such values gives what ``base64.b64decode(validate=True)`` gives on
 every CPython from 3.10 to 3.13: the same bytes, or an error for both. Any
-other value makes the record undecodable.
+other value makes the record undecodable, and so does a method that is not a
+token: an ``HttpTransaction``'s method is one, as ``parse_request``'s is.
 
 A record in exactly the layout ``write_log_entry`` writes, with no other
 whitespace, is read through one exact pattern, which takes the method, scheme,
@@ -121,7 +122,8 @@ class _HttpFields(NamedTuple):
 
 
 class HttpTransaction(_HttpFields):
-    """One request: a non-empty method, scheme http or https, a valid port."""
+    """One request: a method that is a token (RFC 9110 9.1), scheme http or
+    https, a valid port."""
 
     __slots__ = ()
 
@@ -130,6 +132,8 @@ class HttpTransaction(_HttpFields):
                 content: bytes = b""):
         if not method:
             raise ValueError("method must be non-empty")
+        if method not in _KNOWN_METHODS and not _TOKEN_RE.fullmatch(method):
+            raise ValueError(f"bad method: {method!r}")
         if scheme not in ("http", "https"):
             raise ValueError(f"unsupported scheme {scheme!r}")
         _check_port(port)

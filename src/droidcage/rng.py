@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator, Sequence, TypeVar
 
 MASK64 = (1 << 64) - 1
@@ -31,7 +31,7 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield (z ^ (z >> 31)) & MASK64
 
 
-# Outputs generated per refill. Draws consume the buffer in order, so the
+# Outputs generated per refill. Draws read each batch in order, so the
 # stream is the same for any batch size; only the state runs ahead.
 _BATCH = 64
 _RAW_BITS = 64 * _BATCH
@@ -114,8 +114,8 @@ def _build_tables(byteorder: str) -> tuple[tuple[int, ...], ...]:
 
     The lanes are placed by position, counted from bit 0. Unpacking through
     ``byteorder`` bytes puts lane i in item i (little) or item 63 - i (big),
-    and draws pop items from the end, so the k-th raw output goes in the
-    lane that becomes item 63 - k.
+    and ``_refill`` hands items out from the end, so the k-th raw output goes
+    in the lane that becomes item 63 - k.
     """
     lanes = range(_BATCH - 1, -1, -1) if byteorder == "little" else range(_BATCH)
     shifts = [64 * lane for lane in lanes]
@@ -164,42 +164,35 @@ def _redraw(draw: Callable[[], int], n: int) -> int:
     return v % n
 
 
-class Xoshiro256StarStar:
-    """xoshiro256** with its state seeded from splitmix64.
+def _refill(cell: list[int]) -> Iterator[int]:
+    """The next ``_BATCH`` outputs of the state in ``cell[0]``, in draw
+    order; moves ``cell[0]`` on by ``_BATCH`` steps."""
+    jumped = _jump(cell[0], _TABLES)
+    cell[0] = jumped >> _RAW_BITS
+    packed = _scramble_batch(jumped)
+    return reversed(array("Q", packed.to_bytes(_PACKED_BYTES, sys.byteorder)))
+
+
+def raw_stream(seed: int) -> Iterator[int]:
+    """The xoshiro256** outputs for ``seed``, its state seeded from splitmix64.
 
     This is the reference construction: four splitmix64 outputs make up
     the initial 256-bit state, so any implementation of the same pair of
-    algorithms produces identical streams for the same seed. Outputs are
-    generated ``_BATCH`` at a time and handed out in order.
+    algorithms produces identical streams for the same seed. The stream is
+    C-level iterators over one ``_refill`` call per batch, so a draw is a
+    ``next()`` with no Python frame.
     """
+    state = _join(islice(splitmix64_stream(seed), 4))
+    return chain.from_iterable(map(_refill, repeat([state])))
 
-    __slots__ = ("_state", "_buf")
+
+class Xoshiro256StarStar:
+    """Draws over ``raw_stream(seed)``: ``next_u64`` is the stream's next."""
+
+    __slots__ = ("next_u64",)
 
     def __init__(self, seed: int):
-        sm = splitmix64_stream(seed)
-        self._state = _join(next(sm) for _ in range(4))
-        self._buf: list[int] = []
-
-    def _refill(self) -> list[int]:
-        jumped = _jump(self._state, _TABLES)
-        self._state = jumped >> _RAW_BITS
-        packed = _scramble_batch(jumped)
-        out = array("Q", packed.to_bytes(_PACKED_BYTES, sys.byteorder)).tolist()
-        self._buf = out
-        return out
-
-    def copy(self) -> "Xoshiro256StarStar":
-        """A generator that draws what this one would draw next; the two
-        then go on independently. An empty buffer is refilled first (the
-        stream is unchanged), so copies of one generator share that work.
-        """
-        dup = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
-        dup._buf = list(self._buf or self._refill())
-        dup._state = self._state
-        return dup
-
-    def next_u64(self) -> int:
-        return (self._buf or self._refill()).pop()
+        self.next_u64 = raw_stream(seed).__next__
 
     def randrange(self, n: int) -> int:
         """Unbiased draw from [0, n) by ``_redraw``'s rejection rule; a bound
@@ -218,18 +211,6 @@ class Xoshiro256StarStar:
     def alnum(self, length: int) -> str:
         randrange = self.randrange
         return "".join([ALNUM[randrange(62)] for _ in range(length)])
-
-
-def raw_stream(seed: int) -> Iterator[int]:
-    """The outputs ``Xoshiro256StarStar(seed).next_u64()`` gives, in order.
-
-    Each batch is refilled into a generator only this stream holds and read
-    back to front, the order ``next_u64`` pops it in. The whole stream is
-    C-level iterators over one Python call per batch, so a draw is a
-    ``next()`` with no Python frame.
-    """
-    gen = Xoshiro256StarStar(seed)
-    return chain.from_iterable(map(reversed, map(Xoshiro256StarStar._refill, repeat(gen))))
 
 
 def derive_seed(seed: int, label: str) -> int:

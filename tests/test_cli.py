@@ -21,7 +21,8 @@ from droidcage.harness import (
     load_corpus_dir,
     run_experiment,
 )
-from droidcage.netguard import NetGuard, load_reputation, load_signature_db, write_log_entry
+from droidcage.netguard import (HttpTransaction, NetGuard, load_reputation, load_signature_db,
+                                write_log_entry)
 from droidcage.session import ObservedEffect, SessionRunner
 
 from conftest import FIXTURES, WRONGLY_TYPED_EDITS, edited_login_gate
@@ -431,6 +432,17 @@ def test_decode_log_verify_prints_every_record_before_a_failed_last_record(tmp_p
         "POST http://x.example:80/up [2 headers, 12 content bytes]\n"
         "GET https://telemetry.trusted.example:443/ [1 headers, 0 content bytes]\n")
     assert captured.err == "error: round-trip FAILED\n"
+
+
+def test_decode_log_verify_rejects_a_method_that_is_not_a_token(tmp_path, capsys):
+    tx = tuple.__new__(HttpTransaction, ("G(T", "http", "a.example", "80", "/", "HTTP/1.1",
+                                         (("Host", "a.example"),), b""))
+    log = tmp_path / "capture.log"
+    log.write_text(write_log_entry(tx), encoding="utf-8")
+    assert main(["decode-log", "--log", str(log), "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad record at offset 0: bad method: 'G(T'\n"
 
 
 def test_decode_log_escapes_control_characters_the_app_sent(tmp_path, capsys):

@@ -174,12 +174,12 @@ def test_the_generator_built_at_the_first_fill_draws_as_one_built_up_front(monke
     config = ExplorationConfig(seed=seed, max_events=10_000)
     elements = {key: el for a in login_gate.activities for st in a.states
                 for key, el in zip(login_gate.screen(a.name, st.id).keys, st.elements)}
-    # Two explorations with one config build one generator between them.
-    for _ in range(2):
+    # Each exploration builds its own generator, at its first fill.
+    for run in range(2):
         session = explore(login_gate, config, device_for(login_gate))
         up_front = Xoshiro256StarStar(derive_seed(seed, "smart-fill"))
         fills = [event for event in session.events if event.kind == "set_text"]
-        assert len(built) == 1 and len(fills) >= 2
+        assert len(built) == run + 1 and len(fills) >= 2
         for event in fills:
             category = categorize_textfield(elements[event.target])
             assert event.value == (up_front.alnum(UNCATEGORIZED_FILL_LENGTH)

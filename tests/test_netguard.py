@@ -152,6 +152,8 @@ def test_transaction_invariants():
         HttpTransaction("GET", "http", "h", "eighty", "/", "HTTP/1.1")
     with pytest.raises(ValueError):
         HttpTransaction("", "http", "h", "80", "/", "HTTP/1.1")
+    with pytest.raises(ValueError, match=r"^bad method: 'G\(T'$"):
+        HttpTransaction("G(T", "http", "h", "80", "/", "HTTP/1.1")
     for port in ("\u00b2", "70000", "9" * 5000):  # parse_request rejects them too
         with pytest.raises(ValueError, match="bad port"):
             HttpTransaction("GET", "http", "h", port, "/", "HTTP/1.1")
@@ -396,8 +398,10 @@ def test_capture_log_multi_entry_parse():
     ("port", "\u00b2".encode()),
     ("port", b"70000"),
     ("port", b"9" * 5000),
+    # A method that is not a token, which parse_request rejects too.
+    ("method", b"G(T"),
 ], ids=["non_utf8_host", "non_numeric_port", "superscript_port", "port_over_65535",
-        "port_over_int_digit_limit"])
+        "port_over_int_digit_limit", "non_token_method"])
 def test_capture_record_with_a_bad_field_value_is_a_log_decode_error(tag, value):
     tx = parse_request(_raw(host="h.example", port=80))
     entry = write_log_entry(tx)
