@@ -226,6 +226,20 @@ def test_mixed_calls_match_reference(seed):
         assert rng.next_u64() == ref.next_u64()
 
 
+@pytest.mark.parametrize("drawn", [0, 1, 63, 64, 65])
+def test_a_generator_built_mid_stream_draws_from_the_start(drawn):
+    # Each stream holds its own state cell: building a second generator
+    # from the same seed, at or beside a refill boundary of the first,
+    # neither resets nor shares the first one's position.
+    rng, ref = Xoshiro256StarStar(5), ReferenceXoshiro(5)
+    for _ in range(drawn):
+        assert rng.next_u64() == ref.next_u64()
+    fresh, fresh_ref = Xoshiro256StarStar(5), ReferenceXoshiro(5)
+    expected = [ref.next_u64() for _ in range(200)]
+    assert [fresh.next_u64() for _ in range(200)] == [fresh_ref.next_u64() for _ in range(200)]
+    assert [rng.next_u64() for _ in range(200)] == expected
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_randrange_rejects_non_positive_bounds(bound):
     with pytest.raises(ValueError):
