@@ -366,12 +366,6 @@ class AppContext(NamedTuple):
     receivers: frozenset[str] = frozenset()
 
 
-class Settings(NamedTuple):
-    wifi: bool = True
-    data_network: bool = True
-    sound_volume: int = 50
-
-
 class DeviceState(NamedTuple):
     """A device as one step leaves it; a step that changes it builds a new one.
 
@@ -383,7 +377,6 @@ class DeviceState(NamedTuple):
     contexts: Mapping[str, AppContext] = MappingProxyType({})
     installed_apps: frozenset[str] = frozenset()
     running_processes: frozenset[str] = frozenset()
-    settings: Settings = Settings()
     crashed: bool = False
 
     def __reduce__(self):
@@ -411,8 +404,7 @@ def install_app(device: DeviceState, app: AppModel) -> DeviceState:
     ctx = _enter_state(app, AppContext(*app.home), *app.home)
     return DeviceState({**device.contexts, app.package: ctx},
                        device.installed_apps | {app.package},
-                       device.running_processes | {app.package},
-                       device.settings, device.crashed)
+                       device.running_processes | {app.package}, device.crashed)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +467,7 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
         if (ctx.activity, ctx.state) != app.home:
             new_ctx = _enter_state(app, ctx, *app.home)
             dev = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
-                              device.running_processes, device.settings, False)
+                              device.running_processes, False)
             return _make(StepResult, (dev, (), (), True))
     elif (action := live_receiver_action(app, ctx, event)) is not None:
         for t in app._receiver_transitions.get((kind, action), ()):
@@ -498,7 +490,7 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
     # that is already live, say) and does not crash keeps the device it got.
     if crash or new_ctx != ctx:
         device = DeviceState({**device.contexts, app.package: new_ctx}, device.installed_apps,
-                             device.running_processes, device.settings, crash)
+                             device.running_processes, crash)
     return _make(StepResult, (device, blocks, effects, True))
 
 

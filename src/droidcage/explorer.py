@@ -18,7 +18,6 @@ from .app_model import (
     DeviceState,
     ElementKey,
     Event,
-    Settings,
     UiElement,
     dump_hierarchy,
     live_receiver_action,
@@ -194,30 +193,25 @@ def explore(app: AppModel, config: ExplorationConfig, device: DeviceState, *,
 # Environment cleanup
 # ---------------------------------------------------------------------------
 
-# The clean device: the apps and processes a session may leave behind,
-# and the settings it must be returned to.
+# The clean device: the only apps and processes a session may leave behind.
 BASELINE_DEVICE = DeviceState(
     installed_apps=frozenset({"com.android.systemui", "com.android.settings"}),
     running_processes=frozenset({"system_server", "zygote", "netd"}),
-    settings=Settings(wifi=True, data_network=True, sound_volume=50),
 )
 
 
-def cleanup(device: DeviceState, baseline: DeviceState = BASELINE_DEVICE) -> DeviceState:
-    """Kill stray processes, uninstall stray apps, reset settings.
-
-    ``baseline`` stands for the clean device: its installed apps and
-    running processes are the whitelist, and its settings are the ones
-    to restore. Only the contexts of its installed apps are kept.
-    Idempotent; a device that started as ``baseline`` comes back equal
+def cleanup(device: DeviceState) -> DeviceState:
+    """Uninstall stray apps and kill stray processes: return ``device`` to
+    ``BASELINE_DEVICE``, whose installed apps and running processes are the
+    whitelist. Only the contexts of its installed apps are kept.
+    Idempotent; a device that started as the baseline comes back equal
     to it.
     """
-    keep = baseline.installed_apps
+    keep = BASELINE_DEVICE.installed_apps
     return DeviceState(
         {p: c for p, c in device.contexts.items() if p in keep},
         device.installed_apps & keep,
-        device.running_processes & baseline.running_processes,
-        baseline.settings,
+        device.running_processes & BASELINE_DEVICE.running_processes,
     )
 
 

@@ -122,18 +122,19 @@ def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
     if config.package not in ("", app.package):
         raise ConfigError(f"package {config.package} does not match model {app.package}")
     draw = raw_stream(config.seed).__next__
-    device = ctx = screen = None
+    device = screen = None
     with gc_paused():
         for _ in range(config.event_count):
             # Devices are immutable, and a step that changes nothing returns
             # the device it got, so the crash flag and the screen are read
-            # again only for a new device. An uncrashed device shows the
-            # app's screen; it changes only with the app's context.
+            # again only for a new device. A step builds one only for a
+            # crash, which ends the loop, or for a new app context, so every
+            # uncrashed new device brings a context not seen before.
             if runner.device is not device:
                 device = runner.device
                 if device.crashed:
                     break
-                if (current := device.context(app.package)) is not ctx:
-                    ctx, screen = current, app.screen(current.activity, current.state)
+                ctx = device.context(app.package)
+                screen = app.screen(ctx.activity, ctx.state)
             runner.step(_generate_one(draw, config, screen))
     return runner.session

@@ -107,7 +107,6 @@ class SessionRunner:
             # Most monkey taps land here, so the result is built once per
             # device, not once per tap.
             session.events.append(event)
-            session.device = device
             result = self._no_match
             if result.device is not device:
                 result = self._no_match = StepResult(device, (), (), False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from droidcage import netguard
 from droidcage.app_model import (
     ELEMENT_KINDS,
     PHONE_STATE_ACTION,
@@ -36,6 +37,24 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic collector disabled")
+
+
+# netguard's fill-only header-line memos, by module attribute.
+LINE_MEMOS = ("_HEADER_LINES", "_HEADER_TEXTS", "_WRITTEN_HEADERS")
+
+
+def clear_line_memos():
+    for name in LINE_MEMOS:
+        getattr(netguard, name).clear()
+
+
+@pytest.fixture
+def empty_line_memos():
+    """The memos, empty, and emptied again afterwards: a memo keeps the first
+    lines it meets, so what one test leaves there would last."""
+    clear_line_memos()
+    yield [getattr(netguard, name) for name in LINE_MEMOS]
+    clear_line_memos()
 
 
 @pytest.fixture(scope="session")

@@ -250,9 +250,9 @@ def test_criterion_9_cleanup(experiment):
     baseline = baseline_device()
     checked = 0
     for (method, package), session in result.sessions.items():
-        cleaned = cleanup(session.device, baseline)
+        cleaned = cleanup(session.device)
         assert cleaned == baseline, (method, package)
-        assert cleanup(cleaned, baseline) == cleaned
+        assert cleanup(cleaned) == cleaned
         checked += 1
     _ok(9, f"{checked} sessions: post-cleanup device equals whitelist baseline, "
            f"cleanup idempotent")

@@ -6,9 +6,7 @@ import pytest
 from droidcage import explorer as explorer_module
 from droidcage.app_model import (
     AppNotInstalledError,
-    DeviceState,
     Event,
-    Settings,
     UI_ACTIONS,
     UiElement,
     apply_event,
@@ -20,6 +18,7 @@ from droidcage.app_model import (
 )
 from droidcage.data_tables import CATEGORIES, DataTables, default_tables
 from droidcage.explorer import (
+    BASELINE_DEVICE,
     CATEGORY_KEYWORDS,
     UNCATEGORIZED_FILL_LENGTH,
     ExplorationConfig,
@@ -510,33 +509,24 @@ def test_engines_need_the_app_installed(login_gate, engine):
 # Cleanup
 # ---------------------------------------------------------------------------
 
-SETTINGS = Settings(wifi=True, data_network=True, sound_volume=50)
-BASE = DeviceState(installed_apps=frozenset({"com.android.systemui"}),
-                   running_processes=frozenset({"system_server"}), settings=SETTINGS)
-
-
 def test_cleanup_removes_stray_package():
-    device = BASE._replace(installed_apps=BASE.installed_apps | {"com.evil.drop"},
-                           running_processes=BASE.running_processes | {"com.evil.drop"})
-    cleaned = cleanup(device, BASE)
+    base = BASELINE_DEVICE
+    device = base._replace(installed_apps=base.installed_apps | {"com.evil.drop"},
+                           running_processes=base.running_processes | {"com.evil.drop"})
+    cleaned = cleanup(device)
     assert "com.evil.drop" not in cleaned.installed_apps
     assert "com.evil.drop" not in cleaned.running_processes
 
 
 def test_cleanup_is_idempotent():
-    device = BASE._replace(installed_apps=BASE.installed_apps | {"com.stray.app"})
-    once = cleanup(device, BASE)
-    assert cleanup(once, BASE) == once
+    base = BASELINE_DEVICE
+    device = base._replace(installed_apps=base.installed_apps | {"com.stray.app"})
+    once = cleanup(device)
+    assert cleanup(once) == once
 
 
 def test_cleanup_on_clean_device_is_identity():
-    assert cleanup(BASE, BASE) == BASE
-
-
-def test_cleanup_restores_settings():
-    device = BASE._replace(settings=SETTINGS._replace(wifi=False, sound_volume=0))
-    cleaned = cleanup(device, BASE)
-    assert cleaned.settings == SETTINGS
+    assert cleanup(BASELINE_DEVICE) == BASELINE_DEVICE
 
 
 def test_cleanup_after_session_restores_baseline(login_gate):

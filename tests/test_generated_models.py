@@ -181,6 +181,7 @@ def test_engine_contracts(doc):
         assert cleanup(session.device) == baseline_device()
 
 
+@pytest.mark.reseeded
 @settings(max_examples=40, deadline=None)
 @given(app_docs(), st.integers(0, 2**64 - 1), st.integers(0, 50), st.integers(0, 50),
        st.integers(1, 80))
@@ -214,6 +215,7 @@ def _check_explore_against_reference(app, seed, budget):
         assert session.device == expected.device, monkey_first
 
 
+@pytest.mark.reseeded
 @settings(max_examples=50, deadline=None)
 @given(app_docs(), st.integers(0, 3), st.integers(1, 60))
 def test_explore_equals_explorer_reference(doc, seed, budget):
@@ -234,6 +236,7 @@ class _BlocksPerEvent(SessionRunner):
         return result
 
 
+@pytest.mark.reseeded
 @settings(max_examples=40, deadline=None)
 @given(app_docs(), st.integers(0, 2**64 - 1), st.integers(0, 50), st.integers(0, 50),
        st.integers(1, 80), st.integers(1, 80))
@@ -292,6 +295,7 @@ _SIBLING_SENDS_THE_LEFT_PAIR = {
 }
 
 
+@pytest.mark.reseeded
 @pytest.mark.parametrize("budget", (3, 60))
 def test_explore_equals_explorer_reference_when_a_sibling_sends_the_left_pair(budget):
     app = model_from_dict(_SIBLING_SENDS_THE_LEFT_PAIR)
@@ -322,6 +326,7 @@ def _check_oracle_against_reference(app, tables):
                 == _oracle_outcome(reachable_reference, app, **kwargs)), max_states
 
 
+@pytest.mark.reseeded
 @settings(max_examples=50, deadline=None)
 @given(app_docs())
 def test_reachable_blocks_equals_oracle_reference(doc):
@@ -330,6 +335,7 @@ def test_reachable_blocks_equals_oracle_reference(doc):
         _check_oracle_against_reference(app, tables)
 
 
+@pytest.mark.reseeded
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.app")))
 def test_reachable_blocks_equals_oracle_reference_on_fixtures(name):
     _check_oracle_against_reference(load_app_model(FIXTURES / name), _DEFAULT)
@@ -462,6 +468,7 @@ def _damaged(value, path: tuple, replacement):
     return value
 
 
+@pytest.mark.reseeded
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.sampled_from(_KNOWN_DOCS), app_docs()), st.data())
 def test_direct_readers_agree_with_the_checked_path(doc, data):

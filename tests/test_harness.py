@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import droidcage
+from droidcage import netguard
 from droidcage.app_model import APP_SWITCH
 from droidcage.corpus import build_corpus, write_corpus
 from droidcage.coverage import AggregateRow
@@ -312,6 +313,22 @@ def _digest_dir(root):
 
 
 def test_seed0_outputs_are_byte_identical_to_golden(tmp_path):
+    write_corpus(tmp_path / "corpus", 0)
+    config = ExperimentConfig(corpus=tmp_path / "corpus", seed=0)
+    write_outputs(run_experiment(config), tmp_path / "out", config.formats)
+    assert _digest_dir(tmp_path / "out") == GOLDEN_SEED0_DIGEST
+
+
+def test_seed0_outputs_match_golden_in_a_warm_process(tmp_path, empty_line_memos):
+    # Other corpora first, then header-line memos filled with lines no run
+    # writes: no cache, memo or table they leave changes a later run's bytes.
+    for seed, count in ((1, 20), (2, 40), (3, 20)):
+        write_corpus(tmp_path / f"corpus{seed}", seed, count)
+        run_experiment(ExperimentConfig(corpus=tmp_path / f"corpus{seed}", seed=seed))
+    for i in range(netguard._LINE_MEMO_SIZE):
+        netguard._header_line(f"X-Warm-{i}: junk")
+        netguard._header_text(("X-Warm", str(i)))
+    assert [len(memo) for memo in empty_line_memos[:2]] == [netguard._LINE_MEMO_SIZE] * 2
     write_corpus(tmp_path / "corpus", 0)
     config = ExperimentConfig(corpus=tmp_path / "corpus", seed=0)
     write_outputs(run_experiment(config), tmp_path / "out", config.formats)

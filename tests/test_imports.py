@@ -84,7 +84,7 @@ def _definitions(tree: ast.Module):
 
 def _references(path: Path) -> set[str]:
     """The names, attribute names and keyword-argument names ``path`` reads
-    (``Settings(wifi=...)`` reads ``wifi``); in perfbench also every string
+    (``MonkeyConfig(seed=...)`` reads ``seed``); in perfbench also every string
     constant, since its trace hooks name the attributes they wrap. A name
     only assigned is not read, so a constant's own definition does not
     count."""

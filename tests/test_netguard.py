@@ -42,6 +42,8 @@ from droidcage.netguard import (
     write_log_entry,
 )
 
+from conftest import LINE_MEMOS, clear_line_memos
+
 SIGS = SignatureDb((
     Signature("sig-dropper-01", b"MAL-DROP-001"),
     Signature("sig-keylog-02", b"KEYLOG-XFIL"),
@@ -710,6 +712,7 @@ def capture_logs(draw):
     return "".join(entries)
 
 
+@pytest.mark.reseeded
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(capture_logs(),
                  st.builds(_mutated, st.just(_LOG_TEXT), st.integers(0, len(_LOG_TEXT)),
@@ -1384,6 +1387,7 @@ _methods = st.text(st.one_of(
     st.characters(max_codepoint=0xFF, exclude_characters=_LINE_SPACE)), min_size=1, max_size=10)
 
 
+@pytest.mark.reseeded
 @settings(max_examples=300, deadline=None)
 @given(method=_methods)
 def test_a_request_parses_exactly_when_its_method_is_a_token(method):
@@ -1414,6 +1418,7 @@ def _check_handled_outcome(out):
     _check_transaction(out.transaction)
 
 
+@pytest.mark.reseeded
 @settings(max_examples=300, deadline=None)
 @given(raw=st.one_of(st.sampled_from(_WELL_FORMED), one_byte_edits()),
        protocol=st.sampled_from(["http", "https"]))
@@ -1433,6 +1438,7 @@ def test_parsed_records_built_without_a_constructor_pass_it(raw, protocol):
         assert decoded == tx
 
 
+@pytest.mark.reseeded
 @settings(max_examples=150, deadline=None)
 @given(tx=transactions(), pattern=st.sampled_from([s.pattern for s in SIGS.signatures]),
        where=st.sampled_from(["path", "content", "both"]))
@@ -1446,6 +1452,7 @@ def test_stripped_records_built_without_a_constructor_pass_it(tx, pattern, where
     assert stripped[:4] == tx[:4] and stripped[5:7] == tx[5:7]
 
 
+@pytest.mark.reseeded
 @settings(max_examples=150, deadline=None)
 @given(capture_logs())
 def test_decoded_records_built_without_a_constructor_pass_it(text):
@@ -1470,6 +1477,7 @@ def _reference_log_entry(tx: HttpTransaction) -> str:
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.reseeded
 @settings(max_examples=200, deadline=None)
 @given(transactions())
 def test_log_entry_equals_the_reference_encoder(tx):
@@ -1484,6 +1492,7 @@ _NEAR_MISSES = ["get", "Get", "GET ", "PATCH", "HTTP", "Http", "HTTPS", "http ",
                 "080", "8080", "0", "4430", "HTTP/2", "HTTP/1.2", "http/1.1", "HTTP/1.1 ", ""]
 
 
+@pytest.mark.reseeded
 @pytest.mark.parametrize("value", sorted(_TABLE_VALUES) + _NEAR_MISSES)
 def test_log_entry_equals_the_reference_encoder_for_table_values_and_near_misses(value):
     base = HttpTransaction("OPTIONS", "https", "h.example", "443", "/", "HTTP/1.0")
@@ -1500,29 +1509,10 @@ def test_log_entry_equals_the_reference_encoder_for_table_values_and_near_misses
 # The per-header-line memos
 # ---------------------------------------------------------------------------
 
-_LINE_MEMOS = ("_HEADER_LINES", "_HEADER_TEXTS", "_WRITTEN_HEADERS")
 # One full memo for each, of keys no request or record line equals.
 _FULL_MEMOS = ({f"\x00{i}": (("X", "x"), "x") for i in range(netguard._LINE_MEMO_SIZE)},
                {("\x00", str(i)): "x" for i in range(netguard._LINE_MEMO_SIZE)},
                {f"\x00{i}": ("X", "x") for i in range(netguard._LINE_MEMO_SIZE)})
-
-
-def _memos():
-    return [getattr(netguard, name) for name in _LINE_MEMOS]
-
-
-def _clear_memos():
-    for memo in _memos():
-        memo.clear()
-
-
-@pytest.fixture
-def empty_line_memos():
-    """The memos, empty, and emptied again afterwards: a memo keeps the first
-    lines it meets, so what one test leaves there would last."""
-    _clear_memos()
-    yield _memos()
-    _clear_memos()
 
 
 def _outcome(step, arg):
@@ -1532,6 +1522,7 @@ def _outcome(step, arg):
         return None, (type(e), str(e))
 
 
+@pytest.mark.reseeded
 @settings(max_examples=300, deadline=None)
 @given(raw=st.one_of(st.sampled_from(_WELL_FORMED), one_byte_edits()),
        protocol=st.sampled_from(["http", "https"]), tx=transactions(), text=capture_logs())
@@ -1541,11 +1532,11 @@ def test_line_memos_change_no_result(raw, protocol, tx, text):
     first = [_outcome(step, arg) for step, arg in steps]
     # Every line the first call memoised is now a hit.
     assert [_outcome(step, arg) for step, arg in steps] == first
-    _clear_memos()
+    clear_line_memos()
     assert [_outcome(step, arg) for step, arg in steps] == first
     # Full memos take no line, so every line is read afresh.
     with contextlib.ExitStack() as stack:
-        for name, full in zip(_LINE_MEMOS, _FULL_MEMOS):
+        for name, full in zip(LINE_MEMOS, _FULL_MEMOS):
             stack.enter_context(mock.patch.object(netguard, name, full))
         assert [_outcome(step, arg) for step, arg in steps] == first
     assert [len(full) for full in _FULL_MEMOS] == [netguard._LINE_MEMO_SIZE] * 3

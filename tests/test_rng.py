@@ -136,6 +136,7 @@ def test_lane_scrambler_keeps_carries_out_of_the_next_lane():
         (rotl((w * 5) & MASK64, 7) * 9) & MASK64 for w in lanes]
 
 
+@pytest.mark.reseeded
 @example(seed=0, count=64)
 @example(seed=1, count=65)
 @example(seed=2**64 - 1, count=129)
@@ -182,6 +183,7 @@ def _with_examples(states):
 
 # Every one-bit state picks one unit entry per table; all ones picks the
 # last entry of both nibble sets of every table.
+@pytest.mark.reseeded
 @_with_examples([*(1 << bit for bit in range(256)), 2**256 - 1])
 @settings(max_examples=200, deadline=None)
 @given(state=st.integers(0, 2**256 - 1))
