@@ -5,6 +5,7 @@ import pytest
 
 from droidcage import explorer as explorer_module
 from droidcage.app_model import (
+    AppContext,
     AppNotInstalledError,
     Event,
     UI_ACTIONS,
@@ -527,6 +528,18 @@ def test_cleanup_is_idempotent():
 
 def test_cleanup_on_clean_device_is_identity():
     assert cleanup(BASELINE_DEVICE) == BASELINE_DEVICE
+
+
+def test_cleanup_keeps_only_the_contexts_of_baseline_apps():
+    kept = AppContext("Settings", "home")
+    device = BASELINE_DEVICE._replace(
+        contexts={"com.android.settings": kept, "com.stray.app": AppContext("Main", "home")},
+        installed_apps=BASELINE_DEVICE.installed_apps | {"com.stray.app"})
+    assert cleanup(device).contexts == {"com.android.settings": kept}
+
+
+def test_cleanup_clears_the_crash_flag():
+    assert cleanup(BASELINE_DEVICE._replace(crashed=True)) == BASELINE_DEVICE
 
 
 def test_cleanup_after_session_restores_baseline(login_gate):
