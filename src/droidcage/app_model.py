@@ -182,13 +182,6 @@ class Screen:
             self._pairs = tuple(sorted(pairs, key=lambda e: e[0][1] not in ("set_text", "toggle")))
         return self._pairs
 
-    def hit(self, x: int, y: int) -> Optional[ElementKey]:
-        """Key of the first element containing (x, y), or None."""
-        for i, (x0, y0, w, h) in enumerate(self._bounds):
-            if x0 <= x < x0 + w and y0 <= y < y0 + h:
-                return self.keys[i]
-        return None
-
 
 class Activity(NamedTuple):
     name: str
@@ -479,6 +472,8 @@ def apply_event(device: DeviceState, app: AppModel, event: Event,
         return _make(StepResult, (device, (), (), False))
 
     _, _, _, to, blocks, effects, crash = transition
+    if not (to or effects or crash):  # nothing moves, registers, emits or crashes
+        return _make(StepResult, (device, blocks, effects, True))
     new_ctx = ctx
     for eff in effects:
         if eff.kind == "register_receiver":

@@ -45,6 +45,13 @@ class ConfigError(ValueError):
     """A setting out of its range; defined here, below every module that raises it."""
 
 
+def check_int(value, name: str) -> int:
+    """``value``, if it is an int and not a bool; else a ConfigError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DataTables:
     tables: dict[str, tuple[str, ...]]

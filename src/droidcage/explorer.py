@@ -23,7 +23,7 @@ from .app_model import (
     live_receiver_action,
     receiver_events,
 )
-from .data_tables import ConfigError
+from .data_tables import ConfigError, check_int
 from .gcpause import gc_paused
 from .monkey import run_monkey
 from .rng import Xoshiro256StarStar, derive_seed
@@ -85,7 +85,8 @@ class ExplorationConfig:
     max_events: int = 2000
 
     def __post_init__(self):
-        if self.max_events < 1:
+        check_int(self.seed, "seed")
+        if check_int(self.max_events, "max_events") < 1:
             raise ConfigError("max_events must be >= 1")
 
 

@@ -93,8 +93,8 @@ class ExperimentConfig:
             # Checked here by the engines' own configs, not only where the
             # monkey or the explorer runs, so that a flag's contract does
             # not depend on the methods asked for.
-            MonkeyConfig(event_count=self.monkey_events)
-            ExplorationConfig(max_events=self.max_events)
+            MonkeyConfig(seed=self.seed, event_count=self.monkey_events)
+            ExplorationConfig(seed=self.seed, max_events=self.max_events)
         except ConfigError as e:
             raise ExperimentError(str(e)) from None
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .app_model import APP_SWITCH, Event, Screen, run_event_chain
-from .data_tables import ConfigError
+from .app_model import APP_SWITCH, UI_ACTIONS, Event, Screen, run_event_chain
+from .data_tables import ConfigError, check_int
 from .gcpause import gc_paused
 from .rng import ALNUM, _limit, _redraw, raw_stream
 from .session import Session, SessionRunner
@@ -68,6 +68,8 @@ class MonkeyConfig:
     package: str = ""
 
     def __post_init__(self):
+        for name in ("seed", "pct_syskeys", "pct_appswitch", "throttle_ms", "event_count"):
+            check_int(getattr(self, name), name)
         if not 0 <= self.pct_syskeys <= 100:
             raise ConfigError("pct_syskeys must be in [0, 100]")
         if not 0 <= self.pct_appswitch <= 100:
@@ -80,12 +82,12 @@ class MonkeyConfig:
             raise ConfigError("event_count must be >= 1")
 
 
-def _generate_one(draw: Callable[[], int], config: MonkeyConfig,
-                  screen: Screen | None) -> Event:
-    """The next event, hit-tested against ``screen`` (None after a crash).
+def _generate_one(draw: Callable[[], int], config: MonkeyConfig, screen: Screen) -> Event:
+    """The next event, hit-tested against ``screen``.
 
     ``draw`` is the raw stream's ``__next__``; each ``v % n if v < limit
-    else _redraw(draw, n)`` below is one ``randrange(n)``.
+    else _redraw(draw, n)`` below is one ``randrange(n)``. The hit test and
+    the typed value are plain loops, so a tap runs in this one frame.
     """
     v = draw()
     roll = v % 100 if v < _PCT_LIMIT else _redraw(draw, 100)
@@ -101,13 +103,19 @@ def _generate_one(draw: Callable[[], int], config: MonkeyConfig,
     x = v % SCREEN_WIDTH if v < _X_LIMIT else _redraw(draw, SCREEN_WIDTH)
     v = draw()
     y = v % SCREEN_HEIGHT if v < _Y_LIMIT else _redraw(draw, SCREEN_HEIGHT)
-    target = None if screen is None else screen.hit(x, y)
+    target = None  # the key of the first element whose bounds hold (x, y)
+    for i, (x0, y0, w, h) in enumerate(screen._bounds):
+        if y0 <= y < y0 + h and x0 <= x < x0 + w:  # rows are wide: y rejects first
+            target = screen.keys[i]
+            break
     if kind == "set_text":
         v = draw()
         length = TEXT_MIN_LEN + (v % _TEXT_LENGTHS if v < _LENGTH_LIMIT
                                  else _redraw(draw, _TEXT_LENGTHS))
-        value = "".join([ALNUM[v % _CHARS if (v := draw()) < _CHAR_LIMIT
-                               else _redraw(draw, _CHARS)] for _ in range(length)])
+        value = ""
+        for _ in range(length):
+            v = draw()
+            value += ALNUM[v % _CHARS if v < _CHAR_LIMIT else _redraw(draw, _CHARS)]
         return Event("set_text", target, value)
     return _tap(kind, target)
 
@@ -122,6 +130,7 @@ def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
     if config.package not in ("", app.package):
         raise ConfigError(f"package {config.package} does not match model {app.package}")
     draw = raw_stream(config.seed).__next__
+    events = runner.session.events
     device = screen = None
     with gc_paused():
         for _ in range(config.event_count):
@@ -136,5 +145,15 @@ def run_monkey(runner: SessionRunner, config: MonkeyConfig) -> Session:
                     break
                 ctx = device.context(app.package)
                 screen = app.screen(ctx.activity, ctx.state)
-            runner.step(_generate_one(draw, config, screen))
+                first_index, transitions = screen.first_index, screen.transitions
+            event = _generate_one(draw, config, screen)
+            # A tap that keys no transition on this screen (its key resolved
+            # by the shadowing rule; a miss keys nothing) would run a chain
+            # that returns the device it got, with no blocks and no effects,
+            # so the session only records it.
+            if event.kind in UI_ACTIONS and (event.target is None or (
+                    first_index[event.target], event.kind) not in transitions):
+                events.append(event)
+            else:
+                runner.step(event)
     return runner.session

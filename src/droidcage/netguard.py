@@ -69,7 +69,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .data_tables import ConfigError, DataTableError
+from .data_tables import ConfigError, DataTableError, check_int
 from .gcpause import gc_paused
 
 BLOCKED_PROTOCOLS = ("pop", "pop3", "imap", "ftp")
@@ -418,7 +418,7 @@ def _check_port(port: str) -> None:
 
 def check_threshold(threshold: int) -> int:
     """A reputation threshold, on the 0..100 scale of the scores."""
-    if not 0 <= threshold <= 100:
+    if not 0 <= check_int(threshold, "reputation threshold") <= 100:
         raise ConfigError(f"reputation threshold must be in [0, 100], got {threshold}")
     return threshold
 

@@ -14,7 +14,6 @@ from typing import NamedTuple, Optional
 
 from .app_model import (
     TELEPHONY_KINDS,
-    UI_ACTIONS,
     AppModel,
     DeviceState,
     Event,
@@ -82,7 +81,6 @@ class SessionRunner:
         self.netguard = netguard or NetGuard(default_signatures(), default_reputation(),
                                              identities=DEFAULT_IDENTITIES)
         self.tables = tables or default_tables()
-        self._no_match = StepResult(device, (), (), False)
 
     def copy(self) -> "SessionRunner":
         """A runner that continues from this one without changing it.
@@ -98,20 +96,8 @@ class SessionRunner:
 
     def step(self, event: Event) -> StepResult:
         """Apply one engine-issued event (plus telephony loopback)."""
-        device = self.device
         session = self.session
-        if event.target is None and event.kind in UI_ACTIONS and not device.crashed \
-                and self.app.package in device.contexts:
-            # A UI event aimed at no element matches no transition: the
-            # chain would return this very result and absorb nothing.
-            # Most monkey taps land here, so the result is built once per
-            # device, not once per tap.
-            session.events.append(event)
-            result = self._no_match
-            if result.device is not device:
-                result = self._no_match = StepResult(device, (), (), False)
-            return result
-        self.device, steps = run_event_chain(device, self.app, event, self.tables)
+        self.device, steps = run_event_chain(self.device, self.app, event, self.tables)
         session.events.append(event)
         session.device = self.device
         for _, result in steps:

@@ -1,4 +1,5 @@
 import copy
+import re
 from operator import itemgetter
 
 import pytest
@@ -17,7 +18,7 @@ from droidcage.app_model import (
     model_from_dict,
     reachable_blocks,
 )
-from droidcage.data_tables import CATEGORIES, DataTables, default_tables
+from droidcage.data_tables import CATEGORIES, ConfigError, DataTables, default_tables
 from droidcage.explorer import (
     BASELINE_DEVICE,
     CATEGORY_KEYWORDS,
@@ -190,6 +191,13 @@ def test_the_generator_built_at_the_first_fill_draws_as_one_built_up_front(monke
 # ---------------------------------------------------------------------------
 # Exploration
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [True, 2.5, "5"])
+@pytest.mark.parametrize("field", ["seed", "max_events"])
+def test_config_fields_are_ints(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        ExplorationConfig(**{field: value})
+
 
 def test_explore_cracks_login_gate_monkey_does_not(login_gate):
     session = explore(login_gate, ExplorationConfig(seed=0, max_events=10_000),

@@ -4,7 +4,9 @@ The three reference properties (``-k "explorer_reference or oracle_reference
 or monkey_reference"``) compare each engine with a plain reference kept in
 the tests; the oracle's is also checked on every hand-written fixture. A
 fourth compares the loader's direct readers with its checked readers on
-whole and damaged records.
+whole and damaged records. A fifth holds ``run_monkey``, which records a
+tap that keys no transition without a step, to a runner that steps every
+event of the stream.
 """
 
 import json
@@ -198,6 +200,33 @@ def test_run_monkey_equals_monkey_reference(doc, seed, pct_syskeys, pct_appswitc
     assert session.events == stream[:len(session.events)]
 
 
+@pytest.mark.reseeded
+@settings(max_examples=40, deadline=None)
+@given(app_docs(), st.integers(0, 2**64 - 1), st.integers(0, 50), st.integers(0, 50),
+       st.integers(1, 80))
+def test_run_monkey_equals_stepping_every_event(doc, seed, pct_syskeys, pct_appswitch, count):
+    # run_monkey records a tap that keys no transition without a step; a
+    # runner that steps every event of the stream must end where it ends.
+    app = model_from_dict(doc)
+    config = MonkeyConfig(seed=seed, pct_syskeys=pct_syskeys, pct_appswitch=pct_appswitch,
+                          event_count=count, package=app.package)
+    device = install_app(baseline_device(), app)
+    runner = SessionRunner(app, device)
+    session = run_monkey(runner, config)
+    stepped = SessionRunner(app, device)
+    for event in generate_events(config, app, device):
+        if stepped.device.crashed:
+            break
+        stepped.step(event)
+    expected = stepped.session
+    assert session.events == expected.events
+    assert session.executed_blocks == expected.executed_blocks
+    assert session.trace == expected.trace
+    assert session.effects == expected.effects
+    assert session.device == expected.device
+    assert runner.netguard.capture_log == stepped.netguard.capture_log
+
+
 def _check_explore_against_reference(app, seed, budget):
     config = ExplorationConfig(seed=seed, max_events=budget)
     # 30 monkey events first, with system keys and relaunches among them, or none.
@@ -224,16 +253,22 @@ def test_explore_equals_explorer_reference(doc, seed, budget):
 
 class _BlocksPerEvent(SessionRunner):
     """A runner that also keeps its session's executed blocks after each
-    event: ``blocks_after[n]`` is the set the first n events ran."""
+    step, keyed by the session's event count then. The monkey records a
+    tap that keys no transition without a step, and such a tap runs no
+    block, so ``blocks_after(n)``, the set the first n events ran, is the
+    last record at or before n."""
 
     def __init__(self, app, device):
         super().__init__(app, device)
-        self.blocks_after = [frozenset()]
+        self.blocks_by_count = {0: frozenset()}
 
     def step(self, event):
         result = super().step(event)
-        self.blocks_after.append(frozenset(self.session.executed_blocks))
+        self.blocks_by_count[len(self.session.events)] = frozenset(self.session.executed_blocks)
         return result
+
+    def blocks_after(self, n):
+        return self.blocks_by_count[max(k for k in self.blocks_by_count if k <= n)]
 
 
 @pytest.mark.reseeded
@@ -263,7 +298,7 @@ def test_sessions_at_a_smaller_budget_are_prefixes_of_those_at_a_larger_one(
         full = engine(big_k, full_runner)
         short = engine(k, SessionRunner(app, device))
         assert short.events == full.events[:k], engine.__name__
-        assert short.executed_blocks == full_runner.blocks_after[len(short.events)], \
+        assert short.executed_blocks == full_runner.blocks_after(len(short.events)), \
             engine.__name__
 
 

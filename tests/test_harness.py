@@ -100,6 +100,17 @@ def test_config_requires_methods(tmp_path):
         ExperimentConfig(corpus=tmp_path, methods=("monkey", "smart", "monkey"))
 
 
+@pytest.mark.parametrize("value", [True, 2.5, "5"])
+@pytest.mark.parametrize("field, named", [("seed", "seed"), ("monkey_events", "event_count"),
+                                          ("max_events", "max_events"),
+                                          ("reputation_threshold", "reputation threshold")])
+def test_config_fields_are_ints(tmp_path, field, named, value):
+    # Each is checked by the config that owns it, which names it as its own.
+    with pytest.raises(ExperimentError,
+                       match=f"^{named} must be an int, got {re.escape(repr(value))}$"):
+        ExperimentConfig(corpus=tmp_path, **{field: value})
+
+
 @pytest.mark.parametrize("threshold", [-1, 101])
 def test_config_rejects_an_out_of_range_threshold(tmp_path, threshold):
     with pytest.raises(ExperimentError,

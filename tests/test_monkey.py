@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from droidcage import monkey
@@ -79,6 +81,15 @@ def test_monkey_sends_one_object_per_distinct_event_but_typed_text(login_gate):
     assert all(e is APP_SWITCH for e in shared if e.kind == "app_switch")
     # Each typed event carries its own value, so each is its own object.
     assert len({id(e) for e in typed}) == len(typed) > 1
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "5"])
+@pytest.mark.parametrize("field", ["seed", "pct_syskeys", "pct_appswitch", "throttle_ms",
+                                   "event_count"])
+def test_config_fields_are_ints(field, value):
+    # A bool is an int to Python, but not a count or a seed.
+    with pytest.raises(ConfigError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        MonkeyConfig(**{field: value})
 
 
 def test_percent_bounds_validated():

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from droidcage import netguard
+from droidcage.data_tables import ConfigError
 from droidcage.harness import default_signatures
 from droidcage.netguard import (
     BLOCK,
@@ -34,6 +35,7 @@ from droidcage.netguard import (
     Signature,
     SignatureDb,
     Verdict,
+    check_threshold,
     decide,
     parse_capture_log,
     parse_request,
@@ -236,6 +238,15 @@ def test_good_reputation_redirects_to_simulator():
 def test_low_reputation_forwards():
     tx = parse_request(_raw(host="cfg.adsmogo.com"))
     assert decide(tx, SIGS, REP, threshold=60).kind == "forward"
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "5"])
+def test_threshold_is_an_int(value):
+    message = f"^reputation threshold must be an int, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
+        check_threshold(value)
+    with pytest.raises(ConfigError, match=message):
+        NetGuard(SIGS, REP, threshold=value)
 
 
 def test_unknown_host_forwards():

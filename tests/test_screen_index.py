@@ -4,7 +4,7 @@ unchanged lookup errors, and models built without the loader."""
 import pytest
 from hypothesis import given, settings
 
-from droidcage import harness
+from droidcage import harness, monkey
 from droidcage.app_model import (
     Activity,
     AppContext,
@@ -30,8 +30,9 @@ from droidcage.app_model import (
 )
 from droidcage.corpus import write_corpus
 from droidcage.data_tables import default_tables
-from droidcage.monkey import MonkeyConfig, _generate_one
+from droidcage.monkey import MonkeyConfig, _generate_one, run_monkey
 from droidcage.netguard import NetGuard
+from droidcage.session import SessionRunner
 
 from conftest import FIXTURES, app_docs, device_for
 
@@ -98,6 +99,19 @@ def test_monkey_hit_on_shadowed_element_resolves_to_first(shadow):
     assert apply_event(device, shadow, event).executed_blocks == ("first",)
 
 
+def test_monkey_steps_a_tap_whose_shadowed_element_keys_the_first_ones_transition(monkeypatch):
+    # Only the first "OK" has a click transition. A click inside the second
+    # keys it all the same, so the monkey must step that tap, not record it
+    # as one that keys nothing.
+    doc = _shadow_doc()
+    doc["transitions"] = doc["transitions"][:1]
+    app = model_from_dict(doc)
+    monkeypatch.setattr(monkey, "raw_stream", lambda seed: iter([50, 0, 550, 550]))
+    session = run_monkey(SessionRunner(app, device_for(app)), MonkeyConfig(event_count=1))
+    assert session.events == [Event("click", OK_KEY)]
+    assert session.executed_blocks == {"first"}
+
+
 def test_monkey_tap_on_nothing_has_no_target(shadow):
     event = _generate_one(_ScriptedRng(50, 0, 300, 300), MonkeyConfig(),
                           shadow.screen("Main", "home"))
@@ -141,7 +155,8 @@ def test_directly_constructed_model_has_working_lookups():
     assert app.home == ("Main", "home")
     assert app.block_index == {"b1": app.blocks[0]}
     key = ElementKey("strong_id", "Main", "go")
-    assert app.screen("Main", "home").hit(10, 10) == key
+    event = _generate_one(_ScriptedRng(50, 0, 10, 10), MonkeyConfig(), app.screen("Main", "home"))
+    assert event == Event("click", key)
     result = apply_event(device_for(app), app, Event("click", key))
     assert result.executed_blocks == ("b1",)
     assert result.device.context(app.package).state == "done"
